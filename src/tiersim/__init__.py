@@ -7,7 +7,7 @@ Typical use:
     report = simulate(parse_scenario(open("scenario.json").read()))
 """
 
-from .balancer import ReplicaView, select_replica
+from .balancer import select_replica
 from .bottleneck import BottleneckEntry, BottleneckReport, rank
 from .engine import Engine, Event, Request, simulate
 from .errors import (
@@ -42,7 +42,6 @@ from .model import (
     INFINITE,
     UNBOUNDED,
     BalancerPolicy,
-    Discipline,
     DistKind,
     Distribution,
     ResourceSpec,
@@ -58,7 +57,7 @@ from .model import (
     serialize_scenario,
     validate,
 )
-from .oracle import AnalyticMetrics, mmck, rank_by_blocking
+from .oracle import AnalyticMetrics, mmck
 from .workload import Stream, sample, stream_key
 
 __version__ = "0.1.0"
@@ -70,7 +69,6 @@ __all__ = [
     "BottleneckReport",
     "ClassMetrics",
     "DeploymentMap",
-    "Discipline",
     "DistKind",
     "Distribution",
     "DomainError",
@@ -82,7 +80,6 @@ __all__ = [
     "INFINITE",
     "InternalError",
     "MetricsReport",
-    "ReplicaView",
     "Request",
     "ResourceMetrics",
     "ResourceSpec",
@@ -108,7 +105,6 @@ __all__ = [
     "parse_execution",
     "parse_scenario",
     "rank",
-    "rank_by_blocking",
     "report_from_json",
     "report_to_json",
     "report_to_table",

@@ -13,29 +13,20 @@ its replicas + queue_capacity ceiling.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from .errors import InternalError
 from .model import BalancerPolicy
 from .workload import Stream
 
 
-@dataclass(frozen=True)
-class ReplicaView:
-    """Snapshot the balancer decides from.
-
-    backlogs[r] = 1 if replica r is serving, plus its queued requests.
-    waiting_free = remaining shared waiting slots (may be inf).
-    rr_cursor = next index for ROUND_ROBIN; owned and advanced by the caller.
-    """
-
-    backlogs: tuple[int, ...]
-    waiting_free: int | float
-    rr_cursor: int = 0
-
-
-def select_replica(view: ReplicaView, policy: BalancerPolicy, stream: Stream | None = None) -> int | None:
+def select_replica(
+    backlogs: Sequence[int],
+    waiting_free: int | float,
+    rr_cursor: int,
+    policy: BalancerPolicy,
+    stream: Stream | None = None,
+) -> int | None:
     """Pick a replica index for one admission, or None when full.
 
     None is returned only when every replica is busy and the waiting
@@ -44,13 +35,17 @@ def select_replica(view: ReplicaView, policy: BalancerPolicy, stream: Stream | N
     ROUND_ROBIN and RANDOM advance cyclically from their pick to the
     first idle one rather than overbooking a queue. RANDOM consumes
     exactly one uniform per accepted request and nothing when refusing.
+
+    backlogs[r] is 1 if replica r is serving, plus its queued requests;
+    waiting_free is the remaining shared waiting slots (may be inf);
+    rr_cursor is the next ROUND_ROBIN index, owned and advanced by the
+    caller.
     """
-    backlogs = view.backlogs
     n = len(backlogs)
     if n == 0:
         raise InternalError("resource has no replicas")
 
-    no_waiting_room = view.waiting_free <= 0
+    no_waiting_room = waiting_free <= 0
     if no_waiting_room and min(backlogs) >= 1:
         return None
 
@@ -67,7 +62,7 @@ def select_replica(view: ReplicaView, policy: BalancerPolicy, stream: Stream | N
         return best
 
     if policy is BalancerPolicy.ROUND_ROBIN:
-        start = view.rr_cursor % n
+        start = rr_cursor % n
     elif policy is BalancerPolicy.RANDOM:
         if stream is None:
             raise InternalError("RANDOM policy needs a stream")
@@ -83,14 +78,3 @@ def select_replica(view: ReplicaView, policy: BalancerPolicy, stream: Stream | N
         raise InternalError("no idle replica despite passing the full check")
     return start
 
-
-def is_full(backlogs: tuple[int, ...], waiting_free: int | float) -> bool:
-    """True when an arriving request would have to be dropped."""
-    return waiting_free <= 0 and (not backlogs or min(backlogs) >= 1)
-
-
-def total_capacity(replicas: int, queue_capacity: int | float) -> int | float:
-    """Most requests a resource can hold at once (servers + waiting)."""
-    if queue_capacity == math.inf:
-        return math.inf
-    return replicas + queue_capacity

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .metrics import MetricsReport
+from .metrics import MetricsReport, table_lines
 
 DEFAULT_DROP_THRESHOLD = 0.5
 DEFAULT_WAIT_THRESHOLD = 0.5
@@ -79,10 +79,4 @@ def format_table(report: BottleneckReport) -> str:
         (e.resource, f"{e.score:.6g}", f"{e.normalized_waiting:.6g}", f"{e.p_drop:.6g}", "yes" if e.flagged else "no")
         for e in report.entries
     ]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i]) for i in range(len(headers))]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines.extend("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join(table_lines(headers, rows)) + "\n"

@@ -100,6 +100,11 @@ class SweepCell:
     p_drop: float
 
 
+_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepCell))
+# the replication-averaged metrics; each names a ResourceMetrics field
+_SWEEP_METRICS = _SWEEP_FIELDS[2:]
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rates: tuple[float, ...]
@@ -163,22 +168,11 @@ def run_sweep(model: ScenarioModel, rates: tuple[float, ...], replications: int,
             seed = stream_key(master_seed, f"sweep:rate[{ri}]:rep[{k}]") % 2**64
             reps.append(Engine(_with_arrival_rate(model, rate, seed)).run())
         reports[rate] = tuple(reps)
+        n = len(reps)
         for name in reps[0].resources:
-            n = len(reps)
-            cells.append(
-                SweepCell(
-                    rate=rate,
-                    resource=name,
-                    avg_response=sum(r.resources[name].avg_response for r in reps) / n,
-                    avg_service=sum(r.resources[name].avg_service for r in reps) / n,
-                    avg_waiting=sum(r.resources[name].avg_waiting for r in reps) / n,
-                    utilization=sum(r.resources[name].utilization for r in reps) / n,
-                    p_idle=sum(r.resources[name].p_idle for r in reps) / n,
-                    p_drop=sum(r.resources[name].p_drop for r in reps) / n,
-                )
-            )
+            means = {k: sum(getattr(r.resources[name], k) for r in reps) / n for k in _SWEEP_METRICS}
+            cells.append(SweepCell(rate=rate, resource=name, **means))
         for cname in reps[0].classes:
-            n = len(reps)
             mean_resp = sum(r.classes[cname].mean_response for r in reps) / n
             cells.append(
                 SweepCell(
@@ -202,9 +196,9 @@ def run_sweep(model: ScenarioModel, rates: tuple[float, ...], replications: int,
 def sweep_to_csv(result: SweepResult) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rate", "resource", "avg_response", "avg_service", "avg_waiting", "utilization", "p_idle", "p_drop"])
+    writer.writerow(_SWEEP_FIELDS)
     for c in result.cells:
-        writer.writerow([repr(c.rate), c.resource] + [repr(v) for v in (c.avg_response, c.avg_service, c.avg_waiting, c.utilization, c.p_idle, c.p_drop)])
+        writer.writerow([repr(c.rate), c.resource] + [repr(getattr(c, k)) for k in _SWEEP_METRICS])
     return out.getvalue()
 
 

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .balancer import ReplicaView, select_replica
+from .balancer import select_replica
 from .errors import EngineEmptyError, InternalError
 from .metrics import MetricsReport, RunAccumulator, finalize
 from .model import BalancerPolicy, ScenarioModel, StopKind
@@ -30,9 +30,6 @@ from .workload import Stream, make_sampler
 
 _ARRIVAL = 0
 _COMPLETE = 1
-
-COMPLETED = "completed"
-DROPPED = "dropped"
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ class ResourceSnapshot:
 class Request:
     """One session walking its class path. Freed once terminal."""
 
-    __slots__ = ("id", "class_name", "class_index", "visit_index", "arrival_time", "enqueue_time", "service_start", "outcome", "dropped_at", "visits")
+    __slots__ = ("id", "class_name", "class_index", "visit_index", "arrival_time", "enqueue_time", "service_start")
 
     def __init__(self, rid: int, class_name: str, class_index: int, arrival_time: float):
         self.id = rid
@@ -71,9 +68,6 @@ class Request:
         self.arrival_time = arrival_time
         self.enqueue_time = arrival_time
         self.service_start = 0.0
-        self.outcome: str | None = None
-        self.dropped_at: str | None = None
-        self.visits: list[tuple[float, float, float]] = []
 
 
 class _ResourceRuntime:
@@ -171,7 +165,7 @@ class Engine:
 
     # -- handlers ------------------------------------------------------
 
-    def _on_arrival(self, now: float, cr: _ClassRuntime) -> Request:
+    def _on_arrival(self, now: float, cr: _ClassRuntime) -> None:
         if cr.scheduled < cr.max_requests:
             cr.scheduled += 1
             self._schedule_arrival(cr, now + cr.sample_arrival())
@@ -179,7 +173,6 @@ class Engine:
         req = Request(self._next_request_id, cr.name, cr.index, now)
         cr.acc.generated += 1
         self._offer(req, cr, now)
-        return req
 
     def _offer(self, req: Request, cr: _ClassRuntime, now: float) -> None:
         """Present the request at its current visit; admit or drop."""
@@ -191,7 +184,7 @@ class Engine:
             # fast path: any policy degenerates to replica 0
             if res.busy[0]:
                 if res.waiting >= res.queue_capacity:
-                    self._drop(req, cr, res, now)
+                    self._drop(cr, res)
                     return
                 req.enqueue_time = now
                 res.queues[0].append(req)
@@ -200,15 +193,15 @@ class Engine:
                 return
             replica = 0
         else:
-            free_slots = res.queue_capacity - res.waiting
-            view = ReplicaView(
-                backlogs=tuple((1 if res.busy[r] else 0) + len(res.queues[r]) for r in range(res.replicas)),
-                waiting_free=free_slots,
-                rr_cursor=res.rr_cursor,
+            replica = select_replica(
+                [busy + len(queue) for busy, queue in zip(res.busy, res.queues)],
+                res.queue_capacity - res.waiting,
+                res.rr_cursor,
+                res.policy,
+                res.balance_stream,
             )
-            replica = select_replica(view, res.policy, res.balance_stream)
             if replica is None:
-                self._drop(req, cr, res, now)
+                self._drop(cr, res)
                 return
             if res.policy is BalancerPolicy.ROUND_ROBIN:
                 res.rr_cursor = (replica + 1) % res.replicas
@@ -223,10 +216,8 @@ class Engine:
         acc.occupancy_change(now, 1)
         self._start_service(res, replica, req, demand_sampler, now)
 
-    def _drop(self, req: Request, cr: _ClassRuntime, res: _ResourceRuntime, now: float) -> None:
-        req.outcome = DROPPED
-        req.dropped_at = res.name
-        res.acc.record_drop(now)
+    def _drop(self, cr: _ClassRuntime, res: _ResourceRuntime) -> None:
+        res.acc.dropped += 1
         cr.acc.record_session_drop()
         self.terminals += 1
 
@@ -242,10 +233,7 @@ class Engine:
 
     def _on_complete(self, now: float, res: _ResourceRuntime, replica: int, req: Request) -> None:
         acc = res.acc
-        enqueue = req.enqueue_time
-        start = req.service_start
-        req.visits.append((enqueue, start, now))
-        acc.record_visit(enqueue, start, now)
+        acc.record_visit(req.enqueue_time, req.service_start, now)
         acc.occupancy_change(now, -1)
 
         queue = res.queues[replica]
@@ -269,7 +257,6 @@ class Engine:
         if req.visit_index < len(cr.path):
             self._offer(req, cr, now)
         else:
-            req.outcome = COMPLETED
             cr.acc.record_completion(req.arrival_time, now - req.arrival_time)
             self.terminals += 1
 
@@ -311,43 +298,17 @@ class Engine:
         """Drive to the stop rule and return the finalized report."""
         if self._finished:
             raise InternalError("simulation already finalized")
-        # dispatch is inlined here (rather than via step) because this
-        # loop dominates large runs; semantics match _apply exactly
-        heap = self._heap
-        pop = heappop
-        on_arrival = self._on_arrival
-        on_complete = self._on_complete
         stop = self.model.run.stop
-        if stop.kind is StopKind.AFTER_REQUESTS:
-            target = stop.n
-            while heap and self.terminals < target:
-                item = pop(heap)
-                time = item[0]
-                if time < self.clock:
-                    raise InternalError(f"event time {time!r} precedes clock {self.clock!r}")
-                self.clock = time
-                self.events_applied += 1
-                if item[2] == _ARRIVAL:
-                    on_arrival(time, item[3])
-                else:
-                    on_complete(time, item[3], item[4], item[5])
-            elapsed = self.clock
-        else:
-            horizon = stop.t
-            while heap and heap[0][0] <= horizon:
-                item = pop(heap)
-                time = item[0]
-                if time < self.clock:
-                    raise InternalError(f"event time {time!r} precedes clock {self.clock!r}")
-                self.clock = time
-                self.events_applied += 1
-                if item[2] == _ARRIVAL:
-                    on_arrival(time, item[3])
-                else:
-                    on_complete(time, item[3], item[4], item[5])
-            elapsed = horizon
+        by_count = stop.kind is StopKind.AFTER_REQUESTS
+        target = stop.n if by_count else math.inf
+        horizon = math.inf if by_count else stop.t
+        heap = self._heap
+        apply = self._apply
+        while heap and self.terminals < target and heap[0][0] <= horizon:
+            apply(heappop(heap))
+        if not by_count:
             self.clock = horizon
-        return self._finalize(elapsed)
+        return self._finalize(self.clock)
 
     def _finalize(self, elapsed: float) -> MetricsReport:
         self._finished = True

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import SeriesDisabledError
 from .model import END_TO_END, ScenarioModel
@@ -84,12 +84,6 @@ class ResourceAccumulator:
         self.area = 0.0
         self.series_rows: list[tuple[float, float]] = []
         self.record_series = record_series
-
-    def record_offered(self) -> None:
-        self.offered += 1
-
-    def record_drop(self, now: float) -> None:
-        self.dropped += 1
 
     def record_visit(self, enqueue: float, start: float, end: float) -> None:
         """One completed service; the busy interval is [start, end]."""
@@ -228,6 +222,10 @@ class MetricsReport:
     end_to_end_series: tuple[tuple[str, float, float], ...]
 
 
+_RESOURCE_FIELDS = tuple(f.name for f in fields(ResourceMetrics))
+_CLASS_FIELDS = tuple(f.name for f in fields(ClassMetrics))
+
+
 def _percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile; 0.0 when there are no samples."""
     n = len(sorted_values)
@@ -334,34 +332,8 @@ def report_to_json(report: MetricsReport) -> str:
             "dropped": report.dropped,
             "in_flight": report.in_flight,
         },
-        "resources": {
-            name: {
-                "avg_response": m.avg_response,
-                "avg_service": m.avg_service,
-                "avg_waiting": m.avg_waiting,
-                "utilization": m.utilization,
-                "p_idle": m.p_idle,
-                "p_drop": m.p_drop,
-                "mean_in_system": m.mean_in_system,
-                "offered": m.offered,
-                "served": m.served,
-                "dropped": m.dropped,
-                "queued_at_stop": m.queued_at_stop,
-                "in_service_at_stop": m.in_service_at_stop,
-            }
-            for name, m in report.resources.items()
-        },
-        "classes": {
-            name: {
-                "generated": c.generated,
-                "completed": c.completed,
-                "dropped": c.dropped,
-                "mean_response": c.mean_response,
-                "p50_response": c.p50_response,
-                "p95_response": c.p95_response,
-            }
-            for name, c in report.classes.items()
-        },
+        "resources": {name: {k: getattr(m, k) for k in _RESOURCE_FIELDS} for name, m in report.resources.items()},
+        "classes": {name: {k: getattr(c, k) for k in _CLASS_FIELDS} for name, c in report.classes.items()},
         "series": {
             "enabled": report.series_enabled,
             "resource_rows": len(report.resource_series),
@@ -378,34 +350,8 @@ def report_from_json(text: str) -> MetricsReport:
     loaded report answers metric queries but cannot re-export series.
     """
     doc = json.loads(text)
-    resources = {
-        name: ResourceMetrics(
-            avg_response=m["avg_response"],
-            avg_service=m["avg_service"],
-            avg_waiting=m["avg_waiting"],
-            utilization=m["utilization"],
-            p_idle=m["p_idle"],
-            p_drop=m["p_drop"],
-            mean_in_system=m["mean_in_system"],
-            offered=m["offered"],
-            served=m["served"],
-            dropped=m["dropped"],
-            queued_at_stop=m["queued_at_stop"],
-            in_service_at_stop=m["in_service_at_stop"],
-        )
-        for name, m in doc["resources"].items()
-    }
-    classes = {
-        name: ClassMetrics(
-            generated=c["generated"],
-            completed=c["completed"],
-            dropped=c["dropped"],
-            mean_response=c["mean_response"],
-            p50_response=c["p50_response"],
-            p95_response=c["p95_response"],
-        )
-        for name, c in doc["classes"].items()
-    }
+    resources = {name: ResourceMetrics(**{k: m[k] for k in _RESOURCE_FIELDS}) for name, m in doc["resources"].items()}
+    classes = {name: ClassMetrics(**{k: c[k] for k in _CLASS_FIELDS}) for name, c in doc["classes"].items()}
     totals = doc["totals"]
     return MetricsReport(
         scenario=doc["scenario"],
@@ -424,6 +370,15 @@ def report_from_json(text: str) -> MetricsReport:
     )
 
 
+def table_lines(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-aligned columns two spaces apart: header, rule, then rows."""
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+        for row in (headers, tuple("-" * w for w in widths), *rows)
+    ]
+
+
 def report_to_table(report: MetricsReport) -> str:
     """Fixed-width text table, one row per resource in model order."""
     headers = ("Resource", "AvgResponse", "AvgService", "AvgWaiting", "Utilization", "P(idle)", "P(drop)")
@@ -439,12 +394,7 @@ def report_to_table(report: MetricsReport) -> str:
         )
         for name, m in report.resources.items()
     ]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i]) for i in range(len(headers))]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines.extend("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows)
+    lines = table_lines(headers, rows)
     lines.append("")
     lines.append(
         f"elapsed {report.elapsed:.6g}  generated {report.generated}  "

@@ -38,10 +38,6 @@ class DistKind(str, Enum):
     UNIFORM = "uniform"
 
 
-class Discipline(str, Enum):
-    FCFS = "fcfs"
-
-
 class BalancerPolicy(str, Enum):
     JSQ = "jsq"
     ROUND_ROBIN = "round_robin"
@@ -99,7 +95,6 @@ class ResourceSpec:
     name: str
     replicas: int = 1
     queue_capacity: int | float = INFINITE
-    discipline: Discipline = Discipline.FCFS
     balancer: BalancerPolicy = BalancerPolicy.JSQ
 
 
@@ -359,6 +354,12 @@ def _int(obj: object, path: str) -> int:
     return obj
 
 
+def _bool(obj: object, path: str) -> bool:
+    if not isinstance(obj, bool):
+        raise ValidationError(f"{path}: expected a boolean, got {obj!r}")
+    return obj
+
+
 def _str(obj: object, path: str) -> str:
     if not isinstance(obj, str):
         raise ValidationError(f"{path}: expected a string, got {obj!r}")
@@ -374,10 +375,9 @@ def _parse_capacity(obj: object, path: str) -> int | float:
 def _parse_resource(obj: object, path: str) -> ResourceSpec:
     d = _as_dict(obj, path)
     _require_keys(d, {"name", "replicas", "queue_capacity", "discipline", "balancer"}, {"name"}, path)
-    try:
-        discipline = Discipline(d.get("discipline", "fcfs"))
-    except ValueError:
-        raise ValidationError(f"{path}.discipline: unknown discipline {d['discipline']!r}") from None
+    # FCFS is the only discipline; the key stays legal so documents naming it parse
+    if d.get("discipline", "fcfs") != "fcfs":
+        raise ValidationError(f"{path}.discipline: unknown discipline {d['discipline']!r}")
     try:
         balancer = BalancerPolicy(d.get("balancer", "jsq"))
     except ValueError:
@@ -386,7 +386,6 @@ def _parse_resource(obj: object, path: str) -> ResourceSpec:
         name=_str(d["name"], f"{path}.name"),
         replicas=_int(d.get("replicas", 1), f"{path}.replicas"),
         queue_capacity=_parse_capacity(d.get("queue_capacity", "inf"), f"{path}.queue_capacity"),
-        discipline=discipline,
         balancer=balancer,
     )
 
@@ -461,7 +460,7 @@ def parse_scenario(text: str) -> ScenarioModel:
         seed=_int(rd.get("seed", 1), "$.run.seed"),
         stop=_parse_stop(rd["stop"], "$.run.stop"),
         warmup=_num(rd.get("warmup", 0.0), "$.run.warmup"),
-        series_enabled=bool(rd.get("series", False)),
+        series_enabled=_bool(rd.get("series", False), "$.run.series"),
     )
 
     model = ScenarioModel(name=_str(top["name"], "$.name"), tiers=tuple(tiers), classes=tuple(classes), run=run)
@@ -495,7 +494,7 @@ def serialize_scenario(model: ScenarioModel) -> str:
                         "name": r.name,
                         "replicas": r.replicas,
                         "queue_capacity": "inf" if r.queue_capacity == INFINITE else r.queue_capacity,
-                        "discipline": r.discipline.value,
+                        "discipline": "fcfs",
                         "balancer": r.balancer.value,
                     }
                     for r in tier.resources

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import DomainError
 
@@ -115,13 +114,3 @@ def mmck(lam: float, mu: float, servers: int, queue_capacity: int) -> AnalyticMe
         mean_wait=mean_wait,
         mean_response=mean_response,
     )
-
-
-def rank_by_blocking(stations: Iterable[tuple[str, AnalyticMetrics]]) -> list[tuple[str, AnalyticMetrics]]:
-    """Order (label, metrics) pairs by descending blocking probability.
-
-    The sort is stable: stations with equal p_block keep their input
-    order. Useful for cross-checking simulated bottleneck rankings.
-    """
-    items: Sequence[tuple[str, AnalyticMetrics]] = list(stations)
-    return sorted(items, key=lambda pair: -pair[1].p_block)

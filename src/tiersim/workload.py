@@ -67,11 +67,6 @@ class Stream:
         """How many uniforms this stream has handed out."""
         return self._drawn
 
-    @property
-    def state(self) -> dict:
-        """Opaque, JSON-serializable snapshot of the stream position."""
-        return {"consumer": self.consumer, "algorithm": STREAM_ALGORITHM, "draws": self._drawn}
-
 
 def sample(dist: Distribution, stream: Stream) -> float:
     """Draw one non-negative variate from ``dist`` using ``stream``.

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiersim import BalancerPolicy, InternalError, ReplicaView, Stream, select_replica
-from tiersim.balancer import is_full, total_capacity
+from tiersim import BalancerPolicy, InternalError, Stream, select_replica
 
 POLICIES = (BalancerPolicy.JSQ, BalancerPolicy.ROUND_ROBIN, BalancerPolicy.RANDOM)
 
@@ -20,56 +19,54 @@ def fresh_stream() -> Stream:
 
 def test_single_replica_accepts_when_idle_or_room():
     for policy in POLICIES:
-        assert select_replica(ReplicaView((0,), 0), policy, fresh_stream()) == 0
-        assert select_replica(ReplicaView((3,), 2), policy, fresh_stream()) == 0
+        assert select_replica((0,), 0, 0, policy, fresh_stream()) == 0
+        assert select_replica((3,), 2, 0, policy, fresh_stream()) == 0
 
 
 def test_refuses_only_at_the_hard_ceiling():
     for policy in POLICIES:
         s = fresh_stream()
-        assert select_replica(ReplicaView((1, 1, 1), 0), policy, s) is None
-        assert select_replica(ReplicaView((4, 2, 7), 0), policy, s) is None
+        assert select_replica((1, 1, 1), 0, 0, policy, s) is None
+        assert select_replica((4, 2, 7), 0, 0, policy, s) is None
         # RANDOM must not consume a draw on refusal
         assert s.draws == 0
 
 
 def test_infinite_waiting_room_never_refuses():
     for policy in POLICIES:
-        r = select_replica(ReplicaView((9, 9, 9), math.inf), policy, fresh_stream())
+        r = select_replica((9, 9, 9), math.inf, 0, policy, fresh_stream())
         assert r in (0, 1, 2)
 
 
 def test_jsq_picks_least_loaded():
-    assert select_replica(ReplicaView((3, 1, 2), 5), BalancerPolicy.JSQ) == 1
-    assert select_replica(ReplicaView((5, 4, 0, 4), 5), BalancerPolicy.JSQ) == 2
+    assert select_replica((3, 1, 2), 5, 0, BalancerPolicy.JSQ) == 1
+    assert select_replica((5, 4, 0, 4), 5, 0, BalancerPolicy.JSQ) == 2
 
 
 def test_jsq_breaks_ties_toward_lowest_index():
-    assert select_replica(ReplicaView((0, 0), 5), BalancerPolicy.JSQ) == 0
-    assert select_replica(ReplicaView((2, 1, 1), 5), BalancerPolicy.JSQ) == 1
-    assert select_replica(ReplicaView((7, 7, 7), 5), BalancerPolicy.JSQ) == 0
+    assert select_replica((0, 0), 5, 0, BalancerPolicy.JSQ) == 0
+    assert select_replica((2, 1, 1), 5, 0, BalancerPolicy.JSQ) == 1
+    assert select_replica((7, 7, 7), 5, 0, BalancerPolicy.JSQ) == 0
 
 
 def test_round_robin_follows_cursor():
-    view = ReplicaView((1, 1, 1), 10, rr_cursor=2)
-    assert select_replica(view, BalancerPolicy.ROUND_ROBIN) == 2
-    view = ReplicaView((1, 1, 1), 10, rr_cursor=7)
-    assert select_replica(view, BalancerPolicy.ROUND_ROBIN) == 1
+    assert select_replica((1, 1, 1), 10, 2, BalancerPolicy.ROUND_ROBIN) == 2
+    assert select_replica((1, 1, 1), 10, 7, BalancerPolicy.ROUND_ROBIN) == 1
 
 
 def test_round_robin_ignores_load_when_room_remains():
     # cursor points at the most loaded replica; with waiting room it
     # still goes there
-    assert select_replica(ReplicaView((0, 9), 3, rr_cursor=1), BalancerPolicy.ROUND_ROBIN) == 1
+    assert select_replica((0, 9), 3, 1, BalancerPolicy.ROUND_ROBIN) == 1
 
 
 def test_round_robin_falls_forward_to_idle_when_pool_exhausted():
     # cursor says 0, replica 0 is busy and no slot is free; the only
     # legal landing spot is an idle replica
-    assert select_replica(ReplicaView((1, 0, 1), 0, rr_cursor=0), BalancerPolicy.ROUND_ROBIN) == 1
-    assert select_replica(ReplicaView((1, 1, 0), 0, rr_cursor=1), BalancerPolicy.ROUND_ROBIN) == 2
+    assert select_replica((1, 0, 1), 0, 0, BalancerPolicy.ROUND_ROBIN) == 1
+    assert select_replica((1, 1, 0), 0, 1, BalancerPolicy.ROUND_ROBIN) == 2
     # wraps past the end
-    assert select_replica(ReplicaView((0, 1, 1), 0, rr_cursor=2), BalancerPolicy.ROUND_ROBIN) == 0
+    assert select_replica((0, 1, 1), 0, 2, BalancerPolicy.ROUND_ROBIN) == 0
 
 
 def test_random_is_reproducible_and_consumes_one_draw():
@@ -78,7 +75,7 @@ def test_random_is_reproducible_and_consumes_one_draw():
     expected = [min(int(probe.uniform01() * n), n - 1) for _ in range(200)]
 
     s = fresh_stream()
-    got = [select_replica(ReplicaView((1,) * n, 10), BalancerPolicy.RANDOM, s) for _ in range(200)]
+    got = [select_replica((1,) * n, 10, 0, BalancerPolicy.RANDOM, s) for _ in range(200)]
     assert got == expected
     assert s.draws == 200
 
@@ -89,33 +86,19 @@ def test_random_falls_forward_to_idle_when_pool_exhausted():
     backlogs = (1, 1, 0, 1)
     for _ in range(100):
         start = min(int(probe.uniform01() * 4), 3)
-        choice = select_replica(ReplicaView(backlogs, 0), BalancerPolicy.RANDOM, s)
+        choice = select_replica(backlogs, 0, 0, BalancerPolicy.RANDOM, s)
         assert choice == (2 if backlogs[start] >= 1 else start)
         assert choice == 2  # the only idle replica
 
 
 def test_random_without_stream_is_an_internal_error():
     with pytest.raises(InternalError):
-        select_replica(ReplicaView((1, 1), 5), BalancerPolicy.RANDOM, None)
+        select_replica((1, 1), 5, 0, BalancerPolicy.RANDOM, None)
 
 
 def test_zero_replicas_is_an_internal_error():
     with pytest.raises(InternalError):
-        select_replica(ReplicaView((), 5), BalancerPolicy.JSQ)
-
-
-def test_is_full():
-    assert is_full((1, 1), 0)
-    assert not is_full((1, 0), 0)
-    assert not is_full((1, 1), 1)
-    assert not is_full((5, 5), math.inf)
-    assert is_full((), 0)
-
-
-def test_total_capacity():
-    assert total_capacity(3, 4) == 7
-    assert total_capacity(1, 0) == 1
-    assert total_capacity(2, math.inf) == math.inf
+        select_replica((), 5, 0, BalancerPolicy.JSQ)
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,9 +110,8 @@ def test_total_capacity():
     seed=st.integers(0, 2**32),
 )
 def test_selection_contract(backlogs, waiting_free, cursor, policy, seed):
-    view = ReplicaView(backlogs, waiting_free, rr_cursor=cursor)
-    choice = select_replica(view, policy, Stream(seed, "prop"))
-    if is_full(backlogs, waiting_free):
+    choice = select_replica(backlogs, waiting_free, cursor, policy, Stream(seed, "prop"))
+    if waiting_free <= 0 and min(backlogs) >= 1:
         assert choice is None
     else:
         assert choice is not None and 0 <= choice < len(backlogs)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,30 @@ def test_unknown_resource_key_rejected():
     doc["tiers"][0]["resources"][0]["replicsa"] = 2
     with pytest.raises(ValidationError, match="replicsa"):
         parse_scenario(json.dumps(doc))
+
+
+def test_discipline_other_than_fcfs_rejected():
+    doc = json.loads(serialize_scenario(small_model()))
+    assert doc["tiers"][0]["resources"][0]["discipline"] == "fcfs"
+    doc["tiers"][0]["resources"][0]["discipline"] = "lifo"
+    with pytest.raises(ValidationError, match=r"resources\[0\]\.discipline: unknown discipline 'lifo'"):
+        parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1])
+def test_series_must_be_a_json_bool(value):
+    doc = json.loads(serialize_scenario(small_model()))
+    doc["run"]["series"] = value
+    with pytest.raises(ValidationError, match=r"\$\.run\.series: expected a boolean"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_every_json_block_in_the_readme_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        parse_scenario(block)
 
 
 def test_defaults_applied_for_optional_keys():

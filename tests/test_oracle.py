@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiersim import DomainError, mmck, rank_by_blocking
+from tiersim import DomainError, mmck
 
 
 def geometric_p_n(lam: float, mu: float, top: int) -> list[float]:
@@ -146,22 +146,6 @@ def test_domain_errors():
         mmck(math.inf, 2.0, 1, 3)
     with pytest.raises(DomainError):
         mmck(1.0, math.nan, 1, 3)
-
-
-def test_rank_by_blocking_orders_and_keeps_ties_stable():
-    hot = mmck(5.0, 1.0, 1, 1)
-    warm = mmck(1.0, 1.0, 1, 3)
-    cold = mmck(0.1, 1.0, 1, 10)
-    ranked = rank_by_blocking([("cold", cold), ("hot", hot), ("warm", warm)])
-    assert [name for name, _ in ranked] == ["hot", "warm", "cold"]
-    # equal blocking keeps input order
-    tied = rank_by_blocking([("b", warm), ("a", warm)])
-    assert [name for name, _ in tied] == ["b", "a"]
-
-
-def test_rank_by_blocking_accepts_any_iterable():
-    pairs = ((f"s{i}", mmck(float(i + 1), 1.0, 1, 2)) for i in range(3))
-    assert [name for name, _ in rank_by_blocking(pairs)] == ["s2", "s1", "s0"]
 
 
 @settings(max_examples=150, deadline=None)

@@ -119,17 +119,6 @@ def test_make_sampler_matches_sample_sequence():
         assert [sample(dist, s1) for _ in range(1000)] == [fast() for _ in range(1000)]
 
 
-def test_state_snapshot_is_serializable():
-    import json
-
-    s = Stream(1, "snap")
-    s.uniform01()
-    state = s.state
-    assert state["consumer"] == "snap"
-    assert state["draws"] == 1
-    json.dumps(state)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),

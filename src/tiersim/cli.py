@@ -17,7 +17,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-from . import bundled
+from . import __version__, bundled
 from .bottleneck import format_table, rank
 from .engine import Engine
 from .errors import DomainError, TiersimError, ValidationError
@@ -37,6 +37,7 @@ from .model import (
     StopRule,
     parse_scenario,
     serialize_scenario,
+    validated,
 )
 from .oracle import mmck
 from .workload import stream_key
@@ -79,7 +80,7 @@ def _apply_overrides(model: ScenarioModel, args: argparse.Namespace) -> Scenario
         run = dataclasses.replace(run, warmup=args.warmup)
     if getattr(args, "series", False):
         run = dataclasses.replace(run, series_enabled=True)
-    return dataclasses.replace(model, run=run)
+    return validated(dataclasses.replace(model, run=run))
 
 
 # ----------------------------------------------------------------------
@@ -138,15 +139,21 @@ def parse_rate_grid(text: str) -> tuple[float, ...]:
 
 
 def _with_arrival_rate(model: ScenarioModel, rate: float, seed: int) -> ScenarioModel:
+    """Scale the class arrival rates to total ``rate``, keeping their mix."""
     if rate <= 0:
         raise DomainError(f"swept arrival rate must be > 0, got {rate!r}")
-    classes = []
     for cls in model.classes:
         if cls.arrival.kind is not DistKind.EXPONENTIAL:
             raise ValidationError(
                 f"sweep needs exponential arrivals; class {cls.name!r} uses {cls.arrival.kind.value}"
             )
-        classes.append(dataclasses.replace(cls, arrival=Distribution.exponential(rate)))
+    total = sum(cls.arrival.rate for cls in model.classes)
+    # rate * (r / total), not rate * r / total: one class gets rate * 1.0,
+    # exactly the grid value
+    classes = [
+        dataclasses.replace(cls, arrival=Distribution.exponential(rate * (cls.arrival.rate / total)))
+        for cls in model.classes
+    ]
     run = dataclasses.replace(model.run, seed=seed)
     return dataclasses.replace(model, classes=tuple(classes), run=run)
 
@@ -210,17 +217,19 @@ def build_station_model(lam: float, mu: float, servers: int, capacity: int, requ
     """Single M/M/c/K station driven until `requests` terminal outcomes."""
     from .model import ResourceSpec, Tier, Visit, WorkloadClass
 
-    return ScenarioModel(
-        name="station-check",
-        tiers=(Tier(name="station", resources=(ResourceSpec(name="station", replicas=servers, queue_capacity=capacity),)),),
-        classes=(
-            WorkloadClass(
-                name="load",
-                arrival=Distribution.exponential(lam),
-                path=(Visit(resource="station", demand=Distribution.exponential(mu)),),
+    return validated(
+        ScenarioModel(
+            name="station-check",
+            tiers=(Tier(name="station", resources=(ResourceSpec(name="station", replicas=servers, queue_capacity=capacity),)),),
+            classes=(
+                WorkloadClass(
+                    name="load",
+                    arrival=Distribution.exponential(lam),
+                    path=(Visit(resource="station", demand=Distribution.exponential(mu)),),
+                ),
             ),
-        ),
-        run=RunConfig(seed=seed, stop=StopRule.after_requests(requests)),
+            run=RunConfig(seed=seed, stop=StopRule.after_requests(requests)),
+        )
     )
 
 
@@ -277,7 +286,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     model = parse_scenario(_read_input(args.scenario))
     seed = args.seed if args.seed is not None else model.run.seed
     if args.requests is not None:
-        model = dataclasses.replace(model, run=dataclasses.replace(model.run, stop=StopRule.after_requests(args.requests)))
+        model = validated(
+            dataclasses.replace(model, run=dataclasses.replace(model.run, stop=StopRule.after_requests(args.requests)))
+        )
     result = run_sweep(model, parse_rate_grid(args.rates), args.replications, seed)
     text = sweep_to_csv(result)
     if args.output:
@@ -337,7 +348,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         arrival = Distribution.exponential(args.arrival_rate)
     run = RunConfig(
         seed=args.seed if args.seed is not None else 1,
-        stop=StopRule.after_time(args.time) if args.time is not None else StopRule.after_requests(args.requests or 1000),
+        stop=StopRule.after_time(args.time) if args.time is not None else StopRule.after_requests(args.requests),
         warmup=args.warmup or 0.0,
         series_enabled=bool(args.series),
     )
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tiersim",
         description="Deterministic discrete-event simulator for multi-tier queueing architectures.",
     )
-    parser.add_argument("--version", action="version", version="tiersim 0.1.0")
+    parser.add_argument("--version", action="version", version=f"tiersim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -393,7 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-run a scenario over an arrival-rate grid")
     p.add_argument("scenario", help="scenario JSON path (or bundled:NAME)")
-    p.add_argument("--rates", required=True, help="grid: start:stop:count or comma list")
+    p.add_argument(
+        "--rates",
+        required=True,
+        help="total arrival rates, split across classes in their declared mix; grid: start:stop:count or comma list",
+    )
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--requests", type=int, help="override stop: terminal requests per run")
     p.add_argument("--seed", type=int, help="master seed for replication seeds")
@@ -431,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--interarrival", type=float, help="fixed interarrival gap")
     p.add_argument("--max-requests", dest="max_requests", type=int, help="cap generated sessions")
     p.add_argument("--seed", type=int)
-    p.add_argument("--requests", type=int, help="stop rule: terminal requests")
+    p.add_argument("--requests", type=int, default=1000, help="stop rule: terminal requests (default 1000)")
     p.add_argument("--time", type=float, help="stop rule: simulated time")
     p.add_argument("--warmup", type=float)
     p.add_argument("--series", action="store_true")

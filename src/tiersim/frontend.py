@@ -41,7 +41,7 @@ from .model import (
     Tier,
     Visit,
     WorkloadClass,
-    validate,
+    validated,
 )
 
 _STEP_RE = re.compile(
@@ -268,13 +268,11 @@ def synthesize_scenario(
         tiers.append(Tier(name="network", resources=all_links))
 
     cls = WorkloadClass(name=class_name, arrival=arrival, path=tuple(visits), max_requests=max_requests)
-    model = ScenarioModel(
-        name=scenario_name,
-        tiers=tuple(tiers),
-        classes=(cls,),
-        run=run if run is not None else RunConfig(),
+    return validated(
+        ScenarioModel(
+            name=scenario_name,
+            tiers=tuple(tiers),
+            classes=(cls,),
+            run=run if run is not None else RunConfig(),
+        )
     )
-    report = validate(model)
-    if not report.ok:
-        raise ValidationError(str(report))
-    return model

@@ -302,6 +302,14 @@ def validate(model: ScenarioModel) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def validated(model: ScenarioModel) -> ScenarioModel:
+    """Return ``model`` unchanged, or raise ValidationError listing every issue."""
+    report = validate(model)
+    if not report.ok:
+        raise ValidationError(str(report))
+    return model
+
+
 # ----------------------------------------------------------------------
 # JSON parsing. Strict: every object lists its allowed keys.
 
@@ -463,11 +471,7 @@ def parse_scenario(text: str) -> ScenarioModel:
         series_enabled=_bool(rd.get("series", False), "$.run.series"),
     )
 
-    model = ScenarioModel(name=_str(top["name"], "$.name"), tiers=tuple(tiers), classes=tuple(classes), run=run)
-    report = validate(model)
-    if not report.ok:
-        raise ValidationError(str(report))
-    return model
+    return validated(ScenarioModel(name=_str(top["name"], "$.name"), tiers=tuple(tiers), classes=tuple(classes), run=run))
 
 
 def _dist_to_json(dist: Distribution) -> dict:

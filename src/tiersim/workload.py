@@ -10,6 +10,12 @@ generator keyed by SHA-256(master seed || consumer name), so:
 * adding or removing a consumer never perturbs another consumer's
   samples, because no stream is derived from another's position.
 
+A stream's generator is keyed on its first draw, not when the stream is
+built. Since the key depends only on (seed, consumer), when that happens
+never changes a sample; it only means that a stream which never draws
+(the streams of a declared but unvisited resource, or the balance stream
+of a resource whose policy is not ``random``) costs no generator.
+
 Only raw uniform doubles come from the generator. Variates are formed by
 explicit inverse transforms here, so the sampling algorithm is part of
 this module's contract rather than an upstream library detail.
@@ -26,16 +32,22 @@ from .errors import DomainError
 from .model import Distribution, DistKind
 
 # How many uniforms to pull from the bit generator per refill. Purely a
-# speed knob; the sample sequence is identical for any positive size.
+# speed knob; the sample sequence is identical for any positive size. It
+# also sets the cost of a stream's first draw, which keys the generator
+# and fills the first buffer.
 _BUFFER = 1024
 
 STREAM_ALGORITHM = "philox4x64/sha256-key/inverse-cdf"
 
 
-def stream_key(master_seed: int, consumer: str) -> int:
-    """128-bit Philox key for a consumer, stable across builds."""
+def _check_seed(master_seed: int) -> None:
     if not (0 <= master_seed < 2**64):
         raise DomainError(f"master seed must be an unsigned 64-bit integer, got {master_seed!r}")
+
+
+def stream_key(master_seed: int, consumer: str) -> int:
+    """128-bit Philox key for a consumer, stable across builds."""
+    _check_seed(master_seed)
     digest = hashlib.sha256(master_seed.to_bytes(8, "little") + b"\x00" + consumer.encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
 
@@ -43,11 +55,13 @@ def stream_key(master_seed: int, consumer: str) -> int:
 class Stream:
     """Deterministic uniform source for one named consumer."""
 
-    __slots__ = ("consumer", "_gen", "_buf", "_idx", "_drawn")
+    __slots__ = ("consumer", "_seed", "_gen", "_buf", "_idx", "_drawn")
 
     def __init__(self, master_seed: int, consumer: str):
+        _check_seed(master_seed)
         self.consumer = consumer
-        self._gen = np.random.Generator(np.random.Philox(key=stream_key(master_seed, consumer)))
+        self._seed = master_seed
+        self._gen: np.random.Generator | None = None  # keyed on the first refill
         self._buf: list[float] = []
         self._idx = 0
         self._drawn = 0
@@ -55,6 +69,8 @@ class Stream:
     def uniform01(self) -> float:
         """Next double in [0, 1). Never returns 1.0, so log(1 - u) is finite."""
         if self._idx >= len(self._buf):
+            if self._gen is None:
+                self._gen = np.random.Generator(np.random.Philox(key=stream_key(self._seed, self.consumer)))
             self._buf = self._gen.random(_BUFFER).tolist()
             self._idx = 0
         u = self._buf[self._idx]

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from tiersim import DomainError, parse_scenario, serialize_scenario
-from tiersim.cli import build_station_model, main, parse_rate_grid
+from tiersim import (
+    Distribution,
+    DomainError,
+    WorkloadClass,
+    __version__,
+    parse_scenario,
+    serialize_scenario,
+)
+from tiersim.cli import _with_arrival_rate, build_station_model, main, parse_rate_grid
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -24,10 +32,11 @@ def station_path(tmp_path):
     return str(path)
 
 
-def test_version_flag():
+def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    assert capsys.readouterr().out == f"tiersim {__version__}\n"
 
 
 def test_validate_bundled_scenario(capsys):
@@ -224,6 +233,58 @@ def test_sweep_rejects_non_exponential_arrivals(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", str(path), "--rates", "1.0")
     assert code == 1
     assert "exponential" in err
+
+
+@pytest.mark.parametrize(
+    "argv, issue",
+    [
+        (("run", "bundled:webservices.json", "--time", "-1"), "run.stop: after_time horizon must be finite and > 0"),
+        (("run", "bundled:webservices.json", "--time", "inf"), "run.stop: after_time horizon must be finite and > 0"),
+        (("run", "bundled:webservices.json", "--requests", "0"), "run.stop: after_requests count must be >= 1"),
+        (("run", "bundled:webservices.json", "--requests", "-3"), "run.stop: after_requests count must be >= 1"),
+        (("run", "bundled:webservices.json", "--warmup", "-1"), "run.warmup: warmup must be finite and >= 0"),
+        (("sweep", "bundled:webservices.json", "--rates", "40", "--requests", "0"), "run.stop: after_requests"),
+        (("oracle-check", "--lambda", "1.0", "--mu", "2.0", "--requests", "0"), "run.stop: after_requests"),
+        (
+            (
+                "synthesize",
+                "bundled:webservices_steps.txt",
+                "bundled:webservices_deployment.json",
+                "--arrival-rate",
+                "75",
+                "--requests",
+                "0",
+            ),
+            "run.stop: after_requests count must be >= 1",
+        ),
+    ],
+    ids=[
+        "time-negative",
+        "time-inf",
+        "requests-zero",
+        "requests-negative",
+        "warmup-negative",
+        "sweep",
+        "oracle-check",
+        "synthesize",
+    ],
+)
+def test_overrides_are_validated_like_a_scenario_file(capsys, argv, issue):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert issue in err
+
+
+def test_sweep_rate_is_split_in_the_declared_class_mix():
+    model = build_station_model(2.0, 5.0, 1, 3, 100, seed=1)
+    (web,) = model.classes
+    batch = WorkloadClass(name="batch", arrival=Distribution.exponential(1.0), path=web.path)
+    mixed = dataclasses.replace(model, classes=(web, batch))
+    swept = _with_arrival_rate(mixed, 3.0, seed=5)
+    assert [c.arrival.rate for c in swept.classes] == [2.0, 1.0]
+    (single,) = _with_arrival_rate(model, 0.1, seed=5).classes
+    assert single.arrival.rate == 0.1
 
 
 def test_oracle_check_json(capsys):

@@ -4,6 +4,7 @@ stop rules, and determinism."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -23,10 +24,12 @@ from tiersim import (
     Tier,
     Visit,
     WorkloadClass,
+    parse_scenario,
     report_to_json,
     simulate,
     validate,
 )
+from tiersim import bundled, workload
 from randscen import random_scenario
 
 
@@ -447,3 +450,34 @@ def test_fresh_engine_snapshot_is_empty():
     assert snap.in_system == 0
     assert (snap.offered, snap.served, snap.dropped) == (0, 0, 0)
     assert eng.pending_events == 1  # the first arrival
+
+
+def test_only_streams_that_draw_key_a_generator(monkeypatch):
+    doc = json.loads(bundled.read("webservices.json"))
+    idle = [{"name": f"Idle{i}", "replicas": 1, "queue_capacity": 0} for i in range(100)]
+    doc["tiers"].append({"name": "unvisited", "resources": idle})
+    model = parse_scenario(json.dumps(doc))
+
+    streams = []
+
+    class RecordedStream(Stream):
+        __slots__ = ()
+
+        def __init__(self, master_seed, consumer):
+            super().__init__(master_seed, consumer)
+            streams.append(self)
+
+    keyed = []
+    philox = workload.np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        keyed.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr("tiersim.engine.Stream", RecordedStream)
+    monkeypatch.setattr(workload.np.random, "Philox", counting_philox)
+    Engine(model).run()
+
+    assert len(streams) == 2 * len(model.resources()) + len(model.classes)
+    assert len(keyed) == sum(s.draws > 0 for s in streams)
+    assert len(keyed) <= len(streams) - 2 * len(idle)

@@ -54,6 +54,24 @@ def test_stream_key_rejects_bad_seed():
         stream_key(2**64, "x")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_stream_rejects_bad_seed_at_construction(seed):
+    with pytest.raises(DomainError, match="master seed must be an unsigned 64-bit integer"):
+        Stream(seed, "x")
+
+
+def test_stream_keyed_late_draws_the_same_sequence():
+    alone = Stream(9, "late")
+    expected = [alone.uniform01() for _ in range(1500)]
+
+    late = Stream(9, "late")
+    others = [Stream(9, f"other{i}") for i in range(3)]
+    for other in others:
+        for _ in range(1100):
+            other.uniform01()
+    assert [late.uniform01() for _ in range(1500)] == expected
+
+
 def test_deterministic_consumes_nothing():
     s = Stream(1, "svc")
     d = Distribution.deterministic(0.25)

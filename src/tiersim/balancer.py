@@ -2,9 +2,10 @@
 
 The engine keeps one FIFO queue per replica; when a request is admitted
 the balancer decides which replica's queue (or idle server) receives it.
-Selection sees only a snapshot of backlogs plus the shared pool of free
-waiting slots, so policies are pure given that view (RANDOM draws from
-the stream it is handed).
+Selection sees only the per-replica backlogs, which the engine keeps up
+to date as requests are admitted and complete and passes as they stand,
+plus the shared pool of free waiting slots. Policies are pure given that
+view (RANDOM draws from the stream it is handed) and never modify it.
 
 All policies agree on when to refuse: a request is turned away only when
 no replica is idle and no waiting slot is free, i.e. the resource is at
@@ -41,25 +42,21 @@ def select_replica(
     rr_cursor is the next ROUND_ROBIN index, owned and advanced by the
     caller.
     """
-    n = len(backlogs)
-    if n == 0:
+    if not backlogs:
         raise InternalError("resource has no replicas")
 
+    least = min(backlogs)
     no_waiting_room = waiting_free <= 0
-    if no_waiting_room and min(backlogs) >= 1:
+    if no_waiting_room and least >= 1:
         return None
 
+    if policy is BalancerPolicy.JSQ:
+        # the first replica with the lowest backlog
+        return backlogs.index(least)
+
+    n = len(backlogs)
     if n == 1:
         return 0
-
-    if policy is BalancerPolicy.JSQ:
-        best = 0
-        best_load = backlogs[0]
-        for i in range(1, n):
-            if backlogs[i] < best_load:
-                best = i
-                best_load = backlogs[i]
-        return best
 
     if policy is BalancerPolicy.ROUND_ROBIN:
         start = rr_cursor % n

@@ -392,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="simulate a scenario and report metrics")
     p.add_argument("scenario", help="scenario JSON path (or bundled:NAME)")
     p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("--requests", type=int, help="stop after N terminal requests")
-    p.add_argument("--time", type=float, help="stop at simulated time T")
+    stop = p.add_mutually_exclusive_group()
+    stop.add_argument("--requests", type=int, help="stop after N terminal requests")
+    stop.add_argument("--time", type=float, help="stop at simulated time T")
     p.add_argument("--warmup", type=float, help="exclude samples arriving before this time")
     p.add_argument("--series", action="store_true", help="record raw response series")
     p.add_argument("--report", help="write the JSON report here (atomic)")
@@ -446,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--interarrival", type=float, help="fixed interarrival gap")
     p.add_argument("--max-requests", dest="max_requests", type=int, help="cap generated sessions")
     p.add_argument("--seed", type=int)
-    p.add_argument("--requests", type=int, default=1000, help="stop rule: terminal requests (default 1000)")
-    p.add_argument("--time", type=float, help="stop rule: simulated time")
+    stop = p.add_mutually_exclusive_group()
+    stop.add_argument("--requests", type=int, default=1000, help="stop rule: terminal requests (default 1000)")
+    stop.add_argument("--time", type=float, help="stop rule: simulated time")
     p.add_argument("--warmup", type=float)
     p.add_argument("--series", action="store_true")
     p.add_argument("--output", help="write the scenario JSON here (atomic)")

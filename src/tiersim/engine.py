@@ -13,11 +13,15 @@ replica's queue, and forwards the session to its next visit at the same
 timestamp. Admission is all-or-nothing: a session refused at any visit
 (no idle replica, no free waiting slot) is dropped in its entirety and
 the drop is charged to the resource that refused it.
+
+Each resource keeps its per-replica backlogs (1 if serving, plus the
+queued requests) up to date as requests are admitted and complete, and
+hands that list to the balancer as it stands. run() and step() share
+one driver loop, which dispatches every event.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -30,6 +34,11 @@ from .workload import Stream, make_sampler
 
 _ARRIVAL = 0
 _COMPLETE = 1
+_INF = float("inf")
+
+
+def _not_finite(time: float) -> InternalError:
+    return InternalError(f"scheduled event time is not finite: {time!r}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,7 @@ class _ResourceRuntime:
         "policy",
         "busy",
         "busy_since",
-        "serving",
+        "backlogs",
         "queues",
         "waiting",
         "busy_count",
@@ -97,7 +106,7 @@ class _ResourceRuntime:
         self.policy = spec.balancer
         self.busy = [False] * spec.replicas
         self.busy_since = [0.0] * spec.replicas
-        self.serving: list[Request | None] = [None] * spec.replicas
+        self.backlogs = [0] * spec.replicas  # busy[r] + len(queues[r]), kept by the engine
         self.queues: list[deque[Request]] = [deque() for _ in range(spec.replicas)]
         self.waiting = 0
         self.busy_count = 0
@@ -108,13 +117,14 @@ class _ResourceRuntime:
 
 
 class _ClassRuntime:
-    __slots__ = ("name", "index", "max_requests", "path", "scheduled", "stream", "sample_arrival", "acc")
+    __slots__ = ("name", "index", "max_requests", "path", "visits", "scheduled", "stream", "sample_arrival", "acc")
 
     def __init__(self, cls, index: int, seed: int, path, acc):
         self.name = cls.name
         self.index = index
         self.max_requests = cls.max_requests
         self.path = path  # tuple of (_ResourceRuntime, demand sampler)
+        self.visits = len(path)
         self.scheduled = 0
         self.stream = Stream(seed, f"class:{cls.name}:arrival")
         self.sample_arrival = make_sampler(cls.arrival, self.stream)
@@ -128,7 +138,6 @@ class Engine:
         self.model = model
         self.clock = 0.0
         self.terminals = 0
-        self.events_applied = 0
         self._seq = 0
         self._heap: list = []
         self._next_request_id = 0
@@ -149,26 +158,32 @@ class Engine:
 
         for cr in self._classes:
             if cr.max_requests >= 1:
-                self._schedule_arrival(cr, cr.sample_arrival())
+                time = cr.sample_arrival()
+                if not time < _INF:
+                    raise _not_finite(time)
+                self._seq += 1
+                heappush(self._heap, (time, self._seq, _ARRIVAL, cr, None, None))
                 cr.scheduled = 1
 
-    # -- scheduling ----------------------------------------------------
-
-    def _push(self, time: float, kind: int, a, b=None, c=None) -> None:
-        if not math.isfinite(time):
-            raise InternalError(f"scheduled event time is not finite: {time!r}")
-        self._seq += 1
-        heappush(self._heap, (time, self._seq, kind, a, b, c))
-
-    def _schedule_arrival(self, cr: _ClassRuntime, time: float) -> None:
-        self._push(time, _ARRIVAL, cr)
+    @property
+    def events_applied(self) -> int:
+        """Events applied so far: every scheduled event is applied or still pending."""
+        return self._seq - len(self._heap)
 
     # -- handlers ------------------------------------------------------
+    #
+    # Every push checks its time with `not time < _INF`, which also
+    # rejects NaN: a validated model can still overflow the clock (a
+    # tiny exponential rate draws gaps near the float maximum).
 
     def _on_arrival(self, now: float, cr: _ClassRuntime) -> None:
         if cr.scheduled < cr.max_requests:
             cr.scheduled += 1
-            self._schedule_arrival(cr, now + cr.sample_arrival())
+            time = now + cr.sample_arrival()
+            if not time < _INF:
+                raise _not_finite(time)
+            self._seq += 1
+            heappush(self._heap, (time, self._seq, _ARRIVAL, cr, None, None))
         self._next_request_id += 1
         req = Request(self._next_request_id, cr.name, cr.index, now)
         cr.acc.generated += 1
@@ -179,82 +194,68 @@ class Engine:
         res, demand_sampler = cr.path[req.visit_index]
         acc = res.acc
         acc.offered += 1
+        backlogs = res.backlogs
 
         if res.replicas == 1:
             # fast path: any policy degenerates to replica 0
-            if res.busy[0]:
-                if res.waiting >= res.queue_capacity:
-                    self._drop(cr, res)
-                    return
-                req.enqueue_time = now
-                res.queues[0].append(req)
-                res.waiting += 1
-                acc.occupancy_change(now, 1)
-                return
-            replica = 0
+            replica = 0 if not backlogs[0] or res.waiting < res.queue_capacity else None
         else:
             replica = select_replica(
-                [busy + len(queue) for busy, queue in zip(res.busy, res.queues)],
-                res.queue_capacity - res.waiting,
-                res.rr_cursor,
-                res.policy,
-                res.balance_stream,
+                backlogs, res.queue_capacity - res.waiting, res.rr_cursor, res.policy, res.balance_stream
             )
-            if replica is None:
-                self._drop(cr, res)
-                return
-            if res.policy is BalancerPolicy.ROUND_ROBIN:
+            if replica is not None and res.policy is BalancerPolicy.ROUND_ROBIN:
                 res.rr_cursor = (replica + 1) % res.replicas
-            if res.busy[replica]:
-                req.enqueue_time = now
-                res.queues[replica].append(req)
-                res.waiting += 1
-                acc.occupancy_change(now, 1)
-                return
+        if replica is None:
+            acc.dropped += 1
+            cr.acc.dropped += 1
+            self.terminals += 1
+            return
 
         req.enqueue_time = now
         acc.occupancy_change(now, 1)
-        self._start_service(res, replica, req, demand_sampler, now)
+        backlogs[replica] += 1
+        if res.busy[replica]:
+            res.queues[replica].append(req)
+            res.waiting += 1
+            return
 
-    def _drop(self, cr: _ClassRuntime, res: _ResourceRuntime) -> None:
-        res.acc.dropped += 1
-        cr.acc.record_session_drop()
-        self.terminals += 1
-
-    def _start_service(self, res: _ResourceRuntime, replica: int, req: Request, demand_sampler, now: float) -> None:
-        if res.busy_count == 0:
-            res.acc.all_idle_ended(now)
+        # start service; all-idle time is only reported for replicas > 1
+        if res.busy_count == 0 and res.replicas > 1:
+            acc.all_idle_ended(now)
         res.busy[replica] = True
         res.busy_count += 1
         res.busy_since[replica] = now
-        res.serving[replica] = req
         req.service_start = now
-        self._push(now + demand_sampler(), _COMPLETE, res, replica, req)
+        time = now + demand_sampler()
+        if not time < _INF:
+            raise _not_finite(time)
+        self._seq += 1
+        heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, req))
 
     def _on_complete(self, now: float, res: _ResourceRuntime, replica: int, req: Request) -> None:
-        acc = res.acc
-        acc.record_visit(req.enqueue_time, req.service_start, now)
-        acc.occupancy_change(now, -1)
+        res.acc.record_visit(req.enqueue_time, req.service_start, now)
+        res.backlogs[replica] -= 1
 
         queue = res.queues[replica]
         if queue:
             nxt = queue.popleft()
             res.waiting -= 1
             res.busy_since[replica] = now
-            res.serving[replica] = nxt
             nxt.service_start = now
-            demand_sampler = self._classes[nxt.class_index].path[nxt.visit_index][1]
-            self._push(now + demand_sampler(), _COMPLETE, res, replica, nxt)
+            time = now + self._classes[nxt.class_index].path[nxt.visit_index][1]()
+            if not time < _INF:
+                raise _not_finite(time)
+            self._seq += 1
+            heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, nxt))
         else:
             res.busy[replica] = False
-            res.serving[replica] = None
             res.busy_count -= 1
-            if res.busy_count == 0:
-                acc.all_idle_began(now)
+            if res.busy_count == 0 and res.replicas > 1:
+                res.acc.all_idle_began(now)
 
         cr = self._classes[req.class_index]
         req.visit_index += 1
-        if req.visit_index < len(cr.path):
+        if req.visit_index < cr.visits:
             self._offer(req, cr, now)
         else:
             cr.acc.record_completion(req.arrival_time, now - req.arrival_time)
@@ -262,16 +263,26 @@ class Engine:
 
     # -- driving -------------------------------------------------------
 
-    def _apply(self, item) -> None:
-        time = item[0]
-        if time < self.clock:
-            raise InternalError(f"event time {time!r} precedes clock {self.clock!r}")
-        self.clock = time
-        self.events_applied += 1
-        if item[2] == _ARRIVAL:
-            self._on_arrival(time, item[3])
-        else:
-            self._on_complete(time, item[3], item[4], item[5])
+    def _drive(self, limit: float, target: float, horizon: float):
+        """Apply events in time order until `limit` have been applied,
+        `target` sessions are terminal, or the next event lies past
+        `horizon`. Returns the last event tuple applied, or None."""
+        heap = self._heap
+        on_arrival = self._on_arrival
+        on_complete = self._on_complete
+        item = None
+        while limit and heap and self.terminals < target and heap[0][0] <= horizon:
+            limit -= 1
+            item = heappop(heap)
+            time, _, kind, a, b, c = item
+            if time < self.clock:
+                raise InternalError(f"event time {time!r} precedes clock {self.clock!r}")
+            self.clock = time
+            if kind == _ARRIVAL:
+                on_arrival(time, a)
+            else:
+                on_complete(time, a, b, c)
+        return item
 
     def step(self) -> Event:
         """Apply exactly one event and describe it. Testing hook."""
@@ -279,18 +290,16 @@ class Engine:
             raise InternalError("simulation already finalized")
         if not self._heap:
             raise EngineEmptyError("event list is empty")
-        item = heappop(self._heap)
-        self._apply(item)
-        if item[2] == _ARRIVAL:
-            return Event(time=item[0], seq=item[1], kind="arrival", class_name=item[3].name)
-        req = item[5]
+        time, seq, kind, a, b, req = self._drive(1, _INF, _INF)
+        if kind == _ARRIVAL:
+            return Event(time=time, seq=seq, kind="arrival", class_name=a.name)
         return Event(
-            time=item[0],
-            seq=item[1],
+            time=time,
+            seq=seq,
             kind="service_complete",
             class_name=req.class_name,
-            resource=item[3].name,
-            replica=item[4],
+            resource=a.name,
+            replica=b,
             request_id=req.id,
         )
 
@@ -299,15 +308,11 @@ class Engine:
         if self._finished:
             raise InternalError("simulation already finalized")
         stop = self.model.run.stop
-        by_count = stop.kind is StopKind.AFTER_REQUESTS
-        target = stop.n if by_count else math.inf
-        horizon = math.inf if by_count else stop.t
-        heap = self._heap
-        apply = self._apply
-        while heap and self.terminals < target and heap[0][0] <= horizon:
-            apply(heappop(heap))
-        if not by_count:
-            self.clock = horizon
+        if stop.kind is StopKind.AFTER_REQUESTS:
+            self._drive(_INF, stop.n, _INF)
+        else:
+            self._drive(_INF, _INF, stop.t)
+            self.clock = stop.t
         return self._finalize(self.clock)
 
     def _finalize(self, elapsed: float) -> MetricsReport:

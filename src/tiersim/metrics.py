@@ -1,11 +1,13 @@
 """Measurement: streaming accumulators and the finished report.
 
 The engine feeds raw observations in as they happen (one call per
-admission, drop, or completed service interval); nothing here looks at
-simulator state. Means use Welford updates so a million samples lose no
-precision to cancellation. Per-visit response is reported as the sum of
-the waiting and service means, which makes the response = service +
-waiting identity exact rather than merely close.
+admission, completed visit, or completed session; drops are counts it
+bumps itself); nothing here looks at simulator state. Means use Welford
+updates so a million samples lose no precision to cancellation; the
+per-completion recorders apply them inline, in Welford.add's operation
+order. Per-visit response is reported as the sum of the waiting and
+service means, which makes the response = service + waiting identity
+exact rather than merely close.
 
 Warmup is transient deletion: a visit whose enqueue time falls before
 the warmup point contributes to no average, and time-integrated
@@ -27,22 +29,22 @@ from .model import END_TO_END, ScenarioModel
 class Welford:
     """Streaming mean/variance accumulator."""
 
-    __slots__ = ("n", "mean", "_m2")
+    __slots__ = ("n", "mean", "m2")
 
     def __init__(self):
         self.n = 0
         self.mean = 0.0
-        self._m2 = 0.0
+        self.m2 = 0.0
 
     def add(self, x: float) -> None:
         self.n += 1
         delta = x - self.mean
         self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
+        self.m2 += delta * (x - self.mean)
 
     @property
     def variance(self) -> float:
-        return self._m2 / self.n if self.n else 0.0
+        return self.m2 / self.n if self.n else 0.0
 
 
 class ResourceAccumulator:
@@ -77,6 +79,8 @@ class ResourceAccumulator:
         self.waiting = Welford()
         self.service = Welford()
         self.busy_time = 0.0
+        # kept only for replicas > 1; finalize derives a lone server's
+        # p_idle from its utilization, so the engine skips the calls
         self.all_idle_time = 0.0
         self._idle_since: float | None = 0.0  # all replicas idle from t=0
         self._occ_n = 0
@@ -86,17 +90,33 @@ class ResourceAccumulator:
         self.record_series = record_series
 
     def record_visit(self, enqueue: float, start: float, end: float) -> None:
-        """One completed service; the busy interval is [start, end]."""
+        """One completed service: the busy interval is [start, end] and
+        the request leaves the resource at end (occupancy_change(end, -1))."""
         self.served += 1
         warmup = self.warmup
         if warmup == 0.0:
+            self.area += self._occ_n * (end - self._occ_last)
             self.busy_time += end - start
         else:
+            if end > warmup:
+                self.area += self._occ_n * (end - max(self._occ_last, warmup))
             self.busy_time += max(0.0, end - max(start, warmup))
-            if enqueue < warmup:
-                return
-        self.waiting.add(start - enqueue)
-        self.service.add(end - start)
+        self._occ_last = end
+        self._occ_n -= 1
+        if enqueue < warmup:
+            return
+        x = start - enqueue
+        w = self.waiting
+        w.n += 1
+        delta = x - w.mean
+        w.mean += delta / w.n
+        w.m2 += delta * (x - w.mean)
+        x = end - start
+        w = self.service
+        w.n += 1
+        delta = x - w.mean
+        w.mean += delta / w.n
+        w.m2 += delta * (x - w.mean)
         if self.record_series:
             self.series_rows.append((enqueue, end - enqueue))
 
@@ -146,13 +166,14 @@ class ClassAccumulator:
     def record_completion(self, arrival: float, response: float) -> None:
         self.completed += 1
         if arrival >= self.warmup:
-            self.response.add(response)
+            w = self.response
+            w.n += 1
+            delta = response - w.mean
+            w.mean += delta / w.n
+            w.m2 += delta * (response - w.mean)
             self.responses.append(response)
             if self.record_series:
                 self.series_rows.append((arrival, response))
-
-    def record_session_drop(self) -> None:
-        self.dropped += 1
 
 
 class RunAccumulator:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"tiersim {__version__}\n"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_package_version_comes_from_the_module():
+    import tomllib
+
+    doc = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in doc["project"]
+    assert "version" in doc["project"]["dynamic"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "tiersim.__version__"}
 
 
 def test_validate_bundled_scenario(capsys):
@@ -274,6 +286,33 @@ def test_overrides_are_validated_like_a_scenario_file(capsys, argv, issue):
     assert code == 1
     assert out == ""
     assert issue in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "bundled:webservices.json", "--time", "5", "--requests", "10"),
+        (
+            "synthesize",
+            "bundled:webservices_steps.txt",
+            "bundled:webservices_deployment.json",
+            "--arrival-rate",
+            "75",
+            "--time",
+            "5",
+            "--requests",
+            "10",
+        ),
+    ],
+    ids=["run", "synthesize"],
+)
+def test_stop_overrides_are_mutually_exclusive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_sweep_rate_is_split_in_the_declared_class_mix():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
@@ -481,3 +482,73 @@ def test_only_streams_that_draw_key_a_generator(monkeypatch):
     assert len(streams) == 2 * len(model.resources()) + len(model.classes)
     assert len(keyed) == sum(s.draws > 0 for s in streams)
     assert len(keyed) <= len(streams) - 2 * len(idle)
+
+
+def test_clock_overflow_in_a_valid_model_is_an_internal_error():
+    # validate() checks parameters, not the clock: gaps near 1e307 push
+    # the arrival clock past the float maximum within a few dozen draws
+    model = station(
+        arrival=Distribution.exponential(1e-307),
+        service=Distribution.exponential(1.0),
+        stop=StopRule.after_requests(50),
+    )
+    with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
+        Engine(model).run()
+
+
+def test_maintained_backlogs_match_busy_plus_queue_after_every_step():
+    cases = [random_scenario(case) for case in range(100)]
+    multi = [r for model in cases for r in model.resources() if r.replicas > 1]
+    assert {r.balancer for r in multi} == set(BalancerPolicy)
+    for model in cases:
+        events = Engine(model)
+        events.run()
+        eng = Engine(model)
+        for _ in range(events.events_applied):
+            eng.step()
+            for name, res in eng._resources.items():
+                snap = eng.snapshot(name)
+                assert res.backlogs == [busy + queued for busy, queued in zip(snap.busy, snap.queue_lengths)], (
+                    model.name,
+                    name,
+                    eng.clock,
+                )
+
+
+def _calls_per_event(model: ScenarioModel) -> float:
+    """Python and builtin calls made by Engine.run(), per event applied."""
+    eng = Engine(model)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        eng.run()
+    finally:
+        sys.setprofile(None)
+    return calls / eng.events_applied
+
+
+def test_calls_per_event_stay_bounded():
+    # Exact counts for a fixed seed, no wall clock: a regrowth of the
+    # per-event call chain fails here before it shows as lost speed.
+    jsq8 = station(
+        arrival=Distribution.exponential(7.6),
+        service=Distribution.exponential(1.0),
+        replicas=8,
+        capacity=0,
+        policy=BalancerPolicy.JSQ,
+        stop=StopRule.after_requests(5000),
+    )
+    mm1 = station(
+        arrival=Distribution.exponential(1.0),
+        service=Distribution.exponential(2.0),
+        capacity=40,
+        stop=StopRule.after_requests(5000),
+    )
+    assert _calls_per_event(jsq8) <= 16
+    assert _calls_per_event(mm1) <= 14

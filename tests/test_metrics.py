@@ -52,6 +52,23 @@ def test_welford_matches_batch_statistics():
     assert Welford().variance == 0.0
 
 
+def test_inline_recorders_match_the_welford_reference():
+    acc = RunAccumulator(one_station_model())
+    ra, ca = acc.resources["A"], acc.classes["w"]
+    waits, services, responses = Welford(), Welford(), Welford()
+    for i in range(50):
+        enqueue = 0.37 * i
+        start = enqueue + (i % 7) * 0.113
+        end = start + 0.05 + (i % 5) * 0.071
+        ra.record_visit(enqueue, start, end)
+        ca.record_completion(enqueue, end - enqueue)
+        waits.add(start - enqueue)
+        services.add(end - start)
+        responses.add(end - enqueue)
+    for got, ref in ((ra.waiting, waits), (ra.service, services), (ca.response, responses)):
+        assert (got.n, got.mean, got.m2) == (ref.n, ref.mean, ref.m2)
+
+
 def test_response_is_exactly_service_plus_waiting():
     acc = RunAccumulator(one_station_model())
     ra = acc.resources["A"]

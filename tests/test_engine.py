@@ -501,10 +501,10 @@ def test_maintained_backlogs_match_busy_plus_queue_after_every_step():
     multi = [r for model in cases for r in model.resources() if r.replicas > 1]
     assert {r.balancer for r in multi} == set(BalancerPolicy)
     for model in cases:
-        events = Engine(model)
-        events.run()
+        whole = Engine(model)
+        whole.run()
         eng = Engine(model)
-        for _ in range(events.events_applied):
+        for _ in range(whole.events_applied):
             eng.step()
             for name, res in eng._resources.items():
                 snap = eng.snapshot(name)

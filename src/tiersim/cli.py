@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import json
 import os
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from . import __version__, bundled
 from .bottleneck import format_table, rank
 from .engine import Engine
 from .errors import DomainError, TiersimError, ValidationError
+from .frontend import parse_deployment, parse_execution, synthesize_scenario
 from .metrics import (
     MetricsReport,
     export_series,
@@ -30,11 +32,16 @@ from .metrics import (
 )
 from .model import (
     END_TO_END,
+    UNBOUNDED,
     DistKind,
     Distribution,
+    ResourceSpec,
     RunConfig,
     ScenarioModel,
     StopRule,
+    Tier,
+    Visit,
+    WorkloadClass,
     parse_scenario,
     serialize_scenario,
     validated,
@@ -155,7 +162,7 @@ def _with_arrival_rate(model: ScenarioModel, rate: float, seed: int) -> Scenario
         for cls in model.classes
     ]
     run = dataclasses.replace(model.run, seed=seed)
-    return dataclasses.replace(model, classes=tuple(classes), run=run)
+    return validated(dataclasses.replace(model, classes=tuple(classes), run=run))
 
 
 def run_sweep(model: ScenarioModel, rates: tuple[float, ...], replications: int, master_seed: int) -> SweepResult:
@@ -215,8 +222,6 @@ def sweep_to_csv(result: SweepResult) -> str:
 
 def build_station_model(lam: float, mu: float, servers: int, capacity: int, requests: int, seed: int) -> ScenarioModel:
     """Single M/M/c/K station driven until `requests` terminal outcomes."""
-    from .model import ResourceSpec, Tier, Visit, WorkloadClass
-
     return validated(
         ScenarioModel(
             name="station-check",
@@ -283,13 +288,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    model = parse_scenario(_read_input(args.scenario))
-    seed = args.seed if args.seed is not None else model.run.seed
-    if args.requests is not None:
-        model = validated(
-            dataclasses.replace(model, run=dataclasses.replace(model.run, stop=StopRule.after_requests(args.requests)))
-        )
-    result = run_sweep(model, parse_rate_grid(args.rates), args.replications, seed)
+    # the overridden run.seed is the master seed; each replication replaces it
+    model = _apply_overrides(parse_scenario(_read_input(args.scenario)), args)
+    result = run_sweep(model, parse_rate_grid(args.rates), args.replications, model.run.seed)
     text = sweep_to_csv(result)
     if args.output:
         _write_atomic(args.output, text)
@@ -305,14 +306,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.bottlenecks:
         ranking = rank(report, drop_threshold=args.drop_threshold, wait_threshold=args.wait_threshold)
         if args.format == "json":
-            import json as _json
-
             doc = {
                 "drop_threshold": ranking.drop_threshold,
                 "wait_threshold": ranking.wait_threshold,
                 "entries": [dataclasses.asdict(e) for e in ranking.entries],
             }
-            sys.stdout.write(_json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         else:
             sys.stdout.write(format_table(ranking))
     else:
@@ -326,10 +325,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     rows = run_oracle_check(args.lam, args.mu, args.servers, args.capacity, args.requests, args.seed)
     if args.format == "json":
-        import json as _json
-
         doc = {name: {"simulated": s, "analytic": a, "rel_error": e} for name, s, a, e in rows}
-        sys.stdout.write(_json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         print(f"{'metric':<16}{'simulated':>14}{'analytic':>14}{'rel_error':>12}")
         for name, s, a, e in rows:
@@ -338,31 +335,21 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    from .frontend import parse_deployment, parse_execution, synthesize_scenario
-
     execution = parse_execution(_read_input(args.execution))
     deployment = parse_deployment(_read_input(args.deployment))
     if args.interarrival is not None:
         arrival = Distribution.deterministic(args.interarrival)
     else:
         arrival = Distribution.exponential(args.arrival_rate)
-    run = RunConfig(
-        seed=args.seed if args.seed is not None else 1,
-        stop=StopRule.after_time(args.time) if args.time is not None else StopRule.after_requests(args.requests),
-        warmup=args.warmup or 0.0,
-        series_enabled=bool(args.series),
-    )
-    from .model import UNBOUNDED
-
-    model = synthesize_scenario(
+    synthesized = synthesize_scenario(
         execution,
         deployment,
         scenario_name=args.name,
         class_name=args.class_name,
         arrival=arrival,
         max_requests=args.max_requests if args.max_requests is not None else UNBOUNDED,
-        run=run,
     )
+    model = _apply_overrides(synthesized, args)
     text = serialize_scenario(model)
     if args.output:
         _write_atomic(args.output, text)

@@ -16,8 +16,9 @@ the drop is charged to the resource that refused it.
 
 Each resource keeps its per-replica backlogs (1 if serving, plus the
 queued requests) up to date as requests are admitted and complete, and
-hands that list to the balancer as it stands. run() and step() share
-one driver loop, which dispatches every event.
+hands that list to the balancer as it stands. The backlogs are the one
+record of which replica is busy: replica r serves iff backlogs[r] > 0.
+run() and step() share one driver loop, which dispatches every event.
 """
 
 from __future__ import annotations
@@ -67,12 +68,11 @@ class ResourceSnapshot:
 class Request:
     """One session walking its class path. Freed once terminal."""
 
-    __slots__ = ("id", "class_name", "class_index", "visit_index", "arrival_time", "enqueue_time", "service_start")
+    __slots__ = ("id", "cls", "visit_index", "arrival_time", "enqueue_time", "service_start")
 
-    def __init__(self, rid: int, class_name: str, class_index: int, arrival_time: float):
+    def __init__(self, rid: int, cls: _ClassRuntime, arrival_time: float):
         self.id = rid
-        self.class_name = class_name
-        self.class_index = class_index
+        self.cls = cls
         self.visit_index = 0
         self.arrival_time = arrival_time
         self.enqueue_time = arrival_time
@@ -82,11 +82,9 @@ class Request:
 class _ResourceRuntime:
     __slots__ = (
         "name",
-        "index",
         "replicas",
         "queue_capacity",
         "policy",
-        "busy",
         "busy_since",
         "backlogs",
         "queues",
@@ -98,15 +96,13 @@ class _ResourceRuntime:
         "acc",
     )
 
-    def __init__(self, spec, index: int, seed: int, acc):
+    def __init__(self, spec, seed: int, acc):
         self.name = spec.name
-        self.index = index
         self.replicas = spec.replicas
         self.queue_capacity = spec.queue_capacity
         self.policy = spec.balancer
-        self.busy = [False] * spec.replicas
         self.busy_since = [0.0] * spec.replicas
-        self.backlogs = [0] * spec.replicas  # busy[r] + len(queues[r]), kept by the engine
+        self.backlogs = [0] * spec.replicas  # (1 if serving) + len(queues[r]), kept by the engine
         self.queues: list[deque[Request]] = [deque() for _ in range(spec.replicas)]
         self.waiting = 0
         self.busy_count = 0
@@ -117,17 +113,15 @@ class _ResourceRuntime:
 
 
 class _ClassRuntime:
-    __slots__ = ("name", "index", "max_requests", "path", "visits", "scheduled", "stream", "sample_arrival", "acc")
+    __slots__ = ("name", "max_requests", "path", "visits", "scheduled", "sample_arrival", "acc")
 
-    def __init__(self, cls, index: int, seed: int, path, acc):
+    def __init__(self, cls, seed: int, path, acc):
         self.name = cls.name
-        self.index = index
         self.max_requests = cls.max_requests
         self.path = path  # tuple of (_ResourceRuntime, demand sampler)
         self.visits = len(path)
         self.scheduled = 0
-        self.stream = Stream(seed, f"class:{cls.name}:arrival")
-        self.sample_arrival = make_sampler(cls.arrival, self.stream)
+        self.sample_arrival = make_sampler(cls.arrival, Stream(seed, f"class:{cls.name}:arrival"))
         self.acc = acc
 
 
@@ -146,17 +140,14 @@ class Engine:
         seed = model.run.seed
         self.accumulator = RunAccumulator(model)
         self._resources: dict[str, _ResourceRuntime] = {}
-        for i, spec in enumerate(model.resources()):
-            self._resources[spec.name] = _ResourceRuntime(spec, i, seed, self.accumulator.resources[spec.name])
-        self._classes: list[_ClassRuntime] = []
-        for i, cls in enumerate(model.classes):
+        for spec in model.resources():
+            self._resources[spec.name] = _ResourceRuntime(spec, seed, self.accumulator.resources[spec.name])
+        for cls in model.classes:
             path = tuple(
                 (self._resources[v.resource], make_sampler(v.demand, self._resources[v.resource].service_stream))
                 for v in cls.path
             )
-            self._classes.append(_ClassRuntime(cls, i, seed, path, self.accumulator.classes[cls.name]))
-
-        for cr in self._classes:
+            cr = _ClassRuntime(cls, seed, path, self.accumulator.classes[cls.name])
             if cr.max_requests >= 1:
                 time = cr.sample_arrival()
                 if not time < _INF:
@@ -185,7 +176,7 @@ class Engine:
             self._seq += 1
             heappush(self._heap, (time, self._seq, _ARRIVAL, cr, None, None))
         self._next_request_id += 1
-        req = Request(self._next_request_id, cr.name, cr.index, now)
+        req = Request(self._next_request_id, cr, now)
         cr.acc.generated += 1
         self._offer(req, cr, now)
 
@@ -214,7 +205,7 @@ class Engine:
         req.enqueue_time = now
         acc.occupancy_change(now, 1)
         backlogs[replica] += 1
-        if res.busy[replica]:
+        if backlogs[replica] > 1:
             res.queues[replica].append(req)
             res.waiting += 1
             return
@@ -222,7 +213,6 @@ class Engine:
         # start service; all-idle time is only reported for replicas > 1
         if res.busy_count == 0 and res.replicas > 1:
             acc.all_idle_ended(now)
-        res.busy[replica] = True
         res.busy_count += 1
         res.busy_since[replica] = now
         req.service_start = now
@@ -242,18 +232,17 @@ class Engine:
             res.waiting -= 1
             res.busy_since[replica] = now
             nxt.service_start = now
-            time = now + self._classes[nxt.class_index].path[nxt.visit_index][1]()
+            time = now + nxt.cls.path[nxt.visit_index][1]()
             if not time < _INF:
                 raise _not_finite(time)
             self._seq += 1
             heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, nxt))
         else:
-            res.busy[replica] = False
             res.busy_count -= 1
             if res.busy_count == 0 and res.replicas > 1:
                 res.acc.all_idle_began(now)
 
-        cr = self._classes[req.class_index]
+        cr = req.cls
         req.visit_index += 1
         if req.visit_index < cr.visits:
             self._offer(req, cr, now)
@@ -297,7 +286,7 @@ class Engine:
             time=time,
             seq=seq,
             kind="service_complete",
-            class_name=req.class_name,
+            class_name=req.cls.name,
             resource=a.name,
             replica=b,
             request_id=req.id,
@@ -322,7 +311,7 @@ class Engine:
         for res in self._resources.values():
             ra = res.acc
             for r in range(res.replicas):
-                if res.busy[r]:
+                if res.backlogs[r]:
                     # partially served at stop: count busy time up to the stop clock
                     ra.busy_time += max(0.0, elapsed - max(res.busy_since[r], warmup))
             ra.close(elapsed)
@@ -339,7 +328,7 @@ class Engine:
     def snapshot(self, resource: str) -> ResourceSnapshot:
         res = self._resources[resource]
         return ResourceSnapshot(
-            busy=tuple(res.busy),
+            busy=tuple(b > 0 for b in res.backlogs),
             queue_lengths=tuple(len(q) for q in res.queues),
             in_system=res.busy_count + res.waiting,
             offered=res.acc.offered,

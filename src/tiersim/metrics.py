@@ -2,12 +2,13 @@
 
 The engine feeds raw observations in as they happen (one call per
 admission, completed visit, or completed session; drops are counts it
-bumps itself); nothing here looks at simulator state. Means use Welford
-updates so a million samples lose no precision to cancellation; the
-per-completion recorders apply them inline, in Welford.add's operation
-order. Per-visit response is reported as the sum of the waiting and
-service means, which makes the response = service + waiting identity
-exact rather than merely close.
+bumps itself); nothing here looks at simulator state. Averages are
+running (Welford) means, so a million samples lose no precision to
+cancellation; the per-completion recorders update them inline, in
+Welford.add's operation order. No second moment is kept (see Welford).
+Per-visit response is reported as the sum of the waiting and service
+means, which makes the response = service + waiting identity exact
+rather than merely close.
 
 Warmup is transient deletion: a visit whose enqueue time falls before
 the warmup point contributes to no average, and time-integrated
@@ -27,31 +28,29 @@ from .model import END_TO_END, ScenarioModel
 
 
 class Welford:
-    """Streaming mean/variance accumulator."""
+    """Streaming mean: the reference for the inline recorders.
 
-    __slots__ = ("n", "mean", "m2")
+    No second moment is kept. Successive waits and responses at a queue
+    are autocorrelated, so their per-sample spread gives no valid
+    confidence interval; intervals need independent replications or
+    batch means instead.
+    """
+
+    __slots__ = ("n", "mean")
 
     def __init__(self):
         self.n = 0
         self.mean = 0.0
-        self.m2 = 0.0
 
     def add(self, x: float) -> None:
         self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / self.n if self.n else 0.0
+        self.mean += (x - self.mean) / self.n
 
 
 class ResourceAccumulator:
     """Running observations for one resource."""
 
     __slots__ = (
-        "name",
         "replicas",
         "warmup",
         "offered",
@@ -69,8 +68,7 @@ class ResourceAccumulator:
         "record_series",
     )
 
-    def __init__(self, name: str, replicas: int, warmup: float, record_series: bool):
-        self.name = name
+    def __init__(self, replicas: int, warmup: float, record_series: bool):
         self.replicas = replicas
         self.warmup = warmup
         self.offered = 0
@@ -108,15 +106,11 @@ class ResourceAccumulator:
         x = start - enqueue
         w = self.waiting
         w.n += 1
-        delta = x - w.mean
-        w.mean += delta / w.n
-        w.m2 += delta * (x - w.mean)
+        w.mean += (x - w.mean) / w.n
         x = end - start
         w = self.service
         w.n += 1
-        delta = x - w.mean
-        w.mean += delta / w.n
-        w.m2 += delta * (x - w.mean)
+        w.mean += (x - w.mean) / w.n
         if self.record_series:
             self.series_rows.append((enqueue, end - enqueue))
 
@@ -142,25 +136,22 @@ class ResourceAccumulator:
     def close(self, elapsed: float) -> None:
         """Flush open intervals at the stop clock."""
         self.occupancy_change(elapsed, 0)
-        if self._idle_since is not None:
-            self.all_idle_time += max(0.0, elapsed - max(self._idle_since, self.warmup))
-            self._idle_since = None
+        self.all_idle_ended(elapsed)
 
 
 class ClassAccumulator:
     """Running observations for one workload class."""
 
-    __slots__ = ("name", "warmup", "generated", "completed", "dropped", "response", "responses", "series_rows", "record_series")
+    __slots__ = ("warmup", "generated", "completed", "dropped", "response", "responses", "arrivals", "record_series")
 
-    def __init__(self, name: str, warmup: float, record_series: bool):
-        self.name = name
+    def __init__(self, warmup: float, record_series: bool):
         self.warmup = warmup
         self.generated = 0
         self.completed = 0
         self.dropped = 0
         self.response = Welford()
         self.responses: list[float] = []
-        self.series_rows: list[tuple[float, float]] = []
+        self.arrivals: list[float] = []  # aligned with responses when series are recorded
         self.record_series = record_series
 
     def record_completion(self, arrival: float, response: float) -> None:
@@ -168,12 +159,10 @@ class ClassAccumulator:
         if arrival >= self.warmup:
             w = self.response
             w.n += 1
-            delta = response - w.mean
-            w.mean += delta / w.n
-            w.m2 += delta * (response - w.mean)
+            w.mean += (response - w.mean) / w.n
             self.responses.append(response)
             if self.record_series:
-                self.series_rows.append((arrival, response))
+                self.arrivals.append(arrival)
 
 
 class RunAccumulator:
@@ -187,10 +176,10 @@ class RunAccumulator:
         self.warmup = warmup
         self.series_enabled = series
         self.resources: dict[str, ResourceAccumulator] = {
-            r.name: ResourceAccumulator(r.name, r.replicas, warmup, series) for r in model.resources()
+            r.name: ResourceAccumulator(r.replicas, warmup, series) for r in model.resources()
         }
         self.classes: dict[str, ClassAccumulator] = {
-            c.name: ClassAccumulator(c.name, warmup, series) for c in model.classes
+            c.name: ClassAccumulator(warmup, series) for c in model.classes
         }
         # end-state snapshots, written by the engine just before finalize
         self.queued_at_stop: dict[str, int] = {}
@@ -316,8 +305,8 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     if acc.series_enabled:
         for name, ra in acc.resources.items():
             resource_series.extend((name, t, r) for t, r in ra.series_rows)
-        for name, ca in acc.classes.items():
-            end_series.extend((END_TO_END, t, r) for t, r in ca.series_rows)
+        for ca in acc.classes.values():
+            end_series.extend((END_TO_END, t, r) for t, r in zip(ca.arrivals, ca.responses))
 
     return MetricsReport(
         scenario=acc.scenario,

@@ -258,8 +258,9 @@ def validate(model: ScenarioModel) -> ValidationReport:
                 )
             else:
                 seen_resources[res.name] = tpath
-            if not (isinstance(res.replicas, int) and res.replicas >= 1):
-                issues.append(ValidationIssue(rpath, f"replicas must be an integer >= 1, got {res.replicas!r}"))
+            replicas = res.replicas
+            if not (isinstance(replicas, int) and not isinstance(replicas, bool) and replicas >= 1):
+                issues.append(ValidationIssue(rpath, f"replicas must be an integer >= 1, got {replicas!r}"))
             cap = res.queue_capacity
             cap_ok = cap == INFINITE or (isinstance(cap, int) and not isinstance(cap, bool) and cap >= 0)
             if not cap_ok:
@@ -288,7 +289,7 @@ def validate(model: ScenarioModel) -> ValidationReport:
             issues.append(ValidationIssue(cpath, f"max_requests must be an integer >= 1 or unbounded, got {mr!r}"))
 
     run = model.run
-    if not (isinstance(run.seed, int) and 0 <= run.seed < 2**64):
+    if not (isinstance(run.seed, int) and not isinstance(run.seed, bool) and 0 <= run.seed < 2**64):
         issues.append(ValidationIssue("run.seed", f"seed must be an unsigned 64-bit integer, got {run.seed!r}"))
     if run.stop.kind is StopKind.AFTER_REQUESTS:
         if not (isinstance(run.stop.n, int) and run.stop.n >= 1):

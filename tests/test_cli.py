@@ -256,6 +256,18 @@ def test_sweep_rejects_non_exponential_arrivals(tmp_path, capsys):
         (("run", "bundled:webservices.json", "--requests", "-3"), "run.stop: after_requests count must be >= 1"),
         (("run", "bundled:webservices.json", "--warmup", "-1"), "run.warmup: warmup must be finite and >= 0"),
         (("sweep", "bundled:webservices.json", "--rates", "40", "--requests", "0"), "run.stop: after_requests"),
+        (
+            ("sweep", "bundled:webservices.json", "--rates", "inf", "--requests", "50"),
+            "classes[0].arrival: exponential rate must be finite and > 0",
+        ),
+        (
+            ("sweep", "bundled:webservices.json", "--rates", "1e400", "--requests", "50"),
+            "classes[0].arrival: exponential rate must be finite and > 0",
+        ),
+        (
+            ("sweep", "bundled:webservices.json", "--rates", "nan", "--requests", "50"),
+            "classes[0].arrival: exponential rate must be finite and > 0",
+        ),
         (("oracle-check", "--lambda", "1.0", "--mu", "2.0", "--requests", "0"), "run.stop: after_requests"),
         (
             (
@@ -277,6 +289,9 @@ def test_sweep_rejects_non_exponential_arrivals(tmp_path, capsys):
         "requests-negative",
         "warmup-negative",
         "sweep",
+        "sweep-rate-inf",
+        "sweep-rate-1e400",
+        "sweep-rate-nan",
         "oracle-check",
         "synthesize",
     ],

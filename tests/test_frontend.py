@@ -236,6 +236,13 @@ def test_resource_entry_validation():
     assert (spec.replicas, spec.queue_capacity) == (3, 4)
 
 
+def test_bool_replicas_are_rejected_at_synthesis():
+    deployment = parse_deployment('{"bindings": {"a": "n"}, "nodes": {"n": [{"name": "P", "replicas": true}]}}')
+    execution = parse_execution("a -> a : local call [det 0.1]")
+    with pytest.raises(ValidationError, match="replicas must be an integer >= 1, got True"):
+        synthesize_scenario(execution, deployment, arrival=Distribution.exponential(1.0))
+
+
 def test_synthesis_requires_bindings_links_and_disks():
     deployment = parse_deployment(SMALL_DEPLOYMENT)
     with pytest.raises(ValidationError, match="no binding"):

@@ -206,6 +206,23 @@ def test_each_injected_violation_yields_exactly_one_issue():
         assert len(report.issues) == 1, f"expected one issue, got {report.issues}"
 
 
+@pytest.mark.parametrize("field", ["replicas", "queue_capacity", "max_requests", "seed"])
+def test_bool_is_not_an_integer_field(field):
+    import dataclasses
+
+    base = small_model()
+    if field in ("replicas", "queue_capacity"):
+        res = dataclasses.replace(base.tiers[0].resources[0], **{field: True})
+        model = dataclasses.replace(base, tiers=(Tier(name="only", resources=(res,)),))
+    elif field == "max_requests":
+        model = dataclasses.replace(base, classes=(dataclasses.replace(base.classes[0], max_requests=True),))
+    else:
+        model = dataclasses.replace(base, run=RunConfig(seed=True))
+    report = validate(model)
+    assert len(report.issues) == 1
+    assert f"{field} must be" in str(report.issues[0]) and "got True" in str(report.issues[0])
+
+
 def test_validation_error_names_offending_element():
     doc = json.loads(serialize_scenario(small_model()))
     doc["classes"][0]["path"][0]["resource"] = "nowhere"

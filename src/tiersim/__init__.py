@@ -9,7 +9,7 @@ Typical use:
 
 from .balancer import select_replica
 from .bottleneck import BottleneckEntry, BottleneckReport, rank
-from .engine import Engine, Event, Request, simulate
+from .engine import Engine, Event, simulate
 from .errors import (
     DomainError,
     EngineEmptyError,
@@ -80,7 +80,6 @@ __all__ = [
     "INFINITE",
     "InternalError",
     "MetricsReport",
-    "Request",
     "ResourceMetrics",
     "ResourceSpec",
     "RunConfig",

@@ -9,31 +9,20 @@ directory), so a crash never leaves a half-written report behind.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import __version__, bundled
 from .bottleneck import format_table, rank
 from .engine import Engine
-from .errors import DomainError, TiersimError, ValidationError
+from .errors import TiersimError
 from .frontend import parse_deployment, parse_execution, synthesize_scenario
-from .metrics import (
-    MetricsReport,
-    export_series,
-    report_from_json,
-    report_to_json,
-    report_to_table,
-)
+from .metrics import export_series, report_from_json, report_to_json, report_to_table
 from .model import (
-    END_TO_END,
     UNBOUNDED,
-    DistKind,
     Distribution,
     ResourceSpec,
     RunConfig,
@@ -47,7 +36,8 @@ from .model import (
     validated,
 )
 from .oracle import mmck
-from .workload import stream_key
+# SweepResult is not used here; it stays importable from tiersim.cli for its callers
+from .sweep import SweepResult, parse_rate_grid, run_sweep, sweep_to_csv  # noqa: F401
 
 _BUNDLED_PREFIX = "bundled:"
 
@@ -88,132 +78,6 @@ def _apply_overrides(model: ScenarioModel, args: argparse.Namespace) -> Scenario
     if getattr(args, "series", False):
         run = dataclasses.replace(run, series_enabled=True)
     return validated(dataclasses.replace(model, run=run))
-
-
-# ----------------------------------------------------------------------
-# sweep support
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """Replication-averaged metrics for one (rate, resource) pair."""
-
-    rate: float
-    resource: str
-    avg_response: float
-    avg_service: float
-    avg_waiting: float
-    utilization: float
-    p_idle: float
-    p_drop: float
-
-
-_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepCell))
-# the replication-averaged metrics; each names a ResourceMetrics field
-_SWEEP_METRICS = _SWEEP_FIELDS[2:]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rates: tuple[float, ...]
-    replications: int
-    cells: tuple[SweepCell, ...]
-    # raw per-replication reports, for callers that need spread
-    reports: dict[float, tuple[MetricsReport, ...]]
-
-
-def parse_rate_grid(text: str) -> tuple[float, ...]:
-    """Either 'start:stop:count' (inclusive grid) or 'a,b,c'."""
-    try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise DomainError(f"rate grid must be start:stop:count, got {text!r}")
-            start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-            if count < 1:
-                raise DomainError("rate grid needs at least one point")
-            if count == 1:
-                return (start,)
-            step = (stop - start) / (count - 1)
-            return tuple(start + i * step for i in range(count))
-        rates = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise DomainError(f"rate grid must be numeric, got {text!r}") from None
-    if not rates:
-        raise DomainError(f"no rates in {text!r}")
-    return rates
-
-
-def _with_arrival_rate(model: ScenarioModel, rate: float, seed: int) -> ScenarioModel:
-    """Scale the class arrival rates to total ``rate``, keeping their mix."""
-    if rate <= 0:
-        raise DomainError(f"swept arrival rate must be > 0, got {rate!r}")
-    for cls in model.classes:
-        if cls.arrival.kind is not DistKind.EXPONENTIAL:
-            raise ValidationError(
-                f"sweep needs exponential arrivals; class {cls.name!r} uses {cls.arrival.kind.value}"
-            )
-    total = sum(cls.arrival.rate for cls in model.classes)
-    # rate * (r / total), not rate * r / total: one class gets rate * 1.0,
-    # exactly the grid value
-    classes = [
-        dataclasses.replace(cls, arrival=Distribution.exponential(rate * (cls.arrival.rate / total)))
-        for cls in model.classes
-    ]
-    run = dataclasses.replace(model.run, seed=seed)
-    return validated(dataclasses.replace(model, classes=tuple(classes), run=run))
-
-
-def run_sweep(model: ScenarioModel, rates: tuple[float, ...], replications: int, master_seed: int) -> SweepResult:
-    """Simulate every (rate, replication) pair and average per rate.
-
-    Replication seeds derive from the master seed and the grid position
-    by the same stable hash the streams use, so the whole sweep is one
-    deterministic function of (scenario, rates, replications, seed).
-    """
-    if replications < 1:
-        raise DomainError("replications must be >= 1")
-    cells: list[SweepCell] = []
-    reports: dict[float, tuple[MetricsReport, ...]] = {}
-    for ri, rate in enumerate(rates):
-        reps = []
-        for k in range(replications):
-            seed = stream_key(master_seed, f"sweep:rate[{ri}]:rep[{k}]") % 2**64
-            reps.append(Engine(_with_arrival_rate(model, rate, seed)).run())
-        reports[rate] = tuple(reps)
-        n = len(reps)
-        for name in reps[0].resources:
-            means = {k: sum(getattr(r.resources[name], k) for r in reps) / n for k in _SWEEP_METRICS}
-            cells.append(SweepCell(rate=rate, resource=name, **means))
-        for cname in reps[0].classes:
-            mean_resp = sum(r.classes[cname].mean_response for r in reps) / n
-            cells.append(
-                SweepCell(
-                    rate=rate,
-                    resource=f"{END_TO_END}:{cname}",
-                    avg_response=mean_resp,
-                    avg_service=0.0,
-                    avg_waiting=0.0,
-                    utilization=0.0,
-                    p_idle=0.0,
-                    p_drop=sum(
-                        (r.classes[cname].dropped / r.classes[cname].generated if r.classes[cname].generated else 0.0)
-                        for r in reps
-                    )
-                    / n,
-                )
-            )
-    return SweepResult(rates=tuple(rates), replications=replications, cells=tuple(cells), reports=reports)
-
-
-def sweep_to_csv(result: SweepResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_SWEEP_FIELDS)
-    for c in result.cells:
-        writer.writerow([repr(c.rate), c.resource] + [repr(getattr(c, k)) for k in _SWEEP_METRICS])
-    return out.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # the overridden run.seed is the master seed; each replication replaces it
     model = _apply_overrides(parse_scenario(_read_input(args.scenario)), args)
-    result = run_sweep(model, parse_rate_grid(args.rates), args.replications, model.run.seed)
+    result = run_sweep(model, parse_rate_grid(args.rates), args.replications, model.run.seed, jobs=args.jobs)
     text = sweep_to_csv(result)
     if args.output:
         _write_atomic(args.output, text)
@@ -400,6 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--requests", type=int, help="override stop: terminal requests per run")
     p.add_argument("--seed", type=int, help="master seed for replication seeds")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        help="worker processes (default: usable CPUs, capped at the runs); the output does not depend on it",
+    )
     p.add_argument("--output", help="write aggregated CSV here (atomic)")
     common(p)
     p.set_defaults(func=_cmd_sweep)

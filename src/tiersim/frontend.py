@@ -41,6 +41,8 @@ from .model import (
     Tier,
     Visit,
     WorkloadClass,
+    _int,
+    _parse_capacity,
     validated,
 )
 
@@ -139,15 +141,14 @@ def _parse_resource_entry(obj: object, path: str) -> ResourceSpec:
             raise ValidationError(f"{path}: unknown key {key!r}")
     if "name" not in obj:
         raise ValidationError(f"{path}: resource object needs a name")
-    cap = obj.get("queue_capacity", "inf")
     try:
         balancer = BalancerPolicy(obj.get("balancer", "jsq"))
     except ValueError:
         raise ValidationError(f"{path}: unknown balancer policy {obj['balancer']!r}") from None
     return ResourceSpec(
         name=obj["name"],
-        replicas=obj.get("replicas", 1),
-        queue_capacity=float("inf") if cap == "inf" else cap,
+        replicas=_int(obj.get("replicas", 1), f"{path}.replicas"),
+        queue_capacity=_parse_capacity(obj.get("queue_capacity", "inf"), f"{path}.queue_capacity"),
         balancer=balancer,
     )
 

@@ -134,7 +134,7 @@ class StopRule:
 
     @staticmethod
     def after_requests(n: int) -> "StopRule":
-        return StopRule(StopKind.AFTER_REQUESTS, n=int(n))
+        return StopRule(StopKind.AFTER_REQUESTS, n=n)
 
     @staticmethod
     def after_time(t: float) -> "StopRule":
@@ -292,7 +292,7 @@ def validate(model: ScenarioModel) -> ValidationReport:
     if not (isinstance(run.seed, int) and not isinstance(run.seed, bool) and 0 <= run.seed < 2**64):
         issues.append(ValidationIssue("run.seed", f"seed must be an unsigned 64-bit integer, got {run.seed!r}"))
     if run.stop.kind is StopKind.AFTER_REQUESTS:
-        if not (isinstance(run.stop.n, int) and run.stop.n >= 1):
+        if not (isinstance(run.stop.n, int) and not isinstance(run.stop.n, bool) and run.stop.n >= 1):
             issues.append(ValidationIssue("run.stop", f"after_requests count must be >= 1, got {run.stop.n!r}"))
     else:
         if not (isinstance(run.stop.t, (int, float)) and math.isfinite(run.stop.t) and run.stop.t > 0):

@@ -17,7 +17,8 @@ from tiersim import (
     parse_scenario,
     serialize_scenario,
 )
-from tiersim.cli import _with_arrival_rate, build_station_model, main, parse_rate_grid
+from tiersim.cli import build_station_model, main, parse_rate_grid
+from tiersim.sweep import _with_arrival_rate
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -335,9 +336,9 @@ def test_sweep_rate_is_split_in_the_declared_class_mix():
     (web,) = model.classes
     batch = WorkloadClass(name="batch", arrival=Distribution.exponential(1.0), path=web.path)
     mixed = dataclasses.replace(model, classes=(web, batch))
-    swept = _with_arrival_rate(mixed, 3.0, seed=5)
+    swept = _with_arrival_rate(mixed, 3.0)
     assert [c.arrival.rate for c in swept.classes] == [2.0, 1.0]
-    (single,) = _with_arrival_rate(model, 0.1, seed=5).classes
+    (single,) = _with_arrival_rate(model, 0.1).classes
     assert single.arrival.rate == 0.1
 
 

@@ -236,11 +236,19 @@ def test_resource_entry_validation():
     assert (spec.replicas, spec.queue_capacity) == (3, 4)
 
 
-def test_bool_replicas_are_rejected_at_synthesis():
-    deployment = parse_deployment('{"bindings": {"a": "n"}, "nodes": {"n": [{"name": "P", "replicas": true}]}}')
-    execution = parse_execution("a -> a : local call [det 0.1]")
-    with pytest.raises(ValidationError, match="replicas must be an integer >= 1, got True"):
-        synthesize_scenario(execution, deployment, arrival=Distribution.exponential(1.0))
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('{"name": "P", "replicas": "3"}', "deployment.nodes['n'][0].replicas: expected an integer, got '3'"),
+        ('{"name": "P", "replicas": true}', "deployment.nodes['n'][0].replicas: expected an integer, got True"),
+        ('{"name": "P", "queue_capacity": 2.5}', "deployment.nodes['n'][0].queue_capacity: expected an integer, got 2.5"),
+    ],
+    ids=["replicas-string", "replicas-bool", "capacity-float"],
+)
+def test_resource_entry_values_are_typed_at_parse(entry, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_deployment('{"bindings": {"a": "n"}, "nodes": {"n": [%s]}}' % entry)
+    assert str(exc.value) == message
 
 
 def test_synthesis_requires_bindings_links_and_disks():

@@ -206,7 +206,7 @@ def test_each_injected_violation_yields_exactly_one_issue():
         assert len(report.issues) == 1, f"expected one issue, got {report.issues}"
 
 
-@pytest.mark.parametrize("field", ["replicas", "queue_capacity", "max_requests", "seed"])
+@pytest.mark.parametrize("field", ["replicas", "queue_capacity", "max_requests", "seed", "after_requests count"])
 def test_bool_is_not_an_integer_field(field):
     import dataclasses
 
@@ -216,6 +216,8 @@ def test_bool_is_not_an_integer_field(field):
         model = dataclasses.replace(base, tiers=(Tier(name="only", resources=(res,)),))
     elif field == "max_requests":
         model = dataclasses.replace(base, classes=(dataclasses.replace(base.classes[0], max_requests=True),))
+    elif field == "after_requests count":
+        model = dataclasses.replace(base, run=RunConfig(stop=StopRule.after_requests(True)))
     else:
         model = dataclasses.replace(base, run=RunConfig(seed=True))
     report = validate(model)

@@ -154,7 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # the overridden run.seed is the master seed; each replication replaces it
     model = _apply_overrides(parse_scenario(_read_input(args.scenario)), args)
-    result = run_sweep(model, parse_rate_grid(args.rates), args.replications, model.run.seed, jobs=args.jobs)
+    result = run_sweep(model, parse_rate_grid(args.rates), args.replications, model.run.seed)
     text = sweep_to_csv(result)
     if args.output:
         _write_atomic(args.output, text)
@@ -264,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--requests", type=int, help="override stop: terminal requests per run")
     p.add_argument("--seed", type=int, help="master seed for replication seeds")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        help="worker processes (default: usable CPUs, capped at the runs); the output does not depend on it",
-    )
     p.add_argument("--output", help="write aggregated CSV here (atomic)")
     common(p)
     p.set_defaults(func=_cmd_sweep)

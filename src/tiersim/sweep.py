@@ -2,9 +2,10 @@
 
 Each (rate, replication) pair is one independent simulation run. The
 model for each rate is built and validated once; replications at that
-rate differ only in ``run.seed``. Runs go to worker processes when more
-than one CPU is usable, and the results are gathered in grid order, so
-the sweep's output does not depend on how many workers ran it.
+rate differ only in ``run.seed``. Runs go to forked worker processes
+when more than one CPU is usable and the sweep is long enough to pay
+for them, and the results are gathered in grid order, so the sweep's
+output does not depend on how many workers ran it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,16 @@ import dataclasses
 import io
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .engine import Engine
 from .errors import DomainError, ValidationError
 from .metrics import MetricsReport
-from .model import END_TO_END, DistKind, Distribution, ScenarioModel, validated
+from .model import END_TO_END, DistKind, Distribution, ScenarioModel, StopKind, validated
 from .workload import stream_key
+
+if TYPE_CHECKING:  # importing multiprocessing costs every CLI command 9 ms
+    from multiprocessing.context import BaseContext
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,7 @@ def _run_replication(model: ScenarioModel, seed: int) -> MetricsReport:
 
 
 # The per-rate models of a worker process, set once by _init_worker. The
-# parent never writes it: under fork the workers inherit the models,
-# under spawn they are pickled once per worker, never once per task.
+# parent never writes it; forked workers inherit the models unpickled.
 _worker_models: tuple[ScenarioModel, ...] = ()
 
 
@@ -115,20 +119,54 @@ def _run_task(task: tuple[int, int]) -> MetricsReport:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on (``taskset`` narrows them)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         return os.cpu_count() or 1
 
 
-def worker_count(jobs: int | None, runs: int) -> int:
-    """Workers for ``runs`` runs: ``jobs`` (default: usable CPUs), capped
-    at the usable CPUs and at ``runs``."""
-    cpus = usable_cpus()
-    if jobs is not None and jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs!r}")
-    return max(1, min(cpus if jobs is None else jobs, cpus, runs))
+# A pool costs about 10 ms to fork its workers and shut them down, 25 ms
+# more to import into a process that has not loaded it yet, and a pickled
+# report per run. On a 2-vCPU host it broke even at about 25k expected
+# events once imported and at about 45k in a fresh `tiersim sweep`.
+_MIN_POOLED_EVENTS = 40_000
+
+
+def _expected_events(model: ScenarioModel) -> float:
+    """Roughly the events one run of ``model`` applies: an arrival and a
+    completion per visit for each session the stop rule waits for."""
+    total = sum(cls.arrival.rate for cls in model.classes)
+    visits = sum(cls.arrival.rate * len(cls.path) for cls in model.classes) / total
+    stop = model.run.stop
+    sessions = stop.n if stop.kind is StopKind.AFTER_REQUESTS else total * stop.t
+    return sessions * (1 + visits)
+
+
+def worker_count(runs: int, events: float) -> int:
+    """Workers for ``runs`` runs that apply about ``events`` events in all:
+    one per usable CPU and at most one per run, or one when the sweep is
+    too short to pay for a pool."""
+    if events < _MIN_POOLED_EVENTS:
+        return 1
+    return min(usable_cpus(), runs)
+
+
+def _fork_context() -> BaseContext | None:
+    """The fork start method, or None where the platform has none.
+
+    Forked workers inherit the loaded package and the per-rate models.
+    Under spawn or forkserver (the defaults on macOS and, from Python
+    3.14, on Linux) every worker imports them again, which made
+    ``wide_sweep`` slower than the in-process loop on a 2-vCPU host. The
+    parent's only other threads are numpy's idle BLAS workers, which no
+    run calls.
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
 
 
 def run_sweep(
@@ -136,15 +174,13 @@ def run_sweep(
     rates: tuple[float, ...],
     replications: int,
     master_seed: int,
-    jobs: int | None = None,
 ) -> SweepResult:
     """Simulate every (rate, replication) pair and average per rate.
 
     Replication seeds derive from the master seed and the grid position
     by the same stable hash the streams use, so the whole sweep is one
-    deterministic function of (scenario, rates, replications, seed).
-    ``jobs`` sets the worker processes (see ``worker_count``); it never
-    changes the result.
+    deterministic function of (scenario, rates, replications, seed). How
+    many processes run it (see ``worker_count``) never changes the result.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -154,15 +190,16 @@ def run_sweep(
         for ri in range(len(rates))
         for k in range(replications)
     ]
-    workers = worker_count(jobs, len(tasks))
-    if workers == 1:
+    workers = worker_count(len(tasks), replications * sum(_expected_events(m) for m in models))
+    context = _fork_context() if workers > 1 else None
+    if context is None:
         flat = [_run_replication(models[ri], seed) for ri, seed in tasks]
     else:
         # imported here, not at the top: every `import tiersim.cli` would
         # otherwise load the pool machinery (1.3 MiB and 20 ms on a 2-vCPU VM)
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(models,))
+        pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(models,))
         try:
             flat = list(pool.map(_run_task, tasks))
         finally:

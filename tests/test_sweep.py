@@ -13,7 +13,6 @@ import pytest
 
 from tiersim import (
     Distribution,
-    DomainError,
     InternalError,
     StopRule,
     bundled,
@@ -21,7 +20,7 @@ from tiersim import (
     report_to_json,
 )
 from tiersim import sweep
-from tiersim.cli import build_station_model, main
+from tiersim.cli import build_station_model
 from tiersim.sweep import run_sweep, sweep_to_csv, worker_count
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,9 +32,16 @@ def webservices(requests: int):
 
 
 @pytest.fixture()
-def two_cpus(monkeypatch):
-    """Make the pool path run even on a host with one usable CPU."""
+def pooled(monkeypatch):
+    """Send every sweep of more than one run to a pool of two workers,
+    even on a host with one usable CPU."""
     monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sweep, "_MIN_POOLED_EVENTS", 0)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a sweep that needs one worker started a pool")
 
 
 def test_each_rate_is_validated_once(monkeypatch):
@@ -47,38 +53,57 @@ def test_each_rate_is_validated_once(monkeypatch):
         return real(model)
 
     monkeypatch.setattr(sweep, "validated", counting)
-    run_sweep(webservices(60), (20.0, 40.0, 60.0), replications=4, master_seed=3, jobs=1)
+    run_sweep(webservices(60), (20.0, 40.0, 60.0), replications=4, master_seed=3)
     assert len(calls) == 3
 
 
-def test_worker_count_defaults_and_caps(monkeypatch):
+def test_worker_count_needs_cpus_runs_and_work(monkeypatch):
     monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
-    assert worker_count(None, 6) == 2
-    assert worker_count(None, 1) == 1
-    assert worker_count(1, 6) == 1
-    assert worker_count(10**6, 6) == 2
-    assert worker_count(10**6, 1) == 1
-    for bad in (0, -1):
-        with pytest.raises(DomainError, match="jobs must be >= 1"):
-            worker_count(bad, 6)
+    enough = sweep._MIN_POOLED_EVENTS
+    assert worker_count(6, enough) == 2
+    assert worker_count(1, enough) == 1
+    assert worker_count(10**6, 10**9) == 2
+    assert worker_count(6, enough - 1) == 1
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 1)
+    assert worker_count(6, 10**9) == 1
+
+
+def test_expected_events_count_an_arrival_and_each_visit():
+    model = webservices(300)
+    (cls,) = model.classes
+    assert sweep._expected_events(model) == 300 * (1 + len(cls.path))
+    timed = dataclasses.replace(model, run=dataclasses.replace(model.run, stop=StopRule.after_time(10.0)))
+    assert sweep._expected_events(timed) == cls.arrival.rate * 10.0 * (1 + len(cls.path))
 
 
 def test_usable_cpus_is_positive():
     assert sweep.usable_cpus() >= 1
 
 
-def test_jobs_do_not_change_any_byte(two_cpus):
+def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled):
     model = webservices(300)
     rates = (20.0, 40.0, 60.0)
-    serial = run_sweep(model, rates, replications=2, master_seed=11, jobs=1)
-    pooled = run_sweep(model, rates, replications=2, master_seed=11, jobs=2)
-    assert sweep_to_csv(pooled) == sweep_to_csv(serial)
-    assert list(pooled.reports) == list(serial.reports) == list(rates)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 1)
+    serial = run_sweep(model, rates, replications=2, master_seed=11)
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, mp_context, **kwargs):
+            started.append(mp_context.get_start_method())
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    pooled_result = run_sweep(model, rates, replications=2, master_seed=11)
+    assert started == ["fork"]
+    assert sweep_to_csv(pooled_result) == sweep_to_csv(serial)
+    assert list(pooled_result.reports) == list(serial.reports) == list(rates)
     for rate in rates:
-        assert [report_to_json(r) for r in pooled.reports[rate]] == [report_to_json(r) for r in serial.reports[rate]]
+        pooled_json = [report_to_json(r) for r in pooled_result.reports[rate]]
+        assert pooled_json == [report_to_json(r) for r in serial.reports[rate]]
 
 
-def test_a_worker_error_reaches_the_caller_unchanged(two_cpus):
+def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, pooled):
     # one session of 40 visits, each with a mean demand of 1e307: the
     # clock overflows within a few visits
     model = build_station_model(1.0, 1.0, 1, 0, 1, seed=1)
@@ -86,35 +111,42 @@ def test_a_worker_error_reaches_the_caller_unchanged(two_cpus):
     path = (dataclasses.replace(cls.path[0], demand=Distribution.exponential(1e-307)),) * 40
     model = dataclasses.replace(model, classes=(dataclasses.replace(cls, path=path, max_requests=1),))
     errors = []
-    for jobs in (1, 2):
+    for cpus in (1, 2):
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
         with pytest.raises(InternalError) as exc:
-            run_sweep(model, (1.0, 2.0), replications=2, master_seed=5, jobs=jobs)
+            run_sweep(model, (1.0, 2.0), replications=2, master_seed=5)
         errors.append((type(exc.value), str(exc.value)))
     assert errors[0] == errors[1]
     assert "scheduled event time is not finite" in errors[0][1]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_cli_rejects_jobs_below_one(capsys, jobs):
-    code = main(["sweep", "bundled:webservices.json", "--rates", "40", "--requests", "50", "--jobs", jobs])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "jobs must be >= 1" in captured.err
-
-
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a sweep that needs one worker started a pool")
-
-
 @pytest.mark.parametrize(
-    "rates, replications, jobs", [((40.0,), 1, None), ((20.0, 40.0), 2, 1)], ids=["one-run", "jobs-1"]
+    "rates, replications, requests",
+    [((40.0,), 1, 60), ((20.0, 40.0), 2, 60)],
+    ids=["one-run", "short"],
 )
-def test_one_worker_starts_no_pool(monkeypatch, two_cpus, rates, replications, jobs):
+def test_a_sweep_that_needs_one_worker_starts_no_pool(monkeypatch, rates, replications, requests):
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    result = run_sweep(webservices(60), rates, replications=replications, master_seed=2, jobs=jobs)
+    result = run_sweep(webservices(requests), rates, replications=replications, master_seed=2)
     assert [len(reps) for reps in result.reports.values()] == [replications] * len(rates)
+
+
+def test_no_fork_means_no_pool(monkeypatch, pooled):
+    monkeypatch.setattr(sweep, "_fork_context", lambda: None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    result = run_sweep(webservices(60), (20.0, 40.0), replications=2, master_seed=2)
+    assert [len(reps) for reps in result.reports.values()] == [2, 2]
+
+
+def test_fork_context_is_fork_where_the_platform_has_it():
+    import multiprocessing
+
+    context = sweep._fork_context()
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert context.get_start_method() == "fork"
+    else:
+        assert context is None
 
 
 def test_importing_the_cli_loads_no_pool_machinery():
@@ -122,4 +154,3 @@ def test_importing_the_cli_loads_no_pool_machinery():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from tiersim import (
@@ -20,6 +23,8 @@ from tiersim import (
     validate,
 )
 from tiersim import bundled
+
+from randdeploy import random_deployment
 
 
 def bundled_pair():
@@ -276,3 +281,35 @@ def test_link_lookup_is_symmetric():
     assert deployment.link_between("n1", "n2").name == "NET"
     assert deployment.link_between("n2", "n1").name == "NET"
     assert deployment.link_between("n1", "n1") is None
+
+
+# SHA-256 over the serialized scenarios synthesized from the bundled
+# inputs and from random_deployment(0..SYNTHESIS_CASES-1)
+SYNTHESIS_CASES = 20
+SYNTHESIS_DIGEST = "2108961725ad6deddd9db624ec22ad1ead5fa36ddf3ba525ee16a8fcc3ce3987"
+
+
+def test_synthesized_scenarios_are_pinned():
+    generated = [random_deployment(case) for case in range(SYNTHESIS_CASES)]
+    # the generated maps hold every resource-entry form the pin covers
+    entries = [e for _, doc in generated for node in doc["nodes"].values() for e in node]
+    assert any(isinstance(e, str) for e in entries)
+    for key in ("replicas", "queue_capacity", "balancer"):
+        assert any(isinstance(e, dict) and key in e for e in entries)
+    assert any("@disk" in steps for steps, _ in generated)
+    assert all(doc["links"][0]["resource"] == doc["links"][1]["resource"] for _, doc in generated)
+
+    inputs = [(bundled.execution_text(), bundled.deployment_text())]
+    inputs += [(steps, json.dumps(doc, indent=2)) for steps, doc in generated]
+    digest = hashlib.sha256()
+    for i, (steps, deployment) in enumerate(inputs):
+        model = synthesize_scenario(
+            parse_execution(steps),
+            parse_deployment(deployment),
+            scenario_name=f"case{i}",
+            arrival=Distribution.exponential(2.0),
+            max_requests=50,
+            run=RunConfig(seed=i, stop=StopRule.after_requests(50)),
+        )
+        digest.update(serialize_scenario(model).encode("utf-8"))
+    assert digest.hexdigest() == SYNTHESIS_DIGEST

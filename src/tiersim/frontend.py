@@ -13,7 +13,9 @@ line:
 The deployment map is JSON binding each participant to a node, listing
 each node's resources (the first entry is the node's processor, any
 further entries are its disks), and naming the network resource that
-carries traffic between each pair of nodes.
+carries traffic between each pair of nodes. A resource is written as
+the scenario's resource object, or as a bare name for one with every
+default.
 
 Synthesis walks the steps in order. A step whose endpoints sit on
 different nodes first visits the connecting network resource; every step
@@ -26,14 +28,12 @@ walking the synthesized path.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 from .errors import ScenarioSyntaxError, ValidationError
 from .model import (
     UNBOUNDED,
-    BalancerPolicy,
     Distribution,
     ResourceSpec,
     RunConfig,
@@ -41,8 +41,13 @@ from .model import (
     Tier,
     Visit,
     WorkloadClass,
-    _int,
-    _parse_capacity,
+    _as_dict,
+    _as_list,
+    _as_record,
+    _load_json,
+    _parse_resource,
+    _require_keys,
+    _str,
     validated,
 )
 
@@ -64,13 +69,6 @@ class Step:
 @dataclass(frozen=True)
 class ExecutionStructure:
     steps: tuple[Step, ...]
-
-    def participants(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for step in self.steps:
-            seen.setdefault(step.source)
-            seen.setdefault(step.target)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -131,52 +129,25 @@ def parse_execution(text: str) -> ExecutionStructure:
 
 
 def _parse_resource_entry(obj: object, path: str) -> ResourceSpec:
-    if isinstance(obj, str):
-        return ResourceSpec(name=obj)
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: expected a resource name or object, got {type(obj).__name__}")
-    allowed = {"name", "replicas", "queue_capacity", "balancer"}
-    for key in obj:
-        if key not in allowed:
-            raise ValidationError(f"{path}: unknown key {key!r}")
-    if "name" not in obj:
-        raise ValidationError(f"{path}: resource object needs a name")
-    try:
-        balancer = BalancerPolicy(obj.get("balancer", "jsq"))
-    except ValueError:
-        raise ValidationError(f"{path}: unknown balancer policy {obj['balancer']!r}") from None
-    return ResourceSpec(
-        name=obj["name"],
-        replicas=_int(obj.get("replicas", 1), f"{path}.replicas"),
-        queue_capacity=_parse_capacity(obj.get("queue_capacity", "inf"), f"{path}.queue_capacity"),
-        balancer=balancer,
-    )
+    # a bare name is shorthand for a resource with every default
+    return _parse_resource({"name": obj} if isinstance(obj, str) else obj, path)
 
 
 def parse_deployment(text: str) -> DeploymentMap:
     """Parse and cross-check the deployment JSON."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    if not isinstance(raw, dict):
-        raise ValidationError("deployment document must be a JSON object")
-    for key in raw:
-        if key not in {"bindings", "nodes", "links"}:
-            raise ValidationError(f"deployment: unknown key {key!r}")
-    for key in ("bindings", "nodes"):
-        if key not in raw:
-            raise ValidationError(f"deployment: missing required key {key!r}")
+    raw = _as_dict(_load_json(text), "deployment")
+    _require_keys(raw, ("bindings", "nodes", "links"), ("bindings", "nodes"), "deployment")
 
-    nodes_raw = raw["nodes"]
-    if not isinstance(nodes_raw, dict) or not nodes_raw:
+    nodes_raw = _as_dict(raw["nodes"], "deployment.nodes")
+    if not nodes_raw:
         raise ValidationError("deployment.nodes must be a non-empty object")
     nodes: dict[str, tuple[ResourceSpec, ...]] = {}
     seen_resource: dict[str, str] = {}
     for node, entries in nodes_raw.items():
-        if not isinstance(entries, list) or not entries:
-            raise ValidationError(f"deployment.nodes[{node!r}]: a node needs at least one resource")
-        specs = tuple(_parse_resource_entry(e, f"deployment.nodes[{node!r}][{i}]") for i, e in enumerate(entries))
+        npath = f"deployment.nodes[{node!r}]"
+        if not _as_list(entries, npath):
+            raise ValidationError(f"{npath}: a node needs at least one resource")
+        specs = tuple(_parse_resource_entry(e, f"{npath}[{i}]") for i, e in enumerate(entries))
         for spec in specs:
             if spec.name in seen_resource:
                 raise ValidationError(
@@ -185,32 +156,32 @@ def parse_deployment(text: str) -> DeploymentMap:
             seen_resource[spec.name] = node
         nodes[node] = specs
 
-    bindings_raw = raw["bindings"]
-    if not isinstance(bindings_raw, dict) or not bindings_raw:
+    bindings = _as_dict(raw["bindings"], "deployment.bindings")
+    if not bindings:
         raise ValidationError("deployment.bindings must be a non-empty object")
-    for participant, node in bindings_raw.items():
-        if node not in nodes:
-            raise ValidationError(f"deployment.bindings[{participant!r}]: participant bound to undeclared node {node!r}")
+    for participant, node in bindings.items():
+        path = f"deployment.bindings[{participant!r}]"
+        if _str(node, path) not in nodes:
+            raise ValidationError(f"{path}: participant bound to undeclared node {node!r}")
 
     links: dict[tuple[str, str], ResourceSpec] = {}
     link_specs: dict[str, ResourceSpec] = {}
-    for i, entry in enumerate(raw.get("links", [])):
+    for i, entry in enumerate(_as_list(raw.get("links", []), "deployment.links")):
         path = f"deployment.links[{i}]"
-        if not isinstance(entry, dict) or set(entry) != {"between", "resource"}:
-            raise ValidationError(f"{path}: expected an object with keys 'between' and 'resource'")
-        between = entry["between"]
-        if not (isinstance(between, list) and len(between) == 2 and all(isinstance(n, str) for n in between)):
+        link = _as_record(entry, ("between", "resource"), path)
+        between = _as_list(link["between"], f"{path}.between")
+        if len(between) != 2:
             raise ValidationError(f"{path}.between: expected two node names")
+        for k, endpoint in enumerate(between):
+            if _str(endpoint, f"{path}.between[{k}]") not in nodes:
+                raise ValidationError(f"{path}.between: unknown node {endpoint!r}")
         a, b = between
         if a == b:
             raise ValidationError(f"{path}.between: a link must join two distinct nodes, got {a!r} twice")
-        for endpoint in (a, b):
-            if endpoint not in nodes:
-                raise ValidationError(f"{path}.between: unknown node {endpoint!r}")
         key = (a, b) if a <= b else (b, a)
         if key in links:
             raise ValidationError(f"{path}: duplicate link between {a!r} and {b!r}")
-        spec = _parse_resource_entry(entry["resource"], f"{path}.resource")
+        spec = _parse_resource_entry(link["resource"], f"{path}.resource")
         if spec.name in seen_resource:
             raise ValidationError(f"{path}: link resource {spec.name!r} collides with a node resource")
         # the same network resource may carry several node pairs, but its
@@ -220,7 +191,7 @@ def parse_deployment(text: str) -> DeploymentMap:
         link_specs[spec.name] = spec
         links[key] = spec
 
-    return DeploymentMap(bindings=dict(bindings_raw), nodes=nodes, links=links)
+    return DeploymentMap(bindings=dict(bindings), nodes=nodes, links=links)
 
 
 def synthesize_scenario(

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import SeriesDisabledError
-from .model import END_TO_END, ScenarioModel
+from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _load_json
 
 
 class Welford:
@@ -234,6 +234,8 @@ class MetricsReport:
 
 _RESOURCE_FIELDS = tuple(f.name for f in fields(ResourceMetrics))
 _CLASS_FIELDS = tuple(f.name for f in fields(ClassMetrics))
+_TOTALS_FIELDS = ("generated", "completed", "dropped", "in_flight")
+_REPORT_KEYS = ("scenario", "seed", "elapsed", "warmup", "totals", "resources", "classes", "series")
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -336,12 +338,7 @@ def report_to_json(report: MetricsReport) -> str:
         "seed": report.seed,
         "elapsed": report.elapsed,
         "warmup": report.warmup,
-        "totals": {
-            "generated": report.generated,
-            "completed": report.completed,
-            "dropped": report.dropped,
-            "in_flight": report.in_flight,
-        },
+        "totals": {k: getattr(report, k) for k in _TOTALS_FIELDS},
         "resources": {name: {k: getattr(m, k) for k in _RESOURCE_FIELDS} for name, m in report.resources.items()},
         "classes": {name: {k: getattr(c, k) for k in _CLASS_FIELDS} for name, c in report.classes.items()},
         "series": {
@@ -354,24 +351,28 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def report_from_json(text: str) -> MetricsReport:
-    """Load a report written by report_to_json.
+    """Load a report written by report_to_json; every key it writes is
+    required, and no other is allowed.
 
     Series rows are not stored in the JSON (only their counts), so a
     loaded report answers metric queries but cannot re-export series.
     """
-    doc = json.loads(text)
-    resources = {name: ResourceMetrics(**{k: m[k] for k in _RESOURCE_FIELDS}) for name, m in doc["resources"].items()}
-    classes = {name: ClassMetrics(**{k: c[k] for k in _CLASS_FIELDS}) for name, c in doc["classes"].items()}
-    totals = doc["totals"]
+    doc = _as_record(_load_json(text), _REPORT_KEYS, "$")
+    _as_record(doc["series"], ("enabled", "resource_rows", "end_to_end_rows"), "$.series")
+    resources = {
+        name: ResourceMetrics(**_as_record(m, _RESOURCE_FIELDS, f"$.resources[{name!r}]"))
+        for name, m in _as_dict(doc["resources"], "$.resources").items()
+    }
+    classes = {
+        name: ClassMetrics(**_as_record(c, _CLASS_FIELDS, f"$.classes[{name!r}]"))
+        for name, c in _as_dict(doc["classes"], "$.classes").items()
+    }
     return MetricsReport(
         scenario=doc["scenario"],
         seed=doc["seed"],
         elapsed=doc["elapsed"],
         warmup=doc["warmup"],
-        generated=totals["generated"],
-        completed=totals["completed"],
-        dropped=totals["dropped"],
-        in_flight=totals["in_flight"],
+        **_as_record(doc["totals"], _TOTALS_FIELDS, "$.totals"),
         resources=resources,
         classes=classes,
         series_enabled=False,

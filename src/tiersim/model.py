@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -138,7 +139,7 @@ class StopRule:
 
     @staticmethod
     def after_time(t: float) -> "StopRule":
-        return StopRule(StopKind.AFTER_TIME, t=float(t))
+        return StopRule(StopKind.AFTER_TIME, t=t)
 
 
 @dataclass(frozen=True)
@@ -295,10 +296,12 @@ def validate(model: ScenarioModel) -> ValidationReport:
         if not (isinstance(run.stop.n, int) and not isinstance(run.stop.n, bool) and run.stop.n >= 1):
             issues.append(ValidationIssue("run.stop", f"after_requests count must be >= 1, got {run.stop.n!r}"))
     else:
-        if not (isinstance(run.stop.t, (int, float)) and math.isfinite(run.stop.t) and run.stop.t > 0):
-            issues.append(ValidationIssue("run.stop", f"after_time horizon must be finite and > 0, got {run.stop.t!r}"))
-    if not (isinstance(run.warmup, (int, float)) and math.isfinite(run.warmup) and run.warmup >= 0):
-        issues.append(ValidationIssue("run.warmup", f"warmup must be finite and >= 0, got {run.warmup!r}"))
+        t = run.stop.t
+        if not (isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) and t > 0):
+            issues.append(ValidationIssue("run.stop", f"after_time horizon must be finite and > 0, got {t!r}"))
+    warmup = run.warmup
+    if not (isinstance(warmup, (int, float)) and not isinstance(warmup, bool) and math.isfinite(warmup) and warmup >= 0):
+        issues.append(ValidationIssue("run.warmup", f"warmup must be finite and >= 0, got {warmup!r}"))
 
     return ValidationReport(tuple(issues))
 
@@ -315,7 +318,15 @@ def validated(model: ScenarioModel) -> ScenarioModel:
 # JSON parsing. Strict: every object lists its allowed keys.
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _load_json(text: str) -> object:
+    """Decode one JSON document; a decoding error names its line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
+
+
+def _require_keys(obj: dict, allowed: Collection[str], required: Collection[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ValidationError(f"{path}: unknown key {key!r}")
@@ -328,6 +339,13 @@ def _as_dict(obj: object, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: expected an object, got {type(obj).__name__}")
     return obj
+
+
+def _as_record(obj: object, keys: tuple[str, ...], path: str) -> dict:
+    """``obj`` as an object holding exactly ``keys``."""
+    d = _as_dict(obj, path)
+    _require_keys(d, keys, keys, path)
+    return d
 
 
 def _as_list(obj: object, path: str) -> list:
@@ -381,9 +399,14 @@ def _parse_capacity(obj: object, path: str) -> int | float:
     return _int(obj, path)
 
 
+# built once: a set display is rebuilt on every call, and a wide
+# deployment map or scenario parses hundreds of resources
+_RESOURCE_KEYS = frozenset({"name", "replicas", "queue_capacity", "discipline", "balancer"})
+
+
 def _parse_resource(obj: object, path: str) -> ResourceSpec:
     d = _as_dict(obj, path)
-    _require_keys(d, {"name", "replicas", "queue_capacity", "discipline", "balancer"}, {"name"}, path)
+    _require_keys(d, _RESOURCE_KEYS, ("name",), path)
     # FCFS is the only discipline; the key stays legal so documents naming it parse
     if d.get("discipline", "fcfs") != "fcfs":
         raise ValidationError(f"{path}.discipline: unknown discipline {d['discipline']!r}")
@@ -417,12 +440,7 @@ def parse_scenario(text: str) -> ScenarioModel:
     Raises ScenarioSyntaxError for malformed JSON (with position) and
     ValidationError for schema or invariant violations.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
-
-    top = _as_dict(raw, "$")
+    top = _as_dict(_load_json(text), "$")
     _require_keys(top, {"format_version", "name", "tiers", "classes", "run"}, {"name", "tiers", "classes", "run"}, "$")
     version = top.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
@@ -431,8 +449,7 @@ def parse_scenario(text: str) -> ScenarioModel:
     tiers = []
     for ti, tobj in enumerate(_as_list(top["tiers"], "$.tiers")):
         tpath = f"$.tiers[{ti}]"
-        td = _as_dict(tobj, tpath)
-        _require_keys(td, {"name", "resources"}, {"name", "resources"}, tpath)
+        td = _as_record(tobj, ("name", "resources"), tpath)
         resources = tuple(
             _parse_resource(robj, f"{tpath}.resources[{ri}]")
             for ri, robj in enumerate(_as_list(td["resources"], f"{tpath}.resources"))
@@ -447,8 +464,7 @@ def parse_scenario(text: str) -> ScenarioModel:
         visits = []
         for vi, vobj in enumerate(_as_list(cd["path"], f"{cpath}.path")):
             vpath = f"{cpath}.path[{vi}]"
-            vd = _as_dict(vobj, vpath)
-            _require_keys(vd, {"resource", "demand"}, {"resource", "demand"}, vpath)
+            vd = _as_record(vobj, ("resource", "demand"), vpath)
             visits.append(
                 Visit(resource=_str(vd["resource"], f"{vpath}.resource"), demand=_parse_distribution(vd["demand"], f"{vpath}.demand"))
             )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +26,12 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(code: int, err: str, prefix: str) -> None:
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(prefix), err
 
 
 @pytest.fixture()
@@ -182,6 +189,36 @@ def test_report_threshold_flags(station_path, tmp_path, capsys):
     assert doc["entries"][0]["flagged"] is True
     code, _, err = run_cli(capsys, "report", str(out_path), "--bottlenecks", "--drop-threshold", "3.0")
     assert code == 1
+
+
+def _without_totals(text: str) -> str:
+    doc = json.loads(text)
+    del doc["totals"]
+    return json.dumps(doc)
+
+
+def _with_unknown_row_key(text: str) -> str:
+    doc = json.loads(text)
+    doc["resources"]["station"]["bogus"] = 0
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, prefix",
+    [
+        (lambda text: text[: len(text) // 2], "error: line "),
+        (lambda text: "[]", "error: $: expected an object, got list"),
+        (_without_totals, "error: $: missing required key 'totals'"),
+        (_with_unknown_row_key, "error: $.resources['station']: unknown key 'bogus'"),
+    ],
+    ids=["truncated", "array", "no-totals", "unknown-row-key"],
+)
+def test_report_rejects_a_malformed_report_file(station_path, tmp_path, capsys, edit, prefix):
+    path = tmp_path / "report.json"
+    run_cli(capsys, "run", station_path, "--report", str(path), "--quiet")
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    code, _, err = run_cli(capsys, "report", str(path))
+    assert_one_error_line(code, err, prefix)
 
 
 def test_parse_rate_grid_forms():
@@ -441,6 +478,55 @@ def test_synthesize_requires_exactly_one_arrival_spec(capsys):
         )
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+_TWO_NODES = '"bindings": {"a": "n1"}, "nodes": {"n1": ["P1"], "n2": ["P2"]}'
+
+
+@pytest.mark.parametrize(
+    "deployment, path",
+    [
+        ('{"bindings": {"a": ["n1"]}, "nodes": {"n1": ["P1"]}}', "deployment.bindings['a']"),
+        ('{%s, "links": 5}' % _TWO_NODES, "deployment.links"),
+        ('{%s, "links": {}}' % _TWO_NODES, "deployment.links"),
+        ('{%s, "links": [{"between": ["n1", 5], "resource": "NET"}]}' % _TWO_NODES, "deployment.links[0].between[1]"),
+        ('{"bindings": {"a": "n1"}, "nodes": {"n1": [{"name": 5}]}}', "deployment.nodes['n1'][0].name"),
+    ],
+    ids=["binding-array", "links-number", "links-object", "endpoint-number", "name-number"],
+)
+def test_synthesize_rejects_a_malformed_deployment(tmp_path, capsys, deployment, path):
+    steps = tmp_path / "steps.txt"
+    steps.write_text("a -> a : local [det 0.1]\n", encoding="utf-8")
+    deployment_path = tmp_path / "deployment.json"
+    deployment_path.write_text(deployment, encoding="utf-8")
+    code, _, err = run_cli(capsys, "synthesize", str(steps), str(deployment_path), "--arrival-rate", "1")
+    assert_one_error_line(code, err, f"error: {path}: ")
+
+
+_FILE = "<file>"
+
+
+@pytest.mark.parametrize("text", ["{", "[]", "{}"], ids=["truncated", "array", "empty-object"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", _FILE),
+        ("run", _FILE),
+        ("sweep", _FILE, "--rates", "1.0"),
+        ("report", _FILE),
+        ("synthesize", _FILE, "bundled:webservices_deployment.json", "--arrival-rate", "1"),
+        ("synthesize", "bundled:webservices_steps.txt", _FILE, "--arrival-rate", "1"),
+    ],
+    ids=["validate", "run", "sweep", "report", "synthesize-steps", "synthesize-deployment"],
+)
+def test_every_file_input_rejects_malformed_text_with_one_error_line(tmp_path, capsys, argv, text):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *(str(path) if arg == _FILE else arg for arg in argv))
+    assert out == ""
+    assert_one_error_line(code, err, "error: ")
+    # the message starts at the offending position: a line, or a document path
+    assert re.match(r"error: (line 1\b|\$: |deployment: )", err), err
 
 
 def test_unknown_bundled_name_is_io_error(capsys):

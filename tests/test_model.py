@@ -26,6 +26,7 @@ from tiersim import (
     Visit,
     WorkloadClass,
     bundled,
+    parse_deployment,
     parse_scenario,
     serialize_scenario,
     validate,
@@ -111,10 +112,13 @@ def test_series_must_be_a_json_bool(value):
 
 def test_every_json_block_in_the_readme_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
-    assert blocks
-    for block in blocks:
-        parse_scenario(block)
+    read = {parse_deployment: 0, parse_scenario: 0}
+    for section in re.split(r"^## ", readme, flags=re.M):
+        parse = parse_deployment if section.startswith("Deployment format\n") else parse_scenario
+        for block in re.findall(r"```json\n(.*?)```", section, re.S):
+            parse(block)
+            read[parse] += 1
+    assert read[parse_deployment] == 1 and read[parse_scenario] >= 1
 
 
 def test_defaults_applied_for_optional_keys():
@@ -206,7 +210,9 @@ def test_each_injected_violation_yields_exactly_one_issue():
         assert len(report.issues) == 1, f"expected one issue, got {report.issues}"
 
 
-@pytest.mark.parametrize("field", ["replicas", "queue_capacity", "max_requests", "seed", "after_requests count"])
+@pytest.mark.parametrize(
+    "field", ["replicas", "queue_capacity", "max_requests", "seed", "after_requests count", "after_time horizon", "warmup"]
+)
 def test_bool_is_not_an_integer_field(field):
     import dataclasses
 
@@ -218,6 +224,10 @@ def test_bool_is_not_an_integer_field(field):
         model = dataclasses.replace(base, classes=(dataclasses.replace(base.classes[0], max_requests=True),))
     elif field == "after_requests count":
         model = dataclasses.replace(base, run=RunConfig(stop=StopRule.after_requests(True)))
+    elif field == "after_time horizon":
+        model = dataclasses.replace(base, run=RunConfig(stop=StopRule.after_time(True)))
+    elif field == "warmup":
+        model = dataclasses.replace(base, run=RunConfig(warmup=True))
     else:
         model = dataclasses.replace(base, run=RunConfig(seed=True))
     report = validate(model)

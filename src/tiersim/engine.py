@@ -14,10 +14,15 @@ timestamp. Admission is all-or-nothing: a session refused at any visit
 (no idle replica, no free waiting slot) is dropped in its entirety and
 the drop is charged to the resource that refused it.
 
-Each resource keeps its per-replica backlogs (1 if serving, plus the
-queued requests) up to date as requests are admitted and complete, and
-hands that list to the balancer as it stands. The backlogs are the one
-record of which replica is busy: replica r serves iff backlogs[r] > 0.
+The engine keeps queue state only. Each resource keeps its per-replica
+backlogs (1 if serving, plus the queued requests) up to date as requests
+are admitted and complete, and hands that list to the balancer as it
+stands. The backlogs are the one record of which replica is busy:
+replica r serves iff backlogs[r] > 0, and busy_since[r] is the one
+record of when that service began. What is measured, and over which
+window, is the metrics module's business: the engine reports each
+admission and completed visit to the resource's accumulator and, at the
+stop clock, the services still running and the requests still queued.
 run() and step() share one driver loop, which dispatches every event.
 """
 
@@ -68,7 +73,7 @@ class ResourceSnapshot:
 class Request:
     """One session walking its class path. Freed once terminal."""
 
-    __slots__ = ("id", "cls", "visit_index", "arrival_time", "enqueue_time", "service_start")
+    __slots__ = ("id", "cls", "visit_index", "arrival_time", "enqueue_time")
 
     def __init__(self, rid: int, cls: _ClassRuntime, arrival_time: float):
         self.id = rid
@@ -76,7 +81,6 @@ class Request:
         self.visit_index = 0
         self.arrival_time = arrival_time
         self.enqueue_time = arrival_time
-        self.service_start = 0.0
 
 
 class _ResourceRuntime:
@@ -89,7 +93,6 @@ class _ResourceRuntime:
         "backlogs",
         "queues",
         "waiting",
-        "busy_count",
         "rr_cursor",
         "service_stream",
         "balance_stream",
@@ -105,7 +108,6 @@ class _ResourceRuntime:
         self.backlogs = [0] * spec.replicas  # (1 if serving) + len(queues[r]), kept by the engine
         self.queues: list[deque[Request]] = [deque() for _ in range(spec.replicas)]
         self.waiting = 0
-        self.busy_count = 0
         self.rr_cursor = 0
         self.service_stream = Stream(seed, f"resource:{spec.name}:service")
         self.balance_stream = Stream(seed, f"resource:{spec.name}:balance")
@@ -210,12 +212,7 @@ class Engine:
             res.waiting += 1
             return
 
-        # start service; all-idle time is only reported for replicas > 1
-        if res.busy_count == 0 and res.replicas > 1:
-            acc.all_idle_ended(now)
-        res.busy_count += 1
         res.busy_since[replica] = now
-        req.service_start = now
         time = now + demand_sampler()
         if not time < _INF:
             raise _not_finite(time)
@@ -223,7 +220,7 @@ class Engine:
         heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, req))
 
     def _on_complete(self, now: float, res: _ResourceRuntime, replica: int, req: Request) -> None:
-        res.acc.record_visit(req.enqueue_time, req.service_start, now)
+        res.acc.record_visit(req.enqueue_time, res.busy_since[replica], now)
         res.backlogs[replica] -= 1
 
         queue = res.queues[replica]
@@ -231,16 +228,11 @@ class Engine:
             nxt = queue.popleft()
             res.waiting -= 1
             res.busy_since[replica] = now
-            nxt.service_start = now
             time = now + nxt.cls.path[nxt.visit_index][1]()
             if not time < _INF:
                 raise _not_finite(time)
             self._seq += 1
             heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, nxt))
-        else:
-            res.busy_count -= 1
-            if res.busy_count == 0 and res.replicas > 1:
-                res.acc.all_idle_began(now)
 
         cr = req.cls
         req.visit_index += 1
@@ -306,18 +298,9 @@ class Engine:
 
     def _finalize(self, elapsed: float) -> MetricsReport:
         self._finished = True
-        acc = self.accumulator
-        warmup = acc.warmup
         for res in self._resources.values():
-            ra = res.acc
-            for r in range(res.replicas):
-                if res.backlogs[r]:
-                    # partially served at stop: count busy time up to the stop clock
-                    ra.busy_time += max(0.0, elapsed - max(res.busy_since[r], warmup))
-            ra.close(elapsed)
-            acc.queued_at_stop[res.name] = res.waiting
-            acc.in_service_at_stop[res.name] = res.busy_count
-        return finalize(acc, elapsed)
+            res.acc.close(elapsed, [since for since, n in zip(res.busy_since, res.backlogs) if n], res.waiting)
+        return finalize(self.accumulator, elapsed)
 
     # -- inspection ----------------------------------------------------
 
@@ -330,7 +313,7 @@ class Engine:
         return ResourceSnapshot(
             busy=tuple(b > 0 for b in res.backlogs),
             queue_lengths=tuple(len(q) for q in res.queues),
-            in_system=res.busy_count + res.waiting,
+            in_system=sum(res.backlogs),
             offered=res.acc.offered,
             served=res.acc.served,
             dropped=res.acc.dropped,

@@ -8,16 +8,12 @@ exceptions to exit codes without inspecting messages.
 class TiersimError(Exception):
     """Base class for all package errors."""
 
-    code = "INTERNAL_ERROR"
-
 
 class ScenarioSyntaxError(TiersimError):
     """Input text could not be parsed at all (bad JSON, bad step line).
 
     Carries the source position when one is known.
     """
-
-    code = "SYNTAX_ERROR"
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
@@ -30,28 +26,18 @@ class ScenarioSyntaxError(TiersimError):
 class ValidationError(TiersimError):
     """Structurally parseable input that violates a model invariant."""
 
-    code = "VALIDATION_ERROR"
-
 
 class DomainError(TiersimError):
     """Numeric argument outside the mathematically valid domain."""
-
-    code = "DOMAIN_ERROR"
 
 
 class SeriesDisabledError(TiersimError):
     """Series export requested from a run that did not record series data."""
 
-    code = "SERIES_DISABLED"
-
 
 class EngineEmptyError(TiersimError):
     """step() called on a simulation whose event list is exhausted."""
 
-    code = "EMPTY"
-
 
 class InternalError(TiersimError):
     """Invariant broken inside the package itself; always a bug."""
-
-    code = "INTERNAL_ERROR"

@@ -1,20 +1,27 @@
 """Measurement: streaming accumulators and the finished report.
 
-The engine feeds raw observations in as they happen (one call per
-admission, completed visit, or completed session; drops are counts it
-bumps itself); nothing here looks at simulator state. Averages are
-running (Welford) means, so a million samples lose no precision to
-cancellation; the per-completion recorders update them inline, in
-Welford.add's operation order. No second moment is kept (see Welford).
-Per-visit response is reported as the sum of the waiting and service
-means, which makes the response = service + waiting identity exact
-rather than merely close.
+This module alone knows the measurement window. The engine reports each
+admission, completed visit and completed session as it happens (drops
+are counts it bumps itself) and, at the stop clock, hands each resource
+the start times of its running services and its queue length
+(ResourceAccumulator.close); nothing here looks at simulator state.
+
+Averages are running means, updated inline in Welford.add's operation
+order, so a million samples lose no precision to cancellation. The
+waiting and service means of a resource share one sample count, and a
+class's mean counts its kept responses. No second moment is kept (see
+Welford). Per-visit response is reported as the sum of the waiting and
+service means, which makes the response = service + waiting identity
+exact rather than merely close.
 
 Warmup is transient deletion: a visit whose enqueue time falls before
 the warmup point contributes to no average, and time-integrated
-quantities (busy time, all-idle time, occupancy area) only count the
-portion of each interval after warmup. Raw counts (offered, served,
-dropped) are never filtered, so conservation checks always balance.
+quantities (busy time, idle time, occupancy area) only count the
+portion of each interval after warmup. Idle time is the part of the
+occupancy integral where the resource holds no request: a request
+queues only behind a busy replica, so an empty resource is one whose
+replicas are all idle. Raw counts (offered, served, dropped) are never
+filtered, so conservation checks always balance.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import SeriesDisabledError
-from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _load_json
+from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _bool, _int, _load_json, _num, _str
 
 
 class Welford:
@@ -48,7 +55,7 @@ class Welford:
 
 
 class ResourceAccumulator:
-    """Running observations for one resource."""
+    """Running observations for one resource over the window [warmup, stop]."""
 
     __slots__ = (
         "replicas",
@@ -56,14 +63,16 @@ class ResourceAccumulator:
         "offered",
         "dropped",
         "served",
-        "waiting",
-        "service",
+        "samples",
+        "waiting_mean",
+        "service_mean",
         "busy_time",
-        "all_idle_time",
-        "_idle_since",
+        "idle_time",
         "_occ_n",
         "_occ_last",
         "area",
+        "queued_at_stop",
+        "in_service_at_stop",
         "series_rows",
         "record_series",
     )
@@ -74,16 +83,16 @@ class ResourceAccumulator:
         self.offered = 0
         self.dropped = 0
         self.served = 0
-        self.waiting = Welford()
-        self.service = Welford()
+        self.samples = 0  # visits enqueued inside the window: the count of both means
+        self.waiting_mean = 0.0
+        self.service_mean = 0.0
         self.busy_time = 0.0
-        # kept only for replicas > 1; finalize derives a lone server's
-        # p_idle from its utilization, so the engine skips the calls
-        self.all_idle_time = 0.0
-        self._idle_since: float | None = 0.0  # all replicas idle from t=0
+        self.idle_time = 0.0
         self._occ_n = 0
         self._occ_last = 0.0
         self.area = 0.0
+        self.queued_at_stop = 0
+        self.in_service_at_stop = 0
         self.series_rows: list[tuple[float, float]] = []
         self.record_series = record_series
 
@@ -103,53 +112,59 @@ class ResourceAccumulator:
         self._occ_n -= 1
         if enqueue < warmup:
             return
-        x = start - enqueue
-        w = self.waiting
-        w.n += 1
-        w.mean += (x - w.mean) / w.n
-        x = end - start
-        w = self.service
-        w.n += 1
-        w.mean += (x - w.mean) / w.n
+        n = self.samples + 1
+        self.samples = n
+        self.waiting_mean += (start - enqueue - self.waiting_mean) / n
+        self.service_mean += (end - start - self.service_mean) / n
         if self.record_series:
             self.series_rows.append((enqueue, end - enqueue))
 
     def occupancy_change(self, now: float, delta: int) -> None:
-        """Request count at this resource changed by delta at time now."""
+        """Request count at this resource changed by delta at time now.
+
+        The time since the last change is occupancy area while the
+        resource held requests and idle time while it held none.
+        """
+        n = self._occ_n
         warmup = self.warmup
         if warmup == 0.0:
-            self.area += self._occ_n * (now - self._occ_last)
+            span = now - self._occ_last
         elif now > warmup:
-            self.area += self._occ_n * (now - max(self._occ_last, warmup))
+            span = now - max(self._occ_last, warmup)
+        else:
+            span = 0.0
+        if n:
+            self.area += n * span
+        else:
+            self.idle_time += span
         self._occ_last = now
-        self._occ_n += delta
+        self._occ_n = n + delta
 
-    def all_idle_ended(self, now: float) -> None:
-        since = self._idle_since
-        if since is not None:
-            self.all_idle_time += max(0.0, now - max(since, self.warmup))
-            self._idle_since = None
+    def close(self, elapsed: float, service_starts: list[float], queued: int) -> None:
+        """Flush the open intervals at the stop clock.
 
-    def all_idle_began(self, now: float) -> None:
-        self._idle_since = now
-
-    def close(self, elapsed: float) -> None:
-        """Flush open intervals at the stop clock."""
+        ``service_starts`` holds, in replica order, when each service
+        still running began; ``queued`` counts the requests still waiting.
+        """
         self.occupancy_change(elapsed, 0)
-        self.all_idle_ended(elapsed)
+        warmup = self.warmup
+        for start in service_starts:
+            self.busy_time += max(0.0, elapsed - max(start, warmup))
+        self.in_service_at_stop = len(service_starts)
+        self.queued_at_stop = queued
 
 
 class ClassAccumulator:
     """Running observations for one workload class."""
 
-    __slots__ = ("warmup", "generated", "completed", "dropped", "response", "responses", "arrivals", "record_series")
+    __slots__ = ("warmup", "generated", "completed", "dropped", "mean_response", "responses", "arrivals", "record_series")
 
     def __init__(self, warmup: float, record_series: bool):
         self.warmup = warmup
         self.generated = 0
         self.completed = 0
         self.dropped = 0
-        self.response = Welford()
+        self.mean_response = 0.0  # over responses, the sessions that arrived inside the window
         self.responses: list[float] = []
         self.arrivals: list[float] = []  # aligned with responses when series are recorded
         self.record_series = record_series
@@ -157,10 +172,9 @@ class ClassAccumulator:
     def record_completion(self, arrival: float, response: float) -> None:
         self.completed += 1
         if arrival >= self.warmup:
-            w = self.response
-            w.n += 1
-            w.mean += (response - w.mean) / w.n
-            self.responses.append(response)
+            responses = self.responses
+            responses.append(response)
+            self.mean_response += (response - self.mean_response) / len(responses)
             if self.record_series:
                 self.arrivals.append(arrival)
 
@@ -181,9 +195,6 @@ class RunAccumulator:
         self.classes: dict[str, ClassAccumulator] = {
             c.name: ClassAccumulator(warmup, series) for c in model.classes
         }
-        # end-state snapshots, written by the engine just before finalize
-        self.queued_at_stop: dict[str, int] = {}
-        self.in_service_at_stop: dict[str, int] = {}
 
 
 @dataclass(frozen=True)
@@ -232,10 +243,16 @@ class MetricsReport:
     end_to_end_series: tuple[tuple[str, float, float], ...]
 
 
-_RESOURCE_FIELDS = tuple(f.name for f in fields(ResourceMetrics))
-_CLASS_FIELDS = tuple(f.name for f in fields(ClassMetrics))
-_TOTALS_FIELDS = ("generated", "completed", "dropped", "in_flight")
-_REPORT_KEYS = ("scenario", "seed", "elapsed", "warmup", "totals", "resources", "classes", "series")
+# Each saved record's keys, in field order, with the type (a field
+# annotation) its value is read as.
+_RESOURCE_TYPES = {f.name: f.type for f in fields(ResourceMetrics)}
+_CLASS_TYPES = {f.name: f.type for f in fields(ClassMetrics)}
+_REPORT_TYPES = {f.name: f.type for f in fields(MetricsReport)}
+_HEADER_TYPES = {k: _REPORT_TYPES[k] for k in ("scenario", "seed", "elapsed", "warmup")}
+_TOTALS_TYPES = {k: _REPORT_TYPES[k] for k in ("generated", "completed", "dropped", "in_flight")}
+_SERIES_TYPES = {"enabled": "bool", "resource_rows": "int", "end_to_end_rows": "int"}
+_REPORT_KEYS = (*_HEADER_TYPES, "totals", "resources", "classes", "series")
+_READERS = {"float": _num, "int": _int, "str": _str, "bool": _bool}
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -257,8 +274,8 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
 
     resources: dict[str, ResourceMetrics] = {}
     for name, ra in acc.resources.items():
-        avg_waiting = ra.waiting.mean
-        avg_service = ra.service.mean
+        avg_waiting = ra.waiting_mean
+        avg_service = ra.service_mean
         if window > 0.0:
             utilization = ra.busy_time / (ra.replicas * window)
             mean_in_system = ra.area / window
@@ -269,7 +286,7 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
             # exact complement; a lone server is idle iff it is not busy
             p_idle = 1.0 - utilization
         else:
-            p_idle = ra.all_idle_time / window if window > 0.0 else 1.0
+            p_idle = ra.idle_time / window if window > 0.0 else 1.0
         p_drop = ra.dropped / ra.offered if ra.offered else 0.0
         resources[name] = ResourceMetrics(
             avg_response=avg_service + avg_waiting,
@@ -282,8 +299,8 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
             offered=ra.offered,
             served=ra.served,
             dropped=ra.dropped,
-            queued_at_stop=acc.queued_at_stop.get(name, 0),
-            in_service_at_stop=acc.in_service_at_stop.get(name, 0),
+            queued_at_stop=ra.queued_at_stop,
+            in_service_at_stop=ra.in_service_at_stop,
         )
 
     classes: dict[str, ClassMetrics] = {}
@@ -293,7 +310,7 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
             generated=ca.generated,
             completed=ca.completed,
             dropped=ca.dropped,
-            mean_response=ca.response.mean,
+            mean_response=ca.mean_response,
             p50_response=_percentile(ordered, 0.50),
             p95_response=_percentile(ordered, 0.95),
         )
@@ -338,9 +355,9 @@ def report_to_json(report: MetricsReport) -> str:
         "seed": report.seed,
         "elapsed": report.elapsed,
         "warmup": report.warmup,
-        "totals": {k: getattr(report, k) for k in _TOTALS_FIELDS},
-        "resources": {name: {k: getattr(m, k) for k in _RESOURCE_FIELDS} for name, m in report.resources.items()},
-        "classes": {name: {k: getattr(c, k) for k in _CLASS_FIELDS} for name, c in report.classes.items()},
+        "totals": {k: getattr(report, k) for k in _TOTALS_TYPES},
+        "resources": {name: {k: getattr(m, k) for k in _RESOURCE_TYPES} for name, m in report.resources.items()},
+        "classes": {name: {k: getattr(c, k) for k in _CLASS_TYPES} for name, c in report.classes.items()},
         "series": {
             "enabled": report.series_enabled,
             "resource_rows": len(report.resource_series),
@@ -350,29 +367,36 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _read_values(d: dict, types: dict[str, str], path: str) -> dict:
+    """The values of ``d`` at the keys of ``types``, each read as the type named there."""
+    return {k: _READERS[t](d[k], f"{path}.{k}") for k, t in types.items()}
+
+
+def _read_record(obj: object, types: dict[str, str], path: str) -> dict:
+    """``obj`` as an object holding exactly the keys of ``types``, read by _read_values."""
+    return _read_values(_as_record(obj, tuple(types), path), types, path)
+
+
 def report_from_json(text: str) -> MetricsReport:
     """Load a report written by report_to_json; every key it writes is
-    required, and no other is allowed.
+    required, no other is allowed, and each value must have its field's type.
 
     Series rows are not stored in the JSON (only their counts), so a
     loaded report answers metric queries but cannot re-export series.
     """
     doc = _as_record(_load_json(text), _REPORT_KEYS, "$")
-    _as_record(doc["series"], ("enabled", "resource_rows", "end_to_end_rows"), "$.series")
+    _read_record(doc["series"], _SERIES_TYPES, "$.series")
     resources = {
-        name: ResourceMetrics(**_as_record(m, _RESOURCE_FIELDS, f"$.resources[{name!r}]"))
+        name: ResourceMetrics(**_read_record(m, _RESOURCE_TYPES, f"$.resources[{name!r}]"))
         for name, m in _as_dict(doc["resources"], "$.resources").items()
     }
     classes = {
-        name: ClassMetrics(**_as_record(c, _CLASS_FIELDS, f"$.classes[{name!r}]"))
+        name: ClassMetrics(**_read_record(c, _CLASS_TYPES, f"$.classes[{name!r}]"))
         for name, c in _as_dict(doc["classes"], "$.classes").items()
     }
     return MetricsReport(
-        scenario=doc["scenario"],
-        seed=doc["seed"],
-        elapsed=doc["elapsed"],
-        warmup=doc["warmup"],
-        **_as_record(doc["totals"], _TOTALS_FIELDS, "$.totals"),
+        **_read_values(doc, _HEADER_TYPES, "$"),
+        **_read_record(doc["totals"], _TOTALS_TYPES, "$.totals"),
         resources=resources,
         classes=classes,
         series_enabled=False,

@@ -56,6 +56,8 @@ class Distribution:
 
     Exactly one parameter set is meaningful per kind; unused fields stay
     at 0.0 so equality and round-trip serialization are well defined.
+    The factories store their arguments as given, and ``validate``
+    rejects any that is not a finite int or float.
     """
 
     kind: DistKind
@@ -66,15 +68,15 @@ class Distribution:
 
     @staticmethod
     def exponential(rate: float) -> "Distribution":
-        return Distribution(DistKind.EXPONENTIAL, rate=float(rate))
+        return Distribution(DistKind.EXPONENTIAL, rate=rate)
 
     @staticmethod
     def deterministic(value: float) -> "Distribution":
-        return Distribution(DistKind.DETERMINISTIC, value=float(value))
+        return Distribution(DistKind.DETERMINISTIC, value=value)
 
     @staticmethod
     def uniform(lo: float, hi: float) -> "Distribution":
-        return Distribution(DistKind.UNIFORM, lo=float(lo), hi=float(hi))
+        return Distribution(DistKind.UNIFORM, lo=lo, hi=hi)
 
     def mean(self) -> float:
         if self.kind is DistKind.EXPONENTIAL:
@@ -200,22 +202,20 @@ def _valid_name(name: object) -> bool:
     return True
 
 
+def _finite(x: object) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _check_distribution(dist: Distribution, path: str, issues: list[ValidationIssue]) -> None:
     if dist.kind is DistKind.EXPONENTIAL:
-        if not (isinstance(dist.rate, (int, float)) and math.isfinite(dist.rate) and dist.rate > 0):
+        if not (_finite(dist.rate) and dist.rate > 0):
             issues.append(ValidationIssue(path, f"exponential rate must be finite and > 0, got {dist.rate!r}"))
     elif dist.kind is DistKind.DETERMINISTIC:
-        if not (isinstance(dist.value, (int, float)) and math.isfinite(dist.value) and dist.value >= 0):
+        if not (_finite(dist.value) and dist.value >= 0):
             issues.append(ValidationIssue(path, f"deterministic value must be finite and >= 0, got {dist.value!r}"))
     elif dist.kind is DistKind.UNIFORM:
-        ok = (
-            isinstance(dist.lo, (int, float))
-            and isinstance(dist.hi, (int, float))
-            and math.isfinite(dist.lo)
-            and math.isfinite(dist.hi)
-            and 0 <= dist.lo <= dist.hi
-        )
-        if not ok:
+        if not (_finite(dist.lo) and _finite(dist.hi) and 0 <= dist.lo <= dist.hi):
             issues.append(ValidationIssue(path, f"uniform bounds must satisfy 0 <= lo <= hi, got ({dist.lo!r}, {dist.hi!r})"))
 
 
@@ -297,10 +297,10 @@ def validate(model: ScenarioModel) -> ValidationReport:
             issues.append(ValidationIssue("run.stop", f"after_requests count must be >= 1, got {run.stop.n!r}"))
     else:
         t = run.stop.t
-        if not (isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) and t > 0):
+        if not (_finite(t) and t > 0):
             issues.append(ValidationIssue("run.stop", f"after_time horizon must be finite and > 0, got {t!r}"))
     warmup = run.warmup
-    if not (isinstance(warmup, (int, float)) and not isinstance(warmup, bool) and math.isfinite(warmup) and warmup >= 0):
+    if not (_finite(warmup) and warmup >= 0):
         issues.append(ValidationIssue("run.warmup", f"warmup must be finite and >= 0, got {warmup!r}"))
 
     return ValidationReport(tuple(issues))
@@ -358,13 +358,13 @@ def _parse_distribution(obj: object, path: str) -> Distribution:
     d = _as_dict(obj, path)
     kind = d.get("kind")
     if kind == "exponential":
-        _require_keys(d, {"kind", "rate"}, {"kind", "rate"}, path)
+        _as_record(d, ("kind", "rate"), path)
         return Distribution.exponential(_num(d["rate"], f"{path}.rate"))
     if kind == "deterministic":
-        _require_keys(d, {"kind", "value"}, {"kind", "value"}, path)
+        _as_record(d, ("kind", "value"), path)
         return Distribution.deterministic(_num(d["value"], f"{path}.value"))
     if kind == "uniform":
-        _require_keys(d, {"kind", "lo", "hi"}, {"kind", "lo", "hi"}, path)
+        _as_record(d, ("kind", "lo", "hi"), path)
         return Distribution.uniform(_num(d["lo"], f"{path}.lo"), _num(d["hi"], f"{path}.hi"))
     raise ValidationError(f"{path}.kind: unknown distribution kind {kind!r}")
 
@@ -426,10 +426,10 @@ def _parse_stop(obj: object, path: str) -> StopRule:
     d = _as_dict(obj, path)
     kind = d.get("kind")
     if kind == "after_requests":
-        _require_keys(d, {"kind", "n"}, {"kind", "n"}, path)
+        _as_record(d, ("kind", "n"), path)
         return StopRule.after_requests(_int(d["n"], f"{path}.n"))
     if kind == "after_time":
-        _require_keys(d, {"kind", "t"}, {"kind", "t"}, path)
+        _as_record(d, ("kind", "t"), path)
         return StopRule.after_time(_num(d["t"], f"{path}.t"))
     raise ValidationError(f"{path}.kind: unknown stop kind {kind!r}")
 
@@ -441,7 +441,7 @@ def parse_scenario(text: str) -> ScenarioModel:
     ValidationError for schema or invariant violations.
     """
     top = _as_dict(_load_json(text), "$")
-    _require_keys(top, {"format_version", "name", "tiers", "classes", "run"}, {"name", "tiers", "classes", "run"}, "$")
+    _require_keys(top, ("format_version", "name", "tiers", "classes", "run"), ("name", "tiers", "classes", "run"), "$")
     version = top.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ValidationError(f"$.format_version: unsupported version {version!r} (this build reads {FORMAT_VERSION})")
@@ -460,7 +460,7 @@ def parse_scenario(text: str) -> ScenarioModel:
     for ci, cobj in enumerate(_as_list(top["classes"], "$.classes")):
         cpath = f"$.classes[{ci}]"
         cd = _as_dict(cobj, cpath)
-        _require_keys(cd, {"name", "arrival", "path", "max_requests"}, {"name", "arrival", "path"}, cpath)
+        _require_keys(cd, ("name", "arrival", "path", "max_requests"), ("name", "arrival", "path"), cpath)
         visits = []
         for vi, vobj in enumerate(_as_list(cd["path"], f"{cpath}.path")):
             vpath = f"{cpath}.path[{vi}]"
@@ -480,7 +480,7 @@ def parse_scenario(text: str) -> ScenarioModel:
         )
 
     rd = _as_dict(top["run"], "$.run")
-    _require_keys(rd, {"seed", "stop", "warmup", "series"}, {"stop"}, "$.run")
+    _require_keys(rd, ("seed", "stop", "warmup", "series"), ("stop",), "$.run")
     run = RunConfig(
         seed=_int(rd.get("seed", 1), "$.run.seed"),
         stop=_parse_stop(rd["stop"], "$.run.stop"),

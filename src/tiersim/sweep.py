@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -184,6 +185,10 @@ def run_sweep(
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    repeated = [rate for rate, count in Counter(rates).items() if count > 1]
+    if repeated:
+        # SweepResult.reports is keyed by rate, so a repeat would hide runs
+        raise DomainError(f"rate grid repeats {', '.join(map(repr, repeated))}; give each rate once")
     models = tuple(_with_arrival_rate(model, rate) for rate in rates)
     tasks = [
         (ri, stream_key(master_seed, f"sweep:rate[{ri}]:rep[{k}]") % 2**64)

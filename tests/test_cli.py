@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -197,10 +199,18 @@ def _without_totals(text: str) -> str:
     return json.dumps(doc)
 
 
-def _with_unknown_row_key(text: str) -> str:
-    doc = json.loads(text)
-    doc["resources"]["station"]["bogus"] = 0
-    return json.dumps(doc)
+def _setting(value, *keys):
+    """An edit that sets the report's value at ``keys`` to ``value``."""
+
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return json.dumps(doc)
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -209,9 +219,30 @@ def _with_unknown_row_key(text: str) -> str:
         (lambda text: text[: len(text) // 2], "error: line "),
         (lambda text: "[]", "error: $: expected an object, got list"),
         (_without_totals, "error: $: missing required key 'totals'"),
-        (_with_unknown_row_key, "error: $.resources['station']: unknown key 'bogus'"),
+        (_setting(0, "resources", "station", "bogus"), "error: $.resources['station']: unknown key 'bogus'"),
+        (_setting("soon", "elapsed"), "error: $.elapsed: expected a number, got 'soon'"),
+        (_setting(True, "seed"), "error: $.seed: expected an integer, got True"),
+        (_setting(7, "scenario"), "error: $.scenario: expected a string, got 7"),
+        (_setting("3", "totals", "generated"), "error: $.totals.generated: expected an integer, got '3'"),
+        (_setting(1.5, "resources", "station", "served"), "error: $.resources['station'].served: expected an integer"),
+        (_setting(None, "resources", "station", "p_idle"), "error: $.resources['station'].p_idle: expected a number"),
+        (_setting(False, "classes", "load", "mean_response"), "error: $.classes['load'].mean_response: expected a"),
+        (_setting(1, "series", "enabled"), "error: $.series.enabled: expected a boolean, got 1"),
     ],
-    ids=["truncated", "array", "no-totals", "unknown-row-key"],
+    ids=[
+        "truncated",
+        "array",
+        "no-totals",
+        "unknown-row-key",
+        "text-elapsed",
+        "bool-seed",
+        "number-scenario",
+        "text-total",
+        "fractional-count",
+        "null-metric",
+        "bool-metric",
+        "number-series-flag",
+    ],
 )
 def test_report_rejects_a_malformed_report_file(station_path, tmp_path, capsys, edit, prefix):
     path = tmp_path / "report.json"
@@ -527,6 +558,39 @@ def test_every_file_input_rejects_malformed_text_with_one_error_line(tmp_path, c
     assert_one_error_line(code, err, "error: ")
     # the message starts at the offending position: a line, or a document path
     assert re.match(r"error: (line 1\b|\$: |deployment: )", err), err
+
+
+def _without_uniform_bounds(text: str) -> str:
+    doc = json.loads(text)
+    doc["classes"][0]["arrival"] = {"kind": "uniform"}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: "{}", "error: $: missing required key 'name'\n"),
+        (_without_uniform_bounds, "error: $.classes[0].arrival: missing required key 'lo'\n"),
+    ],
+    ids=["empty", "uniform"],
+)
+def test_a_missing_key_error_names_the_same_key_under_every_hash_seed(station_path, tmp_path, edit, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(edit(Path(station_path).read_text(encoding="utf-8")), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    errors = set()
+    # string hashing orders a set of names differently under these seeds
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tiersim.cli", "validate", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        errors.add((proc.returncode, proc.stderr))
+    assert errors == {(1, message)}
 
 
 def test_unknown_bundled_name_is_io_error(capsys):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 
 import pytest
 
 from tiersim import (
     Distribution,
+    Engine,
     ResourceSpec,
     RunConfig,
     ScenarioModel,
@@ -24,6 +26,7 @@ from tiersim import (
     simulate,
 )
 from tiersim.metrics import MetricsReport, RunAccumulator, Welford, _percentile
+from randscen import random_scenario
 
 
 def one_station_model(replicas: int = 1, warmup: float = 0.0, series: bool = False) -> ScenarioModel:
@@ -63,8 +66,9 @@ def test_inline_recorders_match_the_welford_reference():
         waits.add(start - enqueue)
         services.add(end - start)
         responses.add(end - enqueue)
-    for got, ref in ((ra.waiting, waits), (ra.service, services), (ca.response, responses)):
-        assert (got.n, got.mean) == (ref.n, ref.mean)
+    assert (ra.samples, ra.waiting_mean) == (waits.n, waits.mean)
+    assert (ra.samples, ra.service_mean) == (services.n, services.mean)
+    assert (len(ca.responses), ca.mean_response) == (responses.n, responses.mean)
 
 
 def test_response_is_exactly_service_plus_waiting():
@@ -100,7 +104,7 @@ def test_mean_in_system_integrates_occupancy():
     ra.occupancy_change(1.0, +1)
     ra.occupancy_change(2.0, -1)
     ra.occupancy_change(4.0, -1)
-    ra.close(4.0)
+    ra.close(4.0, [], 0)
     # area: 1*(1) + 2*(1) + 1*(2) = 5 over elapsed 4
     assert finalize(acc, 4.0).resources["A"].mean_in_system == pytest.approx(1.25, abs=1e-12)
 
@@ -121,9 +125,9 @@ def test_single_replica_idle_is_the_exact_complement():
 def test_multi_replica_idle_uses_all_idle_time():
     acc = RunAccumulator(one_station_model(replicas=2))
     ra = acc.resources["A"]
-    ra.all_idle_ended(3.0)  # idle since 0
-    ra.all_idle_began(8.0)
-    ra.close(10.0)
+    ra.occupancy_change(3.0, +1)  # empty, so all replicas idle, since 0
+    ra.occupancy_change(8.0, -1)
+    ra.close(10.0, [], 0)
     m = finalize(acc, 10.0).resources["A"]
     assert m.p_idle == pytest.approx(0.5, abs=1e-12)
 
@@ -135,10 +139,10 @@ def test_warmup_clips_time_and_filters_samples():
     # enqueued before warmup: contributes clipped busy time, no samples
     ra.record_visit(0.0, 1.0, 3.0)
     assert ra.busy_time == pytest.approx(1.0, abs=1e-12)
-    assert ra.waiting.n == 0
+    assert ra.samples == 0
     # enqueued after warmup: a normal sample
     ra.record_visit(2.5, 2.5, 3.0)
-    assert ra.waiting.n == 1
+    assert ra.samples == 1
     m = finalize(acc, 4.0).resources["A"]
     # window is [2, 4]; busy 1.0 + 0.5 of it
     assert m.utilization == pytest.approx(0.75, abs=1e-12)
@@ -151,7 +155,7 @@ def test_warmup_clips_occupancy_area():
     ra = acc.resources["A"]
     ra.occupancy_change(0.0, +1)
     ra.occupancy_change(4.0, -1)
-    ra.close(4.0)
+    ra.close(4.0, [], 0)
     m = finalize(acc, 4.0).resources["A"]
     assert m.mean_in_system == pytest.approx(1.0, abs=1e-12)
 
@@ -159,15 +163,63 @@ def test_warmup_clips_occupancy_area():
 def test_warmup_clips_all_idle_time():
     acc = RunAccumulator(one_station_model(replicas=2, warmup=2.0))
     ra = acc.resources["A"]
-    ra.all_idle_ended(3.0)  # idle [0, 3) but only [2, 3) counts
-    ra.close(6.0)
+    ra.occupancy_change(3.0, +1)  # idle [0, 3) but only [2, 3) counts
+    ra.close(6.0, [3.0], 0)  # the service begun at 3 still runs at the stop
     m = finalize(acc, 6.0).resources["A"]
     assert m.p_idle == pytest.approx(0.25, abs=1e-12)
+    assert m.utilization == pytest.approx(3.0 / (2 * 4.0), abs=1e-12)
+    assert (m.in_service_at_stop, m.queued_at_stop) == (1, 0)
+
+
+def _stepped_all_idle_time(model, names):
+    """Run ``model`` one step() at a time and add up, per resource, the
+    time inside the window during which snapshot() shows no replica busy.
+    The state seen after a step holds until the next event, and the
+    state after the last step until the stop clock."""
+    warmup = model.run.warmup
+    whole = Engine(model)
+    whole.run()
+    eng = Engine(model)
+    idle = dict.fromkeys(names, 0.0)
+    all_idle = dict.fromkeys(names, True)
+    last = 0.0
+
+    def hold(until):
+        span = max(0.0, until - max(last, warmup))
+        for name in names:
+            if all_idle[name]:
+                idle[name] += span
+
+    for _ in range(whole.events_applied):
+        event = eng.step()
+        hold(event.time)
+        last = event.time
+        for name in names:
+            all_idle[name] = not any(eng.snapshot(name).busy)
+    report = eng.run()
+    hold(report.elapsed)
+    return report, idle
+
+
+@pytest.mark.parametrize("warmup", [0.0, 1.0])
+def test_multi_replica_idle_is_the_share_of_the_window_with_every_replica_idle(warmup):
+    checked = 0
+    for case in range(100):
+        base = random_scenario(case)
+        model = dataclasses.replace(base, run=dataclasses.replace(base.run, warmup=warmup))
+        names = [r.name for r in model.resources() if r.replicas > 1]
+        report, idle = _stepped_all_idle_time(model, names)
+        window = report.elapsed - warmup
+        for name in names:
+            expected = idle[name] / window if window > 0.0 else 1.0
+            assert report.resources[name].p_idle == pytest.approx(expected, rel=1e-9, abs=1e-12), (model.name, name)
+            checked += 1
+    assert checked > 100
 
 
 def test_zero_window_reports_zeros_and_full_idle():
     acc = RunAccumulator(one_station_model(warmup=5.0))
-    acc.resources["A"].close(5.0)
+    acc.resources["A"].close(5.0, [], 0)
     m = finalize(acc, 5.0).resources["A"]
     assert m.utilization == 0.0
     assert m.mean_in_system == 0.0

@@ -235,6 +235,26 @@ def test_bool_is_not_an_integer_field(field):
     assert f"{field} must be" in str(report.issues[0]) and "got True" in str(report.issues[0])
 
 
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        (Distribution.exponential(True), "exponential rate must be finite and > 0, got True"),
+        (Distribution.exponential("2"), "exponential rate must be finite and > 0, got '2'"),
+        (Distribution.deterministic(True), "deterministic value must be finite and >= 0, got True"),
+        (Distribution.uniform(0.0, True), "uniform bounds must satisfy 0 <= lo <= hi, got (0.0, True)"),
+        (Distribution.uniform("0", 1.0), "uniform bounds must satisfy 0 <= lo <= hi, got ('0', 1.0)"),
+    ],
+    ids=["exponential-bool", "exponential-text", "deterministic-bool", "uniform-bool", "uniform-text"],
+)
+def test_bool_and_text_are_not_distribution_parameters(dist, message):
+    import dataclasses
+
+    base = small_model()
+    model = dataclasses.replace(base, classes=(dataclasses.replace(base.classes[0], arrival=dist),))
+    report = validate(model)
+    assert [str(issue) for issue in report.issues] == [f"classes[0].arrival: {message}"]
+
+
 def test_validation_error_names_offending_element():
     doc = json.loads(serialize_scenario(small_model()))
     doc["classes"][0]["path"][0]["resource"] = "nowhere"

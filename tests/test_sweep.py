@@ -13,6 +13,7 @@ import pytest
 
 from tiersim import (
     Distribution,
+    DomainError,
     InternalError,
     StopRule,
     bundled,
@@ -21,7 +22,7 @@ from tiersim import (
 )
 from tiersim import sweep
 from tiersim.cli import build_station_model
-from tiersim.sweep import run_sweep, sweep_to_csv, worker_count
+from tiersim.sweep import parse_rate_grid, run_sweep, sweep_to_csv, worker_count
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -55,6 +56,16 @@ def test_each_rate_is_validated_once(monkeypatch):
     monkeypatch.setattr(sweep, "validated", counting)
     run_sweep(webservices(60), (20.0, 40.0, 60.0), replications=4, master_seed=3)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("grid", ["1,1", "1:1:3", "0.5,2,0.5"])
+def test_a_repeated_rate_is_refused_before_any_run(monkeypatch, grid):
+    def no_run(model):
+        raise AssertionError("a sweep started a run before checking its grid")
+
+    monkeypatch.setattr(sweep, "Engine", no_run)
+    with pytest.raises(DomainError, match=r"rate grid repeats (1\.0|0\.5); give each rate once"):
+        run_sweep(webservices(60), parse_rate_grid(grid), replications=2, master_seed=3)
 
 
 def test_worker_count_needs_cpus_runs_and_work(monkeypatch):

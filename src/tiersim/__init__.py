@@ -21,7 +21,6 @@ from .errors import (
 )
 from .frontend import (
     DeploymentMap,
-    ExecutionStructure,
     Step,
     parse_deployment,
     parse_execution,
@@ -50,7 +49,6 @@ from .model import (
     StopKind,
     StopRule,
     Tier,
-    ValidationReport,
     Visit,
     WorkloadClass,
     parse_scenario,
@@ -76,7 +74,6 @@ __all__ = [
     "Engine",
     "EngineEmptyError",
     "Event",
-    "ExecutionStructure",
     "INFINITE",
     "InternalError",
     "MetricsReport",
@@ -94,7 +91,6 @@ __all__ = [
     "TiersimError",
     "UNBOUNDED",
     "ValidationError",
-    "ValidationReport",
     "Visit",
     "WorkloadClass",
     "export_series",

@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-threshold", dest="drop_threshold", type=float, default=0.5)
     p.add_argument("--wait-threshold", dest="wait_threshold", type=float, default=0.5)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    common(p)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("oracle-check", help="simulate one M/M/c/K station and compare with the closed form")
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=int, default=100000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    common(p)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("synthesize", help="build a scenario from a step script and deployment map")

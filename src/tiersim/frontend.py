@@ -8,7 +8,8 @@ line:
 
 ``from -> to : label [dist params...]`` with an optional trailing
 ``@disk``. Distributions are ``exp RATE``, ``det VALUE`` or
-``uniform LO HI``. ``#`` starts a comment.
+``uniform LO HI``. ``#`` starts a comment. ``parse_execution`` returns
+the script's steps as a tuple of ``Step``, in script order.
 
 The deployment map is JSON binding each participant to a node, listing
 each node's resources (the first entry is the node's processor, any
@@ -67,11 +68,6 @@ class Step:
 
 
 @dataclass(frozen=True)
-class ExecutionStructure:
-    steps: tuple[Step, ...]
-
-
-@dataclass(frozen=True)
 class DeploymentMap:
     bindings: dict[str, str]
     nodes: dict[str, tuple[ResourceSpec, ...]]
@@ -101,8 +97,8 @@ def _parse_demand(text: str, line_no: int) -> Distribution:
     )
 
 
-def parse_execution(text: str) -> ExecutionStructure:
-    """Parse the step script. Unparseable lines report their number."""
+def parse_execution(text: str) -> tuple[Step, ...]:
+    """Parse the step script into its steps. Unparseable lines report their number."""
     steps: list[Step] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -125,7 +121,7 @@ def parse_execution(text: str) -> ExecutionStructure:
         )
     if not steps:
         raise ValidationError("execution structure holds no steps")
-    return ExecutionStructure(steps=tuple(steps))
+    return tuple(steps)
 
 
 def _parse_resource_entry(obj: object, path: str) -> ResourceSpec:
@@ -195,7 +191,7 @@ def parse_deployment(text: str) -> DeploymentMap:
 
 
 def synthesize_scenario(
-    execution: ExecutionStructure,
+    execution: tuple[Step, ...],
     deployment: DeploymentMap,
     *,
     scenario_name: str = "synthesized",
@@ -212,7 +208,7 @@ def synthesize_scenario(
     nodes adds the connecting network resource.
     """
     visits: list[Visit] = []
-    for step in execution.steps:
+    for step in execution:
         src_node = deployment.bindings.get(step.source)
         dst_node = deployment.bindings.get(step.target)
         if src_node is None:

@@ -5,6 +5,8 @@ workload classes that walk an ordered path of visits across those
 resources, and a run configuration (seed, stop rule, warmup). Instances
 are immutable after parsing; the parser and ``validate`` enforce every
 structural invariant, so downstream modules never re-check references.
+``validate`` returns one ``"path: message"`` line per violation (none
+for a valid model); ``validated`` raises them as one ValidationError.
 
 The on-disk format is strict JSON: unknown keys are rejected rather than
 ignored, which catches typos like ``"replicsa"`` before a run silently
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
@@ -171,29 +174,6 @@ class ScenarioModel:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    path: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}: {self.message}"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(str(i) for i in self.issues)
-
-
 def _valid_name(name: object) -> bool:
     if not isinstance(name, str) or not name:
         return False
@@ -203,114 +183,120 @@ def _valid_name(name: object) -> bool:
 
 
 def _finite(x: object) -> bool:
-    """A finite int or float; a bool is not a number here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite int or float; a bool is not a number here, nor is an int
+    too large for a float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _check_distribution(dist: Distribution, path: str, issues: list[ValidationIssue]) -> None:
+def _integer(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_distribution(dist: Distribution, path: str, issues: list[str]) -> None:
     if dist.kind is DistKind.EXPONENTIAL:
         if not (_finite(dist.rate) and dist.rate > 0):
-            issues.append(ValidationIssue(path, f"exponential rate must be finite and > 0, got {dist.rate!r}"))
+            issues.append(f"{path}: exponential rate must be finite and > 0, got {dist.rate!r}")
     elif dist.kind is DistKind.DETERMINISTIC:
         if not (_finite(dist.value) and dist.value >= 0):
-            issues.append(ValidationIssue(path, f"deterministic value must be finite and >= 0, got {dist.value!r}"))
+            issues.append(f"{path}: deterministic value must be finite and >= 0, got {dist.value!r}")
     elif dist.kind is DistKind.UNIFORM:
         if not (_finite(dist.lo) and _finite(dist.hi) and 0 <= dist.lo <= dist.hi):
-            issues.append(ValidationIssue(path, f"uniform bounds must satisfy 0 <= lo <= hi, got ({dist.lo!r}, {dist.hi!r})"))
+            issues.append(f"{path}: uniform bounds must satisfy 0 <= lo <= hi, got ({dist.lo!r}, {dist.hi!r})")
+    else:
+        issues.append(f"{path}: kind must be a DistKind, got {dist.kind!r}")
 
 
-def validate(model: ScenarioModel) -> ValidationReport:
-    """Check every structural invariant; one issue per violation.
+def validate(model: ScenarioModel) -> tuple[str, ...]:
+    """Check every structural invariant; one ``"path: message"`` line per
+    violation, and none when the model is valid.
 
-    Returns a report rather than raising so callers can show all
-    problems at once (the CLI prints each issue on its own line).
+    Returns the lines rather than raising so callers can show all
+    problems at once (the CLI prints each on its own line).
     """
-    issues: list[ValidationIssue] = []
+    issues: list[str] = []
 
     if not _valid_name(model.name):
-        issues.append(ValidationIssue("name", f"scenario name must be a non-empty token, got {model.name!r}"))
+        issues.append(f"name: scenario name must be a non-empty token, got {model.name!r}")
 
     if not model.tiers:
-        issues.append(ValidationIssue("tiers", "at least one tier is required"))
+        issues.append("tiers: at least one tier is required")
     if not model.classes:
-        issues.append(ValidationIssue("classes", "at least one workload class is required"))
+        issues.append("classes: at least one workload class is required")
 
     seen_resources: dict[str, str] = {}
     seen_tiers: set[str] = set()
     for ti, tier in enumerate(model.tiers):
         tpath = f"tiers[{ti}]"
         if not _valid_name(tier.name):
-            issues.append(ValidationIssue(tpath, f"tier name must be a non-empty token, got {tier.name!r}"))
+            issues.append(f"{tpath}: tier name must be a non-empty token, got {tier.name!r}")
         elif tier.name in seen_tiers:
-            issues.append(ValidationIssue(tpath, f"duplicate tier name {tier.name!r}"))
+            issues.append(f"{tpath}: duplicate tier name {tier.name!r}")
         else:
             seen_tiers.add(tier.name)
         if not tier.resources:
-            issues.append(ValidationIssue(tpath, "tier holds no resources"))
+            issues.append(f"{tpath}: tier holds no resources")
         for ri, res in enumerate(tier.resources):
             rpath = f"{tpath}.resources[{ri}]"
             if not _valid_name(res.name):
-                issues.append(ValidationIssue(rpath, f"resource name must be a non-empty token, got {res.name!r}"))
+                issues.append(f"{rpath}: resource name must be a non-empty token, got {res.name!r}")
             elif res.name == END_TO_END:
-                issues.append(ValidationIssue(rpath, f"resource name {END_TO_END!r} is reserved"))
+                issues.append(f"{rpath}: resource name {END_TO_END!r} is reserved")
             elif res.name in seen_resources:
-                issues.append(
-                    ValidationIssue(rpath, f"duplicate resource name {res.name!r} (also in {seen_resources[res.name]})")
-                )
+                issues.append(f"{rpath}: duplicate resource name {res.name!r} (also in {seen_resources[res.name]})")
             else:
                 seen_resources[res.name] = tpath
-            replicas = res.replicas
-            if not (isinstance(replicas, int) and not isinstance(replicas, bool) and replicas >= 1):
-                issues.append(ValidationIssue(rpath, f"replicas must be an integer >= 1, got {replicas!r}"))
+            if not (_integer(res.replicas) and res.replicas >= 1):
+                issues.append(f"{rpath}: replicas must be an integer >= 1, got {res.replicas!r}")
             cap = res.queue_capacity
-            cap_ok = cap == INFINITE or (isinstance(cap, int) and not isinstance(cap, bool) and cap >= 0)
-            if not cap_ok:
-                issues.append(ValidationIssue(rpath, f"queue_capacity must be an integer >= 0 or infinite, got {cap!r}"))
+            if not (cap == INFINITE or (_integer(cap) and cap >= 0)):
+                issues.append(f"{rpath}: queue_capacity must be an integer >= 0 or infinite, got {cap!r}")
+            if not isinstance(res.balancer, BalancerPolicy):
+                issues.append(f"{rpath}: balancer must be a BalancerPolicy, got {res.balancer!r}")
 
     seen_classes: set[str] = set()
     for ci, cls in enumerate(model.classes):
         cpath = f"classes[{ci}]"
         if not _valid_name(cls.name):
-            issues.append(ValidationIssue(cpath, f"class name must be a non-empty token, got {cls.name!r}"))
+            issues.append(f"{cpath}: class name must be a non-empty token, got {cls.name!r}")
         elif cls.name in seen_classes:
-            issues.append(ValidationIssue(cpath, f"duplicate class name {cls.name!r}"))
+            issues.append(f"{cpath}: duplicate class name {cls.name!r}")
         else:
             seen_classes.add(cls.name)
         _check_distribution(cls.arrival, f"{cpath}.arrival", issues)
         if not cls.path:
-            issues.append(ValidationIssue(f"{cpath}.path", "path must hold at least one visit"))
+            issues.append(f"{cpath}.path: path must hold at least one visit")
         for vi, visit in enumerate(cls.path):
             vpath = f"{cpath}.path[{vi}]"
             if visit.resource not in seen_resources:
-                issues.append(ValidationIssue(vpath, f"visit references unknown resource {visit.resource!r}"))
+                issues.append(f"{vpath}: visit references unknown resource {visit.resource!r}")
             _check_distribution(visit.demand, f"{vpath}.demand", issues)
         mr = cls.max_requests
-        mr_ok = mr == UNBOUNDED or (isinstance(mr, int) and not isinstance(mr, bool) and mr >= 1)
-        if not mr_ok:
-            issues.append(ValidationIssue(cpath, f"max_requests must be an integer >= 1 or unbounded, got {mr!r}"))
+        if not (mr == UNBOUNDED or (_integer(mr) and mr >= 1)):
+            issues.append(f"{cpath}: max_requests must be an integer >= 1 or unbounded, got {mr!r}")
 
     run = model.run
-    if not (isinstance(run.seed, int) and not isinstance(run.seed, bool) and 0 <= run.seed < 2**64):
-        issues.append(ValidationIssue("run.seed", f"seed must be an unsigned 64-bit integer, got {run.seed!r}"))
-    if run.stop.kind is StopKind.AFTER_REQUESTS:
-        if not (isinstance(run.stop.n, int) and not isinstance(run.stop.n, bool) and run.stop.n >= 1):
-            issues.append(ValidationIssue("run.stop", f"after_requests count must be >= 1, got {run.stop.n!r}"))
+    if not (_integer(run.seed) and 0 <= run.seed < 2**64):
+        issues.append(f"run.seed: seed must be an unsigned 64-bit integer, got {run.seed!r}")
+    stop = run.stop
+    if stop.kind is StopKind.AFTER_REQUESTS:
+        if not (_integer(stop.n) and stop.n >= 1):
+            issues.append(f"run.stop: after_requests count must be >= 1, got {stop.n!r}")
+    elif stop.kind is StopKind.AFTER_TIME:
+        if not (_finite(stop.t) and stop.t > 0):
+            issues.append(f"run.stop: after_time horizon must be finite and > 0, got {stop.t!r}")
     else:
-        t = run.stop.t
-        if not (_finite(t) and t > 0):
-            issues.append(ValidationIssue("run.stop", f"after_time horizon must be finite and > 0, got {t!r}"))
-    warmup = run.warmup
-    if not (_finite(warmup) and warmup >= 0):
-        issues.append(ValidationIssue("run.warmup", f"warmup must be finite and >= 0, got {warmup!r}"))
+        issues.append(f"run.stop: kind must be a StopKind, got {stop.kind!r}")
+    if not (_finite(run.warmup) and run.warmup >= 0):
+        issues.append(f"run.warmup: warmup must be finite and >= 0, got {run.warmup!r}")
 
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 def validated(model: ScenarioModel) -> ScenarioModel:
     """Return ``model`` unchanged, or raise ValidationError listing every issue."""
-    report = validate(model)
-    if not report.ok:
-        raise ValidationError(str(report))
+    issues = validate(model)
+    if issues:
+        raise ValidationError("\n".join(issues))
     return model
 
 
@@ -324,6 +310,8 @@ def _load_json(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError:  # an integer literal longer than int() converts
+        raise ScenarioSyntaxError(f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _require_keys(obj: dict, allowed: Collection[str], required: Collection[str], path: str) -> None:
@@ -372,7 +360,10 @@ def _parse_distribution(obj: object, path: str) -> Distribution:
 def _num(obj: object, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:
+        raise ValidationError(f"{path}: number out of range, got an integer of {len(str(obj))} digits") from None
 
 
 def _int(obj: object, path: str) -> int:

@@ -55,13 +55,14 @@ def mmck(lam: float, mu: float, servers: int, queue_capacity: int) -> AnalyticMe
     holds at most servers + K requests. lam = 0 is legal and yields the
     empty-system fixed point.
     """
-    if not (isinstance(servers, int) and servers >= 1):
+    # bool is an int subclass, but True servers or rate is a mistake
+    if isinstance(servers, bool) or not (isinstance(servers, int) and servers >= 1):
         raise DomainError(f"servers must be an integer >= 1, got {servers!r}")
-    if not (isinstance(queue_capacity, int) and queue_capacity >= 0):
+    if isinstance(queue_capacity, bool) or not (isinstance(queue_capacity, int) and queue_capacity >= 0):
         raise DomainError(f"queue_capacity must be an integer >= 0, got {queue_capacity!r}")
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu) and mu > 0):
+    if isinstance(mu, bool) or not (isinstance(mu, (int, float)) and math.isfinite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and > 0, got {mu!r}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
+    if isinstance(lam, bool) or not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
         raise DomainError(f"lam must be finite and >= 0, got {lam!r}")
 
     top = servers + queue_capacity

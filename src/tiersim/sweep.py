@@ -49,8 +49,6 @@ _SWEEP_METRICS = _SWEEP_FIELDS[2:]
 
 @dataclass(frozen=True)
 class SweepResult:
-    rates: tuple[float, ...]
-    replications: int
     cells: tuple[SweepCell, ...]
     # raw per-replication reports, for callers that need spread
     reports: dict[float, tuple[MetricsReport, ...]]
@@ -238,7 +236,7 @@ def run_sweep(
                     / n,
                 )
             )
-    return SweepResult(rates=tuple(rates), replications=replications, cells=tuple(cells), reports=reports)
+    return SweepResult(cells=tuple(cells), reports=reports)
 
 
 def sweep_to_csv(result: SweepResult) -> str:

@@ -55,7 +55,7 @@ def stream_key(master_seed: int, consumer: str) -> int:
 class Stream:
     """Deterministic uniform source for one named consumer."""
 
-    __slots__ = ("consumer", "_seed", "_gen", "_buf", "_idx", "_drawn")
+    __slots__ = ("consumer", "_seed", "_gen", "_buf", "_idx", "_spent")
 
     def __init__(self, master_seed: int, consumer: str):
         _check_seed(master_seed)
@@ -64,24 +64,24 @@ class Stream:
         self._gen: np.random.Generator | None = None  # keyed on the first refill
         self._buf: list[float] = []
         self._idx = 0
-        self._drawn = 0
+        self._spent = 0  # uniforms in the buffers already used up
 
     def uniform01(self) -> float:
         """Next double in [0, 1). Never returns 1.0, so log(1 - u) is finite."""
         if self._idx >= len(self._buf):
             if self._gen is None:
                 self._gen = np.random.Generator(np.random.Philox(key=stream_key(self._seed, self.consumer)))
+            self._spent += self._idx  # the whole used-up buffer
             self._buf = self._gen.random(_BUFFER).tolist()
             self._idx = 0
         u = self._buf[self._idx]
         self._idx += 1
-        self._drawn += 1
         return u
 
     @property
     def draws(self) -> int:
         """How many uniforms this stream has handed out."""
-        return self._drawn
+        return self._spent + self._idx
 
 
 def sample(dist: Distribution, stream: Stream) -> float:

@@ -73,6 +73,23 @@ def test_validate_quiet_prints_nothing(capsys):
     assert out == "" and err == ""
 
 
+@pytest.mark.parametrize(
+    "digits, prefix",
+    [
+        (400, "error: $.classes[0].arrival.rate: number out of range, got an integer of 400 digits"),
+        (5000, "error: integer literal longer than "),
+    ],
+    ids=["too-large-for-a-float", "too-long-to-convert"],
+)
+def test_validate_rejects_a_huge_integer_literal(tmp_path, capsys, digits, prefix):
+    doc = json.loads(serialize_scenario(build_station_model(1.0, 1.0, 1, 1, 10, seed=1)))
+    doc["classes"][0]["arrival"]["rate"] = "<rate>"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"<rate>"', "9" * digits), encoding="utf-8")
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert_one_error_line(code, err, prefix)
+
+
 def test_validate_missing_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "validate", "/no/such/file.json")
     assert code == 2
@@ -213,6 +230,13 @@ def _setting(value, *keys):
     return edit
 
 
+def _huge_elapsed(text: str) -> str:
+    """The report with a 5000-digit integer as its elapsed time."""
+    doc = json.loads(text)
+    doc["elapsed"] = "<elapsed>"
+    return json.dumps(doc).replace('"<elapsed>"', "9" * 5000)
+
+
 @pytest.mark.parametrize(
     "edit, prefix",
     [
@@ -228,6 +252,8 @@ def _setting(value, *keys):
         (_setting(None, "resources", "station", "p_idle"), "error: $.resources['station'].p_idle: expected a number"),
         (_setting(False, "classes", "load", "mean_response"), "error: $.classes['load'].mean_response: expected a"),
         (_setting(1, "series", "enabled"), "error: $.series.enabled: expected a boolean, got 1"),
+        (_setting(int("9" * 400), "elapsed"), "error: $.elapsed: number out of range, got an integer of 400 digits"),
+        (_huge_elapsed, "error: integer literal longer than "),
     ],
     ids=[
         "truncated",
@@ -242,6 +268,8 @@ def _setting(value, *keys):
         "null-metric",
         "bool-metric",
         "number-series-flag",
+        "float-overflowing-elapsed",
+        "overlong-elapsed",
     ],
 )
 def test_report_rejects_a_malformed_report_file(station_path, tmp_path, capsys, edit, prefix):
@@ -440,6 +468,18 @@ def test_oracle_check_table(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--lambda", "1.0", "--mu", "2.0", "--requests", "2000")
     assert code == 0
     assert out.splitlines()[0].split() == ["metric", "simulated", "analytic", "rel_error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("report", "report.json"), ("oracle-check", "--lambda", "1.0", "--mu", "2.0")],
+    ids=["report", "oracle-check"],
+)
+def test_quiet_is_not_an_option_of_commands_whose_output_is_the_result(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quiet" in capsys.readouterr().err
 
 
 def test_oracle_check_rejects_bad_domain(capsys):

@@ -60,7 +60,7 @@ def station(
         ),
         run=RunConfig(seed=seed, stop=stop, warmup=warmup, series_enabled=series),
     )
-    assert validate(model).ok
+    assert validate(model) == ()
     return model
 
 
@@ -94,7 +94,7 @@ def two_stage(
         ),
         run=RunConfig(seed=1, stop=stop),
     )
-    assert validate(model).ok
+    assert validate(model) == ()
     return model
 
 

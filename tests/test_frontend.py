@@ -48,7 +48,7 @@ SMALL_DEPLOYMENT = """
 
 def test_parses_the_bundled_step_script():
     execution, _ = bundled_pair()
-    steps = execution.steps
+    steps = execution
     assert len(steps) == 4
     assert [(s.source, s.target) for s in steps] == [
         ("requester", "broker"),
@@ -93,7 +93,7 @@ def test_synthesized_tiers_mirror_nodes_plus_network():
     assert all(r.queue_capacity == 2 for r in network.resources)
     by_name = {r.name: r for t in model.tiers for r in t.resources}
     assert by_name["SP_Disk"].queue_capacity == 1
-    assert validate(model).ok
+    assert validate(model) == ()
 
 
 def test_synthesized_scenario_round_trips_and_runs():
@@ -151,7 +151,7 @@ def test_step_script_tolerates_comments_and_blank_lines():
     a -> b : first [exp 2.0]   # trailing comment
     b -> a : second [uniform 0.1 0.3]
     """
-    steps = parse_execution(text).steps
+    steps = parse_execution(text)
     assert len(steps) == 2
     assert steps[1].demand.kind is DistKind.UNIFORM
 

@@ -164,15 +164,15 @@ def test_duplicate_resource_name_across_tiers_is_one_issue():
         run=RunConfig(),
     )
     report = validate(model)
-    assert len(report.issues) == 1
-    assert "duplicate resource name 'cpu'" in str(report.issues[0])
+    assert len(report) == 1
+    assert "duplicate resource name 'cpu'" in str(report[0])
 
 
 def test_each_injected_violation_yields_exactly_one_issue():
     import dataclasses
 
     base = small_model()
-    assert validate(base).ok
+    assert validate(base) == ()
 
     def broken_resource(**kw):
         res = dataclasses.replace(base.tiers[0].resources[0], **kw)
@@ -204,10 +204,97 @@ def test_each_injected_violation_yields_exactly_one_issue():
         dataclasses.replace(base, run=RunConfig(seed=-1)),
         dataclasses.replace(base, run=RunConfig(stop=StopRule.after_requests(0))),
         dataclasses.replace(base, run=RunConfig(warmup=-0.5)),
+        # the kind enums are str mixins: a plain string is not a member
+        broken_resource(balancer="jsq"),
+        dataclasses.replace(
+            base, classes=(dataclasses.replace(base.classes[0], arrival=Distribution("normal", rate=1.0)),)
+        ),
+        dataclasses.replace(base, run=RunConfig(stop=StopRule("after_requests", n=5))),
     ]
     for model in cases:
         report = validate(model)
-        assert len(report.issues) == 1, f"expected one issue, got {report.issues}"
+        assert len(report) == 1, f"expected one issue, got {report}"
+
+
+def _structural_cases():
+    import dataclasses
+
+    base = small_model()
+    (tier,) = base.tiers
+    (cls,) = base.classes
+    renamed = dataclasses.replace(tier.resources[0], name=" cpu")
+
+    def replaced(**kw):
+        return dataclasses.replace(base, **kw)
+
+    # (model, expected issue line, whether it is the only issue)
+    return {
+        "scenario-name": (
+            replaced(name="two words"),
+            "name: scenario name must be a non-empty token, got 'two words'",
+            True,
+        ),
+        "tier-name": (
+            replaced(tiers=(Tier(name="", resources=tier.resources),)),
+            "tiers[0]: tier name must be a non-empty token, got ''",
+            True,
+        ),
+        # the visit to "cpu" then names an unknown resource too
+        "resource-name": (
+            replaced(tiers=(Tier(name="only", resources=(renamed,)),)),
+            "tiers[0].resources[0]: resource name must be a non-empty token, got ' cpu'",
+            False,
+        ),
+        "class-name": (
+            replaced(classes=(dataclasses.replace(cls, name="a\tb"),)),
+            "classes[0]: class name must be a non-empty token, got 'a\\tb'",
+            True,
+        ),
+        "no-tiers": (replaced(tiers=()), "tiers: at least one tier is required", False),
+        "no-classes": (replaced(classes=()), "classes: at least one workload class is required", True),
+        "duplicate-tier": (
+            replaced(tiers=(tier, Tier(name="only", resources=(ResourceSpec(name="disk"),)))),
+            "tiers[1]: duplicate tier name 'only'",
+            True,
+        ),
+        "duplicate-class": (replaced(classes=(cls, cls)), "classes[1]: duplicate class name 'load'", True),
+        "empty-tier": (
+            replaced(tiers=(tier, Tier(name="spare", resources=()))),
+            "tiers[1]: tier holds no resources",
+            True,
+        ),
+        "empty-path": (
+            replaced(classes=(dataclasses.replace(cls, path=()),)),
+            "classes[0].path: path must hold at least one visit",
+            True,
+        ),
+        "balancer-text": (
+            replaced(tiers=(Tier(name="only", resources=(dataclasses.replace(tier.resources[0], balancer="jsq"),)),)),
+            "tiers[0].resources[0]: balancer must be a BalancerPolicy, got 'jsq'",
+            True,
+        ),
+        "distribution-kind": (
+            replaced(classes=(dataclasses.replace(cls, arrival=Distribution("normal", rate=1.0)),)),
+            "classes[0].arrival: kind must be a DistKind, got 'normal'",
+            True,
+        ),
+        "stop-kind": (
+            replaced(run=RunConfig(stop=StopRule("after_requests", n=5))),
+            "run.stop: kind must be a StopKind, got 'after_requests'",
+            True,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_structural_cases()))
+def test_each_structural_invariant_has_its_issue_line(case):
+    model, line, alone = _structural_cases()[case]
+    issues = validate(model)
+    assert line in issues, issues
+    if alone:
+        assert issues == (line,)
+    else:
+        assert len(issues) > 1
 
 
 @pytest.mark.parametrize(
@@ -231,8 +318,8 @@ def test_bool_is_not_an_integer_field(field):
     else:
         model = dataclasses.replace(base, run=RunConfig(seed=True))
     report = validate(model)
-    assert len(report.issues) == 1
-    assert f"{field} must be" in str(report.issues[0]) and "got True" in str(report.issues[0])
+    assert len(report) == 1
+    assert f"{field} must be" in str(report[0]) and "got True" in str(report[0])
 
 
 @pytest.mark.parametrize(
@@ -243,8 +330,10 @@ def test_bool_is_not_an_integer_field(field):
         (Distribution.deterministic(True), "deterministic value must be finite and >= 0, got True"),
         (Distribution.uniform(0.0, True), "uniform bounds must satisfy 0 <= lo <= hi, got (0.0, True)"),
         (Distribution.uniform("0", 1.0), "uniform bounds must satisfy 0 <= lo <= hi, got ('0', 1.0)"),
+        # an int is a number, but this one has no float
+        (Distribution.exponential(10**400), f"exponential rate must be finite and > 0, got {10**400!r}"),
     ],
-    ids=["exponential-bool", "exponential-text", "deterministic-bool", "uniform-bool", "uniform-text"],
+    ids=["exponential-bool", "exponential-text", "deterministic-bool", "uniform-bool", "uniform-text", "exponential-huge"],
 )
 def test_bool_and_text_are_not_distribution_parameters(dist, message):
     import dataclasses
@@ -252,7 +341,7 @@ def test_bool_and_text_are_not_distribution_parameters(dist, message):
     base = small_model()
     model = dataclasses.replace(base, classes=(dataclasses.replace(base.classes[0], arrival=dist),))
     report = validate(model)
-    assert [str(issue) for issue in report.issues] == [f"classes[0].arrival: {message}"]
+    assert [str(issue) for issue in report] == [f"classes[0].arrival: {message}"]
 
 
 def test_validation_error_names_offending_element():
@@ -269,7 +358,7 @@ def test_zero_capacity_is_valid_pure_loss():
     base = small_model()
     res = dataclasses.replace(base.tiers[0].resources[0], queue_capacity=0)
     model = dataclasses.replace(base, tiers=(Tier(name="only", resources=(res,)),))
-    assert validate(model).ok
+    assert validate(model) == ()
 
 
 def test_reserved_series_label_rejected_as_resource_name():
@@ -283,7 +372,7 @@ def test_reserved_series_label_rejected_as_resource_name():
     )
     model = dataclasses.replace(base, tiers=(Tier(name="only", resources=(res,)),), classes=(cls,))
     report = validate(model)
-    assert any("reserved" in str(i) for i in report.issues)
+    assert any("reserved" in str(i) for i in report)
 
 
 # -- property: serialize/parse is the identity on valid models ---------
@@ -358,7 +447,7 @@ def scenario_models(draw):
 @settings(max_examples=60, deadline=None)
 @given(scenario_models())
 def test_round_trip_property(model):
-    assert validate(model).ok
+    assert validate(model) == ()
     again = parse_scenario(serialize_scenario(model))
     assert again == model
     assert again.run.stop.kind in (StopKind.AFTER_REQUESTS, StopKind.AFTER_TIME)

@@ -146,6 +146,10 @@ def test_domain_errors():
         mmck(math.inf, 2.0, 1, 3)
     with pytest.raises(DomainError):
         mmck(1.0, math.nan, 1, 3)
+    # bool is an int subclass, but never a count or a rate here
+    for args in ((1.0, 2.0, True, 3), (1.0, 2.0, 1, True), (1.0, True, 1, 3), (True, 2.0, 1, 3)):
+        with pytest.raises(DomainError):
+            mmck(*args)
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,7 +7,6 @@ Typical use:
     report = simulate(parse_scenario(open("scenario.json").read()))
 """
 
-from .balancer import select_replica
 from .bottleneck import BottleneckEntry, BottleneckReport, rank
 from .engine import Engine, Event, simulate
 from .errors import (
@@ -104,7 +103,6 @@ __all__ = [
     "report_to_json",
     "report_to_table",
     "sample",
-    "select_replica",
     "serialize_scenario",
     "simulate",
     "stream_key",

@@ -2,10 +2,11 @@
 
 The engine keeps one FIFO queue per replica; when a request is admitted
 the balancer decides which replica's queue (or idle server) receives it.
-Selection sees only the per-replica backlogs, which the engine keeps up
-to date as requests are admitted and complete and passes as they stand,
-plus the shared pool of free waiting slots. Policies are pure given that
-view (RANDOM draws from the stream it is handed) and never modify it.
+``make_selector`` binds a resource's policy once, when the engine is
+built; what the policy carries between admissions (the ROUND_ROBIN
+cursor, the RANDOM stream) lives in the selector it returns. Selection
+sees only the per-replica backlogs, kept by the engine, and the free
+waiting slots, and never modifies them.
 
 All policies agree on when to refuse: a request is turned away only when
 no replica is idle and no waiting slot is free, i.e. the resource is at
@@ -14,64 +15,56 @@ its replicas + queue_capacity ceiling.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import InternalError
 from .model import BalancerPolicy
 from .workload import Stream
 
 
-def select_replica(
-    backlogs: Sequence[int],
-    waiting_free: int | float,
-    rr_cursor: int,
-    policy: BalancerPolicy,
-    stream: Stream | None = None,
-) -> int | None:
-    """Pick a replica index for one admission, or None when full.
+def _idle_from(backlogs: Sequence[int], start: int) -> int:
+    """The first idle replica at or cyclically after `start`; one exists."""
+    return (start + (backlogs[start:] + backlogs[:start]).index(0)) % len(backlogs)
 
-    None is returned only when every replica is busy and the waiting
-    pool is exhausted. When waiting slots remain the policy places
-    freely; once the pool is empty only an idle replica can accept, so
-    ROUND_ROBIN and RANDOM advance cyclically from their pick to the
-    first idle one rather than overbooking a queue. RANDOM consumes
-    exactly one uniform per accepted request and nothing when refusing.
+
+def make_selector(policy: BalancerPolicy, replicas: int, stream: Stream) -> Callable[..., int | None]:
+    """``select(backlogs, waiting_free)``: a replica index, or None when full.
 
     backlogs[r] is 1 if replica r is serving, plus its queued requests;
-    waiting_free is the remaining shared waiting slots (may be inf);
-    rr_cursor is the next ROUND_ROBIN index, owned and advanced by the
-    caller.
+    waiting_free is the remaining shared waiting slots (may be inf). Once
+    no slot is free, ROUND_ROBIN and RANDOM fall forward cyclically from
+    their pick to the first idle replica. ROUND_ROBIN's cursor moves past
+    each replica it picks; RANDOM draws one uniform per accepted request.
     """
-    if not backlogs:
-        raise InternalError("resource has no replicas")
-
-    least = min(backlogs)
-    no_waiting_room = waiting_free <= 0
-    if no_waiting_room and least >= 1:
-        return None
-
+    n = replicas
     if policy is BalancerPolicy.JSQ:
-        # the first replica with the lowest backlog
-        return backlogs.index(least)
 
-    n = len(backlogs)
-    if n == 1:
-        return 0
+        def select(backlogs, waiting_free):
+            least = min(backlogs)
+            return None if least and waiting_free <= 0 else backlogs.index(least)
 
-    if policy is BalancerPolicy.ROUND_ROBIN:
-        start = rr_cursor % n
+    elif policy is BalancerPolicy.ROUND_ROBIN:
+        cursor = 0
+
+        def select(backlogs, waiting_free):
+            nonlocal cursor
+            pick = cursor
+            if waiting_free <= 0 and backlogs[pick]:
+                if 0 not in backlogs:
+                    return None
+                pick = _idle_from(backlogs, pick)
+            cursor = (pick + 1) % n
+            return pick
+
     elif policy is BalancerPolicy.RANDOM:
-        if stream is None:
-            raise InternalError("RANDOM policy needs a stream")
-        start = min(int(stream.uniform01() * n), n - 1)
+        uniform01 = stream.uniform01
+
+        def select(backlogs, waiting_free):
+            if waiting_free <= 0 and 0 not in backlogs:
+                return None
+            pick = min(int(uniform01() * n), n - 1)
+            return _idle_from(backlogs, pick) if waiting_free <= 0 and backlogs[pick] else pick
+
     else:
         raise InternalError(f"unknown balancer policy {policy!r}")
-
-    if no_waiting_room and backlogs[start] >= 1:
-        for j in range(1, n):
-            idx = (start + j) % n
-            if backlogs[idx] == 0:
-                return idx
-        raise InternalError("no idle replica despite passing the full check")
-    return start
-
+    return select

@@ -35,7 +35,7 @@ from .model import (
     serialize_scenario,
     validated,
 )
-from .oracle import mmck
+from .oracle import check_station, mmck
 # SweepResult is not used here; it stays importable from tiersim.cli for its callers
 from .sweep import SweepResult, parse_rate_grid, run_sweep, sweep_to_csv  # noqa: F401
 
@@ -104,8 +104,11 @@ def build_station_model(lam: float, mu: float, servers: int, capacity: int, requ
 
 def run_oracle_check(lam: float, mu: float, servers: int, capacity: int, requests: int, seed: int):
     """Simulate the station and pair each metric with its closed form."""
+    check_station(lam, mu, servers, capacity)  # a bad flag is named as the user gave it
+    # validation bounds the replicas before mmck allocates a weight per state
+    model = build_station_model(lam, mu, servers, capacity, requests, seed)
     analytic = mmck(lam, mu, servers, capacity)
-    report = Engine(build_station_model(lam, mu, servers, capacity, requests, seed)).run()
+    report = Engine(model).run()
     sim = report.resources["station"]
     pairs = [
         ("utilization", sim.utilization, analytic.utilization),

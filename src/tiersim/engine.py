@@ -16,14 +16,16 @@ the drop is charged to the resource that refused it.
 
 The engine keeps queue state only. Each resource keeps its per-replica
 backlogs (1 if serving, plus the queued requests) up to date as requests
-are admitted and complete, and hands that list to the balancer as it
-stands. The backlogs are the one record of which replica is busy:
-replica r serves iff backlogs[r] > 0, and busy_since[r] is the one
-record of when that service began. What is measured, and over which
-window, is the metrics module's business: the engine reports each
-admission and completed visit to the resource's accumulator and, at the
-stop clock, the services still running and the requests still queued.
-run() and step() share one driver loop, which dispatches every event.
+are admitted and complete. A multi-replica resource hands that list as
+it stands to the selector balancer.make_selector bound for it once; the
+policy, its cursor and its stream live there. The backlogs are the one
+record of which replica is busy: replica r serves iff backlogs[r] > 0,
+and busy_since[r] is the one record of when that service began. What
+is measured, and over which window, is the metrics module's business:
+the engine reports each admission and completed visit to the resource's
+accumulator and, at the stop clock, the services still running and the
+requests still queued. run() and step() share one driver loop, which
+dispatches every event.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .balancer import select_replica
+from .balancer import make_selector
 from .errors import EngineEmptyError, InternalError
 from .metrics import MetricsReport, RunAccumulator, finalize
-from .model import BalancerPolicy, ScenarioModel, StopKind
+from .model import ScenarioModel, StopKind
 from .workload import Stream, make_sampler
 
 _ARRIVAL = 0
@@ -86,31 +88,24 @@ class Request:
 class _ResourceRuntime:
     __slots__ = (
         "name",
-        "replicas",
         "queue_capacity",
-        "policy",
+        "select",
         "busy_since",
         "backlogs",
         "queues",
         "waiting",
-        "rr_cursor",
-        "service_stream",
-        "balance_stream",
         "acc",
     )
 
     def __init__(self, spec, seed: int, acc):
         self.name = spec.name
-        self.replicas = spec.replicas
         self.queue_capacity = spec.queue_capacity
-        self.policy = spec.balancer
+        balance = Stream(seed, f"resource:{spec.name}:balance")
+        self.select = None if spec.replicas == 1 else make_selector(spec.balancer, spec.replicas, balance)
         self.busy_since = [0.0] * spec.replicas
         self.backlogs = [0] * spec.replicas  # (1 if serving) + len(queues[r]), kept by the engine
         self.queues: list[deque[Request]] = [deque() for _ in range(spec.replicas)]
         self.waiting = 0
-        self.rr_cursor = 0
-        self.service_stream = Stream(seed, f"resource:{spec.name}:service")
-        self.balance_stream = Stream(seed, f"resource:{spec.name}:balance")
         self.acc = acc
 
 
@@ -144,10 +139,10 @@ class Engine:
         self._resources: dict[str, _ResourceRuntime] = {}
         for spec in model.resources():
             self._resources[spec.name] = _ResourceRuntime(spec, seed, self.accumulator.resources[spec.name])
+        service_streams = {name: Stream(seed, f"resource:{name}:service") for name in self._resources}
         for cls in model.classes:
             path = tuple(
-                (self._resources[v.resource], make_sampler(v.demand, self._resources[v.resource].service_stream))
-                for v in cls.path
+                (self._resources[v.resource], make_sampler(v.demand, service_streams[v.resource])) for v in cls.path
             )
             cr = _ClassRuntime(cls, seed, path, self.accumulator.classes[cls.name])
             if cr.max_requests >= 1:
@@ -189,15 +184,11 @@ class Engine:
         acc.offered += 1
         backlogs = res.backlogs
 
-        if res.replicas == 1:
-            # fast path: any policy degenerates to replica 0
+        if res.select is None:
+            # one replica: any policy degenerates to replica 0, so none was bound
             replica = 0 if not backlogs[0] or res.waiting < res.queue_capacity else None
         else:
-            replica = select_replica(
-                backlogs, res.queue_capacity - res.waiting, res.rr_cursor, res.policy, res.balance_stream
-            )
-            if replica is not None and res.policy is BalancerPolicy.ROUND_ROBIN:
-                res.rr_cursor = (replica + 1) % res.replicas
+            replica = res.select(backlogs, res.queue_capacity - res.waiting)
         if replica is None:
             acc.dropped += 1
             cr.acc.dropped += 1

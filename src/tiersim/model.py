@@ -31,6 +31,10 @@ FORMAT_VERSION = 1
 INFINITE = math.inf
 UNBOUNDED = math.inf
 
+# Most replicas one resource may have: Engine() builds a deque and two
+# list slots per replica, and JSQ scans every replica on each admission.
+MAX_REPLICAS = 4096
+
 # Pseudo-resource label used by series export for whole-session rows.
 # Reserved so a scenario resource can never collide with it.
 END_TO_END = "__end_to_end__"
@@ -247,6 +251,8 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
                 seen_resources[res.name] = tpath
             if not (_integer(res.replicas) and res.replicas >= 1):
                 issues.append(f"{rpath}: replicas must be an integer >= 1, got {res.replicas!r}")
+            elif res.replicas > MAX_REPLICAS:
+                issues.append(f"{rpath}: replicas must be at most {MAX_REPLICAS}, got {res.replicas!r}")
             cap = res.queue_capacity
             if not (cap == INFINITE or (_integer(cap) and cap >= 0)):
                 issues.append(f"{rpath}: queue_capacity must be an integer >= 0 or infinite, got {cap!r}")
@@ -262,7 +268,13 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             issues.append(f"{cpath}: duplicate class name {cls.name!r}")
         else:
             seen_classes.add(cls.name)
+        found = len(issues)
         _check_distribution(cls.arrival, f"{cpath}.arrival", issues)
+        if len(issues) == found and cls.max_requests == UNBOUNDED and cls.arrival.mean() == 0:
+            # every gap is 0, so arrivals would be scheduled at t = 0 forever
+            issues.append(
+                f"{cpath}.arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0"
+            )
         if not cls.path:
             issues.append(f"{cpath}.path: path must hold at least one visit")
         for vi, visit in enumerate(cls.path):
@@ -312,6 +324,8 @@ def _load_json(text: str) -> object:
         raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
     except ValueError:  # an integer literal longer than int() converts
         raise ScenarioSyntaxError(f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise ScenarioSyntaxError("arrays or objects nested too deeply") from None
 
 
 def _require_keys(obj: dict, allowed: Collection[str], required: Collection[str], path: str) -> None:

@@ -48,13 +48,8 @@ class AnalyticMetrics:
     mean_response: float
 
 
-def mmck(lam: float, mu: float, servers: int, queue_capacity: int) -> AnalyticMetrics:
-    """Exact steady state of an M/M/c/K station.
-
-    ``queue_capacity`` is the number of waiting slots (K); the station
-    holds at most servers + K requests. lam = 0 is legal and yields the
-    empty-system fixed point.
-    """
+def check_station(lam: float, mu: float, servers: int, queue_capacity: int) -> None:
+    """Raise DomainError naming the first argument mmck() cannot take."""
     # bool is an int subclass, but True servers or rate is a mistake
     if isinstance(servers, bool) or not (isinstance(servers, int) and servers >= 1):
         raise DomainError(f"servers must be an integer >= 1, got {servers!r}")
@@ -65,6 +60,15 @@ def mmck(lam: float, mu: float, servers: int, queue_capacity: int) -> AnalyticMe
     if isinstance(lam, bool) or not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
         raise DomainError(f"lam must be finite and >= 0, got {lam!r}")
 
+
+def mmck(lam: float, mu: float, servers: int, queue_capacity: int) -> AnalyticMetrics:
+    """Exact steady state of an M/M/c/K station.
+
+    ``queue_capacity`` is the number of waiting slots (K); the station
+    holds at most servers + K requests. lam = 0 is legal and yields the
+    empty-system fixed point.
+    """
+    check_station(lam, mu, servers, queue_capacity)
     top = servers + queue_capacity
     weights = [0.0] * (top + 1)
     weights[0] = 1.0

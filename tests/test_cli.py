@@ -90,6 +90,63 @@ def test_validate_rejects_a_huge_integer_literal(tmp_path, capsys, digits, prefi
     assert_one_error_line(code, err, prefix)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "<deep>"),
+        ("synthesize", "bundled:webservices_steps.txt", "<deep>", "--arrival-rate", "75"),
+        ("report", "<deep>"),
+    ],
+    ids=["validate", "synthesize", "report"],
+)
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run_cli(capsys, *(str(path) if arg == "<deep>" else arg for arg in argv))
+    assert out == ""
+    assert_one_error_line(code, err, "error: arrays or objects nested too deeply\n")
+
+
+def _station_doc(station_path: str) -> dict:
+    return json.loads(Path(station_path).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+def test_replicas_beyond_the_bound_are_one_error_line(station_path, tmp_path, capsys, command):
+    if command == "run":
+        doc = _station_doc(station_path)
+        doc["tiers"][0]["resources"][0]["replicas"] = 10**30
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ("run", str(path))
+    else:
+        argv = ("oracle-check", "--lambda", "1", "--mu", "1", "-c", str(10**30))
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert_one_error_line(code, err, f"error: tiers[0].resources[0]: replicas must be at most 4096, got {10**30}\n")
+
+
+def test_zero_gap_arrivals_need_a_bounded_class(station_path, tmp_path, capsys):
+    doc = _station_doc(station_path)
+    doc["classes"][0]["arrival"] = {"kind": "deterministic", "value": 0}
+    path = tmp_path / "burst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert out == ""
+    assert_one_error_line(
+        code,
+        err,
+        "error: classes[0].arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0\n",
+    )
+    # a bounded burst at t = 0 still runs: one served, three queued, one dropped
+    doc["classes"][0]["max_requests"] = 5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(path), "--format", "json")
+    assert code == 0
+    totals = json.loads(out)["classes"]["load"]
+    assert (totals["generated"], totals["completed"], totals["dropped"]) == (5, 4, 1)
+
+
 def test_validate_missing_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "validate", "/no/such/file.json")
     assert code == 2

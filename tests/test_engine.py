@@ -552,3 +552,15 @@ def test_calls_per_event_stay_bounded():
     )
     assert _calls_per_event(jsq8) <= 16
     assert _calls_per_event(mm1) <= 14
+    # the other policies' selectors, with room to queue so that both
+    # the free placement and the fall-forward to an idle replica run
+    for policy in (BalancerPolicy.ROUND_ROBIN, BalancerPolicy.RANDOM):
+        eight = station(
+            arrival=Distribution.exponential(7.6),
+            service=Distribution.exponential(1.0),
+            replicas=8,
+            capacity=8,
+            policy=policy,
+            stop=StopRule.after_requests(5000),
+        )
+        assert _calls_per_event(eight) <= 16, policy

@@ -283,6 +283,16 @@ def _structural_cases():
             "run.stop: kind must be a StopKind, got 'after_requests'",
             True,
         ),
+        "replicas-above-bound": (
+            replaced(tiers=(Tier(name="only", resources=(dataclasses.replace(tier.resources[0], replicas=4097),)),)),
+            "tiers[0].resources[0]: replicas must be at most 4096, got 4097",
+            True,
+        ),
+        "zero-gap-arrivals": (
+            replaced(classes=(dataclasses.replace(cls, arrival=Distribution.uniform(0, 0)),)),
+            "classes[0].arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0",
+            True,
+        ),
     }
 
 
@@ -404,14 +414,14 @@ def scenario_models(draw):
             )
         tiers.append(Tier(name=tname, resources=tuple(specs)))
 
-    def dist(d):
+    def dist(d, least=0.0):
         kind = d(st.sampled_from(["exponential", "deterministic", "uniform"]))
         if kind == "exponential":
             return Distribution.exponential(d(st.floats(0.01, 100.0, allow_nan=False)))
         if kind == "deterministic":
-            return Distribution.deterministic(d(st.floats(0.0, 10.0, allow_nan=False)))
+            return Distribution.deterministic(d(st.floats(least, 10.0, allow_nan=False)))
         lo = d(st.floats(0.0, 5.0, allow_nan=False))
-        return Distribution.uniform(lo, lo + d(st.floats(0.0, 5.0, allow_nan=False)))
+        return Distribution.uniform(lo, lo + d(st.floats(least, 5.0, allow_nan=False)))
 
     class_count = draw(st.integers(1, 2))
     classes = []
@@ -423,7 +433,8 @@ def scenario_models(draw):
         classes.append(
             WorkloadClass(
                 name=f"class{ci}",
-                arrival=dist(draw),
+                # validate() refuses an unbounded class whose arrivals come 0 apart
+                arrival=dist(draw, least=0.01),
                 path=path,
                 max_requests=draw(st.one_of(st.just(UNBOUNDED), st.integers(1, 10**6))),
             )

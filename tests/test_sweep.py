@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -15,14 +17,20 @@ from tiersim import (
     Distribution,
     DomainError,
     InternalError,
+    RunConfig,
     StopRule,
     bundled,
+    parse_deployment,
+    parse_execution,
     parse_scenario,
     report_to_json,
+    synthesize_scenario,
 )
 from tiersim import sweep
 from tiersim.cli import build_station_model
 from tiersim.sweep import parse_rate_grid, run_sweep, sweep_to_csv, worker_count
+
+from randdeploy import random_deployment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -165,3 +173,47 @@ def test_importing_the_cli_loads_no_pool_machinery():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# SHA-256 over the CSV and every replication's report JSON of a sweep of
+# each PINNED_SWEEPS model, run in-process at warmup 0 and 1.0. Changing
+# it means a sweep or report byte moved.
+SWEEP_DIGEST = "750eaddde830ccabe0ea5e998271ebb6200737090583f7cae1dfcdfe7830e6f3"
+PINNED_DEPLOYMENTS = 6
+
+
+def pinned_sweep_models():
+    yield "bundled:webservices", webservices(80)
+    for case in range(PINNED_DEPLOYMENTS):
+        steps, doc = random_deployment(case)
+        yield f"randdeploy:{case}", synthesize_scenario(
+            parse_execution(steps),
+            parse_deployment(json.dumps(doc)),
+            scenario_name=f"case{case}",
+            arrival=Distribution.exponential(2.0),
+            run=RunConfig(seed=case, stop=StopRule.after_requests(80)),
+        )
+
+
+def test_sweep_bytes_are_pinned(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 1)
+    models = list(pinned_sweep_models())
+    # the synthesized deployments declare resources that no class visits
+    unvisited = [
+        label
+        for label, model in models
+        if {r.name for r in model.resources()} > {v.resource for c in model.classes for v in c.path}
+    ]
+    assert len(unvisited) >= 5
+    digest = hashlib.sha256()
+    for label, model in models:
+        for warmup in (0.0, 1.0):
+            warmed = dataclasses.replace(model, run=dataclasses.replace(model.run, warmup=warmup))
+            result = run_sweep(warmed, (1.5, 4.0), replications=3, master_seed=7)
+            digest.update(f"{label} warmup={warmup!r}\n".encode())
+            digest.update(sweep_to_csv(result).encode())
+            for reports in result.reports.values():
+                for report in reports:
+                    digest.update(report_to_json(report).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST

@@ -26,6 +26,10 @@ the engine reports each admission and completed visit to the resource's
 accumulator and, at the stop clock, the services still running and the
 requests still queued. run() and step() share one driver loop, which
 dispatches every event.
+
+Only the resources that some class visits get runtime state, a balance
+stream and a service stream; a declared resource that no class visits
+costs a run nothing, and metrics gives it its constant report row.
 """
 
 from __future__ import annotations
@@ -136,9 +140,11 @@ class Engine:
 
         seed = model.run.seed
         self.accumulator = RunAccumulator(model)
-        self._resources: dict[str, _ResourceRuntime] = {}
-        for spec in model.resources():
-            self._resources[spec.name] = _ResourceRuntime(spec, seed, self.accumulator.resources[spec.name])
+        accs = self.accumulator.resources
+        # visited resources only: one no class visits is never offered a request
+        self._resources: dict[str, _ResourceRuntime] = {
+            spec.name: _ResourceRuntime(spec, seed, accs[spec.name]) for spec in model.resources() if spec.name in accs
+        }
         service_streams = {name: Stream(seed, f"resource:{name}:service") for name in self._resources}
         for cls in model.classes:
             path = tuple(
@@ -300,7 +306,12 @@ class Engine:
         return len(self._heap)
 
     def snapshot(self, resource: str) -> ResourceSnapshot:
-        res = self._resources[resource]
+        """The resource's replicas, queues and counts as they stand; a
+        declared resource that no class visits is always empty."""
+        res = self._resources.get(resource)
+        if res is None:
+            replicas = self.model.resource(resource).replicas  # KeyError for an undeclared name
+            return ResourceSnapshot((False,) * replicas, (0,) * replicas, 0, 0, 0, 0)
         return ResourceSnapshot(
             busy=tuple(b > 0 for b in res.backlogs),
             queue_lengths=tuple(len(q) for q in res.queues),

@@ -6,13 +6,16 @@ are counts it bumps itself) and, at the stop clock, hands each resource
 the start times of its running services and its queue length
 (ResourceAccumulator.close); nothing here looks at simulator state.
 
-Averages are running means, updated inline in Welford.add's operation
-order, so a million samples lose no precision to cancellation. The
-waiting and service means of a resource share one sample count, and a
-class's mean counts its kept responses. No second moment is kept (see
-Welford). Per-visit response is reported as the sum of the waiting and
-service means, which makes the response = service + waiting identity
-exact rather than merely close.
+Averages are running means, each updated inline as
+``mean += (x - mean) / n``, so a million samples lose no precision to
+cancellation. The waiting and service means of a resource share one
+sample count, and a class's mean counts its kept responses. No second
+moment is kept: successive waits and responses at a queue are
+autocorrelated, so their per-sample spread gives no valid confidence
+interval; intervals need independent replications or batch means.
+Per-visit response is reported as the sum of the waiting and service
+means, which makes the response = service + waiting identity exact
+rather than merely close.
 
 Warmup is transient deletion: a visit whose enqueue time falls before
 the warmup point contributes to no average, and time-integrated
@@ -22,6 +25,10 @@ occupancy integral where the resource holds no request: a request
 queues only behind a busy replica, so an empty resource is one whose
 replicas are all idle. Raw counts (offered, served, dropped) are never
 filtered, so conservation checks always balance.
+
+Only a resource that some class visits gets an accumulator. A declared
+resource that no class visits is never offered a request, so its report
+row is the one constant UNVISITED row, shared by every run.
 """
 
 from __future__ import annotations
@@ -32,26 +39,6 @@ from dataclasses import dataclass, fields
 
 from .errors import SeriesDisabledError
 from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _bool, _int, _load_json, _num, _str
-
-
-class Welford:
-    """Streaming mean: the reference for the inline recorders.
-
-    No second moment is kept. Successive waits and responses at a queue
-    are autocorrelated, so their per-sample spread gives no valid
-    confidence interval; intervals need independent replications or
-    batch means instead.
-    """
-
-    __slots__ = ("n", "mean")
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        self.mean += (x - self.mean) / self.n
 
 
 class ResourceAccumulator:
@@ -180,7 +167,11 @@ class ClassAccumulator:
 
 
 class RunAccumulator:
-    """Everything recorded during one run, keyed to one scenario."""
+    """Everything recorded during one run, keyed to one scenario.
+
+    ``resources`` holds an accumulator for each visited resource only;
+    ``resource_names`` keeps every declared resource, in model order.
+    """
 
     def __init__(self, model: ScenarioModel):
         warmup = model.run.warmup
@@ -189,8 +180,11 @@ class RunAccumulator:
         self.seed = model.run.seed
         self.warmup = warmup
         self.series_enabled = series
+        specs = model.resources()
+        visited = {v.resource for c in model.classes for v in c.path}
+        self.resource_names = tuple(r.name for r in specs)
         self.resources: dict[str, ResourceAccumulator] = {
-            r.name: ResourceAccumulator(r.replicas, warmup, series) for r in model.resources()
+            r.name: ResourceAccumulator(r.replicas, warmup, series) for r in specs if r.name in visited
         }
         self.classes: dict[str, ClassAccumulator] = {
             c.name: ClassAccumulator(warmup, series) for c in model.classes
@@ -243,6 +237,28 @@ class MetricsReport:
     end_to_end_series: tuple[tuple[str, float, float], ...]
 
 
+# The report row of a resource that no class visits: exactly what
+# finalize's arithmetic gives an accumulator that was never offered a
+# request. Every count, mean and integral is 0, so utilization and
+# mean_in_system are 0.0. p_idle is 1.0: one replica gives 1.0 - 0.0,
+# and for more, idle_time and window are the same float
+# (elapsed - warmup), so their quotient is 1.0, or the window is 0 and
+# the else branch gives 1.0.
+UNVISITED = ResourceMetrics(
+    avg_response=0.0,
+    avg_service=0.0,
+    avg_waiting=0.0,
+    utilization=0.0,
+    p_idle=1.0,
+    p_drop=0.0,
+    mean_in_system=0.0,
+    offered=0,
+    served=0,
+    dropped=0,
+    queued_at_stop=0,
+    in_service_at_stop=0,
+)
+
 # Each saved record's keys, in field order, with the type (a field
 # annotation) its value is read as.
 _RESOURCE_TYPES = {f.name: f.type for f in fields(ResourceMetrics)}
@@ -272,7 +288,8 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     """
     window = max(0.0, elapsed - acc.warmup)
 
-    resources: dict[str, ResourceMetrics] = {}
+    # every declared resource in model order; the visited ones are overwritten below
+    resources = dict.fromkeys(acc.resource_names, UNVISITED)
     for name, ra in acc.resources.items():
         avg_waiting = ra.waiting_mean
         avg_service = ra.service_mean

@@ -35,6 +35,12 @@ UNBOUNDED = math.inf
 # list slots per replica, and JSQ scans every replica on each admission.
 MAX_REPLICAS = 4096
 
+# Most arrivals an unbounded class may expect before an after_time stop
+# (horizon / mean gap). A run applies a few hundred thousand events per
+# second, so this many already takes hours; far more means a gap far
+# below the horizon's scale, which would only ever hang.
+MAX_EXPECTED_ARRIVALS = 10**9
+
 # Pseudo-resource label used by series export for whole-session rows.
 # Reserved so a scenario resource can never collide with it.
 END_TO_END = "__end_to_end__"
@@ -259,6 +265,9 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             if not isinstance(res.balancer, BalancerPolicy):
                 issues.append(f"{rpath}: balancer must be a BalancerPolicy, got {res.balancer!r}")
 
+    stop = model.run.stop
+    # 0 when there is no valid after_time horizon; the stop check below names that
+    horizon = stop.t if stop.kind is StopKind.AFTER_TIME and _finite(stop.t) and stop.t > 0 else 0.0
     seen_classes: set[str] = set()
     for ci, cls in enumerate(model.classes):
         cpath = f"classes[{ci}]"
@@ -270,11 +279,19 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             seen_classes.add(cls.name)
         found = len(issues)
         _check_distribution(cls.arrival, f"{cpath}.arrival", issues)
-        if len(issues) == found and cls.max_requests == UNBOUNDED and cls.arrival.mean() == 0:
-            # every gap is 0, so arrivals would be scheduled at t = 0 forever
-            issues.append(
-                f"{cpath}.arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0"
-            )
+        if len(issues) == found and cls.max_requests == UNBOUNDED:
+            gap = cls.arrival.mean()
+            if gap == 0:
+                # every gap is 0, so arrivals would be scheduled at t = 0 forever
+                issues.append(
+                    f"{cpath}.arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0"
+                )
+            elif horizon / gap > MAX_EXPECTED_ARRIVALS:
+                issues.append(
+                    f"{cpath}.arrival: an unbounded class may expect at most {MAX_EXPECTED_ARRIVALS} arrivals "
+                    f"before the after_time stop, got {horizon / gap:.3g} (mean gap {gap!r}); "
+                    "raise the gap, shorten the horizon or set max_requests"
+                )
         if not cls.path:
             issues.append(f"{cpath}.path: path must hold at least one visit")
         for vi, visit in enumerate(cls.path):
@@ -289,7 +306,6 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
     run = model.run
     if not (_integer(run.seed) and 0 <= run.seed < 2**64):
         issues.append(f"run.seed: seed must be an unsigned 64-bit integer, got {run.seed!r}")
-    stop = run.stop
     if stop.kind is StopKind.AFTER_REQUESTS:
         if not (_integer(stop.n) and stop.n >= 1):
             issues.append(f"run.stop: after_requests count must be >= 1, got {stop.n!r}")

@@ -23,6 +23,10 @@ from .errors import DomainError
 # Rescale threshold for the running weight computation.
 _BIG = 1e280
 
+# Most waiting slots mmck() takes: it builds a float per state, so an
+# unbounded K would exhaust memory (or overflow a list size) first.
+MAX_QUEUE_CAPACITY = 100_000
+
 
 @dataclass(frozen=True)
 class AnalyticMetrics:
@@ -55,6 +59,8 @@ def check_station(lam: float, mu: float, servers: int, queue_capacity: int) -> N
         raise DomainError(f"servers must be an integer >= 1, got {servers!r}")
     if isinstance(queue_capacity, bool) or not (isinstance(queue_capacity, int) and queue_capacity >= 0):
         raise DomainError(f"queue_capacity must be an integer >= 0, got {queue_capacity!r}")
+    if queue_capacity > MAX_QUEUE_CAPACITY:
+        raise DomainError(f"queue_capacity must be at most {MAX_QUEUE_CAPACITY}, got {queue_capacity!r}")
     if isinstance(mu, bool) or not (isinstance(mu, (int, float)) and math.isfinite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and > 0, got {mu!r}")
     if isinstance(lam, bool) or not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):

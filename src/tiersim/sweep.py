@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ class SweepCell:
 _SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepCell))
 # the replication-averaged metrics; each names a ResourceMetrics field
 _SWEEP_METRICS = _SWEEP_FIELDS[2:]
+_sweep_metrics = operator.attrgetter(*_SWEEP_METRICS)
 
 
 @dataclass(frozen=True)
@@ -216,8 +218,9 @@ def run_sweep(
         reports[rate] = tuple(reps)
         n = len(reps)
         for name in reps[0].resources:
-            means = {k: sum(getattr(r.resources[name], k) for r in reps) / n for k in _SWEEP_METRICS}
-            cells.append(SweepCell(rate=rate, resource=name, **means))
+            # one column per metric, each summed in replication order
+            columns = zip(*(_sweep_metrics(r.resources[name]) for r in reps))
+            cells.append(SweepCell(rate, name, *(sum(column) / n for column in columns)))
         for cname in reps[0].classes:
             mean_resp = sum(r.classes[cname].mean_response for r in reps) / n
             cells.append(

@@ -13,8 +13,9 @@ generator keyed by SHA-256(master seed || consumer name), so:
 A stream's generator is keyed on its first draw, not when the stream is
 built. Since the key depends only on (seed, consumer), when that happens
 never changes a sample; it only means that a stream which never draws
-(the streams of a declared but unvisited resource, or the balance stream
-of a resource whose policy is not ``random``) costs no generator.
+(such as the balance stream of a resource whose policy is not
+``random``) costs no generator. A declared resource that no class
+visits has no runtime, no stream and no accumulator at all.
 
 Only raw uniform doubles come from the generator. Variates are formed by
 explicit inverse transforms here, so the sampling algorithm is part of

@@ -126,6 +126,30 @@ def test_replicas_beyond_the_bound_are_one_error_line(station_path, tmp_path, ca
     assert_one_error_line(code, err, f"error: tiers[0].resources[0]: replicas must be at most 4096, got {10**30}\n")
 
 
+def test_an_oracle_capacity_beyond_the_bound_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "oracle-check", "--lambda", "1", "--mu", "1", "-K", str(10**30))
+    assert out == ""
+    assert_one_error_line(code, err, f"error: queue_capacity must be at most 100000, got {10**30}\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_tiny_arrival_gap_before_a_time_stop_is_one_error_line(station_path, tmp_path, capsys, command):
+    # 1e300 arrivals before t = 1: refused by validate(), so the run never starts
+    doc = _station_doc(station_path)
+    doc["classes"][0]["arrival"] = {"kind": "deterministic", "value": 1e-300}
+    doc["run"]["stop"] = {"kind": "after_time", "t": 1}
+    path = tmp_path / "flood.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert out == ""
+    assert_one_error_line(
+        code,
+        err,
+        "error: classes[0].arrival: an unbounded class may expect at most 1000000000 arrivals "
+        "before the after_time stop, got 1e+300 (mean gap 1e-300)",
+    )
+
+
 def test_zero_gap_arrivals_need_a_bounded_class(station_path, tmp_path, capsys):
     doc = _station_doc(station_path)
     doc["classes"][0]["arrival"] = {"kind": "deterministic", "value": 0}

@@ -31,6 +31,7 @@ from tiersim import (
     validate,
 )
 from tiersim import bundled, workload
+from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
 from randscen import random_scenario
 
 
@@ -477,11 +478,71 @@ def test_only_streams_that_draw_key_a_generator(monkeypatch):
 
     monkeypatch.setattr("tiersim.engine.Stream", RecordedStream)
     monkeypatch.setattr(workload.np.random, "Philox", counting_philox)
-    Engine(model).run()
+    eng = Engine(model)
+    eng.run()
 
-    assert len(streams) == 2 * len(model.resources()) + len(model.classes)
+    # only visited resources get runtime state and streams; the idle ones get neither
+    visited = {v.resource for cls in model.classes for v in cls.path}
+    assert len(visited) == len(model.resources()) - len(idle)
+    assert set(eng._resources) == visited
+    assert len(streams) == 2 * len(visited) + len(model.classes)
+    assert not any(s.consumer.startswith("resource:Idle") for s in streams)
     assert len(keyed) == sum(s.draws > 0 for s in streams)
-    assert len(keyed) <= len(streams) - 2 * len(idle)
+
+
+def with_idle_tier(stop: StopRule, warmup: float) -> ScenarioModel:
+    """The bundled scenario plus a tier of resources no class visits,
+    one with a single replica and one with three."""
+    doc = json.loads(bundled.read("webservices.json"))
+    doc["tiers"].insert(
+        1,
+        {
+            "name": "unvisited",
+            "resources": [{"name": "Idle1", "replicas": 1}, {"name": "Idle3", "replicas": 3, "queue_capacity": 2}],
+        },
+    )
+    model = parse_scenario(json.dumps(doc))
+    return dataclasses.replace(model, run=dataclasses.replace(model.run, stop=stop, warmup=warmup))
+
+
+@pytest.mark.parametrize(
+    "stop, warmup",
+    [(StopRule.after_requests(200), 0.0), (StopRule.after_requests(200), 1e6), (StopRule.after_time(4.0), 1.0)],
+    ids=["warmup-0", "warmup-past-elapsed", "after-time"],
+)
+def test_an_unvisited_resource_reports_the_constant_row(stop, warmup):
+    model = with_idle_tier(stop, warmup)
+    eng = Engine(model)
+    report = eng.run()
+    assert list(report.resources) == [r.name for r in model.resources()]
+    for name in ("Idle1", "Idle3"):
+        assert report.resources[name] is UNVISITED
+    if warmup == 1e6:
+        assert report.elapsed < warmup
+
+    # the constant is what the accumulator arithmetic gives a resource
+    # that was never offered a request
+    acc = eng.accumulator
+    for name, replicas in (("Idle1", 1), ("Idle3", 3)):
+        idle = ResourceAccumulator(replicas, acc.warmup, acc.series_enabled)
+        idle.close(report.elapsed, [], 0)
+        acc.resources[name] = idle
+    computed = finalize(acc, report.elapsed)
+    assert computed.resources["Idle1"] == computed.resources["Idle3"] == UNVISITED
+    assert report_to_json(computed) == report_to_json(report)
+
+
+def test_snapshot_of_an_unvisited_resource_is_all_idle():
+    eng = Engine(with_idle_tier(StopRule.after_requests(200), 0.0))
+    for _ in range(50):
+        eng.step()
+    snap = eng.snapshot("Idle3")
+    assert snap.busy == (False, False, False)
+    assert snap.queue_lengths == (0, 0, 0)
+    assert (snap.in_system, snap.offered, snap.served, snap.dropped) == (0, 0, 0, 0)
+    assert eng.snapshot("Idle1").busy == (False,)
+    with pytest.raises(KeyError):
+        eng.snapshot("nope")
 
 
 def test_clock_overflow_in_a_valid_model_is_an_internal_error():

@@ -25,8 +25,23 @@ from tiersim import (
     report_to_table,
     simulate,
 )
-from tiersim.metrics import MetricsReport, RunAccumulator, Welford, _percentile
+from tiersim.metrics import MetricsReport, RunAccumulator, _percentile
 from randscen import random_scenario
+
+
+class Welford:
+    """Streaming mean: the reference for the inline recorders, which
+    update their means in this operation order."""
+
+    __slots__ = ("n", "mean")
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+
+    def add(self, x: float) -> None:
+        self.n += 1
+        self.mean += (x - self.mean) / self.n
 
 
 def one_station_model(replicas: int = 1, warmup: float = 0.0, series: bool = False) -> ScenarioModel:

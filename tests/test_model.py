@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -293,6 +294,16 @@ def _structural_cases():
             "classes[0].arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0",
             True,
         ),
+        # 2e9 arrivals expected before t = 2
+        "arrivals-above-bound": (
+            replaced(
+                classes=(dataclasses.replace(cls, arrival=Distribution.exponential(1e9)),),
+                run=RunConfig(stop=StopRule.after_time(2.0)),
+            ),
+            "classes[0].arrival: an unbounded class may expect at most 1000000000 arrivals before the after_time "
+            "stop, got 2e+09 (mean gap 1e-09); raise the gap, shorten the horizon or set max_requests",
+            True,
+        ),
     }
 
 
@@ -462,3 +473,18 @@ def test_round_trip_property(model):
     again = parse_scenario(serialize_scenario(model))
     assert again == model
     assert again.run.stop.kind in (StopKind.AFTER_REQUESTS, StopKind.AFTER_TIME)
+
+
+def test_the_arrival_bound_holds_only_unbounded_classes_under_a_time_stop():
+    base = small_model(stop=StopRule.after_time(1.0))
+    (cls,) = base.classes
+
+    def with_class(model, **changes):
+        return dataclasses.replace(model, classes=(dataclasses.replace(cls, **changes),))
+
+    # exactly at the bound
+    assert validate(with_class(base, arrival=Distribution.exponential(1e9))) == ()
+    flood = Distribution.deterministic(1e-300)
+    assert validate(with_class(base, arrival=flood, max_requests=5)) == ()
+    assert validate(with_class(small_model(), arrival=flood)) == ()
+    assert len(validate(with_class(base, arrival=flood))) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -549,6 +550,29 @@ def test_oracle_check_table(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--lambda", "1.0", "--mu", "2.0", "--requests", "2000")
     assert code == 0
     assert out.splitlines()[0].split() == ["metric", "simulated", "analytic", "rel_error"]
+
+
+# SHA-256 over the stdout of oracle-check, JSON and table, at three
+# (c, K) stations, then of report --bottlenecks --format json on a saved
+# run of the bundled scenario. Changing it means an output byte moved.
+OUTPUT_DIGEST = "5dd08cab2e85ec6dcd7f87237ba7535f07af3773dfc9f2d88bdbf239161a0d0e"
+
+
+def test_oracle_check_and_bottleneck_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for servers, capacity in ((1, 3), (2, 0), (3, 6)):
+        for fmt in ("json", "table"):
+            argv = ("--lambda", "1.5", "--mu", "1.0", "-c", str(servers), "-K", str(capacity))
+            code, out, _ = run_cli(capsys, "oracle-check", *argv, "--requests", "3000", "--seed", "5", "--format", fmt)
+            assert code == 0
+            digest.update(out.encode())
+    saved = tmp_path / "webservices-report.json"
+    code, _, _ = run_cli(capsys, "run", "bundled:webservices.json", "--requests", "400", "--report", str(saved), "--quiet")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "report", str(saved), "--bottlenecks", "--format", "json")
+    assert code == 0
+    digest.update(out.encode())
+    assert digest.hexdigest() == OUTPUT_DIGEST
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
-"""Command-line driver.
+"""Command-line driver: argument handling only.
 
 Subcommands: validate, run, sweep, report, oracle-check, synthesize.
+Each handler reads its inputs, calls the library (``runs`` for
+oracle-check, ``sweep`` for sweeps) and writes the result.
+
 Exit codes: 0 success, 1 validation or domain failure, 2 I/O failure.
 Output files are written atomically (temp file + rename in the target
 directory), so a crash never leaves a half-written report behind.
@@ -21,21 +24,8 @@ from .engine import Engine
 from .errors import TiersimError
 from .frontend import parse_deployment, parse_execution, synthesize_scenario
 from .metrics import export_series, report_from_json, report_to_json, report_to_table
-from .model import (
-    UNBOUNDED,
-    Distribution,
-    ResourceSpec,
-    RunConfig,
-    ScenarioModel,
-    StopRule,
-    Tier,
-    Visit,
-    WorkloadClass,
-    parse_scenario,
-    serialize_scenario,
-    validated,
-)
-from .oracle import check_station, mmck
+from .model import UNBOUNDED, Distribution, ScenarioModel, StopRule, parse_scenario, serialize_scenario, validated
+from .runs import run_oracle_check
 # SweepResult is not used here; it stays importable from tiersim.cli for its callers
 from .sweep import SweepResult, parse_rate_grid, run_sweep, sweep_to_csv  # noqa: F401
 
@@ -78,53 +68,6 @@ def _apply_overrides(model: ScenarioModel, args: argparse.Namespace) -> Scenario
     if getattr(args, "series", False):
         run = dataclasses.replace(run, series_enabled=True)
     return validated(dataclasses.replace(model, run=run))
-
-
-# ----------------------------------------------------------------------
-# oracle-check support
-
-
-def build_station_model(lam: float, mu: float, servers: int, capacity: int, requests: int, seed: int) -> ScenarioModel:
-    """Single M/M/c/K station driven until `requests` terminal outcomes."""
-    return validated(
-        ScenarioModel(
-            name="station-check",
-            tiers=(Tier(name="station", resources=(ResourceSpec(name="station", replicas=servers, queue_capacity=capacity),)),),
-            classes=(
-                WorkloadClass(
-                    name="load",
-                    arrival=Distribution.exponential(lam),
-                    path=(Visit(resource="station", demand=Distribution.exponential(mu)),),
-                ),
-            ),
-            run=RunConfig(seed=seed, stop=StopRule.after_requests(requests)),
-        )
-    )
-
-
-def run_oracle_check(lam: float, mu: float, servers: int, capacity: int, requests: int, seed: int):
-    """Simulate the station and pair each metric with its closed form."""
-    check_station(lam, mu, servers, capacity)  # a bad flag is named as the user gave it
-    # validation bounds the replicas before mmck allocates a weight per state
-    model = build_station_model(lam, mu, servers, capacity, requests, seed)
-    analytic = mmck(lam, mu, servers, capacity)
-    report = Engine(model).run()
-    sim = report.resources["station"]
-    pairs = [
-        ("utilization", sim.utilization, analytic.utilization),
-        ("p_drop", sim.p_drop, analytic.p_block),
-        ("avg_waiting", sim.avg_waiting, analytic.mean_wait),
-        ("avg_response", sim.avg_response, analytic.mean_response),
-        ("mean_in_system", sim.mean_in_system, analytic.mean_in_system),
-    ]
-    rows = []
-    for name, simulated, reference in pairs:
-        if reference != 0.0:
-            rel = abs(simulated - reference) / abs(reference)
-        else:
-            rel = abs(simulated - reference)
-        rows.append((name, simulated, reference, rel))
-    return rows
 
 
 # ----------------------------------------------------------------------

@@ -36,9 +36,11 @@ UNBOUNDED = math.inf
 MAX_REPLICAS = 4096
 
 # Most arrivals an unbounded class may expect before an after_time stop
-# (horizon / mean gap). A run applies a few hundred thousand events per
-# second, so this many already takes hours; far more means a gap far
-# below the horizon's scale, which would only ever hang.
+# (horizon / mean gap) or, under an after_requests stop, before one of its
+# sessions can end (mean demand ahead of its first bounded queue / mean
+# gap). A run applies a few hundred thousand events per second, so this
+# many already takes hours; far more means a gap far below the window's
+# scale, which would only ever hang.
 MAX_EXPECTED_ARRIVALS = 10**9
 
 # Pseudo-resource label used by series export for whole-session rows.
@@ -234,6 +236,7 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
         issues.append("classes: at least one workload class is required")
 
     seen_resources: dict[str, str] = {}
+    bounded: dict[str, bool] = {}
     seen_tiers: set[str] = set()
     for ti, tier in enumerate(model.tiers):
         tpath = f"tiers[{ti}]"
@@ -255,6 +258,7 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
                 issues.append(f"{rpath}: duplicate resource name {res.name!r} (also in {seen_resources[res.name]})")
             else:
                 seen_resources[res.name] = tpath
+                bounded[res.name] = res.queue_capacity != INFINITE
             if not (_integer(res.replicas) and res.replicas >= 1):
                 issues.append(f"{rpath}: replicas must be an integer >= 1, got {res.replicas!r}")
             elif res.replicas > MAX_REPLICAS:
@@ -268,6 +272,9 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
     stop = model.run.stop
     # 0 when there is no valid after_time horizon; the stop check below names that
     horizon = stop.t if stop.kind is StopKind.AFTER_TIME and _finite(stop.t) and stop.t > 0 else 0.0
+    during, shorten = "before the after_time stop", "shorten the horizon"
+    if stop.kind is StopKind.AFTER_REQUESTS:
+        during, shorten = "before a session can end", "lower the path's demand"
     seen_classes: set[str] = set()
     for ci, cls in enumerate(model.classes):
         cpath = f"classes[{ci}]"
@@ -279,19 +286,14 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             seen_classes.add(cls.name)
         found = len(issues)
         _check_distribution(cls.arrival, f"{cpath}.arrival", issues)
-        if len(issues) == found and cls.max_requests == UNBOUNDED:
-            gap = cls.arrival.mean()
-            if gap == 0:
-                # every gap is 0, so arrivals would be scheduled at t = 0 forever
-                issues.append(
-                    f"{cpath}.arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0"
-                )
-            elif horizon / gap > MAX_EXPECTED_ARRIVALS:
-                issues.append(
-                    f"{cpath}.arrival: an unbounded class may expect at most {MAX_EXPECTED_ARRIVALS} arrivals "
-                    f"before the after_time stop, got {horizon / gap:.3g} (mean gap {gap!r}); "
-                    "raise the gap, shorten the horizon or set max_requests"
-                )
+        # the mean gap of an unbounded class whose arrival law is valid
+        gap = cls.arrival.mean() if len(issues) == found and cls.max_requests == UNBOUNDED else None
+        if gap == 0:
+            # every gap is 0, so arrivals would be scheduled at t = 0 forever
+            issues.append(
+                f"{cpath}.arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0"
+            )
+        found = len(issues)
         if not cls.path:
             issues.append(f"{cpath}.path: path must hold at least one visit")
         for vi, visit in enumerate(cls.path):
@@ -299,6 +301,23 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             if visit.resource not in seen_resources:
                 issues.append(f"{vpath}: visit references unknown resource {visit.resource!r}")
             _check_distribution(visit.demand, f"{vpath}.demand", issues)
+        if gap:
+            window = horizon
+            if stop.kind is StopKind.AFTER_REQUESTS and len(issues) == found:
+                # the time before a session can end: the summed mean demand of
+                # the visits before the first bounded queue, which drops the
+                # flood, and each drop ends a session
+                window = 0.0
+                for visit in cls.path:
+                    if bounded[visit.resource]:
+                        break
+                    window += visit.demand.mean()
+            if window / gap > MAX_EXPECTED_ARRIVALS:
+                issues.append(
+                    f"{cpath}.arrival: an unbounded class may expect at most {MAX_EXPECTED_ARRIVALS} arrivals "
+                    f"{during}, got {window / gap:.3g} (mean gap {gap!r}); "
+                    f"raise the gap, {shorten} or set max_requests"
+                )
         mr = cls.max_requests
         if not (mr == UNBOUNDED or (_integer(mr) and mr >= 1)):
             issues.append(f"{cpath}: max_requests must be an integer >= 1 or unbounded, got {mr!r}")

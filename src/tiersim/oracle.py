@@ -23,8 +23,10 @@ from .errors import DomainError
 # Rescale threshold for the running weight computation.
 _BIG = 1e280
 
-# Most waiting slots mmck() takes: it builds a float per state, so an
-# unbounded K would exhaust memory (or overflow a list size) first.
+# Most servers and waiting slots mmck() takes: it builds a float per
+# state, so an unbounded c or K would exhaust memory (or overflow a list
+# size) first.
+MAX_SERVERS = 100_000
 MAX_QUEUE_CAPACITY = 100_000
 
 
@@ -57,6 +59,8 @@ def check_station(lam: float, mu: float, servers: int, queue_capacity: int) -> N
     # bool is an int subclass, but True servers or rate is a mistake
     if isinstance(servers, bool) or not (isinstance(servers, int) and servers >= 1):
         raise DomainError(f"servers must be an integer >= 1, got {servers!r}")
+    if servers > MAX_SERVERS:
+        raise DomainError(f"servers must be at most {MAX_SERVERS}, got {servers!r}")
     if isinstance(queue_capacity, bool) or not (isinstance(queue_capacity, int) and queue_capacity >= 0):
         raise DomainError(f"queue_capacity must be an integer >= 0, got {queue_capacity!r}")
     if queue_capacity > MAX_QUEUE_CAPACITY:

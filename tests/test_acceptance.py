@@ -29,7 +29,8 @@ from tiersim import (
     report_to_json,
     simulate,
 )
-from tiersim.cli import build_station_model, run_oracle_check, run_sweep
+from tiersim.cli import run_sweep
+from tiersim.runs import build_station_model, run_oracle_check
 from randscen import random_scenario
 
 

@@ -21,7 +21,8 @@ from tiersim import (
     parse_scenario,
     serialize_scenario,
 )
-from tiersim.cli import build_station_model, main, parse_rate_grid
+from tiersim.cli import main, parse_rate_grid
+from tiersim.runs import build_station_model
 from tiersim.sweep import _with_arrival_rate
 
 
@@ -120,11 +121,13 @@ def test_replicas_beyond_the_bound_are_one_error_line(station_path, tmp_path, ca
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ("run", str(path))
+        line = f"error: tiers[0].resources[0]: replicas must be at most 4096, got {10**30}\n"
     else:
         argv = ("oracle-check", "--lambda", "1", "--mu", "1", "-c", str(10**30))
+        line = f"error: servers must be at most 100000, got {10**30}\n"
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
-    assert_one_error_line(code, err, f"error: tiers[0].resources[0]: replicas must be at most 4096, got {10**30}\n")
+    assert_one_error_line(code, err, line)
 
 
 def test_an_oracle_capacity_beyond_the_bound_is_one_error_line(capsys):
@@ -133,12 +136,30 @@ def test_an_oracle_capacity_beyond_the_bound_is_one_error_line(capsys):
     assert_one_error_line(code, err, f"error: queue_capacity must be at most 100000, got {10**30}\n")
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_a_tiny_arrival_gap_before_a_time_stop_is_one_error_line(station_path, tmp_path, capsys, command):
-    # 1e300 arrivals before t = 1: refused by validate(), so the run never starts
+_AFTER_TIME = ({"kind": "after_time", "t": 1}, "before the after_time stop, got 1e+300")
+# the unbounded station's mean demand is 0.5: 5e299 arrivals before a session can end
+_AFTER_REQUESTS = ({"kind": "after_requests", "n": 10}, "before a session can end, got 5e+299")
+
+
+@pytest.mark.parametrize(
+    "command, stop, expected",
+    [
+        ("validate", *_AFTER_TIME),
+        ("run", *_AFTER_TIME),
+        ("validate", *_AFTER_REQUESTS),
+        ("run", *_AFTER_REQUESTS),
+    ],
+    ids=["validate", "run", "validate-after_requests", "run-after_requests"],
+)
+def test_a_tiny_arrival_gap_before_a_time_stop_is_one_error_line(station_path, tmp_path, capsys, command, stop, expected):
+    # 1e300 arrivals before t = 1, or unbounded queueing before the tenth
+    # session ends: refused by validate(), so the run never starts
     doc = _station_doc(station_path)
     doc["classes"][0]["arrival"] = {"kind": "deterministic", "value": 1e-300}
-    doc["run"]["stop"] = {"kind": "after_time", "t": 1}
+    if stop["kind"] == "after_requests":
+        # a bounded queue would drop the flood, and each drop ends a session
+        doc["tiers"][0]["resources"][0]["queue_capacity"] = "inf"
+    doc["run"]["stop"] = stop
     path = tmp_path / "flood.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, command, str(path))
@@ -146,8 +167,7 @@ def test_a_tiny_arrival_gap_before_a_time_stop_is_one_error_line(station_path, t
     assert_one_error_line(
         code,
         err,
-        "error: classes[0].arrival: an unbounded class may expect at most 1000000000 arrivals "
-        "before the after_time stop, got 1e+300 (mean gap 1e-300)",
+        f"error: classes[0].arrival: an unbounded class may expect at most 1000000000 arrivals {expected} (mean gap 1e-300)",
     )
 
 

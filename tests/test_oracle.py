@@ -136,7 +136,9 @@ def test_domain_errors():
         mmck(1.0, 2.0, 1, -1)
     with pytest.raises(DomainError):
         mmck(1.0, 2.0, 1, 2.0)  # type: ignore[arg-type]
-    # a float per state: K is bounded before anything is allocated
+    # a float per state: c and K are bounded before anything is allocated
+    with pytest.raises(DomainError, match="servers must be at most 100000"):
+        mmck(1.0, 1.0, 10**30, 0)
     with pytest.raises(DomainError, match="queue_capacity must be at most 100000"):
         mmck(1.0, 2.0, 1, 10**30)
     with pytest.raises(DomainError):

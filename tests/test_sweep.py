@@ -26,9 +26,9 @@ from tiersim import (
     report_to_json,
     synthesize_scenario,
 )
-from tiersim import sweep
-from tiersim.cli import build_station_model
-from tiersim.sweep import parse_rate_grid, run_sweep, sweep_to_csv, worker_count
+from tiersim import runs, sweep
+from tiersim.runs import build_station_model, worker_count
+from tiersim.sweep import parse_rate_grid, run_sweep, sweep_to_csv
 
 from randdeploy import random_deployment
 
@@ -44,8 +44,8 @@ def webservices(requests: int):
 def pooled(monkeypatch):
     """Send every sweep of more than one run to a pool of two workers,
     even on a host with one usable CPU."""
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(sweep, "_MIN_POOLED_EVENTS", 0)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(runs, "_MIN_POOLED_EVENTS", 0)
 
 
 class _NoPool:
@@ -71,38 +71,38 @@ def test_a_repeated_rate_is_refused_before_any_run(monkeypatch, grid):
     def no_run(model):
         raise AssertionError("a sweep started a run before checking its grid")
 
-    monkeypatch.setattr(sweep, "Engine", no_run)
+    monkeypatch.setattr(runs, "Engine", no_run)
     with pytest.raises(DomainError, match=r"rate grid repeats (1\.0|0\.5); give each rate once"):
         run_sweep(webservices(60), parse_rate_grid(grid), replications=2, master_seed=3)
 
 
 def test_worker_count_needs_cpus_runs_and_work(monkeypatch):
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
-    enough = sweep._MIN_POOLED_EVENTS
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
+    enough = runs._MIN_POOLED_EVENTS
     assert worker_count(6, enough) == 2
     assert worker_count(1, enough) == 1
     assert worker_count(10**6, 10**9) == 2
     assert worker_count(6, enough - 1) == 1
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
     assert worker_count(6, 10**9) == 1
 
 
 def test_expected_events_count_an_arrival_and_each_visit():
     model = webservices(300)
     (cls,) = model.classes
-    assert sweep._expected_events(model) == 300 * (1 + len(cls.path))
+    assert runs._expected_events(model) == 300 * (1 + len(cls.path))
     timed = dataclasses.replace(model, run=dataclasses.replace(model.run, stop=StopRule.after_time(10.0)))
-    assert sweep._expected_events(timed) == cls.arrival.rate * 10.0 * (1 + len(cls.path))
+    assert runs._expected_events(timed) == cls.arrival.rate * 10.0 * (1 + len(cls.path))
 
 
 def test_usable_cpus_is_positive():
-    assert sweep.usable_cpus() >= 1
+    assert runs.usable_cpus() >= 1
 
 
 def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled):
     model = webservices(300)
     rates = (20.0, 40.0, 60.0)
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
     serial = run_sweep(model, rates, replications=2, master_seed=11)
     started = []
 
@@ -111,7 +111,7 @@ def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled):
             started.append(mp_context.get_start_method())
             super().__init__(*args, mp_context=mp_context, **kwargs)
 
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     pooled_result = run_sweep(model, rates, replications=2, master_seed=11)
     assert started == ["fork"]
@@ -120,6 +120,31 @@ def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled):
     for rate in rates:
         pooled_json = [report_to_json(r) for r in pooled_result.reports[rate]]
         assert pooled_json == [report_to_json(r) for r in serial.reports[rate]]
+
+
+def test_run_models_returns_pooled_reports_in_input_order(monkeypatch, pooled):
+    web = webservices(200)
+    timed = dataclasses.replace(web, run=dataclasses.replace(web.run, seed=9, stop=StopRule.after_time(4.0)))
+    models = (build_station_model(1.5, 2.0, 2, 4, 400, seed=3), web, timed)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
+    serial = [report_to_json(r) for r in runs.run_models(models)]
+    assert len(set(serial)) == len(models)
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            started.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert [report_to_json(r) for r in runs.run_models(models)] == serial
+    assert started == [2]
+
+
+def test_run_models_of_no_models_starts_no_pool(monkeypatch, pooled):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    assert runs.run_models(()) == ()
 
 
 def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, pooled):
@@ -131,7 +156,7 @@ def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, pooled):
     model = dataclasses.replace(model, classes=(dataclasses.replace(cls, path=path, max_requests=1),))
     errors = []
     for cpus in (1, 2):
-        monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(runs, "usable_cpus", lambda: cpus)
         with pytest.raises(InternalError) as exc:
             run_sweep(model, (1.0, 2.0), replications=2, master_seed=5)
         errors.append((type(exc.value), str(exc.value)))
@@ -145,14 +170,14 @@ def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, pooled):
     ids=["one-run", "short"],
 )
 def test_a_sweep_that_needs_one_worker_starts_no_pool(monkeypatch, rates, replications, requests):
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     result = run_sweep(webservices(requests), rates, replications=replications, master_seed=2)
     assert [len(reps) for reps in result.reports.values()] == [replications] * len(rates)
 
 
 def test_no_fork_means_no_pool(monkeypatch, pooled):
-    monkeypatch.setattr(sweep, "_fork_context", lambda: None)
+    monkeypatch.setattr(runs, "_fork_context", lambda: None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     result = run_sweep(webservices(60), (20.0, 40.0), replications=2, master_seed=2)
     assert [len(reps) for reps in result.reports.values()] == [2, 2]
@@ -161,7 +186,7 @@ def test_no_fork_means_no_pool(monkeypatch, pooled):
 def test_fork_context_is_fork_where_the_platform_has_it():
     import multiprocessing
 
-    context = sweep._fork_context()
+    context = runs._fork_context()
     if "fork" in multiprocessing.get_all_start_methods():
         assert context.get_start_method() == "fork"
     else:
@@ -197,7 +222,7 @@ def pinned_sweep_models():
 
 def test_sweep_bytes_are_pinned(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
     models = list(pinned_sweep_models())
     # the synthesized deployments declare resources that no class visits
     unvisited = [

@@ -758,6 +758,66 @@ def test_a_missing_key_error_names_the_same_key_under_every_hash_seed(station_pa
     assert errors == {(1, message)}
 
 
+_ARRIVAL = ("classes", 0, "arrival")
+_DEMAND = ("classes", 0, "path", 0, "demand")
+_STOP = ("run", "stop")
+_BAD_DEMAND = "(expected 'exp RATE', 'det VALUE' or 'uniform LO HI')"
+
+
+@pytest.mark.parametrize(
+    "where, record, line",
+    [
+        (_ARRIVAL, {"kind": "normal", "rate": 1}, "$.classes[0].arrival.kind: unknown distribution kind 'normal'"),
+        (_ARRIVAL, {"kind": [1], "rate": 1}, "$.classes[0].arrival.kind: unknown distribution kind [1]"),
+        (_DEMAND, {"kind": None, "value": 1}, "$.classes[0].path[0].demand.kind: unknown distribution kind None"),
+        (_STOP, {"kind": "forever", "n": 10}, "$.run.stop.kind: unknown stop kind 'forever'"),
+        (_DEMAND, {"kind": "deterministic", "value": 1, "rate": 2}, "$.classes[0].path[0].demand: unknown key 'rate'"),
+        (_STOP, {"kind": "after_time", "t": 5, "n": 10}, "$.run.stop: unknown key 'n'"),
+        (_ARRIVAL, {"kind": "uniform", "lo": 1}, "$.classes[0].arrival: missing required key 'hi'"),
+        (_STOP, {"kind": "after_time"}, "$.run.stop: missing required key 't'"),
+        (_ARRIVAL, {"kind": "exponential", "rate": "2"}, "$.classes[0].arrival.rate: expected a number, got '2'"),
+        (_STOP, {"kind": "after_requests", "n": 1.5}, "$.run.stop.n: expected an integer, got 1.5"),
+        (None, "exp 1 2", f"line 1: bad demand 'exp 1 2' {_BAD_DEMAND}"),
+        (None, "gamma 1", f"line 1: bad demand 'gamma 1' {_BAD_DEMAND}"),
+        (None, "det cheap", "line 1: demand parameters must be numbers, got ['cheap']"),
+        (None, "uniform 1", f"line 1: bad demand 'uniform 1' {_BAD_DEMAND}"),
+    ],
+    ids=[
+        "kind-normal",
+        "kind-list",
+        "kind-null",
+        "stop-forever",
+        "distribution-extra-key",
+        "stop-extra-key",
+        "uniform-without-hi",
+        "stop-without-t",
+        "text-rate",
+        "fractional-n",
+        "step-exp-two-params",
+        "step-gamma",
+        "step-det-text",
+        "step-uniform-one-param",
+    ],
+)
+def test_each_bad_tagged_record_is_one_pinned_error_line(station_path, tmp_path, capsys, where, record, line):
+    path = tmp_path / "input"
+    if where is None:
+        # a demand in the step script
+        path.write_text(f"a -> b : call [{record}]\n", encoding="utf-8")
+        argv = ("synthesize", str(path), "bundled:webservices_deployment.json", "--arrival-rate", "1")
+    else:
+        doc = _station_doc(station_path)
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = record
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ("validate", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert (code, err) == (1, f"error: {line}\n")
+
+
 def test_unknown_bundled_name_is_io_error(capsys):
     code, _, err = run_cli(capsys, "validate", "bundled:nothing.json")
     assert code == 2

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 from .errors import ScenarioSyntaxError, ValidationError
 from .model import (
+    _DIST_PARAMS,
     UNBOUNDED,
+    DistKind,
     Distribution,
     ResourceSpec,
     RunConfig,
@@ -77,24 +79,25 @@ class DeploymentMap:
         return self.links.get((a, b) if a <= b else (b, a))
 
 
+# each distribution kind's token in a demand bracket, which lists the
+# kind's parameters in the scenario format's order
+_DEMAND_KINDS = {"exp": DistKind.EXPONENTIAL, "det": DistKind.DETERMINISTIC, "uniform": DistKind.UNIFORM}
+_DEMAND_FORMS = [f"'{token} {' '.join(_DIST_PARAMS[kind]).upper()}'" for token, kind in _DEMAND_KINDS.items()]
+_DEMAND_EXPECTED = f"expected {', '.join(_DEMAND_FORMS[:-1])} or {_DEMAND_FORMS[-1]}"
+
+
 def _parse_demand(text: str, line_no: int) -> Distribution:
     tokens = text.split()
     if not tokens:
         raise ScenarioSyntaxError("empty demand bracket", line=line_no)
-    kind, args = tokens[0], tokens[1:]
+    kind, args = _DEMAND_KINDS.get(tokens[0]), tokens[1:]
     try:
         values = [float(a) for a in args]
     except ValueError:
         raise ScenarioSyntaxError(f"demand parameters must be numbers, got {args!r}", line=line_no) from None
-    if kind == "exp" and len(values) == 1:
-        return Distribution.exponential(values[0])
-    if kind == "det" and len(values) == 1:
-        return Distribution.deterministic(values[0])
-    if kind == "uniform" and len(values) == 2:
-        return Distribution.uniform(values[0], values[1])
-    raise ScenarioSyntaxError(
-        f"bad demand {text!r} (expected 'exp RATE', 'det VALUE' or 'uniform LO HI')", line=line_no
-    )
+    if kind is not None and len(values) == len(_DIST_PARAMS[kind]):
+        return Distribution(kind, **dict(zip(_DIST_PARAMS[kind], values)))
+    raise ScenarioSyntaxError(f"bad demand {text!r} ({_DEMAND_EXPECTED})", line=line_no)
 
 
 def parse_execution(text: str) -> tuple[Step, ...]:

@@ -33,12 +33,15 @@ row is the one constant UNVISITED row, shared by every run.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 from .errors import SeriesDisabledError
-from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _bool, _int, _load_json, _num, _str
+from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _load_json, _read_values
 
 
 class ResourceAccumulator:
@@ -268,7 +271,6 @@ _HEADER_TYPES = {k: _REPORT_TYPES[k] for k in ("scenario", "seed", "elapsed", "w
 _TOTALS_TYPES = {k: _REPORT_TYPES[k] for k in ("generated", "completed", "dropped", "in_flight")}
 _SERIES_TYPES = {"enabled": "bool", "resource_rows": "int", "end_to_end_rows": "int"}
 _REPORT_KEYS = (*_HEADER_TYPES, "totals", "resources", "classes", "series")
-_READERS = {"float": _num, "int": _int, "str": _str, "bool": _bool}
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -384,11 +386,6 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _read_values(d: dict, types: dict[str, str], path: str) -> dict:
-    """The values of ``d`` at the keys of ``types``, each read as the type named there."""
-    return {k: _READERS[t](d[k], f"{path}.{k}") for k, t in types.items()}
-
-
 def _read_record(obj: object, types: dict[str, str], path: str) -> dict:
     """``obj`` as an object holding exactly the keys of ``types``, read by _read_values."""
     return _read_values(_as_record(obj, tuple(types), path), types, path)
@@ -471,7 +468,14 @@ def export_series(report: MetricsReport) -> str:
     if not report.series_enabled:
         raise SeriesDisabledError("this run did not record series data (enable run.series)")
     rows = list(report.resource_series) + list(report.end_to_end_series)
-    rows.sort(key=lambda row: row[1])
+    rows.sort(key=itemgetter(1))
+    # each label as csv writes it, quoted where it holds a comma or a quote;
+    # quoting each label once, not each row, keeps the export a plain join
+    cells = {}
+    for label in set(map(itemgetter(0), rows)):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow((label,))
+        cells[label] = out.getvalue()
     lines = ["resource,arrival_time,response_time"]
-    lines.extend(f"{label},{t!r},{r!r}" for label, t, r in rows)
+    lines.extend(f"{cells[label]},{t!r},{r!r}" for label, t, r in rows)
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import ScenarioSyntaxError, ValidationError
@@ -391,21 +391,6 @@ def _as_list(obj: object, path: str) -> list:
     return obj
 
 
-def _parse_distribution(obj: object, path: str) -> Distribution:
-    d = _as_dict(obj, path)
-    kind = d.get("kind")
-    if kind == "exponential":
-        _as_record(d, ("kind", "rate"), path)
-        return Distribution.exponential(_num(d["rate"], f"{path}.rate"))
-    if kind == "deterministic":
-        _as_record(d, ("kind", "value"), path)
-        return Distribution.deterministic(_num(d["value"], f"{path}.value"))
-    if kind == "uniform":
-        _as_record(d, ("kind", "lo", "hi"), path)
-        return Distribution.uniform(_num(d["lo"], f"{path}.lo"), _num(d["hi"], f"{path}.hi"))
-    raise ValidationError(f"{path}.kind: unknown distribution kind {kind!r}")
-
-
 def _num(obj: object, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {obj!r}")
@@ -431,6 +416,44 @@ def _str(obj: object, path: str) -> str:
     if not isinstance(obj, str):
         raise ValidationError(f"{path}: expected a string, got {obj!r}")
     return obj
+
+
+# a field annotation's type name -> the reader of a value of that type
+_READERS = {"float": _num, "int": _int, "str": _str, "bool": _bool}
+
+
+def _read_values(d: dict, types: dict[str, str], path: str) -> dict:
+    """The values of ``d`` at the keys of ``types``, each read as the type named there."""
+    return {k: _READERS[t](d[k], f"{path}.{k}") for k, t in types.items()}
+
+
+def _field_types(record: type, params: dict[Enum, tuple[str, ...]]) -> dict[Enum, dict[str, str]]:
+    """Each kind's parameters, each paired with the annotated type of ``record``'s field."""
+    types = {f.name: f.type for f in fields(record)}
+    return {kind: {p: types[p] for p in names} for kind, names in params.items()}
+
+
+# The tagged records of the format: an object holding "kind" and exactly
+# that kind's parameters, listed here in the order the writer emits them.
+_DIST_PARAMS = _field_types(
+    Distribution, {DistKind.EXPONENTIAL: ("rate",), DistKind.DETERMINISTIC: ("value",), DistKind.UNIFORM: ("lo", "hi")}
+)
+_STOP_PARAMS = _field_types(StopRule, {StopKind.AFTER_REQUESTS: ("n",), StopKind.AFTER_TIME: ("t",)})
+
+
+def _read_tagged(obj: object, record: type, params: dict, what: str, path: str) -> Distribution | StopRule:
+    """A ``record`` read from a tagged object whose kinds and parameters ``params`` lists."""
+    d = _as_dict(obj, path)
+    kind = d.get("kind")
+    for member, types in params.items():
+        if kind == member:
+            _as_record(d, ("kind", *types), path)
+            return record(member, **_read_values(d, types, path))
+    raise ValidationError(f"{path}.kind: unknown {what} kind {kind!r}")
+
+
+def _tagged_to_json(record: Distribution | StopRule, params: dict) -> dict:
+    return {"kind": record.kind.value, **{p: getattr(record, p) for p in params[record.kind]}}
 
 
 def _parse_capacity(obj: object, path: str) -> int | float:
@@ -460,18 +483,6 @@ def _parse_resource(obj: object, path: str) -> ResourceSpec:
         queue_capacity=_parse_capacity(d.get("queue_capacity", "inf"), f"{path}.queue_capacity"),
         balancer=balancer,
     )
-
-
-def _parse_stop(obj: object, path: str) -> StopRule:
-    d = _as_dict(obj, path)
-    kind = d.get("kind")
-    if kind == "after_requests":
-        _as_record(d, ("kind", "n"), path)
-        return StopRule.after_requests(_int(d["n"], f"{path}.n"))
-    if kind == "after_time":
-        _as_record(d, ("kind", "t"), path)
-        return StopRule.after_time(_num(d["t"], f"{path}.t"))
-    raise ValidationError(f"{path}.kind: unknown stop kind {kind!r}")
 
 
 def parse_scenario(text: str) -> ScenarioModel:
@@ -505,15 +516,15 @@ def parse_scenario(text: str) -> ScenarioModel:
         for vi, vobj in enumerate(_as_list(cd["path"], f"{cpath}.path")):
             vpath = f"{cpath}.path[{vi}]"
             vd = _as_record(vobj, ("resource", "demand"), vpath)
-            visits.append(
-                Visit(resource=_str(vd["resource"], f"{vpath}.resource"), demand=_parse_distribution(vd["demand"], f"{vpath}.demand"))
-            )
+            resource = _str(vd["resource"], f"{vpath}.resource")
+            demand = _read_tagged(vd["demand"], Distribution, _DIST_PARAMS, "distribution", f"{vpath}.demand")
+            visits.append(Visit(resource=resource, demand=demand))
         mr_raw = cd.get("max_requests", "unbounded")
         max_requests = UNBOUNDED if mr_raw == "unbounded" else _int(mr_raw, f"{cpath}.max_requests")
         classes.append(
             WorkloadClass(
                 name=_str(cd["name"], f"{cpath}.name"),
-                arrival=_parse_distribution(cd["arrival"], f"{cpath}.arrival"),
+                arrival=_read_tagged(cd["arrival"], Distribution, _DIST_PARAMS, "distribution", f"{cpath}.arrival"),
                 path=tuple(visits),
                 max_requests=max_requests,
             )
@@ -523,20 +534,12 @@ def parse_scenario(text: str) -> ScenarioModel:
     _require_keys(rd, ("seed", "stop", "warmup", "series"), ("stop",), "$.run")
     run = RunConfig(
         seed=_int(rd.get("seed", 1), "$.run.seed"),
-        stop=_parse_stop(rd["stop"], "$.run.stop"),
+        stop=_read_tagged(rd["stop"], StopRule, _STOP_PARAMS, "stop", "$.run.stop"),
         warmup=_num(rd.get("warmup", 0.0), "$.run.warmup"),
         series_enabled=_bool(rd.get("series", False), "$.run.series"),
     )
 
     return validated(ScenarioModel(name=_str(top["name"], "$.name"), tiers=tuple(tiers), classes=tuple(classes), run=run))
-
-
-def _dist_to_json(dist: Distribution) -> dict:
-    if dist.kind is DistKind.EXPONENTIAL:
-        return {"kind": "exponential", "rate": dist.rate}
-    if dist.kind is DistKind.DETERMINISTIC:
-        return {"kind": "deterministic", "value": dist.value}
-    return {"kind": "uniform", "lo": dist.lo, "hi": dist.hi}
 
 
 def serialize_scenario(model: ScenarioModel) -> str:
@@ -566,19 +569,15 @@ def serialize_scenario(model: ScenarioModel) -> str:
         "classes": [
             {
                 "name": cls.name,
-                "arrival": _dist_to_json(cls.arrival),
-                "path": [{"resource": v.resource, "demand": _dist_to_json(v.demand)} for v in cls.path],
+                "arrival": _tagged_to_json(cls.arrival, _DIST_PARAMS),
+                "path": [{"resource": v.resource, "demand": _tagged_to_json(v.demand, _DIST_PARAMS)} for v in cls.path],
                 "max_requests": "unbounded" if cls.max_requests == UNBOUNDED else cls.max_requests,
             }
             for cls in model.classes
         ],
         "run": {
             "seed": model.run.seed,
-            "stop": (
-                {"kind": "after_requests", "n": model.run.stop.n}
-                if model.run.stop.kind is StopKind.AFTER_REQUESTS
-                else {"kind": "after_time", "t": model.run.stop.t}
-            ),
+            "stop": _tagged_to_json(model.run.stop, _STOP_PARAMS),
             "warmup": model.run.warmup,
             "series": model.run.series_enabled,
         },

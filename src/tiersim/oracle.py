@@ -84,17 +84,24 @@ def mmck(lam: float, mu: float, servers: int, queue_capacity: int) -> AnalyticMe
     weights[0] = 1.0
     total = 1.0
     w = 1.0
+    # (n, scale): every weight below n is still to be multiplied by scale
+    rescales: list[tuple[int, float]] = []
     for n in range(1, top + 1):
         w *= lam / (min(n, servers) * mu)
         if w > _BIG:
             # keep everything finite; only ratios matter
             scale = 1.0 / w
-            for i in range(n):
-                weights[i] *= scale
+            rescales.append((n, scale))
             total *= scale
             w = 1.0
         weights[n] = w
         total += w
+    # one backward pass gives each weight the product of the scales after it
+    factor = 1.0
+    starts = [0] + [n for n, _ in rescales]
+    for (end, scale), start in zip(reversed(rescales), reversed(starts[:-1])):
+        factor *= scale
+        weights[start:end] = [wi * factor for wi in weights[start:end]]
 
     p_n = tuple(wi / total for wi in weights)
     p_block = p_n[top]

@@ -39,6 +39,14 @@ class SweepCell:
     p_drop: float
 
 
+# Most runs (grid points x replications) one sweep may hold.
+# SweepResult.reports keeps every run's report: about 9 KB each on the
+# bundled 7-resource scenario and 85 KB on a 900-resource deployment,
+# and even a 10-request run takes about 4 ms there on a 2-vCPU host, so
+# this many already holds up to 850 MB and takes minutes at a realistic
+# run length.
+MAX_SWEEP_RUNS = 10_000
+
 _SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepCell))
 # the replication-averaged metrics; each names a ResourceMetrics field
 _SWEEP_METRICS = _SWEEP_FIELDS[2:]
@@ -70,6 +78,8 @@ def parse_rate_grid(text: str) -> tuple[float, ...]:
             count = int(parts[2])
             if count < 1:
                 raise DomainError("rate grid needs at least one point")
+            if count > MAX_SWEEP_RUNS:
+                raise DomainError(f"rate grid may hold at most {MAX_SWEEP_RUNS} points, got {count}")
             if count == 1:
                 return (start,)
             step = (stop - start) / (count - 1)
@@ -116,6 +126,10 @@ def run_sweep(
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    if len(rates) * replications > MAX_SWEEP_RUNS:
+        raise DomainError(
+            f"a sweep may hold at most {MAX_SWEEP_RUNS} runs, got {len(rates)} rates x {replications} replications"
+        )
     repeated = [rate for rate, count in Counter(rates).items() if count > 1]
     if repeated:
         # SweepResult.reports is keyed by rate, so a repeat would hide runs

@@ -136,6 +136,12 @@ def test_an_oracle_capacity_beyond_the_bound_is_one_error_line(capsys):
     assert_one_error_line(code, err, f"error: queue_capacity must be at most 100000, got {10**30}\n")
 
 
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the CLI in a child interpreter that may map at most 1 GiB
+_CAPPED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from tiersim.cli import main; sys.exit(main(sys.argv[1:]))"
+)
 _AFTER_TIME = ({"kind": "after_time", "t": 1}, "before the after_time stop, got 1e+300")
 # the unbounded station's mean demand is 0.5: 5e299 arrivals before a session can end
 _AFTER_REQUESTS = ({"kind": "after_requests", "n": 10}, "before a session can end, got 5e+299")
@@ -162,7 +168,19 @@ def test_a_tiny_arrival_gap_before_a_time_stop_is_one_error_line(station_path, t
     doc["run"]["stop"] = stop
     path = tmp_path / "flood.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run_cli(capsys, command, str(path))
+    if command == "run":
+        # were the flood let through, its queue would grow until memory ran
+        # out; a child capped at 1 GiB of address space fails fast instead
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CLI, command, str(path)],
+            env=dict(os.environ, PYTHONPATH=_SRC),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = run_cli(capsys, command, str(path))
     assert out == ""
     assert_one_error_line(
         code,
@@ -433,6 +451,24 @@ def test_sweep_to_stdout_and_bad_grid(station_path, capsys):
     code, _, err = run_cli(capsys, "sweep", station_path, "--rates", "fast")
     assert code == 1
     assert "rate grid" in err
+
+
+@pytest.mark.parametrize(
+    "sizes, line",
+    [
+        (("--rates", "0:1:10001"), "error: rate grid may hold at most 10000 points, got 10001\n"),
+        (
+            ("--rates", "0", "--replications", "10001"),
+            "error: a sweep may hold at most 10000 runs, got 1 rates x 10001 replications\n",
+        ),
+    ],
+    ids=["grid-points", "replications"],
+)
+def test_a_sweep_beyond_the_run_bound_is_one_error_line(station_path, capsys, sizes, line):
+    # rate 0 is refused too, but only once the grid and the runs are sized
+    code, out, err = run_cli(capsys, "sweep", station_path, *sizes, "--requests", "10")
+    assert out == ""
+    assert_one_error_line(code, err, line)
 
 
 def test_sweep_rejects_non_exponential_arrivals(tmp_path, capsys):
@@ -742,11 +778,10 @@ def _without_uniform_bounds(text: str) -> str:
 def test_a_missing_key_error_names_the_same_key_under_every_hash_seed(station_path, tmp_path, edit, message):
     path = tmp_path / "scenario.json"
     path.write_text(edit(Path(station_path).read_text(encoding="utf-8")), encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
     errors = set()
     # string hashing orders a set of names differently under these seeds
     for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
             [sys.executable, "-m", "tiersim.cli", "validate", str(path)],
             env=env,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import statistics
 
 import pytest
@@ -328,6 +330,24 @@ def test_series_rows_match_counts_from_a_real_run():
     assert len(report.end_to_end_series) == report.completed
     csv_text = export_series(report)
     assert len(csv_text.splitlines()) == 1 + len(report.resource_series) + len(report.end_to_end_series)
+
+
+def test_series_labels_that_need_quoting_read_back_as_three_fields():
+    model = one_station_model(series=True)
+    resources = (ResourceSpec(name="a,b"), ResourceSpec(name='x"y'))
+    path = tuple(Visit(resource=r.name, demand=Distribution.exponential(2.0)) for r in resources)
+    model = dataclasses.replace(
+        model,
+        tiers=(Tier(name="t", resources=resources),),
+        classes=(dataclasses.replace(model.classes[0], path=path),),
+    )
+    report = simulate(model)
+    rows = list(csv.reader(io.StringIO(export_series(report))))
+    assert rows[0] == ["resource", "arrival_time", "response_time"]
+    assert all(len(row) == 3 for row in rows)
+    labels = [row[0] for row in rows[1:]]
+    assert set(labels) == {"a,b", 'x"y', "__end_to_end__"}
+    assert labels.count("a,b") == report.resources["a,b"].served
 
 
 def test_table_rendering_lists_every_resource_and_class():

@@ -3,8 +3,14 @@ independent truncated-geometric evaluation written here in the test."""
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +122,46 @@ def test_huge_state_space_stays_finite():
     assert abs(sum(m.p_n) - 1.0) <= 1e-12
     # deep overload: blocking tends to 1 - mu/lam
     assert m.p_block == pytest.approx(0.75, abs=1e-9)
+
+
+def log_space_reference(lam: float, mu: float, servers: int, capacity: int) -> tuple[float, float]:
+    """(p_block, mean_in_system) from log-weights held to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        logs = [Decimal(0)]
+        for n in range(1, servers + capacity + 1):
+            logs.append(logs[-1] + (Decimal(lam) / (min(n, servers) * Decimal(mu))).ln())
+        peak = max(logs)
+        terms = [(x - peak).exp() for x in logs]
+        total = sum(terms)
+        return float(terms[-1] / total), float(sum(n * t for n, t in enumerate(terms)) / total)
+
+
+@pytest.mark.parametrize(
+    "lam, servers, capacity",
+    [(1e10, 1, 300), (1e3, 4, 400), (50.0, 2, 1000), (2000.0, 3000, 10)],
+)
+def test_rescaled_weights_match_a_log_space_reference(lam, servers, capacity):
+    # each case's weights pass the rescale threshold more than once
+    m = mmck(lam, 1.0, servers, capacity)
+    p_block, mean_in_system = log_space_reference(lam, 1.0, servers, capacity)
+    assert m.p_block == pytest.approx(p_block, rel=1e-12, abs=0)
+    assert m.mean_in_system == pytest.approx(mean_in_system, rel=1e-12, abs=0)
+
+
+def test_a_deep_overload_at_the_capacity_bound_is_answered_quickly():
+    # the weights rescale every third state; the check must stay linear in K
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tiersim.cli", "oracle-check", "--lambda", "1e100", "--mu", "1", "-K", "100000"]
+        + ["--requests", "10", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(proc.stdout)["p_drop"]["analytic"] - 1.0) <= 1e-12
 
 
 def test_balanced_load_is_the_limit_of_nearby_loads():

@@ -249,6 +249,82 @@ def test_warmup_clips_busy_time_and_skips_early_samples():
     assert report.in_flight == m.queued_at_stop + m.in_service_at_stop
 
 
+# The window's edges, with hand-computed values: every input is a small
+# integer, so each figure below is exact and compared with ==.
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_a_visit_enqueued_at_warmup_is_inside_the_window(replicas):
+    # arrivals at 2, 4, ..., 12, each served at once for 1.0; the one at
+    # 4 arrives and starts service exactly at warmup
+    report = simulate(
+        station(
+            arrival=Distribution.deterministic(2.0),
+            service=Distribution.deterministic(1.0),
+            replicas=replicas,
+            stop=StopRule.after_time(12.0),
+            warmup=4.0,
+            series=True,
+        )
+    )
+    m = report.resources["A"]
+    # window [4, 12]: busy [4,5], [6,7], [8,9], [10,11], and the service
+    # begun at 12 adds nothing; empty [5,6], [7,8], [9,10], [11,12]
+    assert m.utilization == 4.0 / (replicas * 8.0)
+    assert m.mean_in_system == 0.5
+    assert m.p_idle == 0.5
+    assert m.avg_waiting == 0.0
+    assert m.avg_service == 1.0
+    assert [t for _, t, _ in report.resource_series] == [4.0, 6.0, 8.0, 10.0]
+    assert (m.offered, m.served, m.in_service_at_stop) == (6, 5, 1)
+
+
+def test_a_warmup_past_the_stop_clock_leaves_an_empty_window():
+    report = simulate(
+        station(
+            arrival=Distribution.deterministic(1.0),
+            service=Distribution.deterministic(0.5),
+            replicas=2,
+            stop=StopRule.after_requests(4),
+            warmup=5.0,
+            series=True,
+        )
+    )
+    m = report.resources["A"]
+    assert report.elapsed == 4.5
+    assert m.p_idle == 1.0
+    assert m.utilization == 0.0
+    assert m.mean_in_system == 0.0
+    assert (m.avg_waiting, m.avg_service, m.avg_response) == (0.0, 0.0, 0.0)
+    assert report.resource_series == report.end_to_end_series == ()
+    assert report.classes["w"].mean_response == 0.0
+    # counts are raw: the four sessions are served, counted and completed
+    assert (m.offered, m.served, report.completed) == (4, 4, 4)
+
+
+def test_drops_before_warmup_still_count():
+    # no waiting slots: the arrival at 1 holds the server over [1, 9],
+    # and those at 2, 3 and 4 are dropped, all before warmup at 5
+    report = simulate(
+        station(
+            arrival=Distribution.deterministic(1.0),
+            service=Distribution.deterministic(8.0),
+            capacity=0,
+            max_requests=4,
+            stop=StopRule.after_time(7.0),
+            warmup=5.0,
+        )
+    )
+    m = report.resources["A"]
+    assert m.p_drop == 0.75
+    assert (m.offered, m.served, m.dropped, m.queued_at_stop, m.in_service_at_stop) == (4, 0, 3, 0, 1)
+    assert m.offered == m.served + m.dropped + m.queued_at_stop + m.in_service_at_stop
+    assert (report.generated, report.completed, report.dropped, report.in_flight) == (4, 0, 3, 1)
+    # the window [5, 7] is all busy and holds no sample
+    assert (m.utilization, m.p_idle, m.mean_in_system) == (1.0, 0.0, 1.0)
+    assert m.avg_waiting == 0.0
+
+
 def test_after_time_reports_the_horizon_as_elapsed():
     report = simulate(
         station(

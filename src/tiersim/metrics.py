@@ -17,14 +17,24 @@ Per-visit response is reported as the sum of the waiting and service
 means, which makes the response = service + waiting identity exact
 rather than merely close.
 
-Warmup is transient deletion: a visit whose enqueue time falls before
-the warmup point contributes to no average, and time-integrated
-quantities (busy time, idle time, occupancy area) only count the
-portion of each interval after warmup. Idle time is the part of the
-occupancy integral where the resource holds no request: a request
-queues only behind a busy replica, so an empty resource is one whose
-replicas are all idle. Raw counts (offered, served, dropped) are never
-filtered, so conservation checks always balance.
+Warmup is transient deletion. A visit whose enqueue time falls before
+the warmup point contributes to no average (one enqueued exactly at
+warmup does). Time-integrated quantities (busy time, idle time,
+occupancy area) run on a clipped clock: each time t is read as
+``t if t > warmup else warmup`` before it is used, so every interval is
+a plain difference of two clipped times, and the part of it before
+warmup is 0. A ResourceAccumulator stores its last occupancy change
+already clipped. Idle time is the part of the occupancy integral where
+the resource holds no request: a request queues only behind a busy
+replica, so an empty resource is one whose replicas are all idle.
+
+Counts are never windowed. offered, served, dropped, the stop-time
+queue and service counts, and a class's generated, completed and
+dropped count everything since t = 0, and so does each p_drop (a
+resource's dropped / offered, and the sweep's end-to-end one). That
+keeps conservation exact: offered == served + dropped + queued_at_stop
++ in_service_at_stop for a resource, and generated == completed +
+dropped + in_flight for the run.
 
 Only a resource that some class visits gets an accumulator. A declared
 resource that no class visits is never offered a request, so its report
@@ -45,7 +55,10 @@ from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _load_json, 
 
 
 class ResourceAccumulator:
-    """Running observations for one resource over the window [warmup, stop]."""
+    """Running observations for one resource over the window [warmup, stop].
+
+    A name ending in ``_w`` holds a time on the clipped clock.
+    """
 
     __slots__ = (
         "replicas",
@@ -79,7 +92,7 @@ class ResourceAccumulator:
         self.busy_time = 0.0
         self.idle_time = 0.0
         self._occ_n = 0
-        self._occ_last = 0.0
+        self._occ_last = warmup  # the last occupancy change, clipped
         self.area = 0.0
         self.queued_at_stop = 0
         self.in_service_at_stop = 0
@@ -91,14 +104,10 @@ class ResourceAccumulator:
         the request leaves the resource at end (occupancy_change(end, -1))."""
         self.served += 1
         warmup = self.warmup
-        if warmup == 0.0:
-            self.area += self._occ_n * (end - self._occ_last)
-            self.busy_time += end - start
-        else:
-            if end > warmup:
-                self.area += self._occ_n * (end - max(self._occ_last, warmup))
-            self.busy_time += max(0.0, end - max(start, warmup))
-        self._occ_last = end
+        end_w = end if end > warmup else warmup
+        self.area += self._occ_n * (end_w - self._occ_last)
+        self.busy_time += end_w - (start if start > warmup else warmup)
+        self._occ_last = end_w
         self._occ_n -= 1
         if enqueue < warmup:
             return
@@ -117,17 +126,12 @@ class ResourceAccumulator:
         """
         n = self._occ_n
         warmup = self.warmup
-        if warmup == 0.0:
-            span = now - self._occ_last
-        elif now > warmup:
-            span = now - max(self._occ_last, warmup)
-        else:
-            span = 0.0
+        now_w = now if now > warmup else warmup
         if n:
-            self.area += n * span
+            self.area += n * (now_w - self._occ_last)
         else:
-            self.idle_time += span
-        self._occ_last = now
+            self.idle_time += now_w - self._occ_last
+        self._occ_last = now_w
         self._occ_n = n + delta
 
     def close(self, elapsed: float, service_starts: list[float], queued: int) -> None:
@@ -137,9 +141,10 @@ class ResourceAccumulator:
         still running began; ``queued`` counts the requests still waiting.
         """
         self.occupancy_change(elapsed, 0)
+        stop_w = self._occ_last
         warmup = self.warmup
         for start in service_starts:
-            self.busy_time += max(0.0, elapsed - max(start, warmup))
+            self.busy_time += stop_w - (start if start > warmup else warmup)
         self.in_service_at_stop = len(service_starts)
         self.queued_at_stop = queued
 
@@ -288,7 +293,8 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     ``elapsed`` is the stop clock; all rates and probabilities use the
     window [warmup, elapsed].
     """
-    window = max(0.0, elapsed - acc.warmup)
+    warmup = acc.warmup
+    window = (elapsed if elapsed > warmup else warmup) - warmup
 
     # every declared resource in model order; the visited ones are overwritten below
     resources = dict.fromkeys(acc.resource_names, UNVISITED)

@@ -50,12 +50,27 @@ _MIN_POOLED_EVENTS = 40_000
 
 def _expected_events(model: ScenarioModel) -> float:
     """Roughly the events one run of ``model`` applies: an arrival and a
-    completion per visit for each session the stop rule waits for."""
-    total = sum(cls.arrival.rate for cls in model.classes)
-    visits = sum(cls.arrival.rate * len(cls.path) for cls in model.classes) / total
-    stop = model.run.stop
-    sessions = stop.n if stop.kind is StopKind.AFTER_REQUESTS else total * stop.t
-    return sessions * (1 + visits)
+    completion per visit for each session the stop rule waits for.
+
+    A class sends one session per mean arrival gap. One whose gaps have
+    mean 0, which ``validate`` allows only with a finite
+    ``max_requests``, is a burst of that many sessions at t = 0.
+    """
+    events = 0.0
+    steady = []  # (sessions per unit time, visits per session)
+    for cls in model.classes:
+        gap = cls.arrival.mean()
+        if gap:
+            steady.append((1.0 / gap, len(cls.path)))
+        else:
+            events += cls.max_requests * (1 + len(cls.path))
+    if steady:
+        total = sum(rate for rate, _ in steady)
+        visits = sum(rate * n for rate, n in steady) / total
+        stop = model.run.stop
+        sessions = stop.n if stop.kind is StopKind.AFTER_REQUESTS else total * stop.t
+        events += sessions * (1 + visits)
+    return events
 
 
 def worker_count(runs: int, events: float) -> int:

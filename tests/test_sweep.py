@@ -6,6 +6,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from tiersim import (
     Distribution,
     DomainError,
+    Engine,
     InternalError,
     RunConfig,
     StopRule,
@@ -27,6 +29,7 @@ from tiersim import (
     synthesize_scenario,
 )
 from tiersim import runs, sweep
+from tiersim.model import validated
 from tiersim.runs import build_station_model, worker_count
 from tiersim.sweep import parse_rate_grid, run_sweep, sweep_to_csv
 
@@ -145,6 +148,32 @@ def test_run_models_returns_pooled_reports_in_input_order(monkeypatch, pooled):
 def test_run_models_of_no_models_starts_no_pool(monkeypatch, pooled):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     assert runs.run_models(()) == ()
+
+
+def _station_arriving(arrival: Distribution, max_requests: float, stop: StopRule):
+    model = build_station_model(1.0, 2.0, 2, 3, 40, seed=7)
+    (cls,) = model.classes
+    cls = dataclasses.replace(cls, arrival=arrival, max_requests=max_requests)
+    return validated(dataclasses.replace(model, classes=(cls,), run=dataclasses.replace(model.run, stop=stop)))
+
+
+@pytest.mark.parametrize("in_pool", [False, True], ids=["in-process", "pooled"])
+def test_run_models_takes_arrivals_without_a_rate(request, in_pool):
+    # deterministic and uniform gaps have no exponential rate, and a
+    # burst (gaps of mean 0, bounded max_requests) has no rate at all
+    if in_pool:
+        request.getfixturevalue("pooled")
+    arrivals = (
+        (Distribution.deterministic(0.4), math.inf),
+        (Distribution.uniform(0.1, 0.7), math.inf),
+        (Distribution.deterministic(0.0), 30),
+    )
+    models = tuple(
+        _station_arriving(arrival, max_requests, stop)
+        for arrival, max_requests in arrivals
+        for stop in (StopRule.after_requests(40), StopRule.after_time(6.0))
+    )
+    assert [report_to_json(r) for r in runs.run_models(models)] == [report_to_json(Engine(m).run()) for m in models]
 
 
 def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, pooled):

@@ -14,8 +14,10 @@ import os
 from typing import TYPE_CHECKING
 
 from .engine import Engine
+from .errors import DomainError
 from .metrics import MetricsReport
 from .model import (
+    MAX_REPLICAS,
     Distribution,
     ResourceSpec,
     RunConfig,
@@ -155,7 +157,12 @@ def build_station_model(lam: float, mu: float, servers: int, capacity: int, requ
 
 def run_oracle_check(lam: float, mu: float, servers: int, capacity: int, requests: int, seed: int):
     """Simulate the station and pair each metric with its closed form."""
-    check_station(lam, mu, servers, capacity)  # a bad flag is named as the user gave it
+    # a bad flag is named as the user gave it, not by its place in the station's model
+    check_station(lam, mu, servers, capacity)
+    if servers > MAX_REPLICAS:
+        raise DomainError(f"servers must be at most {MAX_REPLICAS} to simulate, got {servers!r}")
+    if lam <= 0:
+        raise DomainError(f"lam must be > 0 to simulate, got {lam!r}")
     model = build_station_model(lam, mu, servers, capacity, requests, seed)
     analytic = mmck(lam, mu, servers, capacity)
     report = Engine(model).run()

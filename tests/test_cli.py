@@ -136,6 +136,20 @@ def test_an_oracle_capacity_beyond_the_bound_is_one_error_line(capsys):
     assert_one_error_line(code, err, f"error: queue_capacity must be at most 100000, got {10**30}\n")
 
 
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (("--lambda", "1", "-c", "5000"), "error: servers must be at most 4096 to simulate, got 5000\n"),
+        (("--lambda", "0"), "error: lam must be > 0 to simulate, got 0.0\n"),
+    ],
+    ids=["servers", "lam"],
+)
+def test_an_oracle_station_the_simulator_cannot_run_names_the_flag(capsys, flags, line):
+    code, out, err = run_cli(capsys, "oracle-check", "--mu", "1", *flags)
+    assert out == ""
+    assert_one_error_line(code, err, line)
+
+
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 # the CLI in a child interpreter that may map at most 1 GiB
 _CAPPED_CLI = (

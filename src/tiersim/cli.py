@@ -19,12 +19,12 @@ import sys
 import tempfile
 
 from . import __version__, bundled
-from .bottleneck import format_table, rank
+from .bottleneck import DEFAULT_DROP_THRESHOLD, DEFAULT_WAIT_THRESHOLD, format_table, rank
 from .engine import Engine
 from .errors import TiersimError
 from .frontend import parse_deployment, parse_execution, synthesize_scenario
 from .metrics import export_series, report_from_json, report_to_json, report_to_table
-from .model import UNBOUNDED, Distribution, ScenarioModel, StopRule, parse_scenario, serialize_scenario, validated
+from .model import Distribution, RunConfig, ScenarioModel, StopRule, parse_scenario, serialize_scenario, validated
 from .runs import run_oracle_check
 # SweepResult is not used here; it stays importable from tiersim.cli for its callers
 from .sweep import SweepResult, parse_rate_grid, run_sweep, sweep_to_csv  # noqa: F401
@@ -151,13 +151,10 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         arrival = Distribution.deterministic(args.interarrival)
     else:
         arrival = Distribution.exponential(args.arrival_rate)
+    # an option left out keeps synthesize_scenario's default
+    given = {"scenario_name": args.name, "class_name": args.class_name, "max_requests": args.max_requests}
     synthesized = synthesize_scenario(
-        execution,
-        deployment,
-        scenario_name=args.name,
-        class_name=args.class_name,
-        arrival=arrival,
-        max_requests=args.max_requests if args.max_requests is not None else UNBOUNDED,
+        execution, deployment, arrival=arrival, **{k: v for k, v in given.items() if v is not None}
     )
     model = _apply_overrides(synthesized, args)
     text = serialize_scenario(model)
@@ -217,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render a saved report, optionally ranking bottlenecks")
     p.add_argument("report", help="report JSON written by run --report")
     p.add_argument("--bottlenecks", action="store_true", help="rank resources by bottleneck score")
-    p.add_argument("--drop-threshold", dest="drop_threshold", type=float, default=0.5)
-    p.add_argument("--wait-threshold", dest="wait_threshold", type=float, default=0.5)
+    p.add_argument("--drop-threshold", dest="drop_threshold", type=float, default=DEFAULT_DROP_THRESHOLD)
+    p.add_argument("--wait-threshold", dest="wait_threshold", type=float, default=DEFAULT_WAIT_THRESHOLD)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_report)
 
@@ -235,15 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="build a scenario from a step script and deployment map")
     p.add_argument("execution", help="step script path (or bundled:NAME)")
     p.add_argument("deployment", help="deployment JSON path (or bundled:NAME)")
-    p.add_argument("--name", default="synthesized", help="scenario name")
-    p.add_argument("--class-name", dest="class_name", default="sessions")
+    p.add_argument("--name", help="scenario name")
+    p.add_argument("--class-name", dest="class_name")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--arrival-rate", dest="arrival_rate", type=float, help="exponential arrival rate")
     group.add_argument("--interarrival", type=float, help="fixed interarrival gap")
     p.add_argument("--max-requests", dest="max_requests", type=int, help="cap generated sessions")
     p.add_argument("--seed", type=int)
     stop = p.add_mutually_exclusive_group()
-    stop.add_argument("--requests", type=int, default=1000, help="stop rule: terminal requests (default 1000)")
+    stop.add_argument("--requests", type=int, help=f"stop rule: terminal requests (default {RunConfig().stop.n})")
     stop.add_argument("--time", type=float, help="stop rule: simulated time")
     p.add_argument("--warmup", type=float)
     p.add_argument("--series", action="store_true")

@@ -17,24 +17,16 @@ Per-visit response is reported as the sum of the waiting and service
 means, which makes the response = service + waiting identity exact
 rather than merely close.
 
-Warmup is transient deletion. A visit whose enqueue time falls before
-the warmup point contributes to no average (one enqueued exactly at
-warmup does). Time-integrated quantities (busy time, idle time,
-occupancy area) run on a clipped clock: each time t is read as
-``t if t > warmup else warmup`` before it is used, so every interval is
-a plain difference of two clipped times, and the part of it before
-warmup is 0. A ResourceAccumulator stores its last occupancy change
-already clipped. Idle time is the part of the occupancy integral where
-the resource holds no request: a request queues only behind a busy
-replica, so an empty resource is one whose replicas are all idle.
-
-Counts are never windowed. offered, served, dropped, the stop-time
-queue and service counts, and a class's generated, completed and
-dropped count everything since t = 0, and so does each p_drop (a
-resource's dropped / offered, and the sweep's end-to-end one). That
-keeps conservation exact: offered == served + dropped + queued_at_stop
-+ in_service_at_stop for a resource, and generated == completed +
-dropped + in_flight for the run.
+Warmup is transient deletion: a visit enqueued before the warmup point
+contributes to no average. Busy, idle and occupancy time run on a
+clipped clock: each time t is read as ``t if t > warmup else warmup``
+(a name ending in ``_w``), so an interval is a plain difference of two
+clipped times and its part before warmup is 0. Idle time is the part of
+the occupancy integral where the resource holds no request: a request
+queues only behind a busy replica, so an empty resource is one whose
+replicas are all idle. Counts are never windowed: offered, served,
+dropped and a class's counts, and so each p_drop, include the warmup,
+which keeps conservation exact.
 
 Only a resource that some class visits gets an accumulator. A declared
 resource that no class visits is never offered a request, so its report
@@ -55,10 +47,7 @@ from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _load_json, 
 
 
 class ResourceAccumulator:
-    """Running observations for one resource over the window [warmup, stop].
-
-    A name ending in ``_w`` holds a time on the clipped clock.
-    """
+    """Running observations for one resource over the window [warmup, stop]."""
 
     __slots__ = (
         "replicas",

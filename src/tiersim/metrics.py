@@ -30,7 +30,8 @@ which keeps conservation exact.
 
 Only a resource that some class visits gets an accumulator. A declared
 resource that no class visits is never offered a request, so its report
-row is the one constant UNVISITED row, shared by every run.
+row is the one constant UNVISITED row, shared by every run, and
+report_to_json writes that row from one text rendered at import.
 """
 
 from __future__ import annotations
@@ -358,27 +359,56 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     )
 
 
+def _json_at(value: object, depth: int) -> str:
+    """``value`` as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it
+    ``depth`` objects deep in ``doc`` (a JSON string holds no raw newline)."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _json_object(members: dict[str, str], depth: int) -> str:
+    """An object of rendered member values, laid out as _json_at lays one."""
+    if not members:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    body = ",".join(f"{pad}{json.dumps(key)}: {members[key]}" for key in sorted(members))
+    return "{" + body + "\n" + "  " * depth + "}"
+
+
+def _record(row: object, types: dict[str, str]) -> dict:
+    return {k: getattr(row, k) for k in types}
+
+
+# report_to_json tests identity, never value, before using this text:
+# 0.0 == -0.0, so a value-keyed cache could write the wrong sign.
+_UNVISITED_JSON = _json_at(_record(UNVISITED, _RESOURCE_TYPES), 2)
+
+
 def report_to_json(report: MetricsReport) -> str:
-    """Stable JSON rendering: identical runs give identical bytes.
+    """Stable JSON rendering: identical runs give identical bytes, those of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` on the whole report. A
+    row that ``is UNVISITED`` is written from one text rendered at import;
+    an unpickled or loaded report holds equal copies, rendered row by row.
 
     Series rows live in their own CSV (see export_series); the JSON
     carries only their counts.
     """
-    doc = {
-        "scenario": report.scenario,
-        "seed": report.seed,
-        "elapsed": report.elapsed,
-        "warmup": report.warmup,
-        "totals": {k: getattr(report, k) for k in _TOTALS_TYPES},
-        "resources": {name: {k: getattr(m, k) for k in _RESOURCE_TYPES} for name, m in report.resources.items()},
-        "classes": {name: {k: getattr(c, k) for k in _CLASS_TYPES} for name, c in report.classes.items()},
-        "series": {
-            "enabled": report.series_enabled,
-            "resource_rows": len(report.resource_series),
-            "end_to_end_rows": len(report.end_to_end_series),
-        },
+    resources = {
+        name: _UNVISITED_JSON if m is UNVISITED else _json_at(_record(m, _RESOURCE_TYPES), 2)
+        for name, m in report.resources.items()
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    series = {
+        "enabled": report.series_enabled,
+        "resource_rows": len(report.resource_series),
+        "end_to_end_rows": len(report.end_to_end_series),
+    }
+    doc = {
+        **{k: _json_at(getattr(report, k), 1) for k in _HEADER_TYPES},
+        "totals": _json_at(_record(report, _TOTALS_TYPES), 1),
+        "resources": _json_object(resources, 1),
+        "classes": _json_object({name: _json_at(_record(c, _CLASS_TYPES), 2) for name, c in report.classes.items()}, 1),
+        "series": _json_at(series, 1),
+    }
+    return _json_object(doc, 0) + "\n"
 
 
 def _read_record(obj: object, types: dict[str, str], path: str) -> dict:

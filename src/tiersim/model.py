@@ -187,11 +187,8 @@ class ScenarioModel:
 
 
 def _valid_name(name: object) -> bool:
-    if not isinstance(name, str) or not name:
-        return False
-    if name != name.strip() or any(ch.isspace() for ch in name):
-        return False
-    return True
+    # str.split() splits on exactly the characters str.isspace() accepts
+    return isinstance(name, str) and name.split() == [name]
 
 
 def _finite(x: object) -> bool:

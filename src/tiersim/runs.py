@@ -54,24 +54,26 @@ def _expected_events(model: ScenarioModel) -> float:
     """Roughly the events one run of ``model`` applies: an arrival and a
     completion per visit for each session the stop rule waits for.
 
-    A class sends one session per mean arrival gap. One whose gaps have
+    A class sends one session per mean arrival gap, and at most
+    ``max_requests`` before an ``after_time`` stop. One whose gaps have
     mean 0, which ``validate`` allows only with a finite
     ``max_requests``, is a burst of that many sessions at t = 0.
     """
     events = 0.0
-    steady = []  # (sessions per unit time, visits per session)
+    steady = []  # (sessions per unit time, visits per session, max_requests)
     for cls in model.classes:
         gap = cls.arrival.mean()
         if gap:
-            steady.append((1.0 / gap, len(cls.path)))
+            steady.append((1.0 / gap, len(cls.path), cls.max_requests))
         else:
             events += cls.max_requests * (1 + len(cls.path))
+    stop = model.run.stop
+    if stop.kind is not StopKind.AFTER_REQUESTS:
+        return events + sum(min(cap, rate * stop.t) * (1 + n) for rate, n, cap in steady)
     if steady:
-        total = sum(rate for rate, _ in steady)
-        visits = sum(rate * n for rate, n in steady) / total
-        stop = model.run.stop
-        sessions = stop.n if stop.kind is StopKind.AFTER_REQUESTS else total * stop.t
-        events += sessions * (1 + visits)
+        total = sum(rate for rate, _, _ in steady)
+        visits = sum(rate * n for rate, n, _ in steady) / total
+        events += stop.n * (1 + visits)
     return events
 
 

@@ -6,7 +6,9 @@ pair is one independent run; the model for each rate is built and
 validated once, and replications at that rate differ only in
 ``run.seed``. ``runs.run_models`` runs them all and returns the reports
 in grid order, so the sweep's output does not depend on how many
-workers ran it.
+workers ran it. A resource that no class visits reports the constant
+``metrics.UNVISITED`` row in every run, so its cells are one constant
+too, taken without averaging.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .metrics import ClassMetrics, MetricsReport
+from .metrics import UNVISITED, ClassMetrics, MetricsReport
 from .model import END_TO_END, DistKind, Distribution, ScenarioModel, validated
 from .runs import run_models
 from .workload import stream_key
@@ -51,6 +53,10 @@ _SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepCell))
 # the replication-averaged metrics; each names a ResourceMetrics field
 _SWEEP_METRICS = _SWEEP_FIELDS[2:]
 _sweep_metrics = operator.attrgetter(*_SWEEP_METRICS)
+# An unvisited resource's averages: its row is UNVISITED in every
+# replication, and n copies of 0.0 or 1.0 summed and divided by n
+# (n <= MAX_SWEEP_RUNS) give back 0.0 or 1.0 exactly.
+_UNVISITED_CELL = _sweep_metrics(UNVISITED)
 
 
 def _class_metrics(totals: ClassMetrics) -> tuple[float, ...]:
@@ -144,16 +150,23 @@ def run_sweep(
             runs.append(dataclasses.replace(per_rate, run=dataclasses.replace(per_rate.run, seed=seed)))
     flat = run_models(tuple(runs))
 
+    # pooled reports come back unpickled, so an unvisited row is found by
+    # the model's paths, not by identity with UNVISITED
+    visited = {v.resource for c in model.classes for v in c.path}
     cells: list[SweepCell] = []
     reports: dict[float, tuple[MetricsReport, ...]] = {}
     for ri, rate in enumerate(rates):
         reps = flat[ri * replications : (ri + 1) * replications]
         reports[rate] = reps
-        rows = [(name, [_sweep_metrics(r.resources[name]) for r in reps]) for name in reps[0].resources]
+        rows = [
+            (name, [_sweep_metrics(r.resources[name]) for r in reps] if name in visited else None)
+            for name in reps[0].resources
+        ]
         rows += [(f"{END_TO_END}:{name}", [_class_metrics(r.classes[name]) for r in reps]) for name in reps[0].classes]
         for label, metrics in rows:
             # one column per metric, each summed in replication order
-            cells.append(SweepCell(rate, label, *(sum(column) / replications for column in zip(*metrics))))
+            row = _UNVISITED_CELL if metrics is None else (sum(column) / replications for column in zip(*metrics))
+            cells.append(SweepCell(rate, label, *row))
     return SweepResult(cells=tuple(cells), reports=reports)
 
 
@@ -161,6 +174,6 @@ def sweep_to_csv(result: SweepResult) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_SWEEP_FIELDS)
-    for c in result.cells:
-        writer.writerow([repr(c.rate), c.resource] + [repr(getattr(c, k)) for k in _SWEEP_METRICS])
+    # csv writes a float as its repr
+    writer.writerows(map(operator.attrgetter(*_SWEEP_FIELDS), result.cells))
     return out.getvalue()

@@ -1,11 +1,14 @@
-"""Accumulators, finalized reports, and their serializations."""
+"""Accumulators, finalized reports, and their serializations (the sweep CSV too)."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
 import io
+import json
+import pickle
 import statistics
+import sys
 
 import pytest
 
@@ -27,7 +30,8 @@ from tiersim import (
     report_to_table,
     simulate,
 )
-from tiersim.metrics import MetricsReport, RunAccumulator, _percentile
+from tiersim.metrics import UNVISITED, MetricsReport, RunAccumulator, _percentile
+from tiersim.sweep import SweepCell, SweepResult, sweep_to_csv
 from randscen import random_scenario
 
 
@@ -357,3 +361,99 @@ def test_table_rendering_lists_every_resource_and_class():
     assert "\nA  " in table or table.splitlines()[2].startswith("A")
     assert "class w:" in table
     assert f"generated {report.generated}" in table
+
+
+def reference_report_json(report: MetricsReport) -> str:
+    """The report as one document through one json.dumps: the reference
+    for report_to_json, which renders it member by member."""
+    doc = {
+        "scenario": report.scenario,
+        "seed": report.seed,
+        "elapsed": report.elapsed,
+        "warmup": report.warmup,
+        "totals": {k: getattr(report, k) for k in ("generated", "completed", "dropped", "in_flight")},
+        "resources": {name: dataclasses.asdict(m) for name, m in report.resources.items()},
+        "classes": {name: dataclasses.asdict(c) for name, c in report.classes.items()},
+        "series": {
+            "enabled": report.series_enabled,
+            "resource_rows": len(report.resource_series),
+            "end_to_end_rows": len(report.end_to_end_series),
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def wide_model(declared: int, visited: int, warmup: float = 0.0) -> ScenarioModel:
+    """One tier of ``declared`` resources; one class visits the first ``visited``."""
+    model = one_station_model(warmup=warmup)
+    resources = tuple(ResourceSpec(name=f"r{i}", replicas=1 + i % 3) for i in range(declared))
+    path = tuple(Visit(resource=r.name, demand=Distribution.exponential(8.0)) for r in resources[:visited])
+    return dataclasses.replace(
+        model,
+        tiers=(Tier(name="t", resources=resources),),
+        classes=(dataclasses.replace(model.classes[0], path=path),),
+    )
+
+
+def _escaping_names(report: MetricsReport) -> MetricsReport:
+    """``report`` with rows renamed to names the JSON writer must escape,
+    given out of order; a class name holds a newline, which no scenario
+    allows but a hand-built report may hold."""
+    names = ('a"b', "a\\b", "\u00e9", "Z", "\u2028x", "a")
+    resources = dict(zip(names, report.resources.values()))
+    classes = {"w\nx": report.classes["w"], "\u00e9": report.classes["w"]}
+    return dataclasses.replace(report, resources=resources, classes=classes)
+
+
+def _report_cases():
+    report = simulate(wide_model(6, 2, warmup=0.5))
+    assert sum(m is UNVISITED for m in report.resources.values()) == 4
+    yield "in-process", report
+    yield "pickled", pickle.loads(pickle.dumps(report))
+    yield "loaded", report_from_json(report_to_json(report))
+    yield "escaped", _escaping_names(report)
+    yield "empty", dataclasses.replace(report, resources={}, classes={})
+    # a row equal to UNVISITED but for the sign of a zero keeps its sign
+    signed = dict(report.resources, r5=dataclasses.replace(UNVISITED, avg_waiting=-0.0))
+    yield "signed-zero", dataclasses.replace(report, resources=signed)
+    yield "series", simulate(one_station_model(replicas=2, series=True))
+
+
+@pytest.mark.parametrize("report", [pytest.param(report, id=label) for label, report in _report_cases()])
+def test_report_json_matches_one_whole_document_dump(report):
+    assert report_to_json(report) == reference_report_json(report)
+
+
+def _python_calls(fn, *args) -> int:
+    """Python function calls (and generator resumptions) ``fn(*args)`` makes."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_report_json_calls_stay_bounded_per_declared_resource():
+    # An exact count, no wall clock: rendering each unvisited row through
+    # the pure-Python indenting encoder took about 222 calls a row.
+    declared = 900
+    model = dataclasses.replace(wide_model(declared, 12), run=RunConfig(seed=2, stop=StopRule.after_requests(40)))
+    report = simulate(model)
+    assert sum(m is not UNVISITED for m in report.resources.values()) == 12
+    assert _python_calls(report_to_json, report) <= 8 * declared
+
+
+def test_sweep_csv_calls_do_not_grow_with_cells():
+    def result(n: int) -> SweepResult:
+        cells = tuple(SweepCell(1.5, f"r{i}", 0.25 * i, 0.125, 0.125, 0.5, 0.5, 1e-9) for i in range(n))
+        return SweepResult(cells=cells, reports={})
+
+    assert _python_calls(sweep_to_csv, result(1000)) == _python_calls(sweep_to_csv, result(1))

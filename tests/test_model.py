@@ -32,6 +32,7 @@ from tiersim import (
     serialize_scenario,
     validate,
 )
+from tiersim import model as model_module
 
 
 def small_model(**run_kwargs) -> ScenarioModel:
@@ -394,6 +395,57 @@ def test_reserved_series_label_rejected_as_resource_name():
     model = dataclasses.replace(base, tiers=(Tier(name="only", resources=(res,)),), classes=(cls,))
     report = validate(model)
     assert any("reserved" in str(i) for i in report)
+
+
+def _reference_valid_name(name: object) -> bool:
+    """The name check character by character: the reference for model._valid_name."""
+    if not isinstance(name, str) or not name:
+        return False
+    if name != name.strip() or any(ch.isspace() for ch in name):
+        return False
+    return True
+
+
+def _named(kind: str, name: object) -> ScenarioModel:
+    """small_model with its scenario, tier, resource or class renamed."""
+    base = small_model()
+    tier, cls = base.tiers[0], base.classes[0]
+    if kind == "scenario":
+        return dataclasses.replace(base, name=name)
+    if kind == "tier":
+        return dataclasses.replace(base, tiers=(dataclasses.replace(tier, name=name),))
+    if kind == "class":
+        return dataclasses.replace(base, classes=(dataclasses.replace(cls, name=name),))
+    res = dataclasses.replace(tier.resources[0], name=name)
+    path = (dataclasses.replace(cls.path[0], resource=name),)
+    return dataclasses.replace(
+        base,
+        tiers=(dataclasses.replace(tier, resources=(res,)),),
+        classes=(dataclasses.replace(cls, path=path),),
+    )
+
+
+_NAME_LINES = {
+    "scenario": "name: scenario name must be a non-empty token, got {!r}",
+    "tier": "tiers[0]: tier name must be a non-empty token, got {!r}",
+    "resource": "tiers[0].resources[0]: resource name must be a non-empty token, got {!r}",
+    "class": "classes[0]: class name must be a non-empty token, got {!r}",
+}
+_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("kind", _NAME_LINES)
+def test_names_with_any_whitespace_give_the_lines_of_the_reference_check(monkeypatch, kind):
+    assert len(_WHITESPACE) == 29
+    spaced = [name for ws in _WHITESPACE for name in (ws + "ab", "a" + ws + "b", "ab" + ws)]
+    refused = [*spaced, "", None, 7, b"ab"]
+    # a zero-width space and a NUL are not whitespace, so both checks take them
+    names = [*refused, "ab", "\u00e9", 'a"b', "a\\b", "a,b", "a\u200bb", "a\x00b"]
+    lines = [validate(_named(kind, name)) for name in names]
+    for name, found in zip(refused, lines):
+        assert _NAME_LINES[kind].format(name) in found
+    monkeypatch.setattr(model_module, "_valid_name", _reference_valid_name)
+    assert lines == [validate(_named(kind, name)) for name in names]
 
 
 # -- property: serialize/parse is the identity on valid models ---------

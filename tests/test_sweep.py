@@ -29,6 +29,7 @@ from tiersim import (
     synthesize_scenario,
 )
 from tiersim import runs, sweep
+from tiersim.metrics import UNVISITED
 from tiersim.model import validated
 from tiersim.runs import build_station_model, worker_count
 from tiersim.sweep import parse_rate_grid, run_sweep, sweep_to_csv
@@ -125,6 +126,37 @@ def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled):
         assert pooled_json == [report_to_json(r) for r in serial.reports[rate]]
 
 
+def test_a_pooled_sweep_of_unvisited_resources_changes_no_byte(monkeypatch, pooled):
+    # the webservices test above visits every resource; these synthesized
+    # deployments declare resources that no class visits
+    models = [model for label, model in pinned_sweep_models() if label.startswith("randdeploy:")][:2]
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(True)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for model in models:
+        visited = {v.resource for c in model.classes for v in c.path}
+        assert {r.name for r in model.resources()} > visited
+        monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
+        serial = run_sweep(model, (1.5, 4.0), replications=2, master_seed=13)
+        monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
+        pooled_result = run_sweep(model, (1.5, 4.0), replications=2, master_seed=13)
+        assert sweep_to_csv(pooled_result) == sweep_to_csv(serial)
+        for rate, reports in serial.reports.items():
+            assert [report_to_json(r) for r in pooled_result.reports[rate]] == [report_to_json(r) for r in reports]
+            # in process the unvisited rows are the UNVISITED object; a
+            # worker's rows come back as unpickled copies
+            for local, forked in zip(reports, pooled_result.reports[rate]):
+                unvisited = [name for name in local.resources if name not in visited]
+                assert all(local.resources[name] is UNVISITED for name in unvisited)
+                assert not any(forked.resources[name] is UNVISITED for name in unvisited)
+    assert started == [True] * len(models)
+
+
 def test_run_models_returns_pooled_reports_in_input_order(monkeypatch, pooled):
     web = webservices(200)
     timed = dataclasses.replace(web, run=dataclasses.replace(web.run, seed=9, stop=StopRule.after_time(4.0)))
@@ -155,6 +187,15 @@ def _station_arriving(arrival: Distribution, max_requests: float, stop: StopRule
     (cls,) = model.classes
     cls = dataclasses.replace(cls, arrival=arrival, max_requests=max_requests)
     return validated(dataclasses.replace(model, classes=(cls,), run=dataclasses.replace(model.run, stop=stop)))
+
+
+def test_a_capped_class_under_a_long_time_stop_starts_no_pool(monkeypatch):
+    # 100 arrivals per unit time for 1000 time units, but 10 sessions in all
+    model = _station_arriving(Distribution.exponential(100.0), 10, StopRule.after_time(1000.0))
+    assert runs._expected_events(model) == 10 * (1 + len(model.classes[0].path))
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
 
 
 @pytest.mark.parametrize("in_pool", [False, True], ids=["in-process", "pooled"])

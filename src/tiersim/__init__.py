@@ -55,7 +55,7 @@ from .model import (
     validate,
 )
 from .oracle import AnalyticMetrics, mmck
-from .workload import Stream, sample, stream_key
+from .workload import Stream, stream_key
 
 __version__ = "0.1.0"
 
@@ -102,7 +102,6 @@ __all__ = [
     "report_from_json",
     "report_to_json",
     "report_to_table",
-    "sample",
     "serialize_scenario",
     "simulate",
     "stream_key",

@@ -5,53 +5,50 @@ the balancer decides which replica's queue (or idle server) receives it.
 ``make_selector`` binds a resource's policy once, when the engine is
 built; what the policy carries between admissions (the ROUND_ROBIN
 cursor, the RANDOM stream) lives in the selector it returns. Selection
-sees only the per-replica backlogs, kept by the engine, and the free
-waiting slots, and never modifies them.
+sees only the per-replica backlogs, kept by the engine, and whether the
+waiting room is full, and never modifies them.
 
-All policies agree on when to refuse: a request is turned away only when
-no replica is idle and no waiting slot is free, i.e. the resource is at
-its replicas + queue_capacity ceiling.
+A selector runs only for a request the resource can take: the engine
+refuses one before any selector sees it, so a selector always places.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from .errors import InternalError
 from .model import BalancerPolicy
 from .workload import Stream
 
 
-def _idle_from(backlogs: Sequence[int], start: int) -> int:
+def _idle_from(backlogs: list[int], start: int) -> int:
     """The first idle replica at or cyclically after `start`; one exists."""
     return (start + (backlogs[start:] + backlogs[:start]).index(0)) % len(backlogs)
 
 
-def make_selector(policy: BalancerPolicy, replicas: int, stream: Stream) -> Callable[..., int | None]:
-    """``select(backlogs, waiting_free)``: a replica index, or None when full.
+def make_selector(policy: BalancerPolicy, replicas: int, stream: Stream) -> Callable[[list[int], bool], int]:
+    """``select(backlogs, full)``: the replica that receives the request.
 
     backlogs[r] is 1 if replica r is serving, plus its queued requests;
-    waiting_free is the remaining shared waiting slots (may be inf). Once
-    no slot is free, ROUND_ROBIN and RANDOM fall forward cyclically from
-    their pick to the first idle replica. ROUND_ROBIN's cursor moves past
-    each replica it picks; RANDOM draws one uniform per accepted request.
+    full says no waiting slot is free, in which case some replica is idle
+    and the pick must be one. Then ROUND_ROBIN and RANDOM fall forward
+    cyclically from their pick to the first idle replica. ROUND_ROBIN's
+    cursor moves past each replica it picks; RANDOM draws one uniform per
+    request it places.
     """
     n = replicas
     if policy is BalancerPolicy.JSQ:
 
-        def select(backlogs, waiting_free):
-            least = min(backlogs)
-            return None if least and waiting_free <= 0 else backlogs.index(least)
+        def select(backlogs, full):
+            return backlogs.index(min(backlogs))
 
     elif policy is BalancerPolicy.ROUND_ROBIN:
         cursor = 0
 
-        def select(backlogs, waiting_free):
+        def select(backlogs, full):
             nonlocal cursor
             pick = cursor
-            if waiting_free <= 0 and backlogs[pick]:
-                if 0 not in backlogs:
-                    return None
+            if full and backlogs[pick]:
                 pick = _idle_from(backlogs, pick)
             cursor = (pick + 1) % n
             return pick
@@ -59,11 +56,9 @@ def make_selector(policy: BalancerPolicy, replicas: int, stream: Stream) -> Call
     elif policy is BalancerPolicy.RANDOM:
         uniform01 = stream.uniform01
 
-        def select(backlogs, waiting_free):
-            if waiting_free <= 0 and 0 not in backlogs:
-                return None
+        def select(backlogs, full):
             pick = min(int(uniform01() * n), n - 1)
-            return _idle_from(backlogs, pick) if waiting_free <= 0 and backlogs[pick] else pick
+            return _idle_from(backlogs, pick) if full and backlogs[pick] else pick
 
     else:
         raise InternalError(f"unknown balancer policy {policy!r}")

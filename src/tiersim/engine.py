@@ -10,9 +10,15 @@ and offers it to the first resource on its path; each arrival schedules
 its successor, so at most one arrival per class is ever pending. A
 service completion releases the replica, promotes the head of that
 replica's queue, and forwards the session to its next visit at the same
-timestamp. Admission is all-or-nothing: a session refused at any visit
-(no idle replica, no free waiting slot) is dropped in its entirety and
-the drop is charged to the resource that refused it.
+timestamp.
+
+Admission is decided in one place, _offer: a resource refuses a request
+only when its waiting room is full and no replica is idle. A refused
+session is dropped in its entirety at that visit and the drop is charged
+to the refusing resource. Only an admitted request reaches a selector,
+which places it. A resource that would hold more than MAX_WAITING
+waiting requests raises DomainError instead of growing until memory
+runs out.
 
 The engine keeps queue state only. Each resource keeps its per-replica
 backlogs (1 if serving, plus the queued requests) up to date as requests
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .balancer import make_selector
-from .errors import EngineEmptyError, InternalError
+from .errors import DomainError, EngineEmptyError, InternalError
 from .metrics import MetricsReport, RunAccumulator, finalize
 from .model import ScenarioModel, StopKind
 from .workload import Stream, make_sampler
@@ -47,6 +53,9 @@ from .workload import Stream, make_sampler
 _ARRIVAL = 0
 _COMPLETE = 1
 _INF = float("inf")
+# The most requests one resource may hold waiting; at about 178 B per
+# queued request, 10**7 is about 1.8 GB.
+MAX_WAITING = 10**7
 
 
 def _not_finite(time: float) -> InternalError:
@@ -189,22 +198,24 @@ class Engine:
         acc = res.acc
         acc.offered += 1
         backlogs = res.backlogs
-
-        if res.select is None:
-            # one replica: any policy degenerates to replica 0, so none was bound
-            replica = 0 if not backlogs[0] or res.waiting < res.queue_capacity else None
-        else:
-            replica = res.select(backlogs, res.queue_capacity - res.waiting)
-        if replica is None:
+        full = res.waiting >= res.queue_capacity
+        if full and 0 not in backlogs:
             acc.dropped += 1
             cr.acc.dropped += 1
             self.terminals += 1
             return
+        # one replica: any policy degenerates to replica 0, so none was bound
+        replica = 0 if res.select is None else res.select(backlogs, full)
 
         req.enqueue_time = now
         acc.occupancy_change(now, 1)
         backlogs[replica] += 1
         if backlogs[replica] > 1:
+            if res.waiting >= MAX_WAITING:
+                raise DomainError(
+                    f"resource {res.name!r} has {MAX_WAITING} requests waiting, the most a resource may hold "
+                    f"(tiersim.engine.MAX_WAITING); its arrivals outpace its replicas"
+                )
             res.queues[replica].append(req)
             res.waiting += 1
             return

@@ -55,9 +55,9 @@ def _expected_events(model: ScenarioModel) -> float:
     completion per visit for each session the stop rule waits for.
 
     A class sends one session per mean arrival gap, and at most
-    ``max_requests`` before an ``after_time`` stop. One whose gaps have
-    mean 0, which ``validate`` allows only with a finite
-    ``max_requests``, is a burst of that many sessions at t = 0.
+    ``max_requests`` in all. One whose gaps have mean 0, which
+    ``validate`` allows only with a finite ``max_requests``, is a burst
+    of that many sessions at t = 0.
     """
     events = 0.0
     steady = []  # (sessions per unit time, visits per session, max_requests)
@@ -73,7 +73,7 @@ def _expected_events(model: ScenarioModel) -> float:
     if steady:
         total = sum(rate for rate, _, _ in steady)
         visits = sum(rate * n for rate, n, _ in steady) / total
-        events += stop.n * (1 + visits)
+        events += min(stop.n, sum(cap for _, _, cap in steady)) * (1 + visits)
     return events
 
 

@@ -85,31 +85,17 @@ class Stream:
         return self._spent + self._idx
 
 
-def sample(dist: Distribution, stream: Stream) -> float:
-    """Draw one non-negative variate from ``dist`` using ``stream``.
+def make_sampler(dist: Distribution, stream: Stream):
+    """Bind ``dist`` to ``stream`` as a zero-argument callable that draws
+    one non-negative variate per call.
 
     DETERMINISTIC consumes nothing from the stream; the other kinds
-    consume exactly one uniform per call.
+    consume exactly one uniform per call. Binding once keeps dispatch on
+    the kind out of the engine's event loop.
     """
     kind = dist.kind
     if kind is DistKind.EXPONENTIAL:
         # inverse CDF: -ln(1 - u) / rate, u in [0, 1)
-        return -math.log1p(-stream.uniform01()) / dist.rate
-    if kind is DistKind.DETERMINISTIC:
-        return dist.value
-    if kind is DistKind.UNIFORM:
-        return dist.lo + (dist.hi - dist.lo) * stream.uniform01()
-    raise DomainError(f"cannot sample distribution kind {kind!r}")
-
-
-def make_sampler(dist: Distribution, stream: Stream):
-    """Bind ``dist`` to ``stream`` as a zero-argument callable.
-
-    Draw-for-draw identical to sample(dist, stream); the engine uses
-    these closures to keep dispatch out of its event loop.
-    """
-    kind = dist.kind
-    if kind is DistKind.EXPONENTIAL:
         uniform01 = stream.uniform01
         log1p = math.log1p
         rate = dist.rate

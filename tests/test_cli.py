@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ from tiersim import (
     parse_scenario,
     serialize_scenario,
 )
+from tiersim import engine
 from tiersim.cli import main, parse_rate_grid
 from tiersim.runs import build_station_model
 from tiersim.sweep import _with_arrival_rate
@@ -148,6 +150,21 @@ def test_an_oracle_station_the_simulator_cannot_run_names_the_flag(capsys, flags
     code, out, err = run_cli(capsys, "oracle-check", "--mu", "1", *flags)
     assert out == ""
     assert_one_error_line(code, err, line)
+
+
+def test_a_queue_past_the_waiting_ceiling_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # M/M/1 at twice its capacity with an infinite queue never settles
+    monkeypatch.setattr(engine, "MAX_WAITING", 100)
+    path = tmp_path / "overload.json"
+    path.write_text(serialize_scenario(build_station_model(2.0, 1.0, 1, math.inf, 10_000, seed=1)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert out == ""
+    assert_one_error_line(
+        code,
+        err,
+        "error: resource 'station' has 100 requests waiting, the most a resource may hold "
+        "(tiersim.engine.MAX_WAITING); its arrivals outpace its replicas\n",
+    )
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -31,6 +31,7 @@ from tiersim import (
     validate,
 )
 from tiersim import bundled, workload
+from tiersim.balancer import make_selector
 from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
 from randscen import random_scenario
 
@@ -471,6 +472,80 @@ def test_capacity_ceiling_is_never_exceeded():
         assert snap.in_system <= 5
         assert sum(snap.queue_lengths) <= 2
         assert sum(snap.busy) + sum(snap.queue_lengths) == snap.in_system
+
+
+def _overloaded(policy: BalancerPolicy, capacity: float) -> ScenarioModel:
+    """Three replicas offered 5/3 of what they serve, so the waiting room fills."""
+    return station(
+        arrival=Distribution.exponential(5.0),
+        service=Distribution.exponential(1.0),
+        replicas=3,
+        capacity=capacity,
+        policy=policy,
+        stop=StopRule.after_requests(400),
+        seed=13,
+    )
+
+
+def _arrivals(eng: Engine):
+    """Step to the stop count; for each arrival yield the backlogs the
+    resource held before it and after it, whether its two waiting slots
+    were full before it, and whether it was dropped."""
+
+    def backlogs(snap):
+        return [busy + queued for busy, queued in zip(snap.busy, snap.queue_lengths)]
+
+    while eng.terminals < 400:
+        before = eng.snapshot("A")
+        if eng.step().kind == "arrival":
+            after = eng.snapshot("A")
+            yield backlogs(before), backlogs(after), sum(before.queue_lengths) >= 2, after.dropped > before.dropped
+
+
+def test_refuses_only_at_the_hard_ceiling():
+    for policy in (BalancerPolicy.JSQ, BalancerPolicy.ROUND_ROBIN, BalancerPolicy.RANDOM):
+        outcomes = set()
+        for before, after, full, dropped in _arrivals(Engine(_overloaded(policy, 2))):
+            assert dropped == (full and 0 not in before), policy
+            assert (after == before) == dropped, policy
+            outcomes.add((full, dropped))
+        # every branch ran: room, full with an idle replica, refused
+        assert outcomes == {(False, False), (True, False), (True, True)}, policy
+
+
+def test_infinite_waiting_room_never_refuses():
+    for policy in (BalancerPolicy.JSQ, BalancerPolicy.ROUND_ROBIN, BalancerPolicy.RANDOM):
+        m = simulate(_overloaded(policy, INFINITE)).resources["A"]
+        assert m.dropped == 0 and m.avg_waiting > 0, policy
+
+
+def test_a_refused_request_leaves_the_round_robin_sequence_unchanged():
+    cursor = 0
+    refused = fell_forward = 0
+    for before, after, full, dropped in _arrivals(Engine(_overloaded(BalancerPolicy.ROUND_ROBIN, 2))):
+        if dropped:
+            refused += 1
+            continue
+        (placed,) = [r for r in range(3) if after[r] == before[r] + 1]
+        if full and before[cursor]:
+            fell_forward += 1
+            cursor = next(r % 3 for r in range(cursor, cursor + 3) if not before[r % 3])
+        assert placed == cursor
+        cursor = (cursor + 1) % 3
+    assert refused and fell_forward
+
+
+def test_a_refused_request_draws_nothing(monkeypatch):
+    streams = {}
+
+    def recording(policy, replicas, stream):
+        streams[stream.consumer] = stream
+        return make_selector(policy, replicas, stream)
+
+    monkeypatch.setattr("tiersim.engine.make_selector", recording)
+    m = simulate(_overloaded(BalancerPolicy.RANDOM, 2)).resources["A"]
+    assert m.dropped > 0
+    assert streams["resource:A:balance"].draws == m.offered - m.dropped
 
 
 def test_arrivals_come_from_the_documented_stream():

@@ -198,6 +198,15 @@ def test_a_capped_class_under_a_long_time_stop_starts_no_pool(monkeypatch):
     assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
 
 
+def test_a_capped_class_under_a_long_request_stop_starts_no_pool(monkeypatch):
+    # the stop waits for 100000 terminal sessions, but the class sends 10 in all
+    model = _station_arriving(Distribution.exponential(100.0), 10, StopRule.after_requests(100_000))
+    assert runs._expected_events(model) <= 10 * (1 + len(model.classes[0].path))
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
+
+
 @pytest.mark.parametrize("in_pool", [False, True], ids=["in-process", "pooled"])
 def test_run_models_takes_arrivals_without_a_rate(request, in_pool):
     # deterministic and uniform gaps have no exponential rate, and a

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiersim import Distribution, DomainError, Stream, sample, stream_key
+from tiersim import Distribution, DomainError, Stream, stream_key
 from tiersim.workload import make_sampler
 
 
@@ -74,27 +74,26 @@ def test_stream_keyed_late_draws_the_same_sequence():
 
 def test_deterministic_consumes_nothing():
     s = Stream(1, "svc")
-    d = Distribution.deterministic(0.25)
-    assert sample(d, s) == 0.25
+    draw = make_sampler(Distribution.deterministic(0.25), s)
+    assert draw() == 0.25
     assert s.draws == 0
 
 
 def test_exponential_and_uniform_consume_one_draw():
     s = Stream(1, "svc")
-    sample(Distribution.exponential(2.0), s)
+    make_sampler(Distribution.exponential(2.0), s)()
     assert s.draws == 1
-    sample(Distribution.uniform(0.0, 1.0), s)
+    make_sampler(Distribution.uniform(0.0, 1.0), s)()
     assert s.draws == 2
 
 
 def test_exponential_mean_and_variance_at_rate_four():
-    s = Stream(99, "exp-check")
-    d = Distribution.exponential(4.0)
+    draw = make_sampler(Distribution.exponential(4.0), Stream(99, "exp-check"))
     n = 1_000_000
     total = 0.0
     total_sq = 0.0
     for _ in range(n):
-        x = sample(d, s)
+        x = draw()
         total += x
         total_sq += x * x
     mean = total / n
@@ -104,37 +103,22 @@ def test_exponential_mean_and_variance_at_rate_four():
 
 
 def test_uniform_degenerate_bounds_give_constant():
-    s = Stream(5, "u")
-    d = Distribution.uniform(0.7, 0.7)
-    assert all(sample(d, s) == 0.7 for _ in range(100))
+    draw = make_sampler(Distribution.uniform(0.7, 0.7), Stream(5, "u"))
+    assert all(draw() == 0.7 for _ in range(100))
 
 
 def test_uniform_respects_bounds():
-    s = Stream(5, "u")
-    d = Distribution.uniform(1.5, 2.5)
+    draw = make_sampler(Distribution.uniform(1.5, 2.5), Stream(5, "u"))
     for _ in range(5000):
-        x = sample(d, s)
+        x = draw()
         assert 1.5 <= x < 2.5
 
 
 def test_exponential_samples_finite_and_nonnegative():
-    s = Stream(3, "e")
-    d = Distribution.exponential(0.001)
+    draw = make_sampler(Distribution.exponential(0.001), Stream(3, "e"))
     for _ in range(20000):
-        x = sample(d, s)
+        x = draw()
         assert x >= 0.0 and math.isfinite(x)
-
-
-def test_make_sampler_matches_sample_sequence():
-    for dist in (
-        Distribution.exponential(3.0),
-        Distribution.deterministic(0.4),
-        Distribution.uniform(0.2, 0.9),
-    ):
-        s1 = Stream(11, "cmp")
-        s2 = Stream(11, "cmp")
-        fast = make_sampler(dist, s2)
-        assert [sample(dist, s1) for _ in range(1000)] == [fast() for _ in range(1000)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,7 +128,6 @@ def test_make_sampler_matches_sample_sequence():
     n=st.integers(1, 50),
 )
 def test_samples_never_negative(seed, rate, n):
-    s = Stream(seed, "prop")
-    d = Distribution.exponential(rate)
+    draw = make_sampler(Distribution.exponential(rate), Stream(seed, "prop"))
     for _ in range(n):
-        assert sample(d, s) >= 0.0
+        assert draw() >= 0.0

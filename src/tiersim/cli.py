@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import tempfile
@@ -24,7 +23,16 @@ from .engine import Engine
 from .errors import TiersimError
 from .frontend import parse_deployment, parse_execution, synthesize_scenario
 from .metrics import export_series, report_from_json, report_to_json, report_to_table
-from .model import Distribution, RunConfig, ScenarioModel, StopRule, parse_scenario, serialize_scenario, validated
+from .model import (
+    Distribution,
+    RunConfig,
+    ScenarioModel,
+    StopRule,
+    json_text,
+    parse_scenario,
+    serialize_scenario,
+    validated,
+)
 from .runs import run_oracle_check
 # SweepResult is not used here; it stays importable from tiersim.cli for its callers
 from .sweep import SweepResult, parse_rate_grid, run_sweep, sweep_to_csv  # noqa: F401
@@ -121,7 +129,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "wait_threshold": ranking.wait_threshold,
                 "entries": [dataclasses.asdict(e) for e in ranking.entries],
             }
-            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(json_text(doc, sort_keys=True) + "\n")
         else:
             sys.stdout.write(format_table(ranking))
     else:
@@ -136,7 +144,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     rows = run_oracle_check(args.lam, args.mu, args.servers, args.capacity, args.requests, args.seed)
     if args.format == "json":
         doc = {name: {"simulated": s, "analytic": a, "rel_error": e} for name, s, a, e in rows}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(doc, sort_keys=True) + "\n")
     else:
         print(f"{'metric':<16}{'simulated':>14}{'analytic':>14}{'rel_error':>12}")
         for name, s, a, e in rows:

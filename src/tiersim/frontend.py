@@ -49,7 +49,9 @@ from .model import (
     _as_record,
     _load_json,
     _parse_resource,
+    _read_list,
     _require_keys,
+    _rooted,
     _str,
     validated,
 )
@@ -127,9 +129,9 @@ def parse_execution(text: str) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _parse_resource_entry(obj: object, path: str) -> ResourceSpec:
+def _parse_resource_entry(obj: object) -> ResourceSpec:
     # a bare name is shorthand for a resource with every default
-    return _parse_resource({"name": obj} if isinstance(obj, str) else obj, path)
+    return _parse_resource({"name": obj} if isinstance(obj, str) else obj)
 
 
 def parse_deployment(text: str) -> DeploymentMap:
@@ -143,10 +145,13 @@ def parse_deployment(text: str) -> DeploymentMap:
     nodes: dict[str, tuple[ResourceSpec, ...]] = {}
     seen_resource: dict[str, str] = {}
     for node, entries in nodes_raw.items():
-        npath = f"deployment.nodes[{node!r}]"
-        if not _as_list(entries, npath):
-            raise ValidationError(f"{npath}: a node needs at least one resource")
-        specs = tuple(_parse_resource_entry(e, f"{npath}[{i}]") for i, e in enumerate(entries))
+        # the paths below are relative to the node, rooted only when one is raised
+        try:
+            specs = tuple(_read_list(entries, _parse_resource_entry, ""))
+            if not specs:
+                raise ValidationError(": a node needs at least one resource")
+        except ValidationError as exc:
+            raise _rooted(f"deployment.nodes[{node!r}]", exc) from None
         for spec in specs:
             if spec.name in seen_resource:
                 raise ValidationError(
@@ -166,27 +171,33 @@ def parse_deployment(text: str) -> DeploymentMap:
     links: dict[tuple[str, str], ResourceSpec] = {}
     link_specs: dict[str, ResourceSpec] = {}
     for i, entry in enumerate(_as_list(raw.get("links", []), "deployment.links")):
-        path = f"deployment.links[{i}]"
-        link = _as_record(entry, ("between", "resource"), path)
-        between = _as_list(link["between"], f"{path}.between")
-        if len(between) != 2:
-            raise ValidationError(f"{path}.between: expected two node names")
-        for k, endpoint in enumerate(between):
-            if _str(endpoint, f"{path}.between[{k}]") not in nodes:
-                raise ValidationError(f"{path}.between: unknown node {endpoint!r}")
-        a, b = between
-        if a == b:
-            raise ValidationError(f"{path}.between: a link must join two distinct nodes, got {a!r} twice")
-        key = (a, b) if a <= b else (b, a)
-        if key in links:
-            raise ValidationError(f"{path}: duplicate link between {a!r} and {b!r}")
-        spec = _parse_resource_entry(link["resource"], f"{path}.resource")
-        if spec.name in seen_resource:
-            raise ValidationError(f"{path}: link resource {spec.name!r} collides with a node resource")
-        # the same network resource may carry several node pairs, but its
-        # spec must be written identically everywhere it appears
-        if spec.name in link_specs and link_specs[spec.name] != spec:
-            raise ValidationError(f"{path}: link resource {spec.name!r} redeclared with a different spec")
+        # the paths below are relative to the link, rooted only when one is raised
+        try:
+            link = _as_record(entry, ("between", "resource"), "")
+            between = _as_list(link["between"], ".between")
+            if len(between) != 2:
+                raise ValidationError(".between: expected two node names")
+            for endpoint_path, endpoint in zip((".between[0]", ".between[1]"), between):
+                if _str(endpoint, endpoint_path) not in nodes:
+                    raise ValidationError(f".between: unknown node {endpoint!r}")
+            a, b = between
+            if a == b:
+                raise ValidationError(f".between: a link must join two distinct nodes, got {a!r} twice")
+            key = (a, b) if a <= b else (b, a)
+            if key in links:
+                raise ValidationError(f": duplicate link between {a!r} and {b!r}")
+            try:
+                spec = _parse_resource_entry(link["resource"])
+            except ValidationError as exc:
+                raise _rooted(".resource", exc) from None
+            if spec.name in seen_resource:
+                raise ValidationError(f": link resource {spec.name!r} collides with a node resource")
+            # the same network resource may carry several node pairs, but its
+            # spec must be written identically everywhere it appears
+            if spec.name in link_specs and link_specs[spec.name] != spec:
+                raise ValidationError(f": link resource {spec.name!r} redeclared with a different spec")
+        except ValidationError as exc:
+            raise _rooted(f"deployment.links[{i}]", exc) from None
         link_specs[spec.name] = spec
         links[key] = spec
 

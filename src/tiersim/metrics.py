@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
 
 from .errors import SeriesDisabledError
-from .model import END_TO_END, ScenarioModel, _as_dict, _as_record, _load_json, _read_values
+from .model import END_TO_END, JSONText, ScenarioModel, _as_dict, _as_record, _load_json, _read_values, json_text
 
 
 class ResourceAccumulator:
@@ -359,28 +358,15 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     )
 
 
-def _json_at(value: object, depth: int) -> str:
-    """``value`` as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it
-    ``depth`` objects deep in ``doc`` (a JSON string holds no raw newline)."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-
-
-def _json_object(members: dict[str, str], depth: int) -> str:
-    """An object of rendered member values, laid out as _json_at lays one."""
-    if not members:
-        return "{}"
-    pad = "\n" + "  " * (depth + 1)
-    body = ",".join(f"{pad}{json.dumps(key)}: {members[key]}" for key in sorted(members))
-    return "{" + body + "\n" + "  " * depth + "}"
-
-
 def _record(row: object, types: dict[str, str]) -> dict:
     return {k: getattr(row, k) for k in types}
 
 
 # report_to_json tests identity, never value, before using this text:
-# 0.0 == -0.0, so a value-keyed cache could write the wrong sign.
-_UNVISITED_JSON = _json_at(_record(UNVISITED, _RESOURCE_TYPES), 2)
+# 0.0 == -0.0, so a value-keyed cache could write the wrong sign. A row
+# sits two objects deep in the report, and a JSON string holds no raw
+# newline, so indenting every line indents the row.
+_UNVISITED_JSON = JSONText(json_text(_record(UNVISITED, _RESOURCE_TYPES), sort_keys=True).replace("\n", "\n    "))
 
 
 def report_to_json(report: MetricsReport) -> str:
@@ -392,23 +378,21 @@ def report_to_json(report: MetricsReport) -> str:
     Series rows live in their own CSV (see export_series); the JSON
     carries only their counts.
     """
-    resources = {
-        name: _UNVISITED_JSON if m is UNVISITED else _json_at(_record(m, _RESOURCE_TYPES), 2)
-        for name, m in report.resources.items()
-    }
-    series = {
-        "enabled": report.series_enabled,
-        "resource_rows": len(report.resource_series),
-        "end_to_end_rows": len(report.end_to_end_series),
-    }
     doc = {
-        **{k: _json_at(getattr(report, k), 1) for k in _HEADER_TYPES},
-        "totals": _json_at(_record(report, _TOTALS_TYPES), 1),
-        "resources": _json_object(resources, 1),
-        "classes": _json_object({name: _json_at(_record(c, _CLASS_TYPES), 2) for name, c in report.classes.items()}, 1),
-        "series": _json_at(series, 1),
+        **_record(report, _HEADER_TYPES),
+        "totals": _record(report, _TOTALS_TYPES),
+        "resources": {
+            name: _UNVISITED_JSON if m is UNVISITED else _record(m, _RESOURCE_TYPES)
+            for name, m in report.resources.items()
+        },
+        "classes": {name: _record(c, _CLASS_TYPES) for name, c in report.classes.items()},
+        "series": {
+            "enabled": report.series_enabled,
+            "resource_rows": len(report.resource_series),
+            "end_to_end_rows": len(report.end_to_end_series),
+        },
     }
-    return _json_object(doc, 0) + "\n"
+    return json_text(doc, sort_keys=True) + "\n"
 
 
 def _read_record(obj: object, types: dict[str, str], path: str) -> dict:

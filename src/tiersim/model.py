@@ -18,9 +18,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .errors import ScenarioSyntaxError, ValidationError
 
@@ -215,6 +217,11 @@ def _check_distribution(dist: Distribution, path: str, issues: list[str]) -> Non
         issues.append(f"{path}: kind must be a DistKind, got {dist.kind!r}")
 
 
+def _root_issues(issues: list[str], first: int, path: str) -> None:
+    """Name ``path`` at the head of each issue from index ``first`` on; see _rooted."""
+    issues[first:] = [path + issue for issue in issues[first:]]
+
+
 def validate(model: ScenarioModel) -> tuple[str, ...]:
     """Check every structural invariant; one ``"path: message"`` line per
     violation, and none when the model is valid.
@@ -232,39 +239,45 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
     if not model.classes:
         issues.append("classes: at least one workload class is required")
 
-    seen_resources: dict[str, str] = {}
+    tier_of: dict[str, int] = {}  # each resource name -> the index of its tier
     bounded: dict[str, bool] = {}
     seen_tiers: set[str] = set()
     for ti, tier in enumerate(model.tiers):
-        tpath = f"tiers[{ti}]"
+        # a tier's and a resource's issues name paths relative to them,
+        # rooted only when there are any (see _rooted)
+        found = len(issues)
         if not _valid_name(tier.name):
-            issues.append(f"{tpath}: tier name must be a non-empty token, got {tier.name!r}")
+            issues.append(f": tier name must be a non-empty token, got {tier.name!r}")
         elif tier.name in seen_tiers:
-            issues.append(f"{tpath}: duplicate tier name {tier.name!r}")
+            issues.append(f": duplicate tier name {tier.name!r}")
         else:
             seen_tiers.add(tier.name)
         if not tier.resources:
-            issues.append(f"{tpath}: tier holds no resources")
+            issues.append(": tier holds no resources")
         for ri, res in enumerate(tier.resources):
-            rpath = f"{tpath}.resources[{ri}]"
+            first = len(issues)
             if not _valid_name(res.name):
-                issues.append(f"{rpath}: resource name must be a non-empty token, got {res.name!r}")
+                issues.append(f": resource name must be a non-empty token, got {res.name!r}")
             elif res.name == END_TO_END:
-                issues.append(f"{rpath}: resource name {END_TO_END!r} is reserved")
-            elif res.name in seen_resources:
-                issues.append(f"{rpath}: duplicate resource name {res.name!r} (also in {seen_resources[res.name]})")
+                issues.append(f": resource name {END_TO_END!r} is reserved")
+            elif res.name in tier_of:
+                issues.append(f": duplicate resource name {res.name!r} (also in tiers[{tier_of[res.name]}])")
             else:
-                seen_resources[res.name] = tpath
+                tier_of[res.name] = ti
                 bounded[res.name] = res.queue_capacity != INFINITE
             if not (_integer(res.replicas) and res.replicas >= 1):
-                issues.append(f"{rpath}: replicas must be an integer >= 1, got {res.replicas!r}")
+                issues.append(f": replicas must be an integer >= 1, got {res.replicas!r}")
             elif res.replicas > MAX_REPLICAS:
-                issues.append(f"{rpath}: replicas must be at most {MAX_REPLICAS}, got {res.replicas!r}")
+                issues.append(f": replicas must be at most {MAX_REPLICAS}, got {res.replicas!r}")
             cap = res.queue_capacity
             if not (cap == INFINITE or (_integer(cap) and cap >= 0)):
-                issues.append(f"{rpath}: queue_capacity must be an integer >= 0 or infinite, got {cap!r}")
+                issues.append(f": queue_capacity must be an integer >= 0 or infinite, got {cap!r}")
             if not isinstance(res.balancer, BalancerPolicy):
-                issues.append(f"{rpath}: balancer must be a BalancerPolicy, got {res.balancer!r}")
+                issues.append(f": balancer must be a BalancerPolicy, got {res.balancer!r}")
+            if len(issues) > first:
+                _root_issues(issues, first, f".resources[{ri}]")
+        if len(issues) > found:
+            _root_issues(issues, found, f"tiers[{ti}]")
 
     stop = model.run.stop
     # 0 when there is no valid after_time horizon; the stop check below names that
@@ -295,7 +308,7 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             issues.append(f"{cpath}.path: path must hold at least one visit")
         for vi, visit in enumerate(cls.path):
             vpath = f"{cpath}.path[{vi}]"
-            if visit.resource not in seen_resources:
+            if visit.resource not in tier_of:
                 issues.append(f"{vpath}: visit references unknown resource {visit.resource!r}")
             _check_distribution(visit.demand, f"{vpath}.demand", issues)
         if gap:
@@ -459,27 +472,61 @@ def _parse_capacity(obj: object, path: str) -> int | float:
     return _int(obj, path)
 
 
+def _rooted(path: str, exc: ValidationError) -> ValidationError:
+    """``exc``, whose message starts with a path relative to some value,
+    named under that value's ``path`` instead.
+
+    Readers called once per resource (of a resource, a tier, a deployment
+    node or link) name paths relative to their value, so a wide document
+    builds no path unless a value in it is at fault.
+    """
+    return ValidationError(f"{path}{exc}")
+
+
+def _read_list(obj: object, read: Callable[[object], object], path: str) -> list:
+    """``obj`` as an array of items each read by ``read``, whose error paths
+    are relative to the item; they are rooted at ``path[i]``."""
+    items = []
+    for i, item in enumerate(_as_list(obj, path)):
+        try:
+            items.append(read(item))
+        except ValidationError as exc:
+            raise _rooted(f"{path}[{i}]", exc) from None
+    return items
+
+
 # built once: a set display is rebuilt on every call, and a wide
 # deployment map or scenario parses hundreds of resources
 _RESOURCE_KEYS = frozenset({"name", "replicas", "queue_capacity", "discipline", "balancer"})
+# a dict lookup; calling BalancerPolicy(value) costs twice as much
+_BALANCERS = {policy.value: policy for policy in BalancerPolicy}
 
 
-def _parse_resource(obj: object, path: str) -> ResourceSpec:
-    d = _as_dict(obj, path)
-    _require_keys(d, _RESOURCE_KEYS, ("name",), path)
+def _parse_resource(obj: object) -> ResourceSpec:
+    """A resource object, with error paths relative to it (see _rooted)."""
+    d = _as_dict(obj, "")
+    _require_keys(d, _RESOURCE_KEYS, ("name",), "")
     # FCFS is the only discipline; the key stays legal so documents naming it parse
     if d.get("discipline", "fcfs") != "fcfs":
-        raise ValidationError(f"{path}.discipline: unknown discipline {d['discipline']!r}")
-    try:
-        balancer = BalancerPolicy(d.get("balancer", "jsq"))
-    except ValueError:
-        raise ValidationError(f"{path}.balancer: unknown balancer policy {d['balancer']!r}") from None
+        raise ValidationError(f".discipline: unknown discipline {d['discipline']!r}")
+    balancer = d.get("balancer", "jsq")
+    # an array or object is no key of any dict
+    policy = _BALANCERS.get(balancer) if isinstance(balancer, str) else None
+    if policy is None:
+        raise ValidationError(f".balancer: unknown balancer policy {balancer!r}")
     return ResourceSpec(
-        name=_str(d["name"], f"{path}.name"),
-        replicas=_int(d.get("replicas", 1), f"{path}.replicas"),
-        queue_capacity=_parse_capacity(d.get("queue_capacity", "inf"), f"{path}.queue_capacity"),
-        balancer=balancer,
+        name=_str(d["name"], ".name"),
+        replicas=_int(d.get("replicas", 1), ".replicas"),
+        queue_capacity=_parse_capacity(d.get("queue_capacity", "inf"), ".queue_capacity"),
+        balancer=policy,
     )
+
+
+def _parse_tier(obj: object) -> Tier:
+    """A tier object, with error paths relative to it (see _rooted)."""
+    td = _as_record(obj, ("name", "resources"), "")
+    resources = tuple(_read_list(td["resources"], _parse_resource, ".resources"))
+    return Tier(name=_str(td["name"], ".name"), resources=resources)
 
 
 def parse_scenario(text: str) -> ScenarioModel:
@@ -494,15 +541,7 @@ def parse_scenario(text: str) -> ScenarioModel:
     if version != FORMAT_VERSION:
         raise ValidationError(f"$.format_version: unsupported version {version!r} (this build reads {FORMAT_VERSION})")
 
-    tiers = []
-    for ti, tobj in enumerate(_as_list(top["tiers"], "$.tiers")):
-        tpath = f"$.tiers[{ti}]"
-        td = _as_record(tobj, ("name", "resources"), tpath)
-        resources = tuple(
-            _parse_resource(robj, f"{tpath}.resources[{ri}]")
-            for ri, robj in enumerate(_as_list(td["resources"], f"{tpath}.resources"))
-        )
-        tiers.append(Tier(name=_str(td["name"], f"{tpath}.name"), resources=resources))
+    tiers = _read_list(top["tiers"], _parse_tier, "$.tiers")
 
     classes = []
     for ci, cobj in enumerate(_as_list(top["classes"], "$.classes")):
@@ -539,12 +578,92 @@ def parse_scenario(text: str) -> ScenarioModel:
     return validated(ScenarioModel(name=_str(top["name"], "$.name"), tiers=tuple(tiers), classes=tuple(classes), run=run))
 
 
-def serialize_scenario(model: ScenarioModel) -> str:
-    """Render a model back to scenario JSON.
+# ----------------------------------------------------------------------
+# JSON writing. One writer for every document the package writes.
 
-    Round-trips exactly: ``parse_scenario(serialize_scenario(m)) == m``.
-    """
-    doc = {
+
+class JSONText:
+    """Text that json_text writes verbatim where a value would go: a value
+    rendered once by json_text, at the depth where it is placed."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+# The exact class of a scalar -> the C callable that writes it as
+# json.dumps does. With any indent, json.dumps leaves its C encoder for
+# a generator per container and a Python call per scalar; calling no
+# Python code per scalar takes under half the time on a wide scenario.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    JSONText: attrgetter("text"),
+}
+# float.__repr__'s non-finite texts, as json.dumps spells them; no other
+# scalar's text is one of these (a string's text is quoted)
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(value: object, sort_keys: bool = False) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=sort_keys)``
+    writes it, for dicts with str keys, lists, tuples, str, int, float,
+    bool and None (and JSONText), exact classes only."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        text = scalar(value)
+        return _NONFINITE.get(text, text)
+    out: list[str] = []
+    _write_container(value, "\n", sort_keys, out)
+    return "".join(out)
+
+
+def _write_container(value: object, pad: str, sort_keys: bool, out: list[str]) -> None:
+    """Append the texts of ``value``, a dict, list or tuple whose first
+    line is indented by ``pad`` (a newline and two spaces per level)."""
+    inner = pad + "  "
+    sep = "," + inner
+    if type(value) is dict:
+        if not value:
+            out.append("{}")
+            return
+        first = "{" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out += (first, encode_basestring_ascii(key), ": ")
+                _write_container(item, inner, sort_keys, out)
+            else:
+                text = scalar(item)
+                out += (first, encode_basestring_ascii(key), ": ", _NONFINITE.get(text, text))
+            first = sep
+        out.append(pad + "}")
+    elif type(value) is list or type(value) is tuple:
+        if not value:
+            out.append("[]")
+            return
+        first = "[" + inner
+        for item in value:
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out.append(first)
+                _write_container(item, inner, sort_keys, out)
+            else:
+                text = scalar(item)
+                out += (first, _NONFINITE.get(text, text))
+            first = sep
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _scenario_doc(model: ScenarioModel) -> dict:
+    """The scenario document of ``model``, as serialize_scenario writes it."""
+    return {
         "format_version": FORMAT_VERSION,
         "name": model.name,
         "tiers": [
@@ -579,4 +698,11 @@ def serialize_scenario(model: ScenarioModel) -> str:
             "series": model.run.series_enabled,
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_scenario(model: ScenarioModel) -> str:
+    """Render a model back to scenario JSON.
+
+    Round-trips exactly: ``parse_scenario(serialize_scenario(m)) == m``.
+    """
+    return json_text(_scenario_doc(model)) + "\n"

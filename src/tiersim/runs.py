@@ -131,6 +131,10 @@ def run_models(models: tuple[ScenarioModel, ...]) -> tuple[MetricsReport, ...]:
     # otherwise load the pool machinery (1.3 MiB and 20 ms on a 2-vCPU VM)
     from concurrent.futures import ProcessPoolExecutor
 
+    # a stream imports numpy at its first draw; importing it once here
+    # spares each forked worker of a fresh process its own import
+    import numpy  # noqa: F401
+
     pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(models,))
     try:
         return tuple(pool.map(_run_index, range(len(models))))

@@ -14,8 +14,9 @@ A stream's generator is keyed on its first draw, not when the stream is
 built. Since the key depends only on (seed, consumer), when that happens
 never changes a sample; it only means that a stream which never draws
 (such as the balance stream of a resource whose policy is not
-``random``) costs no generator. A declared resource that no class
-visits has no runtime, no stream and no accumulator at all.
+``random``) costs no generator, and a process that never draws never
+imports numpy. A declared resource that no class visits has no runtime,
+no stream and no accumulator at all.
 
 Only raw uniform doubles come from the generator. Variates are formed by
 explicit inverse transforms here, so the sampling algorithm is part of
@@ -26,11 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import Distribution, DistKind
+
+if TYPE_CHECKING:  # numpy is imported at a stream's first refill
+    import numpy as np
 
 # How many uniforms to pull from the bit generator per refill. Purely a
 # speed knob; the sample sequence is identical for any positive size. It
@@ -71,6 +74,10 @@ class Stream:
         """Next double in [0, 1). Never returns 1.0, so log(1 - u) is finite."""
         if self._idx >= len(self._buf):
             if self._gen is None:
+                # imported here: it is half of `import tiersim.cli`, which
+                # validate, synthesize and report need without a draw
+                import numpy as np
+
                 self._gen = np.random.Generator(np.random.Philox(key=stream_key(self._seed, self.consumer)))
             self._spent += self._idx  # the whole used-up buffer
             self._buf = self._gen.random(_BUFFER).tolist()

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 
+import numpy
 import pytest
 
 from tiersim import (
@@ -30,7 +31,7 @@ from tiersim import (
     simulate,
     validate,
 )
-from tiersim import bundled, workload
+from tiersim import bundled
 from tiersim.balancer import make_selector
 from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
 from randscen import random_scenario
@@ -621,14 +622,14 @@ def test_only_streams_that_draw_key_a_generator(monkeypatch):
             streams.append(self)
 
     keyed = []
-    philox = workload.np.random.Philox
+    philox = numpy.random.Philox
 
     def counting_philox(*args, **kwargs):
         keyed.append(kwargs)
         return philox(*args, **kwargs)
 
     monkeypatch.setattr("tiersim.engine.Stream", RecordedStream)
-    monkeypatch.setattr(workload.np.random, "Philox", counting_philox)
+    monkeypatch.setattr(numpy.random, "Philox", counting_philox)
     eng = Engine(model)
     eng.run()
 
@@ -776,3 +777,34 @@ def test_calls_per_event_stay_bounded():
             stop=StopRule.after_requests(5000),
         )
         assert _calls_per_event(eight) <= 16, policy
+
+
+def _drained(model: ScenarioModel, policy: BalancerPolicy, sessions: int) -> ScenarioModel:
+    """``model`` with every balancer set to ``policy`` and every class capped
+    at ``sessions``, run until each session has completed or been dropped."""
+    tiers = tuple(
+        dataclasses.replace(t, resources=tuple(dataclasses.replace(r, balancer=policy) for r in t.resources))
+        for t in model.tiers
+    )
+    classes = tuple(dataclasses.replace(c, max_requests=sessions) for c in model.classes)
+    stop = StopRule.after_requests(sessions * len(classes))
+    return dataclasses.replace(model, tiers=tiers, classes=classes, run=RunConfig(seed=model.run.seed, stop=stop))
+
+
+@pytest.mark.parametrize("policy", list(BalancerPolicy), ids=lambda p: p.value)
+def test_drained_runs_satisfy_littles_law_and_the_busy_time_identity_exactly(policy):
+    # With warmup 0 and every session terminal at the stop, each served
+    # visit lies wholly inside the window: the occupancy area is the sum
+    # of the served visits' responses, and the busy time the sum of their
+    # services. Only rounding separates the two sides.
+    for case in range(100):
+        model = _drained(random_scenario(case), policy, sessions=40)
+        report = simulate(model)
+        assert report.in_flight == 0
+        for name, m in report.resources.items():
+            replicas = model.resource(name).replicas
+            where = (model.name, name)
+            assert math.isclose(m.mean_in_system * report.elapsed, m.served * m.avg_response, rel_tol=1e-12), where
+            assert math.isclose(
+                m.utilization * replicas * report.elapsed, m.served * m.avg_service, rel_tol=1e-12
+            ), where

@@ -25,6 +25,7 @@ from tiersim import (
 from tiersim import bundled
 
 from randdeploy import random_deployment
+from pycalls import python_calls
 
 
 def bundled_pair():
@@ -312,3 +313,52 @@ def test_synthesized_scenarios_are_pinned():
         )
         digest.update(serialize_scenario(model).encode("utf-8"))
     assert digest.hexdigest() == SYNTHESIS_DIGEST
+
+
+def _wide_inputs(nodes: int) -> tuple[str, str]:
+    """A ring of ``nodes`` nodes, node i with a processor, i % 3 disks and a
+    link to node i + 1, and a four-step flow over the first three nodes."""
+    policies = ("jsq", "round_robin", "random")
+    doc = {
+        "bindings": {"client": "node0", "front": "node1", "store": "node2"},
+        "nodes": {
+            f"node{i}": [
+                {"name": f"n{i}_cpu", "replicas": 1 + i % 4, "queue_capacity": 16, "balancer": policies[i % 3]},
+                *({"name": f"n{i}_disk{d}", "queue_capacity": "inf"} for d in range(i % 3)),
+            ]
+            for i in range(nodes)
+        },
+        "links": [
+            {"between": [f"node{i}", f"node{(i + 1) % nodes}"], "resource": {"name": f"link{i}", "queue_capacity": 8}}
+            for i in range(nodes)
+        ],
+    }
+    steps = """
+        client -> front : request [exp 400]
+        front -> store : query [exp 200] @disk
+        store -> front : rows [exp 500]
+        front -> client : response [exp 800]
+    """
+    return steps, json.dumps(doc, indent=2)
+
+
+def test_setup_calls_stay_bounded():
+    # Exact counts, no wall clock. A declared resource costs 32.8 calls
+    # from deployment text to parsed scenario: 11.4 to read the
+    # deployment, 3.7 to synthesize (3 of them validating), 4.1 to write
+    # the scenario and 13.6 to parse it (3 validating). Writing through
+    # json.dumps's indenting encoder cost 166.7, one generator resumption
+    # per container and scalar; readers that looped in a generator and
+    # called BalancerPolicy(value) cost 2.7 more per parse.
+    steps, deployment_text = _wide_inputs(300)
+    execution = parse_execution(steps)
+    declared = 3 * 300
+
+    def setup():
+        model = synthesize_scenario(
+            execution, parse_deployment(deployment_text), arrival=Distribution.exponential(1.0)
+        )
+        assert len(model.resources()) == declared
+        parse_scenario(serialize_scenario(model))
+
+    assert python_calls(setup) <= 35 * declared

@@ -8,7 +8,6 @@ import io
 import json
 import pickle
 import statistics
-import sys
 
 import pytest
 
@@ -32,6 +31,7 @@ from tiersim import (
 )
 from tiersim.metrics import UNVISITED, MetricsReport, RunAccumulator, _percentile
 from tiersim.sweep import SweepCell, SweepResult, sweep_to_csv
+from pycalls import python_calls
 from randscen import random_scenario
 
 
@@ -424,23 +424,6 @@ def test_report_json_matches_one_whole_document_dump(report):
     assert report_to_json(report) == reference_report_json(report)
 
 
-def _python_calls(fn, *args) -> int:
-    """Python function calls (and generator resumptions) ``fn(*args)`` makes."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def test_report_json_calls_stay_bounded_per_declared_resource():
     # An exact count, no wall clock: rendering each unvisited row through
     # the pure-Python indenting encoder took about 222 calls a row.
@@ -448,7 +431,7 @@ def test_report_json_calls_stay_bounded_per_declared_resource():
     model = dataclasses.replace(wide_model(declared, 12), run=RunConfig(seed=2, stop=StopRule.after_requests(40)))
     report = simulate(model)
     assert sum(m is not UNVISITED for m in report.resources.values()) == 12
-    assert _python_calls(report_to_json, report) <= 8 * declared
+    assert python_calls(report_to_json, report) <= 8 * declared
 
 
 def test_sweep_csv_calls_do_not_grow_with_cells():
@@ -456,4 +439,4 @@ def test_sweep_csv_calls_do_not_grow_with_cells():
         cells = tuple(SweepCell(1.5, f"r{i}", 0.25 * i, 0.125, 0.125, 0.5, 0.5, 1e-9) for i in range(n))
         return SweepResult(cells=cells, reports={})
 
-    assert _python_calls(sweep_to_csv, result(1000)) == _python_calls(sweep_to_csv, result(1))
+    assert python_calls(sweep_to_csv, result(1000)) == python_calls(sweep_to_csv, result(1))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -33,6 +34,11 @@ from tiersim import (
     validate,
 )
 from tiersim import model as model_module
+from tiersim.frontend import parse_execution, synthesize_scenario
+from tiersim.model import json_text
+
+from randdeploy import random_deployment
+from randscen import random_scenario
 
 
 def small_model(**run_kwargs) -> ScenarioModel:
@@ -540,3 +546,74 @@ def test_the_arrival_bound_holds_only_unbounded_classes_under_a_time_stop():
     assert validate(with_class(base, arrival=flood, max_requests=5)) == ()
     assert validate(with_class(small_model(), arrival=flood)) == ()
     assert len(validate(with_class(base, arrival=flood))) == 1
+
+
+# scalars json.dumps writes in a form of their own: escapes, signed and
+# exponent floats, the non-finite spellings, ints past 64 bits
+_EDGE_SCALARS = st.sampled_from(
+    [
+        "",
+        'say "hi"',
+        "back\\slash",
+        "\x00\x1f\x7f\n\t",
+        "\u00e9\u2028\U0001f600",
+        -0.0,
+        1e16,
+        1e-7,
+        math.inf,
+        -math.inf,
+        math.nan,
+        2**64,
+        -(10**80),
+        True,
+        False,
+        None,
+    ]
+)
+_SCALARS = st.one_of(_EDGE_SCALARS, st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(["a", "\u00e9", 'q"'])), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+    assert json_text(value, sort_keys=True) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_text({"a": [object()]})
+
+
+def _synthesized_scenarios():
+    for case in range(20):
+        steps, doc = random_deployment(case)
+        yield synthesize_scenario(
+            parse_execution(steps),
+            parse_deployment(json.dumps(doc)),
+            scenario_name=f"case{case}",
+            arrival=Distribution.exponential(2.0),
+            run=RunConfig(seed=case, warmup=0.25 * case),
+        )
+
+
+@pytest.mark.parametrize(
+    "models",
+    [
+        pytest.param(lambda: map(random_scenario, range(100)), id="randscen"),
+        pytest.param(_synthesized_scenarios, id="randdeploy"),
+    ],
+)
+def test_serialize_scenario_writes_what_json_dumps_writes(models):
+    for model in models():
+        doc = model_module._scenario_doc(model)
+        assert serialize_scenario(model) == json.dumps(doc, indent=2) + "\n", model.name

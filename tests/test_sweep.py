@@ -272,10 +272,54 @@ def test_fork_context_is_fork_where_the_platform_has_it():
         assert context is None
 
 
-def test_importing_the_cli_loads_no_pool_machinery():
-    code = "import tiersim.cli, sys; assert 'concurrent.futures.process' not in sys.modules"
+def _fresh_python(code: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, timeout=60)
+
+
+def test_importing_the_cli_loads_no_pool_machinery():
+    proc = _fresh_python("import tiersim.cli, sys; assert 'concurrent.futures.process' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_that_draw_nothing_load_no_numpy(tmp_path):
+    # numpy is half of `import tiersim.cli`; only a stream's first draw needs it
+    (tmp_path / "report.json").write_text(report_to_json(Engine(webservices(20)).run()), encoding="utf-8")
+    code = """
+import sys
+import tiersim.cli
+assert "numpy" not in sys.modules, "import tiersim.cli loaded numpy"
+for argv in (
+    ["validate", "bundled:webservices.json"],
+    ["synthesize", "bundled:webservices_steps.txt", "bundled:webservices_deployment.json", "--arrival-rate", "5"],
+    ["report", "report.json", "--bottlenecks"],
+):
+    assert tiersim.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+    proc = _fresh_python(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_pooled_batch_imports_numpy_before_it_forks():
+    # otherwise each worker of a fresh `tiersim sweep` imports numpy itself
+    code = """
+import concurrent.futures, sys
+from tiersim import runs
+
+class Pool:
+    def __init__(self, *args, **kwargs):
+        assert "numpy" in sys.modules, "forked before numpy was imported"
+        raise SystemExit(0)
+
+concurrent.futures.ProcessPoolExecutor = Pool
+runs.usable_cpus = lambda: 2
+model = runs.build_station_model(1.0, 2.0, 1, 40, 50_000, 1)
+assert "numpy" not in sys.modules
+runs.run_models((model, model))
+raise SystemExit("the batch started no pool")
+"""
+    proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -498,8 +498,10 @@ def _read_list(obj: object, read: Callable[[object], object], path: str) -> list
 # built once: a set display is rebuilt on every call, and a wide
 # deployment map or scenario parses hundreds of resources
 _RESOURCE_KEYS = frozenset({"name", "replicas", "queue_capacity", "discipline", "balancer"})
-# a dict lookup; calling BalancerPolicy(value) costs twice as much
+# dict lookups both ways: calling BalancerPolicy(value) costs twice as
+# much, and reading the enum property policy.value makes two Python calls
 _BALANCERS = {policy.value: policy for policy in BalancerPolicy}
+_BALANCER_NAMES = {policy: name for name, policy in _BALANCERS.items()}
 
 
 def _parse_resource(obj: object) -> ResourceSpec:
@@ -675,7 +677,7 @@ def _scenario_doc(model: ScenarioModel) -> dict:
                         "replicas": r.replicas,
                         "queue_capacity": "inf" if r.queue_capacity == INFINITE else r.queue_capacity,
                         "discipline": "fcfs",
-                        "balancer": r.balancer.value,
+                        "balancer": _BALANCER_NAMES[r.balancer],
                     }
                     for r in tier.resources
                 ],

@@ -21,24 +21,28 @@ no stream and no accumulator at all.
 Only raw uniform doubles come from the generator. Variates are formed by
 explicit inverse transforms here, so the sampling algorithm is part of
 this module's contract rather than an upstream library detail.
+
+A draw enters no Python frame: ``Stream.uniform01`` is the ``__next__``
+of a C iterator that chains the generator's batches of ``_BUFFER``
+doubles, so a draw is one C call. A refill, once per batch, is the only
+Python step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Iterator
+from itertools import chain, repeat
+from operator import length_hint
 
 from .errors import DomainError
 from .model import Distribution, DistKind
 
-if TYPE_CHECKING:  # numpy is imported at a stream's first refill
-    import numpy as np
-
 # How many uniforms to pull from the bit generator per refill. Purely a
 # speed knob; the sample sequence is identical for any positive size. It
 # also sets the cost of a stream's first draw, which keys the generator
-# and fills the first buffer.
+# and fills the first batch.
 _BUFFER = 1024
 
 STREAM_ALGORITHM = "philox4x64/sha256-key/inverse-cdf"
@@ -56,40 +60,53 @@ def stream_key(master_seed: int, consumer: str) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
-class Stream:
-    """Deterministic uniform source for one named consumer."""
+class _Refills:
+    """The batch a stream is drawing from and how many batches it has
+    taken. The refill generator writes it and ``Stream.draws`` reads it;
+    it holds no reference to the stream, so a stream is in no cycle and
+    is freed when its last reference goes."""
 
-    __slots__ = ("consumer", "_seed", "_gen", "_buf", "_idx", "_spent")
+    __slots__ = ("batch", "batches")
+
+    def __init__(self) -> None:
+        self.batch: Iterator[float] = iter(())
+        self.batches = 0
+
+
+def _refill(master_seed: int, consumer: str, state: _Refills) -> Iterator[Iterator[float]]:
+    """Endless batches of ``_BUFFER`` uniforms from the consumer's generator."""
+    # imported here, at the first refill: it is half of `import
+    # tiersim.cli`, which validate, synthesize and report need without a draw
+    import numpy as np
+
+    random = np.random.Generator(np.random.Philox(key=stream_key(master_seed, consumer))).random
+    while True:
+        state.batch = batch = iter(random(_BUFFER).tolist())
+        state.batches += 1
+        yield batch
+
+
+class Stream:
+    """Deterministic uniform source for one named consumer.
+
+    ``uniform01()`` returns the next double in [0, 1). It never returns
+    1.0, so log(1 - u) is finite.
+    """
+
+    __slots__ = ("consumer", "uniform01", "_refills")
 
     def __init__(self, master_seed: int, consumer: str):
         _check_seed(master_seed)
         self.consumer = consumer
-        self._seed = master_seed
-        self._gen: np.random.Generator | None = None  # keyed on the first refill
-        self._buf: list[float] = []
-        self._idx = 0
-        self._spent = 0  # uniforms in the buffers already used up
-
-    def uniform01(self) -> float:
-        """Next double in [0, 1). Never returns 1.0, so log(1 - u) is finite."""
-        if self._idx >= len(self._buf):
-            if self._gen is None:
-                # imported here: it is half of `import tiersim.cli`, which
-                # validate, synthesize and report need without a draw
-                import numpy as np
-
-                self._gen = np.random.Generator(np.random.Philox(key=stream_key(self._seed, self.consumer)))
-            self._spent += self._idx  # the whole used-up buffer
-            self._buf = self._gen.random(_BUFFER).tolist()
-            self._idx = 0
-        u = self._buf[self._idx]
-        self._idx += 1
-        return u
+        self._refills = state = _Refills()
+        # the generator body, and so the keying, first runs at the first draw
+        self.uniform01: Callable[[], float] = chain.from_iterable(_refill(master_seed, consumer, state)).__next__
 
     @property
     def draws(self) -> int:
         """How many uniforms this stream has handed out."""
-        return self._spent + self._idx
+        state = self._refills
+        return state.batches * _BUFFER - length_hint(state.batch)
 
 
 def make_sampler(dist: Distribution, stream: Stream):
@@ -108,8 +125,7 @@ def make_sampler(dist: Distribution, stream: Stream):
         rate = dist.rate
         return lambda: -log1p(-uniform01()) / rate
     if kind is DistKind.DETERMINISTIC:
-        value = dist.value
-        return lambda: value
+        return repeat(dist.value).__next__
     if kind is DistKind.UNIFORM:
         uniform01 = stream.uniform01
         lo = dist.lo

@@ -749,6 +749,8 @@ def _calls_per_event(model: ScenarioModel) -> float:
 def test_calls_per_event_stay_bounded():
     # Exact counts for a fixed seed, no wall clock: a regrowth of the
     # per-event call chain fails here before it shows as lost speed.
+    # The counts are mm1 9.01, jsq8 9.65, round_robin 9.52 and random
+    # 10.07; a uniform draw is one C call and makes no Python call.
     jsq8 = station(
         arrival=Distribution.exponential(7.6),
         service=Distribution.exponential(1.0),
@@ -763,8 +765,8 @@ def test_calls_per_event_stay_bounded():
         capacity=40,
         stop=StopRule.after_requests(5000),
     )
-    assert _calls_per_event(jsq8) <= 16
-    assert _calls_per_event(mm1) <= 14
+    assert _calls_per_event(jsq8) <= 11
+    assert _calls_per_event(mm1) <= 10
     # the other policies' selectors, with room to queue so that both
     # the free placement and the fall-forward to an idle replica run
     for policy in (BalancerPolicy.ROUND_ROBIN, BalancerPolicy.RANDOM):
@@ -776,7 +778,7 @@ def test_calls_per_event_stay_bounded():
             policy=policy,
             stop=StopRule.after_requests(5000),
         )
-        assert _calls_per_event(eight) <= 16, policy
+        assert _calls_per_event(eight) <= 11, policy
 
 
 def _drained(model: ScenarioModel, policy: BalancerPolicy, sessions: int) -> ScenarioModel:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pycalls import python_calls
 from tiersim import Distribution, DomainError, Stream, stream_key
-from tiersim.workload import make_sampler
+from tiersim.workload import _BUFFER, make_sampler
 
 
 def test_same_consumer_same_seed_reproduces_exactly():
@@ -72,9 +76,80 @@ def test_stream_keyed_late_draws_the_same_sequence():
     assert [late.uniform01() for _ in range(1500)] == expected
 
 
+@pytest.mark.parametrize(
+    "seed, consumer", [(0, "class:web:arrival"), (42, "resource:SP_Disk:service"), (2**64 - 1, "")]
+)
+def test_uniforms_are_the_keyed_philox_doubles_in_order(seed, consumer):
+    s = Stream(seed, consumer)
+    got = [s.uniform01() for _ in range(5000)]
+    expected = numpy.random.Generator(numpy.random.Philox(key=stream_key(seed, consumer))).random(5000).tolist()
+    assert got == expected
+
+
+def test_draws_counts_exactly_across_batch_edges():
+    assert _BUFFER == 1024
+    s = Stream(3, "count")
+    drawn = 0
+    for target in (0, 1, 1023, 1024, 1025, 2048, 2049):
+        for _ in range(target - drawn):
+            s.uniform01()
+        drawn = target
+        assert s.draws == target
+
+
+def test_a_draw_is_one_c_call_and_a_refill_one_python_step():
+    s = Stream(4, "frames")
+    s.uniform01()  # the first refill also keys the generator
+    for _ in range(_BUFFER - 2):
+        s.uniform01()
+    assert python_calls(s.uniform01) == 0  # the batch's last uniform
+    assert python_calls(s.uniform01) == 1  # the next refill
+    assert python_calls(s.uniform01) == 0
+
+
+def test_samplers_sharing_a_stream_interleave_in_draw_order():
+    u = Stream(8, "shared")
+    u_probe = Stream(8, "shared")
+    exponential = make_sampler(Distribution.exponential(3.0), u)
+    uniform = make_sampler(Distribution.uniform(2.0, 5.0), u)
+    pattern = [exponential, uniform, uniform, exponential, exponential, uniform] * 400
+    got = [draw() for draw in pattern]
+    expected = []
+    for draw in pattern:
+        x = u_probe.uniform01()
+        expected.append(-math.log1p(-x) / 3.0 if draw is exponential else 2.0 + 3.0 * x)
+    assert got == expected
+    assert u.draws == u_probe.draws == len(pattern)
+
+
+class _WeakStream(Stream):
+    __slots__ = ("__weakref__",)
+
+
+def test_a_dropped_stream_leaves_nothing_to_the_cyclic_collector():
+    # numpy is already imported (at the top of this module), so the first
+    # refill imports nothing that could leave cycles of its own
+    gc.collect()
+    gc.disable()
+    try:
+        s = _WeakStream(6, "dropped")
+        draw = make_sampler(Distribution.exponential(1.0), s)
+        for _ in range(_BUFFER + 5):
+            draw()
+        freed = weakref.ref(s)
+        del s, draw
+        # reference counting alone frees it; gc.collect() can read 0 on a
+        # cycle too, when closing a suspended generator breaks that cycle
+        assert freed() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_deterministic_consumes_nothing():
     s = Stream(1, "svc")
     draw = make_sampler(Distribution.deterministic(0.25), s)
+    assert python_calls(draw) == 0  # a C callable
     assert draw() == 0.25
     assert s.draws == 0
 

@@ -6,7 +6,10 @@ oracle-check, ``sweep`` for sweeps) and writes the result.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 I/O failure.
 Output files are written atomically (temp file + rename in the target
-directory), so a crash never leaves a half-written report behind.
+directory), so a crash never leaves a half-written report behind, and a
+new file gets the mode the umask gives, as open() would. A command
+renders every output it was asked for before it writes any, so one that
+cannot be rendered leaves no file written.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp creates the file 0o600; reading the umask means setting it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -93,10 +100,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     model = _apply_overrides(parse_scenario(_read_input(args.scenario)), args)
     report = Engine(model).run()
+    outputs = []
     if args.report:
-        _write_atomic(args.report, report_to_json(report))
+        outputs.append((args.report, report_to_json(report)))
     if args.series_out:
-        _write_atomic(args.series_out, export_series(report))
+        outputs.append((args.series_out, export_series(report)))
+    for path, text in outputs:
+        _write_atomic(path, text)
     if not args.quiet:
         if args.format == "json":
             sys.stdout.write(report_to_json(report))

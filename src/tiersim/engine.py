@@ -33,6 +33,11 @@ accumulator and, at the stop clock, the services still running and the
 requests still queued. run() and step() share one driver loop, which
 dispatches every event.
 
+Finalizing releases each still-queued request's class link: that link
+leads back, through the class path, to the queue holding the request,
+so without the release a finished run would wait for the cyclic
+collector. The queues themselves stay, for snapshot().
+
 Only the resources that some class visits get runtime state, a balance
 stream and a service stream; a declared resource that no class visits
 costs a run nothing, and metrics gives it its constant report row.
@@ -308,6 +313,10 @@ class Engine:
         self._finished = True
         for res in self._resources.values():
             res.acc.close(elapsed, [since for since, n in zip(res.busy_since, res.backlogs) if n], res.waiting)
+            # break the cycle request -> class path -> this queue -> request
+            for queue in res.queues:
+                for req in queue:
+                    req.cls = None
         return finalize(self.accumulator, elapsed)
 
     # -- inspection ----------------------------------------------------

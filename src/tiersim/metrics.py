@@ -32,6 +32,11 @@ Only a resource that some class visits gets an accumulator. A declared
 resource that no class visits is never offered a request, so its report
 row is the one constant UNVISITED row, shared by every run, and
 report_to_json writes that row from one text rendered at import.
+
+A series point is one labelled row, ``(label, arrival, response)``: a
+resource's rows carry its name and a class's rows carry END_TO_END. Each
+accumulator appends the row once, as the report holds it and
+export_series writes it; finalize only gathers the accumulators' lists.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .errors import SeriesDisabledError
 from .model import END_TO_END, JSONText, ScenarioModel, _as_dict, _as_record, _load_json, _read_values, json_text
@@ -50,6 +56,7 @@ class ResourceAccumulator:
     """Running observations for one resource over the window [warmup, stop]."""
 
     __slots__ = (
+        "name",
         "replicas",
         "warmup",
         "offered",
@@ -69,7 +76,8 @@ class ResourceAccumulator:
         "record_series",
     )
 
-    def __init__(self, replicas: int, warmup: float, record_series: bool):
+    def __init__(self, name: str, replicas: int, warmup: float, record_series: bool):
+        self.name = name
         self.replicas = replicas
         self.warmup = warmup
         self.offered = 0
@@ -85,7 +93,7 @@ class ResourceAccumulator:
         self.area = 0.0
         self.queued_at_stop = 0
         self.in_service_at_stop = 0
-        self.series_rows: list[tuple[float, float]] = []
+        self.series_rows: list[tuple[str, float, float]] = []
         self.record_series = record_series
 
     def record_visit(self, enqueue: float, start: float, end: float) -> None:
@@ -105,7 +113,7 @@ class ResourceAccumulator:
         self.waiting_mean += (start - enqueue - self.waiting_mean) / n
         self.service_mean += (end - start - self.service_mean) / n
         if self.record_series:
-            self.series_rows.append((enqueue, end - enqueue))
+            self.series_rows.append((self.name, enqueue, end - enqueue))
 
     def occupancy_change(self, now: float, delta: int) -> None:
         """Request count at this resource changed by delta at time now.
@@ -141,7 +149,7 @@ class ResourceAccumulator:
 class ClassAccumulator:
     """Running observations for one workload class."""
 
-    __slots__ = ("warmup", "generated", "completed", "dropped", "mean_response", "responses", "arrivals", "record_series")
+    __slots__ = ("warmup", "generated", "completed", "dropped", "mean_response", "responses", "series_rows", "record_series")
 
     def __init__(self, warmup: float, record_series: bool):
         self.warmup = warmup
@@ -150,7 +158,7 @@ class ClassAccumulator:
         self.dropped = 0
         self.mean_response = 0.0  # over responses, the sessions that arrived inside the window
         self.responses: list[float] = []
-        self.arrivals: list[float] = []  # aligned with responses when series are recorded
+        self.series_rows: list[tuple[str, float, float]] = []
         self.record_series = record_series
 
     def record_completion(self, arrival: float, response: float) -> None:
@@ -160,7 +168,7 @@ class ClassAccumulator:
             responses.append(response)
             self.mean_response += (response - self.mean_response) / len(responses)
             if self.record_series:
-                self.arrivals.append(arrival)
+                self.series_rows.append((END_TO_END, arrival, response))
 
 
 class RunAccumulator:
@@ -181,7 +189,7 @@ class RunAccumulator:
         visited = {v.resource for c in model.classes for v in c.path}
         self.resource_names = tuple(r.name for r in specs)
         self.resources: dict[str, ResourceAccumulator] = {
-            r.name: ResourceAccumulator(r.replicas, warmup, series) for r in specs if r.name in visited
+            r.name: ResourceAccumulator(r.name, r.replicas, warmup, series) for r in specs if r.name in visited
         }
         self.classes: dict[str, ClassAccumulator] = {
             c.name: ClassAccumulator(warmup, series) for c in model.classes
@@ -333,14 +341,9 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     completed = sum(ca.completed for ca in acc.classes.values())
     dropped = sum(ca.dropped for ca in acc.classes.values())
 
-    resource_series: list[tuple[str, float, float]] = []
-    end_series: list[tuple[str, float, float]] = []
-    if acc.series_enabled:
-        for name, ra in acc.resources.items():
-            resource_series.extend((name, t, r) for t, r in ra.series_rows)
-        for ca in acc.classes.values():
-            end_series.extend((END_TO_END, t, r) for t, r in zip(ca.arrivals, ca.responses))
-
+    # each accumulator's own rows, in model then record order; a list
+    # stays empty when series are off
+    rows = attrgetter("series_rows")
     return MetricsReport(
         scenario=acc.scenario,
         seed=acc.seed,
@@ -353,8 +356,8 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
         resources=resources,
         classes=classes,
         series_enabled=acc.series_enabled,
-        resource_series=tuple(resource_series),
-        end_to_end_series=tuple(end_series),
+        resource_series=tuple(chain.from_iterable(map(rows, acc.resources.values()))),
+        end_to_end_series=tuple(chain.from_iterable(map(rows, acc.classes.values()))),
     )
 
 
@@ -476,8 +479,7 @@ def export_series(report: MetricsReport) -> str:
     """
     if not report.series_enabled:
         raise SeriesDisabledError("this run did not record series data (enable run.series)")
-    rows = list(report.resource_series) + list(report.end_to_end_series)
-    rows.sort(key=itemgetter(1))
+    rows = sorted(chain(report.resource_series, report.end_to_end_series), key=itemgetter(1))
     # each label as csv writes it, quoted where it holds a comma or a quote;
     # quoting each label once, not each row, keeps the export a plain join
     cells = {}

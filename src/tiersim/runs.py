@@ -27,6 +27,7 @@ from .model import (
     Tier,
     Visit,
     WorkloadClass,
+    _integer,
     validated,
 )
 from .oracle import check_station, mmck
@@ -169,6 +170,10 @@ def run_oracle_check(lam: float, mu: float, servers: int, capacity: int, request
         raise DomainError(f"servers must be at most {MAX_REPLICAS} to simulate, got {servers!r}")
     if lam <= 0:
         raise DomainError(f"lam must be > 0 to simulate, got {lam!r}")
+    if not (_integer(requests) and requests >= 1):
+        raise DomainError(f"requests must be an integer >= 1 to simulate, got {requests!r}")
+    if not (_integer(seed) and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     model = build_station_model(lam, mu, servers, capacity, requests, seed)
     analytic = mmck(lam, mu, servers, capacity)
     report = Engine(model).run()

@@ -143,8 +143,10 @@ def test_an_oracle_capacity_beyond_the_bound_is_one_error_line(capsys):
     [
         (("--lambda", "1", "-c", "5000"), "error: servers must be at most 4096 to simulate, got 5000\n"),
         (("--lambda", "0"), "error: lam must be > 0 to simulate, got 0.0\n"),
+        (("--lambda", "1", "--requests", "0"), "error: requests must be an integer >= 1 to simulate, got 0\n"),
+        (("--lambda", "1", "--seed", "-1"), "error: seed must be an unsigned 64-bit integer, got -1\n"),
     ],
-    ids=["servers", "lam"],
+    ids=["servers", "lam", "requests", "seed"],
 )
 def test_an_oracle_station_the_simulator_cannot_run_names_the_flag(capsys, flags, line):
     code, out, err = run_cli(capsys, "oracle-check", "--mu", "1", *flags)
@@ -323,6 +325,45 @@ def test_run_series_out_without_series_fails_cleanly(station_path, tmp_path, cap
     assert code == 1
     assert "series" in err
     assert not target.exists()
+
+
+def test_run_writes_no_file_when_one_output_cannot_be_rendered(station_path, tmp_path, capsys):
+    # the station scenario records no series, so the CSV cannot be rendered
+    report = tmp_path / "report.json"
+    series = tmp_path / "series.csv"
+    args = ("run", station_path, "--report", str(report), "--series-out", str(series), "--quiet")
+    code, out, err = run_cli(capsys, *args)
+    assert out == ""
+    assert err == "error: this run did not record series data (enable run.series)\n"
+    assert code == 1
+    assert not report.exists()
+    assert not series.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_get_the_mode_the_umask_gives(station_path, tmp_path, capsys, umask, mode):
+    paths = {name: tmp_path / name for name in ("report.json", "series.csv", "sweep.csv", "scenario.json")}
+    commands = [
+        ("run", station_path, "--series", "--report", str(paths["report.json"]), "--series-out", str(paths["series.csv"])),
+        ("sweep", station_path, "--rates", "1.0", "--requests", "50", "--output", str(paths["sweep.csv"])),
+        (
+            "synthesize",
+            "bundled:webservices_steps.txt",
+            "bundled:webservices_deployment.json",
+            "--arrival-rate",
+            "75",
+            "--output",
+            str(paths["scenario.json"]),
+        ),
+    ]
+    previous = os.umask(umask)
+    try:
+        for argv in commands:
+            code, _, _ = run_cli(capsys, *argv, "--quiet")
+            assert code == 0
+    finally:
+        os.umask(previous)
+    assert {name: path.stat().st_mode & 0o777 for name, path in paths.items()} == dict.fromkeys(paths, mode)
 
 
 def test_run_report_into_missing_directory_is_io_error(station_path, tmp_path, capsys):
@@ -534,7 +575,7 @@ def test_sweep_rejects_non_exponential_arrivals(tmp_path, capsys):
             ("sweep", "bundled:webservices.json", "--rates", "nan", "--requests", "50"),
             "classes[0].arrival: exponential rate must be finite and > 0",
         ),
-        (("oracle-check", "--lambda", "1.0", "--mu", "2.0", "--requests", "0"), "run.stop: after_requests"),
+        (("oracle-check", "--lambda", "1.0", "--mu", "2.0", "--requests", "0"), "requests must be an integer >= 1"),
         (
             (
                 "synthesize",

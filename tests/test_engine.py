@@ -4,6 +4,7 @@ stop rules, and determinism."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ from tiersim import (
 from tiersim import bundled
 from tiersim.balancer import make_selector
 from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
+from pycalls import python_calls
 from randscen import random_scenario
 
 
@@ -676,7 +678,7 @@ def test_an_unvisited_resource_reports_the_constant_row(stop, warmup):
     # that was never offered a request
     acc = eng.accumulator
     for name, replicas in (("Idle1", 1), ("Idle3", 3)):
-        idle = ResourceAccumulator(replicas, acc.warmup, acc.series_enabled)
+        idle = ResourceAccumulator(name, replicas, acc.warmup, acc.series_enabled)
         idle.close(report.elapsed, [], 0)
         acc.resources[name] = idle
     computed = finalize(acc, report.elapsed)
@@ -779,6 +781,57 @@ def test_calls_per_event_stay_bounded():
             stop=StopRule.after_requests(5000),
         )
         assert _calls_per_event(eight) <= 11, policy
+
+
+def webservices(sessions: int, series: bool) -> ScenarioModel:
+    """The bundled scenario, uncapped, run until ``sessions`` sessions are terminal."""
+    model = parse_scenario(bundled.read("webservices.json"))
+    classes = tuple(dataclasses.replace(c, max_requests=math.inf) for c in model.classes)
+    run = dataclasses.replace(model.run, stop=StopRule.after_requests(sessions), series_enabled=series)
+    return dataclasses.replace(model, classes=classes, run=run)
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["series-off", "series-on"])
+def test_a_finished_run_is_freed_without_the_cyclic_collector(series):
+    # numpy is already imported (at the top of this module), so the first
+    # draw imports nothing that could leave cycles of its own
+    model = webservices(3000, series)
+    gc.collect()
+    gc.disable()
+    try:
+        eng = Engine(model)
+        eng.run()
+        queued = sum(sum(eng.snapshot(r.name).queue_lengths) for r in model.resources())
+        assert queued > 0  # the run stops with requests still queued
+        del eng
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_each_series_row_is_the_accumulators_own_row():
+    eng = Engine(webservices(300, series=True))
+    report = eng.run()
+    acc = eng.accumulator
+    recorded = [row for ra in acc.resources.values() for row in ra.series_rows]
+    assert len(report.resource_series) == len(recorded) > 0
+    assert all(a is b for a, b in zip(report.resource_series, recorded))
+    recorded = [row for ca in acc.classes.values() for row in ca.series_rows]
+    assert len(report.end_to_end_series) == len(recorded) == report.completed
+    assert all(a is b for a, b in zip(report.end_to_end_series, recorded))
+
+
+def test_finalize_calls_do_not_grow_with_series_rows():
+    # Exact counts, no wall clock: finalize makes 18 calls at both sizes.
+    # Rebuilding each row there made about one call a row (5,633 calls at
+    # 3000 sessions, 23,161 at 12,500).
+    def calls(sessions: int) -> int:
+        eng = Engine(webservices(sessions, series=True))
+        report = eng.run()
+        assert len(report.resource_series) > sessions
+        return python_calls(finalize, eng.accumulator, report.elapsed)
+
+    assert calls(3000) == calls(12_500)
 
 
 def _drained(model: ScenarioModel, policy: BalancerPolicy, sessions: int) -> ScenarioModel:

@@ -41,18 +41,26 @@ collector. The queues themselves stay, for snapshot().
 Only the resources that some class visits get runtime state, a balance
 stream and a service stream; a declared resource that no class visits
 costs a run nothing, and metrics gives it its constant report row.
+
+Each class's arrival stream is built for its arrival distribution, and a
+resource's service stream for its demand when every visit to it carries
+an equal one: those streams hand out finished variates, so a draw is one
+C call. A resource visited with different demands keeps one stream of
+uniforms and a per-draw sampler per demand (see the workload module), so
+its draws interleave in the order the visits make them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .balancer import make_selector
 from .errors import DomainError, EngineEmptyError, InternalError
 from .metrics import MetricsReport, RunAccumulator, finalize
-from .model import ScenarioModel, StopKind
+from .model import Distribution, ScenarioModel, StopKind
 from .workload import Stream, make_sampler
 
 _ARRIVAL = 0
@@ -91,16 +99,15 @@ class ResourceSnapshot:
 
 
 class Request:
-    """One session walking its class path. Freed once terminal."""
+    """One session walking its class path. Freed once terminal.
+
+    _on_arrival fills the slots itself, with no __init__ frame per
+    arrival; _offer sets enqueue_time when it admits the request."""
 
     __slots__ = ("id", "cls", "visit_index", "arrival_time", "enqueue_time")
 
-    def __init__(self, rid: int, cls: _ClassRuntime, arrival_time: float):
-        self.id = rid
-        self.cls = cls
-        self.visit_index = 0
-        self.arrival_time = arrival_time
-        self.enqueue_time = arrival_time
+
+_new = object.__new__
 
 
 class _ResourceRuntime:
@@ -136,7 +143,7 @@ class _ClassRuntime:
         self.path = path  # tuple of (_ResourceRuntime, demand sampler)
         self.visits = len(path)
         self.scheduled = 0
-        self.sample_arrival = make_sampler(cls.arrival, Stream(seed, f"class:{cls.name}:arrival"))
+        self.sample_arrival = Stream(seed, f"class:{cls.name}:arrival", cls.arrival).sample
         self.acc = acc
 
 
@@ -159,11 +166,21 @@ class Engine:
         self._resources: dict[str, _ResourceRuntime] = {
             spec.name: _ResourceRuntime(spec, seed, accs[spec.name]) for spec in model.resources() if spec.name in accs
         }
-        service_streams = {name: Stream(seed, f"resource:{name}:service") for name in self._resources}
+        demands: dict[str, dict[Distribution, None]] = {}  # each resource's distinct demands, in path order
         for cls in model.classes:
-            path = tuple(
-                (self._resources[v.resource], make_sampler(v.demand, service_streams[v.resource])) for v in cls.path
-            )
+            for v in cls.path:
+                demands.setdefault(v.resource, {})[v.demand] = None
+        samplers: dict[str, dict[Distribution, Callable[[], float]]] = {}
+        for name, dists in demands.items():
+            consumer = f"resource:{name}:service"
+            if len(dists) == 1:
+                (dist,) = dists
+                samplers[name] = {dist: Stream(seed, consumer, dist).sample}
+            else:
+                stream = Stream(seed, consumer)
+                samplers[name] = {dist: make_sampler(dist, stream) for dist in dists}
+        for cls in model.classes:
+            path = tuple((self._resources[v.resource], samplers[v.resource][v.demand]) for v in cls.path)
             cr = _ClassRuntime(cls, seed, path, self.accumulator.classes[cls.name])
             if cr.max_requests >= 1:
                 time = cr.sample_arrival()
@@ -193,7 +210,11 @@ class Engine:
             self._seq += 1
             heappush(self._heap, (time, self._seq, _ARRIVAL, cr, None, None))
         self._next_request_id += 1
-        req = Request(self._next_request_id, cr, now)
+        req = _new(Request)
+        req.id = self._next_request_id
+        req.cls = cr
+        req.visit_index = 0
+        req.arrival_time = now
         cr.acc.generated += 1
         self._offer(req, cr, now)
 

@@ -105,7 +105,6 @@ def mmck(lam: float, mu: float, servers: int, queue_capacity: int) -> AnalyticMe
 
     p_n = tuple(wi / total for wi in weights)
     p_block = p_n[top]
-    lambda_eff = lam * (1.0 - p_block)
 
     mean_in_system = 0.0
     mean_in_queue = 0.0
@@ -117,6 +116,10 @@ def mmck(lam: float, mu: float, servers: int, queue_capacity: int) -> AnalyticMe
         busy_servers += min(n, servers) * p
 
     utilization = busy_servers / servers
+    # The accepted flow is the departure rate. lam * (1 - p_block) is the
+    # same in exact arithmetic, but under deep overload 1 - p_block
+    # cancels to a few ulps or to 0 and the wait reads far too low.
+    lambda_eff = mu * busy_servers
     mean_wait = mean_in_queue / lambda_eff if lambda_eff > 0 else 0.0
     mean_response = mean_wait + 1.0 / mu
 

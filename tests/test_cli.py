@@ -683,7 +683,7 @@ def test_oracle_check_table(capsys):
 # SHA-256 over the stdout of oracle-check, JSON and table, at three
 # (c, K) stations, then of report --bottlenecks --format json on a saved
 # run of the bundled scenario. Changing it means an output byte moved.
-OUTPUT_DIGEST = "5dd08cab2e85ec6dcd7f87237ba7535f07af3773dfc9f2d88bdbf239161a0d0e"
+OUTPUT_DIGEST = "66e912aaa09611edf12b4bedf9e6244f372765b240be543d133ecad2640e1974"
 
 
 def test_oracle_check_and_bottleneck_bytes_are_pinned(tmp_path, capsys):

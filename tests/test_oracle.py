@@ -103,6 +103,15 @@ def test_flow_balance_throughput_equals_service_rate_times_busy():
         assert m.utilization * c * mu == pytest.approx(m.lambda_eff, rel=1e-12)
 
 
+def test_mean_wait_holds_under_deep_overload():
+    # one saturated server with 100 waiting slots: an admitted request
+    # waits behind a full queue, 100 / mu, however large lam grows
+    for lam in (1e10, 1e16, 1e17, 1e100):
+        m = mmck(lam, 1.0, 1, 100)
+        assert m.mean_wait == pytest.approx(100.0, rel=1e-9), lam
+        assert m.lambda_eff == pytest.approx(1.0, rel=1e-9), lam
+
+
 def test_blocking_increases_with_arrival_rate():
     blocks = [mmck(lam, 1.0, 2, 4).p_block for lam in (0.2, 0.8, 1.5, 3.0, 8.0)]
     assert blocks == sorted(blocks)

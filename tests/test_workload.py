@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pycalls import python_calls
 from tiersim import Distribution, DomainError, Stream, stream_key
-from tiersim.workload import _BUFFER, make_sampler
+from tiersim.workload import _BUFFER, _FIRST_BATCH, make_sampler
 
 
 def test_same_consumer_same_seed_reproduces_exactly():
@@ -100,7 +100,7 @@ def test_draws_counts_exactly_across_batch_edges():
 def test_a_draw_is_one_c_call_and_a_refill_one_python_step():
     s = Stream(4, "frames")
     s.uniform01()  # the first refill also keys the generator
-    for _ in range(_BUFFER - 2):
+    for _ in range(_FIRST_BATCH - 2):
         s.uniform01()
     assert python_calls(s.uniform01) == 0  # the batch's last uniform
     assert python_calls(s.uniform01) == 1  # the next refill
@@ -120,6 +120,63 @@ def test_samplers_sharing_a_stream_interleave_in_draw_order():
         expected.append(-math.log1p(-x) / 3.0 if draw is exponential else 2.0 + 3.0 * x)
     assert got == expected
     assert u.draws == u_probe.draws == len(pattern)
+
+
+def _batch_edges() -> list[int]:
+    """Draw counts at which a stream's first eight batches end: the small
+    first ones doubling up to ``_BUFFER``, then full ones."""
+    edges, taken, size = [], 0, _FIRST_BATCH
+    for _ in range(8):
+        taken += size
+        edges.append(taken)
+        size = min(2 * size, _BUFFER)
+    return edges
+
+
+def test_batches_double_from_a_small_first_one():
+    assert _FIRST_BATCH == 16
+    assert _batch_edges() == [16, 48, 112, 240, 496, 1008, 2032, 3056]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Distribution.exponential(3.0), Distribution.exponential(1e-300), Distribution.uniform(2.0, 5.0)],
+    ids=["exponential", "exponential-tiny-rate", "uniform"],
+)
+def test_a_stream_built_for_one_distribution_hands_out_make_samplers_variates(dist):
+    # every variate bit-identical to the per-draw sampler, across every
+    # edge of the small first batches and two full ones, with the draw
+    # count exact on both sides of each edge
+    batched = Stream(8, "one", dist)
+    per_draw = Stream(8, "one")
+    reference = make_sampler(dist, per_draw)
+    drawn = 0
+    for edge in _batch_edges():
+        for target in (edge - 1, edge, edge + 1):
+            got = [batched.sample() for _ in range(target - drawn)]
+            assert got == [reference() for _ in range(target - drawn)]
+            drawn = target
+            assert batched.draws == per_draw.draws == target
+    assert not hasattr(batched, "uniform01")
+
+
+def test_a_deterministic_stream_draws_nothing():
+    s = Stream(1, "svc", Distribution.deterministic(0.25))
+    assert python_calls(s.sample) == 0
+    assert [s.sample() for _ in range(3)] == [0.25] * 3
+    assert s.draws == 0
+
+
+def test_a_variate_draw_is_one_c_call_and_a_refill_a_few_python_steps():
+    s = Stream(4, "frames", Distribution.exponential(2.0))
+    for edge in _batch_edges():
+        while s.draws < edge - 1:
+            s.sample()
+        assert python_calls(s.sample) == 0  # the batch's last variate
+        # resuming the refill, the transform and, before Python 3.12
+        # inlined comprehensions, its comprehension
+        assert python_calls(s.sample) in (2, 3)
+        assert python_calls(s.sample) == 0
 
 
 class _WeakStream(Stream):

@@ -7,14 +7,18 @@ average waiting time in the run, plus its drop probability. A resource
 is flagged when either symptom alone crosses its threshold (both
 default to 0.5 and are CLI-overridable), so a pure dropper and a pure
 queuer are both caught.
+
+A ranking renders two ways, both here: ``format_table`` as fixed-width
+text and ``format_json`` as a JSON document.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .metrics import MetricsReport, table_lines
+from .model import json_text
 
 DEFAULT_DROP_THRESHOLD = 0.5
 DEFAULT_WAIT_THRESHOLD = 0.5
@@ -80,3 +84,12 @@ def format_table(report: BottleneckReport) -> str:
         for e in report.entries
     ]
     return "\n".join(table_lines(headers, rows)) + "\n"
+
+
+def format_json(report: BottleneckReport) -> str:
+    doc = {
+        "drop_threshold": report.drop_threshold,
+        "wait_threshold": report.wait_threshold,
+        "entries": [asdict(e) for e in report.entries],
+    }
+    return json_text(doc, sort_keys=True) + "\n"

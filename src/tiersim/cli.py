@@ -2,7 +2,9 @@
 
 Subcommands: validate, run, sweep, report, oracle-check, synthesize.
 Each handler reads its inputs, calls the library (``runs`` for
-oracle-check, ``sweep`` for sweeps) and writes the result.
+oracle-check, ``sweep`` for sweeps) and writes the text it returns.
+This module renders nothing itself: every output is rendered by a
+function beside the data it renders, and ``--format`` names one of them.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 I/O failure.
 Output files are written atomically (temp file + rename in the target
@@ -21,7 +23,7 @@ import sys
 import tempfile
 
 from . import __version__, bundled
-from .bottleneck import DEFAULT_DROP_THRESHOLD, DEFAULT_WAIT_THRESHOLD, format_table, rank
+from .bottleneck import DEFAULT_DROP_THRESHOLD, DEFAULT_WAIT_THRESHOLD, format_json, format_table, rank
 from .engine import Engine
 from .errors import TiersimError
 from .frontend import parse_deployment, parse_execution, synthesize_scenario
@@ -31,16 +33,20 @@ from .model import (
     RunConfig,
     ScenarioModel,
     StopRule,
-    json_text,
     parse_scenario,
     serialize_scenario,
     validated,
 )
-from .runs import run_oracle_check
+from .runs import oracle_check_to_json, oracle_check_to_table, run_oracle_check
 # SweepResult is not used here; it stays importable from tiersim.cli for its callers
 from .sweep import SweepResult, parse_rate_grid, run_sweep, sweep_to_csv  # noqa: F401
 
 _BUNDLED_PREFIX = "bundled:"
+
+# each --format choice and the renderer it names
+_REPORT_FORMATS = {"table": report_to_table, "json": report_to_json}
+_RANKING_FORMATS = {"table": format_table, "json": format_json}
+_ORACLE_FORMATS = {"table": oracle_check_to_table, "json": oracle_check_to_json}
 
 
 def _read_input(path: str) -> str:
@@ -68,6 +74,17 @@ def _write_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_output(args: argparse.Namespace, text: str, what: str) -> None:
+    """Write ``text`` to ``--output`` and say so unless ``--quiet``, or
+    to stdout when there is no ``--output``."""
+    if args.output:
+        _write_atomic(args.output, text)
+        if not args.quiet:
+            print(f"wrote {what} to {args.output}")
+    else:
+        sys.stdout.write(text)
 
 
 def _apply_overrides(model: ScenarioModel, args: argparse.Namespace) -> ScenarioModel:
@@ -108,10 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for path, text in outputs:
         _write_atomic(path, text)
     if not args.quiet:
-        if args.format == "json":
-            sys.stdout.write(report_to_json(report))
-        else:
-            sys.stdout.write(report_to_table(report))
+        sys.stdout.write(_REPORT_FORMATS[args.format](report))
     return 0
 
 
@@ -119,13 +133,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # the overridden run.seed is the master seed; each replication replaces it
     model = _apply_overrides(parse_scenario(_read_input(args.scenario)), args)
     result = run_sweep(model, parse_rate_grid(args.rates), args.replications, model.run.seed)
-    text = sweep_to_csv(result)
-    if args.output:
-        _write_atomic(args.output, text)
-        if not args.quiet:
-            print(f"wrote {len(result.cells)} rows to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_output(args, sweep_to_csv(result), f"{len(result.cells)} rows")
     return 0
 
 
@@ -133,32 +141,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report = report_from_json(_read_input(args.report))
     if args.bottlenecks:
         ranking = rank(report, drop_threshold=args.drop_threshold, wait_threshold=args.wait_threshold)
-        if args.format == "json":
-            doc = {
-                "drop_threshold": ranking.drop_threshold,
-                "wait_threshold": ranking.wait_threshold,
-                "entries": [dataclasses.asdict(e) for e in ranking.entries],
-            }
-            sys.stdout.write(json_text(doc, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(format_table(ranking))
+        sys.stdout.write(_RANKING_FORMATS[args.format](ranking))
     else:
-        if args.format == "json":
-            sys.stdout.write(report_to_json(report))
-        else:
-            sys.stdout.write(report_to_table(report))
+        sys.stdout.write(_REPORT_FORMATS[args.format](report))
     return 0
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     rows = run_oracle_check(args.lam, args.mu, args.servers, args.capacity, args.requests, args.seed)
-    if args.format == "json":
-        doc = {name: {"simulated": s, "analytic": a, "rel_error": e} for name, s, a, e in rows}
-        sys.stdout.write(json_text(doc, sort_keys=True) + "\n")
-    else:
-        print(f"{'metric':<16}{'simulated':>14}{'analytic':>14}{'rel_error':>12}")
-        for name, s, a, e in rows:
-            print(f"{name:<16}{s:>14.6g}{a:>14.6g}{e:>12.3g}")
+    sys.stdout.write(_ORACLE_FORMATS[args.format](rows))
     return 0
 
 
@@ -175,13 +166,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         execution, deployment, arrival=arrival, **{k: v for k, v in given.items() if v is not None}
     )
     model = _apply_overrides(synthesized, args)
-    text = serialize_scenario(model)
-    if args.output:
-        _write_atomic(args.output, text)
-        if not args.quiet:
-            print(f"wrote scenario {model.name!r} to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_output(args, serialize_scenario(model), f"scenario {model.name!r}")
     return 0
 
 

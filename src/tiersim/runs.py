@@ -5,7 +5,8 @@ this process and forking workers; either way the reports come back in
 input order and do not depend on how many workers ran them.
 ``build_station_model`` and ``run_oracle_check`` pair a simulated
 M/M/c/K station with ``oracle.mmck``; they live here so that ``oracle``
-stays independent of the simulator.
+stays independent of the simulator. ``oracle_check_to_table`` and
+``oracle_check_to_json`` render the rows ``run_oracle_check`` returns.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     Visit,
     WorkloadClass,
     _integer,
+    json_text,
     validated,
 )
 from .oracle import check_station, mmck
@@ -187,3 +189,15 @@ def run_oracle_check(lam: float, mu: float, servers: int, capacity: int, request
     ]
     # relative error, or the absolute one where the closed form is 0
     return [(name, s, a, abs(s - a) / (abs(a) or 1.0)) for name, s, a in pairs]
+
+
+def oracle_check_to_table(rows) -> str:
+    """Fixed-width text, one line per metric under a header."""
+    lines = [f"{'metric':<16}{'simulated':>14}{'analytic':>14}{'rel_error':>12}"]
+    lines += [f"{name:<16}{s:>14.6g}{a:>14.6g}{e:>12.3g}" for name, s, a, e in rows]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_check_to_json(rows) -> str:
+    doc = {name: {"simulated": s, "analytic": a, "rel_error": e} for name, s, a, e in rows}
+    return json_text(doc, sort_keys=True) + "\n"

@@ -372,6 +372,17 @@ def test_run_report_into_missing_directory_is_io_error(station_path, tmp_path, c
     assert "i/o error" in err
 
 
+def test_a_report_path_that_is_a_directory_leaves_nothing_behind(station_path, tmp_path, capsys):
+    # the temp file is written, then cannot replace the directory
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "run", station_path, "--report", str(target), "--quiet")
+    assert (code, out) == (2, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "station.json"]
+    assert list(target.iterdir()) == []
+
+
 def test_report_rerenders_and_ranks(station_path, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     run_cli(capsys, "run", station_path, "--report", str(out_path), "--quiet")
@@ -533,11 +544,14 @@ def test_sweep_to_stdout_and_bad_grid(station_path, capsys):
             ("--rates", "0", "--replications", "10001"),
             "error: a sweep may hold at most 10000 runs, got 1 rates x 10001 replications\n",
         ),
+        (("--rates", "1", "--replications", "0"), "error: replications must be >= 1\n"),
+        (("--rates", "0"), "error: swept arrival rate must be > 0, got 0.0\n"),
     ],
-    ids=["grid-points", "replications"],
+    ids=["grid-points", "replications", "replications-zero", "rate-zero"],
 )
 def test_a_sweep_beyond_the_run_bound_is_one_error_line(station_path, capsys, sizes, line):
-    # rate 0 is refused too, but only once the grid and the runs are sized
+    # rate 0 is refused too, but only once the grid and the runs are sized:
+    # the replications case above never reaches it
     code, out, err = run_cli(capsys, "sweep", station_path, *sizes, "--requests", "10")
     assert out == ""
     assert_one_error_line(code, err, line)
@@ -884,6 +898,7 @@ _BAD_DEMAND = "(expected 'exp RATE', 'det VALUE' or 'uniform LO HI')"
         (_STOP, {"kind": "after_time"}, "$.run.stop: missing required key 't'"),
         (_ARRIVAL, {"kind": "exponential", "rate": "2"}, "$.classes[0].arrival.rate: expected a number, got '2'"),
         (_STOP, {"kind": "after_requests", "n": 1.5}, "$.run.stop.n: expected an integer, got 1.5"),
+        (("format_version",), 2, "$.format_version: unsupported version 2 (this build reads 1)"),
         (None, "exp 1 2", f"line 1: bad demand 'exp 1 2' {_BAD_DEMAND}"),
         (None, "gamma 1", f"line 1: bad demand 'gamma 1' {_BAD_DEMAND}"),
         (None, "det cheap", "line 1: demand parameters must be numbers, got ['cheap']"),
@@ -900,6 +915,7 @@ _BAD_DEMAND = "(expected 'exp RATE', 'det VALUE' or 'uniform LO HI')"
         "stop-without-t",
         "text-rate",
         "fractional-n",
+        "format-version-2",
         "step-exp-two-params",
         "step-gamma",
         "step-det-text",

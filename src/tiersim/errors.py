@@ -32,7 +32,8 @@ class DomainError(TiersimError):
 
 
 class SeriesDisabledError(TiersimError):
-    """Series export requested from a run that did not record series data."""
+    """Series export requested from a run that did not record series data,
+    or from a loaded report, which holds no series rows."""
 
 
 class EngineEmptyError(TiersimError):

@@ -240,6 +240,9 @@ class MetricsReport:
     series_enabled: bool
     resource_series: tuple[tuple[str, float, float], ...]
     end_to_end_series: tuple[tuple[str, float, float], ...]
+    # a loaded report's (resource, end-to-end) series row counts as saved;
+    # None for a finished run, which holds the rows themselves
+    loaded_series_rows: tuple[int, int] | None = None
 
 
 # The report row of a resource that no class visits: exactly what
@@ -381,6 +384,9 @@ def report_to_json(report: MetricsReport) -> str:
     Series rows live in their own CSV (see export_series); the JSON
     carries only their counts.
     """
+    rows = report.loaded_series_rows
+    if rows is None:
+        rows = (len(report.resource_series), len(report.end_to_end_series))
     doc = {
         **_record(report, _HEADER_TYPES),
         "totals": _record(report, _TOTALS_TYPES),
@@ -389,11 +395,7 @@ def report_to_json(report: MetricsReport) -> str:
             for name, m in report.resources.items()
         },
         "classes": {name: _record(c, _CLASS_TYPES) for name, c in report.classes.items()},
-        "series": {
-            "enabled": report.series_enabled,
-            "resource_rows": len(report.resource_series),
-            "end_to_end_rows": len(report.end_to_end_series),
-        },
+        "series": {"enabled": report.series_enabled, "resource_rows": rows[0], "end_to_end_rows": rows[1]},
     }
     return json_text(doc, sort_keys=True) + "\n"
 
@@ -407,11 +409,12 @@ def report_from_json(text: str) -> MetricsReport:
     """Load a report written by report_to_json; every key it writes is
     required, no other is allowed, and each value must have its field's type.
 
-    Series rows are not stored in the JSON (only their counts), so a
-    loaded report answers metric queries but cannot re-export series.
+    Series rows are not stored in the JSON, only their counts. A loaded
+    report keeps the series record as saved, so report_to_json writes
+    ``text`` back byte for byte, but export_series refuses it.
     """
     doc = _as_record(_load_json(text), _REPORT_KEYS, "$")
-    _read_record(doc["series"], _SERIES_TYPES, "$.series")
+    series = _read_record(doc["series"], _SERIES_TYPES, "$.series")
     resources = {
         name: ResourceMetrics(**_read_record(m, _RESOURCE_TYPES, f"$.resources[{name!r}]"))
         for name, m in _as_dict(doc["resources"], "$.resources").items()
@@ -425,9 +428,10 @@ def report_from_json(text: str) -> MetricsReport:
         **_read_record(doc["totals"], _TOTALS_TYPES, "$.totals"),
         resources=resources,
         classes=classes,
-        series_enabled=False,
+        series_enabled=series["enabled"],
         resource_series=(),
         end_to_end_series=(),
+        loaded_series_rows=(series["resource_rows"], series["end_to_end_rows"]),
     )
 
 
@@ -477,6 +481,8 @@ def export_series(report: MetricsReport) -> str:
     arrival time (stable for ties), which is what a response-vs-arrival
     scatter needs.
     """
+    if report.loaded_series_rows is not None:
+        raise SeriesDisabledError("a loaded report holds no series rows; export them from the run that recorded them")
     if not report.series_enabled:
         raise SeriesDisabledError("this run did not record series data (enable run.series)")
     rows = sorted(chain(report.resource_series, report.end_to_end_series), key=itemgetter(1))

@@ -401,6 +401,15 @@ def test_report_rerenders_and_ranks(station_path, tmp_path, capsys):
     assert "Flagged" in out
 
 
+@pytest.mark.parametrize("series", [("--series",), ()], ids=["series-on", "series-off"])
+def test_a_saved_report_reprints_byte_for_byte(station_path, tmp_path, capsys, series):
+    saved = tmp_path / "saved.json"
+    argv = ("run", station_path, "--requests", "300", *series, "--report", str(saved), "--quiet")
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert json.loads(saved.read_text(encoding="utf-8"))["series"]["enabled"] is bool(series)
+    assert run_cli(capsys, "report", str(saved), "--format", "json") == (0, saved.read_text(encoding="utf-8"), "")
+
+
 def test_report_threshold_flags(station_path, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     run_cli(capsys, "run", station_path, "--report", str(out_path), "--quiet")

@@ -278,9 +278,11 @@ def test_report_json_is_byte_stable_and_round_trips():
     )
     assert loaded.resources == report.resources
     assert loaded.classes == report.classes
-    # series rows live in the CSV, not the JSON
-    assert loaded.series_enabled is False
+    # series rows live in the CSV, not the JSON; the record of them comes back as saved
+    assert loaded.series_enabled is True
     assert loaded.resource_series == ()
+    assert loaded.loaded_series_rows == (len(report.resource_series), len(report.end_to_end_series))
+    assert report_to_json(loaded) == text
 
 
 def test_report_json_carries_series_counts():
@@ -326,6 +328,13 @@ def test_export_series_refuses_when_disabled():
     assert report.resource_series == ()
     with pytest.raises(SeriesDisabledError):
         export_series(report)
+
+
+@pytest.mark.parametrize("series", [True, False], ids=["series-on", "series-off"])
+def test_export_series_refuses_a_loaded_report(series):
+    loaded = report_from_json(report_to_json(simulate(one_station_model(series=series))))
+    with pytest.raises(SeriesDisabledError, match="a loaded report holds no series rows"):
+        export_series(loaded)
 
 
 def test_series_rows_match_counts_from_a_real_run():
@@ -422,6 +431,12 @@ def _report_cases():
 @pytest.mark.parametrize("report", [pytest.param(report, id=label) for label, report in _report_cases()])
 def test_report_json_matches_one_whole_document_dump(report):
     assert report_to_json(report) == reference_report_json(report)
+
+
+@pytest.mark.parametrize("report", [pytest.param(report, id=label) for label, report in _report_cases()])
+def test_report_json_reloads_to_the_same_bytes(report):
+    text = report_to_json(report)
+    assert report_to_json(report_from_json(text)) == text
 
 
 def test_report_json_calls_stay_bounded_per_declared_resource():

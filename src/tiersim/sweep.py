@@ -4,7 +4,8 @@ This module holds the rate grid, the per-rate models, the replication
 seeds, the replication averages and the CSV. Each (rate, replication)
 pair is one independent run; the model for each rate is built and
 validated once, and replications at that rate differ only in
-``run.seed``. ``runs.run_models`` runs them all and returns the reports
+``run.seed``. No sweep output reads series rows, so no replication
+records them. ``runs.run_models`` runs them all and returns the reports
 in grid order, so the sweep's output does not depend on how many
 workers ran it. A resource that no class visits reports the constant
 ``metrics.UNVISITED`` row in every run, so its cells are one constant
@@ -42,8 +43,8 @@ class SweepCell:
 
 
 # Most runs (grid points x replications) one sweep may hold.
-# SweepResult.reports keeps every run's report: about 9 KB each on the
-# bundled 7-resource scenario and 85 KB on a 900-resource deployment,
+# SweepResult.reports keeps every run's report, without series rows:
+# about 9 KB each on the bundled 7-resource scenario and 85 KB on a 900-resource deployment,
 # and even a 10-request run takes about 4 ms there on a 2-vCPU host, so
 # this many already holds up to 850 MB and takes minutes at a realistic
 # run length.
@@ -147,7 +148,8 @@ def run_sweep(
     for ri, per_rate in enumerate(models):
         for k in range(replications):
             seed = stream_key(master_seed, f"sweep:rate[{ri}]:rep[{k}]") % 2**64
-            runs.append(dataclasses.replace(per_rate, run=dataclasses.replace(per_rate.run, seed=seed)))
+            run = dataclasses.replace(per_rate.run, seed=seed, series_enabled=False)
+            runs.append(dataclasses.replace(per_rate, run=run))
     flat = run_models(tuple(runs))
 
     # pooled reports come back unpickled, so an unvisited row is found by

@@ -70,6 +70,16 @@ def test_each_rate_is_validated_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_replications_record_no_series_and_the_csv_does_not_need_them():
+    model = webservices(60)
+    assert model.run.series_enabled
+    result = run_sweep(model, (20.0, 40.0), replications=2, master_seed=3)
+    reports = [r for reps in result.reports.values() for r in reps]
+    assert not any(r.series_enabled or r.resource_series or r.end_to_end_series for r in reports)
+    off = dataclasses.replace(model, run=dataclasses.replace(model.run, series_enabled=False))
+    assert sweep_to_csv(result) == sweep_to_csv(run_sweep(off, (20.0, 40.0), replications=2, master_seed=3))
+
+
 @pytest.mark.parametrize("grid", ["1,1", "1:1:3", "0.5,2,0.5"])
 def test_a_repeated_rate_is_refused_before_any_run(monkeypatch, grid):
     def no_run(model):
@@ -326,7 +336,7 @@ raise SystemExit("the batch started no pool")
 # SHA-256 over the CSV and every replication's report JSON of a sweep of
 # each PINNED_SWEEPS model, run in-process at warmup 0 and 1.0. Changing
 # it means a sweep or report byte moved.
-SWEEP_DIGEST = "750eaddde830ccabe0ea5e998271ebb6200737090583f7cae1dfcdfe7830e6f3"
+SWEEP_DIGEST = "927813aa044d3fbf263f68c2c142d2a8ae0516e504a2d6a8027c7919dad8eb0f"
 PINNED_DEPLOYMENTS = 6
 
 

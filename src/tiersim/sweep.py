@@ -44,10 +44,10 @@ class SweepCell:
 
 # Most runs (grid points x replications) one sweep may hold.
 # SweepResult.reports keeps every run's report, without series rows:
-# about 9 KB each on the bundled 7-resource scenario and 85 KB on a 900-resource deployment,
-# and even a 10-request run takes about 4 ms there on a 2-vCPU host, so
-# this many already holds up to 850 MB and takes minutes at a realistic
-# run length.
+# about 9 KB each on the bundled 7-resource scenario and 85 KB on a
+# 900-resource deployment, and even a 10-request run takes about 4 ms
+# there on a 2-vCPU host, so this many already holds up to 850 MB and
+# takes minutes at a realistic run length.
 MAX_SWEEP_RUNS = 10_000
 
 _SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepCell))

@@ -70,14 +70,12 @@ def test_each_rate_is_validated_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_replications_record_no_series_and_the_csv_does_not_need_them():
+def test_replications_record_no_series():
     model = webservices(60)
     assert model.run.series_enabled
     result = run_sweep(model, (20.0, 40.0), replications=2, master_seed=3)
     reports = [r for reps in result.reports.values() for r in reps]
     assert not any(r.series_enabled or r.resource_series or r.end_to_end_series for r in reports)
-    off = dataclasses.replace(model, run=dataclasses.replace(model.run, series_enabled=False))
-    assert sweep_to_csv(result) == sweep_to_csv(run_sweep(off, (20.0, 40.0), replications=2, master_seed=3))
 
 
 @pytest.mark.parametrize("grid", ["1,1", "1:1:3", "0.5,2,0.5"])

@@ -10,14 +10,16 @@ Exit codes: 0 success, 1 validation or domain failure, 2 I/O failure.
 Output files are written atomically (temp file + rename in the target
 directory), so a crash never leaves a half-written report behind, and a
 new file gets the mode the umask gives, as open() would. A command
-renders every output it was asked for before it writes any, so one that
-cannot be rendered leaves no file written.
+renders every output it was asked for, and checks that no target is an
+existing directory, before it writes any, so an output that cannot be
+rendered or a target that is a directory leaves no file written.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 import tempfile
@@ -76,11 +78,22 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _write_files(outputs: list[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` atomically, once no path names an
+    existing directory: the temp file would go to its parent and could
+    not replace it."""
+    for path, _ in outputs:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for path, text in outputs:
+        _write_atomic(path, text)
+
+
 def _write_output(args: argparse.Namespace, text: str, what: str) -> None:
     """Write ``text`` to ``--output`` and say so unless ``--quiet``, or
     to stdout when there is no ``--output``."""
     if args.output:
-        _write_atomic(args.output, text)
+        _write_files([(args.output, text)])
         if not args.quiet:
             print(f"wrote {what} to {args.output}")
     else:
@@ -122,8 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         outputs.append((args.report, report_to_json(report)))
     if args.series_out:
         outputs.append((args.series_out, export_series(report)))
-    for path, text in outputs:
-        _write_atomic(path, text)
+    _write_files(outputs)
     if not args.quiet:
         sys.stdout.write(_REPORT_FORMATS[args.format](report))
     return 0

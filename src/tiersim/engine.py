@@ -42,25 +42,24 @@ Only the resources that some class visits get runtime state, a balance
 stream and a service stream; a declared resource that no class visits
 costs a run nothing, and metrics gives it its constant report row.
 
-Each class's arrival stream is built for its arrival distribution, and a
-resource's service stream for its demand when every visit to it carries
-an equal one: those streams hand out finished variates, so a draw is one
-C call. A resource visited with different demands keeps one stream of
-uniforms and a per-draw sampler per demand (see the workload module), so
-its draws interleave in the order the visits make them.
+Each class draws its arrival gaps from its arrival stream, and each
+visited resource has one service stream that every visit to it draws
+from. A visit binds its own demand's sampler (see the workload module)
+to that stream, so a draw is one C call and the draws of a resource
+visited with different demands interleave in the order the visits make
+them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .balancer import make_selector
 from .errors import DomainError, EngineEmptyError, InternalError
 from .metrics import MetricsReport, RunAccumulator, finalize
-from .model import Distribution, ScenarioModel, StopKind
+from .model import ScenarioModel, StopKind
 from .workload import Stream, make_sampler
 
 _ARRIVAL = 0
@@ -143,7 +142,7 @@ class _ClassRuntime:
         self.path = path  # tuple of (_ResourceRuntime, demand sampler)
         self.visits = len(path)
         self.scheduled = 0
-        self.sample_arrival = Stream(seed, f"class:{cls.name}:arrival", cls.arrival).sample
+        self.sample_arrival = make_sampler(cls.arrival, Stream(seed, f"class:{cls.name}:arrival"))
         self.acc = acc
 
 
@@ -166,21 +165,9 @@ class Engine:
         self._resources: dict[str, _ResourceRuntime] = {
             spec.name: _ResourceRuntime(spec, seed, accs[spec.name]) for spec in model.resources() if spec.name in accs
         }
-        demands: dict[str, dict[Distribution, None]] = {}  # each resource's distinct demands, in path order
+        services = {name: Stream(seed, f"resource:{name}:service") for name in self._resources}
         for cls in model.classes:
-            for v in cls.path:
-                demands.setdefault(v.resource, {})[v.demand] = None
-        samplers: dict[str, dict[Distribution, Callable[[], float]]] = {}
-        for name, dists in demands.items():
-            consumer = f"resource:{name}:service"
-            if len(dists) == 1:
-                (dist,) = dists
-                samplers[name] = {dist: Stream(seed, consumer, dist).sample}
-            else:
-                stream = Stream(seed, consumer)
-                samplers[name] = {dist: make_sampler(dist, stream) for dist in dists}
-        for cls in model.classes:
-            path = tuple((self._resources[v.resource], samplers[v.resource][v.demand]) for v in cls.path)
+            path = tuple((self._resources[v.resource], make_sampler(v.demand, services[v.resource])) for v in cls.path)
             cr = _ClassRuntime(cls, seed, path, self.accumulator.classes[cls.name])
             if cr.max_requests >= 1:
                 time = cr.sample_arrival()

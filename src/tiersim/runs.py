@@ -60,16 +60,18 @@ def _expected_events(model: ScenarioModel) -> float:
     A class sends one session per mean arrival gap, and at most
     ``max_requests`` in all. One whose gaps have mean 0, which
     ``validate`` allows only with a finite ``max_requests``, is a burst
-    of that many sessions at t = 0.
+    of that many sessions at t = 0. One whose mean gap is so long that
+    its rate is 0.0 (a denormal exponential rate) adds no sessions; its
+    run fails in ``Engine`` at the first arrival, whose time is not finite.
     """
     events = 0.0
     steady = []  # (sessions per unit time, visits per session, max_requests)
     for cls in model.classes:
         gap = cls.arrival.mean()
-        if gap:
-            steady.append((1.0 / gap, len(cls.path), cls.max_requests))
-        else:
+        if not gap:
             events += cls.max_requests * (1 + len(cls.path))
+        elif 1.0 / gap:
+            steady.append((1.0 / gap, len(cls.path), cls.max_requests))
     stop = model.run.stop
     if stop.kind is not StopKind.AFTER_REQUESTS:
         return events + sum(min(cap, rate * stop.t) * (1 + n) for rate, n, cap in steady)

@@ -23,30 +23,30 @@ explicit inverse transforms here, so the sampling algorithm is part of
 this module's contract rather than an upstream library detail.
 
 A draw enters no Python frame. A stream chains the generator's batches
-in a C iterator and a draw is that iterator's ``__next__``: one C call.
-A refill, once per batch, is the only Python step. The first batch holds
-``_FIRST_BATCH`` uniforms and each refill doubles the size up to
-``_BUFFER``, so a stream that draws a few times converts a few values;
-Philox hands out the same sequence however it is split into batches.
+in a C iterator, ``uniforms``, and ``uniform01`` is that iterator's
+``__next__``: one C call. A refill, once per batch, is the only Python
+step. The first batch holds ``_FIRST_BATCH`` uniforms and each refill
+doubles the size up to ``_BUFFER``, so a stream that draws a few times
+takes a few values from its generator; Philox hands out the same
+sequence however it is split into batches.
 
-A stream whose draws all follow one distribution (every class arrival
-stream, and a service stream whose visits all carry an equal demand) is
-built for that distribution and hands out finished variates: each refill
-applies the inverse transform to the whole batch, with the expression
-``make_sampler`` applies per draw, so every variate is bit-identical. A
-stream shared by different distributions hands out uniforms, and each
-consumer binds a ``make_sampler`` closure over ``uniform01``: its
-variates must interleave in draw order, which a batch transformed ahead
-for one distribution cannot give.
+A stream hands out uniforms and nothing else. ``make_sampler`` is the
+one place that holds each inverse transform, written as a chain of C
+``map`` iterators over the stream's ``uniforms``, so a variate draw is
+one C call too. Every map pulls exactly one uniform per draw, so the
+samplers of different demands that share a stream interleave in the
+order the draws are made. The exponential transform divides
+``log1p(-u)`` by ``-rate``: IEEE division rounds symmetrically in sign,
+so that is the same float as ``-log1p(-u) / rate`` with one map fewer.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from collections.abc import Callable, Iterator
 from itertools import chain, repeat
-from operator import length_hint
+from math import log1p
+from operator import add, length_hint, mul, neg, truediv
 
 from .errors import DomainError
 from .model import Distribution, DistKind
@@ -56,7 +56,8 @@ from .model import Distribution, DistKind
 # sequence is identical for any positive size.
 _BUFFER = 1024
 # The first refill's size. Engine() draws each class's first arrival, so
-# this is what a stream's first draw converts at set-up.
+# this is how many uniforms a stream's first draw takes from its
+# generator at set-up.
 _FIRST_BATCH = 16
 
 STREAM_ALGORITHM = "philox4x64/sha256-key/inverse-cdf"
@@ -87,11 +88,8 @@ class _Refills:
         self.taken = 0
 
 
-def _refill(
-    master_seed: int, consumer: str, state: _Refills, transform: Callable[[list[float]], list[float]] | None
-) -> Iterator[Iterator[float]]:
-    """Endless batches from the consumer's generator: uniforms, or their
-    ``transform`` when the stream is built for one distribution."""
+def _refill(master_seed: int, consumer: str, state: _Refills) -> Iterator[Iterator[float]]:
+    """Endless batches of uniforms from the consumer's generator."""
     # imported here, at the first refill: it is half of `import
     # tiersim.cli`, which validate, synthesize and report need without a draw
     import numpy as np
@@ -99,70 +97,39 @@ def _refill(
     random = np.random.Generator(np.random.Philox(key=stream_key(master_seed, consumer))).random
     size = _FIRST_BATCH
     while True:
-        # one name for the uniforms and their transform, so the suspended
-        # generator keeps only the batch it hands out
-        batch = random(size).tolist()
-        if transform is not None:
-            batch = transform(batch)
-        state.batch = batch = iter(batch)
+        state.batch = batch = iter(random(size).tolist())
         state.taken += size
         yield batch
         size = min(2 * size, _BUFFER)
 
 
-def _batch_transform(dist: Distribution) -> Callable[[list[float]], list[float]]:
-    """``dist``'s inverse transform over a batch of uniforms: per value,
-    exactly the expression ``make_sampler`` applies per draw."""
-    kind = dist.kind
-    if kind is DistKind.EXPONENTIAL:
-        log1p = math.log1p
-        rate = dist.rate
-        return lambda batch: [-log1p(-u) / rate for u in batch]
-    if kind is DistKind.UNIFORM:
-        lo = dist.lo
-        span = dist.hi - dist.lo
-        return lambda batch: [lo + span * u for u in batch]
-    raise DomainError(f"cannot sample distribution kind {kind!r}")
-
-
 class Stream:
-    """Deterministic draws for one named consumer.
+    """Deterministic uniform draws for one named consumer.
 
-    Built without a distribution, a stream hands out uniforms:
-    ``uniform01()`` returns the next double in [0, 1). It never returns
-    1.0, so log(1 - u) is finite.
-
-    Built for one distribution, it hands out that distribution's
-    variates instead: ``sample()`` returns the next, and the stream has
-    no ``uniform01``. A deterministic ``sample`` draws nothing.
+    ``uniforms`` is the endless iterator of the consumer's doubles in
+    [0, 1), and ``uniform01()`` returns the next of them. A double is
+    never 1.0, so log(1 - u) is finite.
     """
 
-    __slots__ = ("consumer", "uniform01", "sample", "_refills")
+    __slots__ = ("consumer", "uniforms", "uniform01", "_refills")
 
-    def __init__(self, master_seed: int, consumer: str, dist: Distribution | None = None):
+    def __init__(self, master_seed: int, consumer: str):
         _check_seed(master_seed)
         self.consumer = consumer
         self._refills = state = _Refills()
-        if dist is not None and dist.kind is DistKind.DETERMINISTIC:
-            self.sample: Callable[[], float] = repeat(dist.value).__next__
-            return
-        transform = None if dist is None else _batch_transform(dist)
         # the generator body, and so the keying, first runs at the first draw
-        draw = chain.from_iterable(_refill(master_seed, consumer, state, transform)).__next__
-        if dist is None:
-            self.uniform01: Callable[[], float] = draw
-        else:
-            self.sample = draw
+        self.uniforms: Iterator[float] = chain.from_iterable(_refill(master_seed, consumer, state))
+        self.uniform01: Callable[[], float] = self.uniforms.__next__
 
     @property
     def draws(self) -> int:
-        """How many uniforms this stream has handed out, raw or transformed."""
+        """How many uniforms this stream has handed out."""
         state = self._refills
         return state.taken - length_hint(state.batch)
 
 
-def make_sampler(dist: Distribution, stream: Stream):
-    """Bind ``dist`` to the uniforms of ``stream`` as a zero-argument
+def make_sampler(dist: Distribution, stream: Stream) -> Callable[[], float]:
+    """Bind ``dist`` to the uniforms of ``stream`` as a zero-argument C
     callable that draws one non-negative variate per call.
 
     DETERMINISTIC consumes nothing from the stream; the other kinds
@@ -172,16 +139,11 @@ def make_sampler(dist: Distribution, stream: Stream):
     """
     kind = dist.kind
     if kind is DistKind.EXPONENTIAL:
-        # inverse CDF: -ln(1 - u) / rate, u in [0, 1)
-        uniform01 = stream.uniform01
-        log1p = math.log1p
-        rate = dist.rate
-        return lambda: -log1p(-uniform01()) / rate
+        # inverse CDF: log1p(-u) / -rate == -ln(1 - u) / rate, u in [0, 1)
+        return map(truediv, map(log1p, map(neg, stream.uniforms)), repeat(-dist.rate)).__next__
     if kind is DistKind.DETERMINISTIC:
         return repeat(dist.value).__next__
     if kind is DistKind.UNIFORM:
-        uniform01 = stream.uniform01
-        lo = dist.lo
-        span = dist.hi - dist.lo
-        return lambda: lo + span * uniform01()
+        # lo + (hi - lo) * u
+        return map(add, repeat(dist.lo), map(mul, repeat(dist.hi - dist.lo), stream.uniforms)).__next__
     raise DomainError(f"cannot sample distribution kind {kind!r}")

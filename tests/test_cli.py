@@ -373,12 +373,24 @@ def test_run_report_into_missing_directory_is_io_error(station_path, tmp_path, c
 
 
 def test_a_report_path_that_is_a_directory_leaves_nothing_behind(station_path, tmp_path, capsys):
-    # the temp file is written, then cannot replace the directory
+    # refused before any file is written, by the name it was given
     target = tmp_path / "out"
     target.mkdir()
     code, out, err = run_cli(capsys, "run", station_path, "--report", str(target), "--quiet")
     assert (code, out) == (2, "")
     assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+    assert str(target) in err and ".tiersim." not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "station.json"]
+    assert list(target.iterdir()) == []
+
+    # a directory among several targets: none of them is written
+    ok = tmp_path / "ok.json"
+    code, out, err = run_cli(
+        capsys, "run", station_path, "--series", "--report", str(ok), "--series-out", str(target), "--quiet"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+    assert str(target) in err and ".tiersim." not in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "station.json"]
     assert list(target.iterdir()) == []
 
@@ -555,12 +567,15 @@ def test_sweep_to_stdout_and_bad_grid(station_path, capsys):
         ),
         (("--rates", "1", "--replications", "0"), "error: replications must be >= 1\n"),
         (("--rates", "0"), "error: swept arrival rate must be > 0, got 0.0\n"),
+        (("--rates", "1e-320"), "error: scheduled event time is not finite: inf\n"),
     ],
-    ids=["grid-points", "replications", "replications-zero", "rate-zero"],
+    ids=["grid-points", "replications", "replications-zero", "rate-zero", "rate-denormal"],
 )
 def test_a_sweep_beyond_the_run_bound_is_one_error_line(station_path, capsys, sizes, line):
     # rate 0 is refused too, but only once the grid and the runs are sized:
-    # the replications case above never reaches it
+    # the replications case above never reaches it. A denormal rate is a
+    # valid one whose mean gap overflows: its first arrival is refused as
+    # `run` refuses it, not by sizing the batch
     code, out, err = run_cli(capsys, "sweep", station_path, *sizes, "--requests", "10")
     assert out == ""
     assert_one_error_line(code, err, line)

@@ -215,6 +215,18 @@ def test_a_capped_class_under_a_long_request_stop_starts_no_pool(monkeypatch):
     assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
 
 
+def test_a_class_whose_rate_underflows_is_refused_by_the_engine(monkeypatch):
+    # the mean gap 1/1e-320 overflows to inf, so the class's rate reads
+    # 0.0: it adds no sessions to the estimate, and the run fails at its
+    # first arrival instead of dividing by a zero total rate
+    model = _station_arriving(Distribution.exponential(1e-320), math.inf, StopRule.after_requests(50))
+    assert runs._expected_events(model) == 0
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
+        runs.run_models((model,) * 2)
+
+
 @pytest.mark.parametrize("in_pool", [False, True], ids=["in-process", "pooled"])
 def test_run_models_takes_arrivals_without_a_rate(request, in_pool):
     # deterministic and uniform gaps have no exponential rate, and a

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pycalls import python_calls
-from tiersim import Distribution, DomainError, Stream, stream_key
+from tiersim import Distribution, DistKind, DomainError, Stream, stream_key
 from tiersim.workload import _BUFFER, _FIRST_BATCH, make_sampler
 
 
@@ -138,45 +139,66 @@ def test_batches_double_from_a_small_first_one():
     assert _batch_edges() == [16, 48, 112, 240, 496, 1008, 2032, 3056]
 
 
+def _scalar(dist: Distribution, u: float) -> float:
+    """``dist``'s inverse transform of one uniform, as a scalar expression."""
+    if dist.kind is DistKind.EXPONENTIAL:
+        return -math.log1p(-u) / dist.rate
+    return dist.lo + (dist.hi - dist.lo) * u
+
+
 @pytest.mark.parametrize(
     "dist",
     [Distribution.exponential(3.0), Distribution.exponential(1e-300), Distribution.uniform(2.0, 5.0)],
     ids=["exponential", "exponential-tiny-rate", "uniform"],
 )
-def test_a_stream_built_for_one_distribution_hands_out_make_samplers_variates(dist):
-    # every variate bit-identical to the per-draw sampler, across every
-    # edge of the small first batches and two full ones, with the draw
-    # count exact on both sides of each edge
-    batched = Stream(8, "one", dist)
-    per_draw = Stream(8, "one")
-    reference = make_sampler(dist, per_draw)
+def test_every_draw_is_the_scalar_transform_across_batch_edges(dist):
+    # every variate bit-identical to the scalar transform of the stream's
+    # next uniform, across every edge of the small first batches and two
+    # full ones, with the draw count exact on both sides of each edge
+    stream = Stream(8, "one")
+    draw = make_sampler(dist, stream)
+    probe = Stream(8, "one")
     drawn = 0
     for edge in _batch_edges():
         for target in (edge - 1, edge, edge + 1):
-            got = [batched.sample() for _ in range(target - drawn)]
-            assert got == [reference() for _ in range(target - drawn)]
+            got = [draw().hex() for _ in range(target - drawn)]
+            assert got == [_scalar(dist, probe.uniform01()).hex() for _ in range(target - drawn)]
             drawn = target
-            assert batched.draws == per_draw.draws == target
-    assert not hasattr(batched, "uniform01")
+            assert stream.draws == probe.draws == target
 
 
-def test_a_deterministic_stream_draws_nothing():
-    s = Stream(1, "svc", Distribution.deterministic(0.25))
-    assert python_calls(s.sample) == 0
-    assert [s.sample() for _ in range(3)] == [0.25] * 3
-    assert s.draws == 0
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Distribution.exponential(3),
+        Distribution.exponential(1e-300),
+        Distribution.exponential(5e-324),
+        Distribution.uniform(2, 5),
+        Distribution.uniform(0.1, 0.7),
+    ],
+    ids=["exponential-int-rate", "exponential-1e-300", "exponential-5e-324", "uniform-int-bounds", "uniform"],
+)
+def test_the_map_chain_is_the_scalar_transform_at_the_edges_of_the_unit_interval(dist):
+    # u = 0, the smallest positive double a stream can hand out, a middle
+    # value and the largest double below 1, with rates whose quotient
+    # underflows, overflows or is an int
+    edges = [0.0, 2**-53, 0.5, 1 - 2**-53]
+    draw = make_sampler(dist, SimpleNamespace(uniforms=iter(edges)))
+    assert [draw().hex() for _ in edges] == [_scalar(dist, u).hex() for u in edges]
 
 
-def test_a_variate_draw_is_one_c_call_and_a_refill_a_few_python_steps():
-    s = Stream(4, "frames", Distribution.exponential(2.0))
+@pytest.mark.parametrize(
+    "dist", [Distribution.exponential(2.0), Distribution.uniform(0.1, 0.7)], ids=["exponential", "uniform"]
+)
+def test_a_variate_draw_is_one_c_call_and_a_refill_one_python_step(dist):
+    s = Stream(4, "frames")
+    draw = make_sampler(dist, s)
     for edge in _batch_edges():
         while s.draws < edge - 1:
-            s.sample()
-        assert python_calls(s.sample) == 0  # the batch's last variate
-        # resuming the refill, the transform and, before Python 3.12
-        # inlined comprehensions, its comprehension
-        assert python_calls(s.sample) in (2, 3)
-        assert python_calls(s.sample) == 0
+            draw()
+        assert python_calls(draw) == 0  # the batch's last variate
+        assert python_calls(draw) == 1  # resuming the refill generator
+        assert python_calls(draw) == 0
 
 
 class _WeakStream(Stream):
@@ -207,7 +229,7 @@ def test_deterministic_consumes_nothing():
     s = Stream(1, "svc")
     draw = make_sampler(Distribution.deterministic(0.25), s)
     assert python_calls(draw) == 0  # a C callable
-    assert draw() == 0.25
+    assert [draw() for _ in range(3)] == [0.25] * 3
     assert s.draws == 0
 
 

@@ -233,6 +233,21 @@ def test_deterministic_consumes_nothing():
     assert s.draws == 0
 
 
+def test_a_deterministic_stream_draws_nothing():
+    # a deterministic sampler sharing a stream leaves its uniforms to the
+    # other samplers, in order
+    s = Stream(1, "svc")
+    probe = Stream(1, "svc")
+    fixed = make_sampler(Distribution.deterministic(0.25), s)
+    uniform = make_sampler(Distribution.uniform(0.0, 1.0), s)
+    got = [draw() for draw in [fixed, uniform, fixed, fixed, uniform] * 40]
+    assert got[0::5] == got[2::5] == got[3::5] == [0.25] * 40
+    assert [x for i, x in enumerate(got) if i % 5 in (1, 4)] == [
+        probe.uniform01() for _ in range(80)
+    ]
+    assert s.draws == probe.draws == 80
+
+
 def test_exponential_and_uniform_consume_one_draw():
     s = Stream(1, "svc")
     make_sampler(Distribution.exponential(2.0), s)()

@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 validation or domain failure, 2 I/O failure.
 Output files are written atomically (temp file + rename in the target
 directory), so a crash never leaves a half-written report behind, and a
 new file gets the mode the umask gives, as open() would. A command
-renders every output it was asked for, and checks that no target is an
-existing directory, before it writes any, so an output that cannot be
-rendered or a target that is a directory leaves no file written.
+renders every output it was asked for, and checks that each target names
+a file in an existing directory, before it writes any, so an output that
+cannot be rendered or a target that cannot be written leaves no file
+written.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _read_input(path: str) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tiersim.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -79,12 +80,19 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_files(outputs: list[tuple[str, str]]) -> None:
-    """Write each ``(path, text)`` atomically, once no path names an
-    existing directory: the temp file would go to its parent and could
-    not replace it."""
+    """Write each ``(path, text)`` atomically, once every path names a
+    file in an existing directory. The temp file goes to the path's
+    directory, so it could neither be made in a missing one nor replace
+    a directory; each refusal names the path as it was given."""
     for path, _ in outputs:
+        directory = os.path.dirname(path) or "."
         if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            code = errno.EISDIR
+        elif not os.path.isdir(directory):
+            code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
     for path, text in outputs:
         _write_atomic(path, text)
 

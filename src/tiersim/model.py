@@ -203,6 +203,15 @@ def _integer(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# run.seed and every master seed is an unsigned 64-bit integer below this
+SEED_LIMIT = 2**64
+
+
+def valid_seed(x: object) -> bool:
+    """An int in [0, SEED_LIMIT); a bool or a float is not a seed."""
+    return _integer(x) and 0 <= x < SEED_LIMIT
+
+
 def _check_distribution(dist: Distribution, path: str, issues: list[str]) -> None:
     if dist.kind is DistKind.EXPONENTIAL:
         if not (_finite(dist.rate) and dist.rate > 0):
@@ -333,7 +342,7 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             issues.append(f"{cpath}: max_requests must be an integer >= 1 or unbounded, got {mr!r}")
 
     run = model.run
-    if not (_integer(run.seed) and 0 <= run.seed < 2**64):
+    if not valid_seed(run.seed):
         issues.append(f"run.seed: seed must be an unsigned 64-bit integer, got {run.seed!r}")
     if stop.kind is StopKind.AFTER_REQUESTS:
         if not (_integer(stop.n) and stop.n >= 1):
@@ -345,6 +354,8 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
         issues.append(f"run.stop: kind must be a StopKind, got {stop.kind!r}")
     if not (_finite(run.warmup) and run.warmup >= 0):
         issues.append(f"run.warmup: warmup must be finite and >= 0, got {run.warmup!r}")
+    if not isinstance(run.series_enabled, bool):
+        issues.append(f"run.series: series must be a boolean, got {run.series_enabled!r}")
 
     return tuple(issues)
 

@@ -30,6 +30,7 @@ from .model import (
     WorkloadClass,
     _integer,
     json_text,
+    valid_seed,
     validated,
 )
 from .oracle import check_station, mmck
@@ -176,7 +177,7 @@ def run_oracle_check(lam: float, mu: float, servers: int, capacity: int, request
         raise DomainError(f"lam must be > 0 to simulate, got {lam!r}")
     if not (_integer(requests) and requests >= 1):
         raise DomainError(f"requests must be an integer >= 1 to simulate, got {requests!r}")
-    if not (_integer(seed) and 0 <= seed < 2**64):
+    if not valid_seed(seed):
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     model = build_station_model(lam, mu, servers, capacity, requests, seed)
     analytic = mmck(lam, mu, servers, capacity)

@@ -7,9 +7,10 @@ validated once, and replications at that rate differ only in
 ``run.seed``. No sweep output reads series rows, so no replication
 records them. ``runs.run_models`` runs them all and returns the reports
 in grid order, so the sweep's output does not depend on how many
-workers ran it. A resource that no class visits reports the constant
-``metrics.UNVISITED`` row in every run, so its cells are one constant
-too, taken without averaging.
+workers ran it. A cell is its CSV row: a plain tuple in
+``SWEEP_COLUMNS`` order, built once and written as it is. A resource
+that no class visits reports the constant ``metrics.UNVISITED`` row in
+every run, so its metrics are one constant too, taken without averaging.
 """
 
 from __future__ import annotations
@@ -23,24 +24,13 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 from .metrics import UNVISITED, ClassMetrics, MetricsReport
-from .model import END_TO_END, DistKind, Distribution, ScenarioModel, validated
+from .model import END_TO_END, SEED_LIMIT, DistKind, Distribution, ScenarioModel, validated
 from .runs import run_models
 from .workload import stream_key
 
-
-@dataclass(frozen=True)
-class SweepCell:
-    """Replication-averaged metrics for one (rate, resource) pair."""
-
-    rate: float
-    resource: str
-    avg_response: float
-    avg_service: float
-    avg_waiting: float
-    utilization: float
-    p_idle: float
-    p_drop: float
-
+# A cell's fields, which are the CSV's columns: the swept rate, the
+# resource (or end-to-end class) label and its replication averages.
+SWEEP_COLUMNS = ("rate", "resource", "avg_response", "avg_service", "avg_waiting", "utilization", "p_idle", "p_drop")
 
 # Most runs (grid points x replications) one sweep may hold.
 # SweepResult.reports keeps every run's report, without series rows:
@@ -50,9 +40,8 @@ class SweepCell:
 # takes minutes at a realistic run length.
 MAX_SWEEP_RUNS = 10_000
 
-_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepCell))
 # the replication-averaged metrics; each names a ResourceMetrics field
-_SWEEP_METRICS = _SWEEP_FIELDS[2:]
+_SWEEP_METRICS = SWEEP_COLUMNS[2:]
 _sweep_metrics = operator.attrgetter(*_SWEEP_METRICS)
 # An unvisited resource's averages: its row is UNVISITED in every
 # replication, and n copies of 0.0 or 1.0 summed and divided by n
@@ -69,7 +58,8 @@ def _class_metrics(totals: ClassMetrics) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    cells: tuple[SweepCell, ...]
+    # one tuple per (rate, label) pair, in SWEEP_COLUMNS order
+    cells: tuple[tuple, ...]
     # raw per-replication reports, for callers that need spread
     reports: dict[float, tuple[MetricsReport, ...]]
 
@@ -142,12 +132,12 @@ def run_sweep(
         # SweepResult.reports is keyed by rate, so a repeat would hide runs
         raise DomainError(f"rate grid repeats {', '.join(map(repr, repeated))}; give each rate once")
     models = tuple(_with_arrival_rate(model, rate) for rate in rates)
-    # seeds come from stream_key(...) % 2**64, always valid, so the
+    # seeds come from stream_key(...) % SEED_LIMIT, always valid, so the
     # validated per-rate models need no second check
     runs = []
     for ri, per_rate in enumerate(models):
         for k in range(replications):
-            seed = stream_key(master_seed, f"sweep:rate[{ri}]:rep[{k}]") % 2**64
+            seed = stream_key(master_seed, f"sweep:rate[{ri}]:rep[{k}]") % SEED_LIMIT
             run = dataclasses.replace(per_rate.run, seed=seed, series_enabled=False)
             runs.append(dataclasses.replace(per_rate, run=run))
     flat = run_models(tuple(runs))
@@ -155,7 +145,7 @@ def run_sweep(
     # pooled reports come back unpickled, so an unvisited row is found by
     # the model's paths, not by identity with UNVISITED
     visited = {v.resource for c in model.classes for v in c.path}
-    cells: list[SweepCell] = []
+    cells: list[tuple] = []
     reports: dict[float, tuple[MetricsReport, ...]] = {}
     for ri, rate in enumerate(rates):
         reps = flat[ri * replications : (ri + 1) * replications]
@@ -168,14 +158,14 @@ def run_sweep(
         for label, metrics in rows:
             # one column per metric, each summed in replication order
             row = _UNVISITED_CELL if metrics is None else (sum(column) / replications for column in zip(*metrics))
-            cells.append(SweepCell(rate, label, *row))
+            cells.append((rate, label, *row))
     return SweepResult(cells=tuple(cells), reports=reports)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_SWEEP_FIELDS)
+    writer.writerow(SWEEP_COLUMNS)
     # csv writes a float as its repr
-    writer.writerows(map(operator.attrgetter(*_SWEEP_FIELDS), result.cells))
+    writer.writerows(result.cells)
     return out.getvalue()

@@ -49,7 +49,7 @@ from math import log1p
 from operator import add, length_hint, mul, neg, truediv
 
 from .errors import DomainError
-from .model import Distribution, DistKind
+from .model import Distribution, DistKind, valid_seed
 
 # How many uniforms to pull from the bit generator per refill, once the
 # first refills have doubled up to it. Purely a speed knob; the sample
@@ -64,7 +64,7 @@ STREAM_ALGORITHM = "philox4x64/sha256-key/inverse-cdf"
 
 
 def _check_seed(master_seed: int) -> None:
-    if not (0 <= master_seed < 2**64):
+    if not valid_seed(master_seed):
         raise DomainError(f"master seed must be an unsigned 64-bit integer, got {master_seed!r}")
 
 

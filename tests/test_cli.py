@@ -366,10 +366,22 @@ def test_written_files_get_the_mode_the_umask_gives(station_path, tmp_path, caps
     assert {name: path.stat().st_mode & 0o777 for name, path in paths.items()} == dict.fromkeys(paths, mode)
 
 
-def test_run_report_into_missing_directory_is_io_error(station_path, tmp_path, capsys):
-    code, _, err = run_cli(capsys, "run", station_path, "--report", str(tmp_path / "nope" / "x.json"), "--quiet")
-    assert code == 2
-    assert "i/o error" in err
+def test_run_report_into_missing_directory_is_io_error(station_path, tmp_path, capsys, monkeypatch):
+    # refused before anything is written, by the name it was given;
+    # "newdir/" names a missing directory, not a file in the current one
+    monkeypatch.chdir(tmp_path)
+    cases = [
+        (("--report", "nodir/r.json"), "nodir/r.json"),
+        (("--report", "newdir/"), "newdir/"),
+        # a missing directory among several targets: none of them is written
+        (("--series", "--report", "ok.json", "--series-out", "nodir/s.csv"), "nodir/s.csv"),
+    ]
+    for flags, target in cases:
+        code, out, err = run_cli(capsys, "run", station_path, *flags, "--quiet")
+        assert (code, out) == (2, ""), target
+        assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+        assert repr(target) in err and ".tiersim." not in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["station.json"]
 
 
 def test_a_report_path_that_is_a_directory_leaves_nothing_behind(station_path, tmp_path, capsys):

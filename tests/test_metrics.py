@@ -30,7 +30,7 @@ from tiersim import (
     simulate,
 )
 from tiersim.metrics import UNVISITED, MetricsReport, RunAccumulator, _percentile
-from tiersim.sweep import SweepCell, SweepResult, sweep_to_csv
+from tiersim.sweep import SweepResult, sweep_to_csv
 from pycalls import python_calls
 from randscen import random_scenario
 
@@ -451,7 +451,7 @@ def test_report_json_calls_stay_bounded_per_declared_resource():
 
 def test_sweep_csv_calls_do_not_grow_with_cells():
     def result(n: int) -> SweepResult:
-        cells = tuple(SweepCell(1.5, f"r{i}", 0.25 * i, 0.125, 0.125, 0.5, 0.5, 1e-9) for i in range(n))
+        cells = tuple((1.5, f"r{i}", 0.25 * i, 0.125, 0.125, 0.5, 0.5, 1e-9) for i in range(n))
         return SweepResult(cells=cells, reports={})
 
     assert python_calls(sweep_to_csv, result(1000)) == python_calls(sweep_to_csv, result(1))

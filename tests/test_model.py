@@ -291,6 +291,12 @@ def _structural_cases():
             "run.stop: kind must be a StopKind, got 'after_requests'",
             True,
         ),
+        # the parser refuses a non-bool, but a model built in code reaches validate
+        "series-text": (
+            replaced(run=RunConfig(series_enabled="no")),
+            "run.series: series must be a boolean, got 'no'",
+            True,
+        ),
         "replicas-above-bound": (
             replaced(tiers=(Tier(name="only", resources=(dataclasses.replace(tier.resources[0], replicas=4097),)),)),
             "tiers[0].resources[0]: replicas must be at most 4096, got 4097",

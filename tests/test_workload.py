@@ -52,14 +52,17 @@ def test_stream_key_is_stable():
     assert 0 <= stream_key(2**64 - 1, "") < 2**128
 
 
+# a float, a bool or a string is no seed, even where its value is in range
+BAD_SEEDS = [-1, 2**64, 1.5, True, "1"]
+
+
 def test_stream_key_rejects_bad_seed():
-    with pytest.raises(DomainError):
-        stream_key(-1, "x")
-    with pytest.raises(DomainError):
-        stream_key(2**64, "x")
+    for seed in BAD_SEEDS:
+        with pytest.raises(DomainError, match="master seed must be an unsigned 64-bit integer"):
+            stream_key(seed, "x")
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", BAD_SEEDS)
 def test_stream_rejects_bad_seed_at_construction(seed):
     with pytest.raises(DomainError, match="master seed must be an unsigned 64-bit integer"):
         Stream(seed, "x")

@@ -1,8 +1,12 @@
 """Batches of runs, and the one-station check against the closed form.
 
 ``run_models`` is the one place that chooses between running models in
-this process and forking workers; either way the reports come back in
-input order and do not depend on how many workers ran them.
+this process and forking workers. A forked batch is a fork-join in which
+this process is one of the workers: it runs its own share of the models
+while its children run theirs, then reads each child's pickled reports
+from a pipe and reaps it. Either way the reports come back in input
+order, a failed batch raises the error of its lowest-index failing run,
+and neither depends on how many workers ran them.
 ``build_station_model`` and ``run_oracle_check`` pair a simulated
 M/M/c/K station with ``oracle.mmck``; they live here so that ``oracle``
 stays independent of the simulator. ``oracle_check_to_table`` and
@@ -12,10 +16,9 @@ stays independent of the simulator. ``oracle_check_to_table`` and
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
 
 from .engine import Engine
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .metrics import MetricsReport
 from .model import (
     MAX_REPLICAS,
@@ -35,9 +38,6 @@ from .model import (
 )
 from .oracle import check_station, mmck
 
-if TYPE_CHECKING:  # importing multiprocessing costs every CLI command 9 ms
-    from multiprocessing.context import BaseContext
-
 
 def usable_cpus() -> int:
     """CPUs this process may run on (``taskset`` narrows them)."""
@@ -47,11 +47,14 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A pool costs about 10 ms to fork its workers and shut them down, 25 ms
-# more to import into a process that has not loaded it yet, and a pickled
-# report per run. On a 2-vCPU host it broke even at about 25k expected
-# events once imported and at about 45k in a fresh `tiersim sweep`.
-_MIN_POOLED_EVENTS = 40_000
+# A forked batch costs a fork and a reap per child and a pickled report
+# per run the children ran, and imports nothing. On a 2-vCPU host, with
+# batches of 10 no-drop M/M/2 runs, two workers against one (`taskset -c
+# 0`): in a warm process the fork lost at 2.5k expected events (2 of 20
+# pairs) and won at 5k (15 of 20) and 10k (20 of 20); in a fresh `tiersim
+# sweep` (10 pairs per size) it won 1 of 10 at 2.5k, 2 at 7.5k, 4 and 6
+# in two rounds at 10k, 7 at 20k and 9 at 30k.
+_MIN_POOLED_EVENTS = 10_000
 
 
 def _expected_events(model: ScenarioModel) -> float:
@@ -86,67 +89,101 @@ def _expected_events(model: ScenarioModel) -> float:
 def worker_count(runs: int, events: float) -> int:
     """Workers for ``runs`` runs that apply about ``events`` events in all:
     one per usable CPU and at most one per run, or one when the batch is
-    too short to pay for a pool."""
+    too short to pay for forking."""
     if events < _MIN_POOLED_EVENTS:
         return 1
     return min(usable_cpus(), runs)
 
 
-def _fork_context() -> BaseContext | None:
-    """The fork start method, or None where the platform has none.
-
-    Forked workers inherit the loaded package and the models. Under spawn
-    or forkserver (the defaults on macOS and, from Python 3.14, on Linux)
-    every worker imports them again, which made ``wide_sweep`` slower than
-    the in-process loop on a 2-vCPU host. The parent's only other threads
-    are numpy's idle BLAS workers, which no run calls.
-    """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-# The models of a worker process, set once by _init_worker. The parent
-# never writes it; forked workers inherit the models unpickled.
-_worker_models: tuple[ScenarioModel, ...] = ()
-
-
-def _init_worker(models: tuple[ScenarioModel, ...]) -> None:
-    global _worker_models
-    _worker_models = models
-
-
-def _run_index(index: int) -> MetricsReport:
-    return Engine(_worker_models[index]).run()
+def _run_share(models: tuple[ScenarioModel, ...], first: int, step: int):
+    """Run models ``first``, ``first + step``, ... in order. Return their
+    reports and None, or the reports before the first run that raised and
+    that run's (index, error)."""
+    reports = []
+    for index in range(first, len(models), step):
+        try:
+            reports.append(Engine(models[index]).run())
+        except Exception as error:
+            return reports, (index, error)
+    return reports, None
 
 
 def run_models(models: tuple[ScenarioModel, ...]) -> tuple[MetricsReport, ...]:
     """Run each validated model once and return the reports in input order.
 
     The batch runs in this process unless ``worker_count`` gives it more
-    than one worker and the platform can fork. A run's error reaches the
-    caller as raised, and the runs not yet started are dropped.
+    than one worker and the platform can fork. Then this process is
+    worker 0 of a fork-join: it forks one child per other worker, worker w
+    runs models w, w + workers, ... in input order, and each child pickles
+    its reports (or its first error) into its own pipe and exits. Forked
+    children inherit the loaded package and the models; their reports come
+    back as unpickled copies.
+
+    Either way the error raised is that of the lowest-index run that
+    failed, as the in-process loop raises it; a worker drops its runs
+    after its first error. A child that exits non-zero or sends nothing
+    is an ``InternalError`` naming the worker. However this returns or
+    raises, every child has been reaped: the ones not yet reaped are
+    killed first.
     """
     workers = worker_count(len(models), sum(_expected_events(m) for m in models))
-    context = _fork_context() if workers > 1 else None
-    if context is None:
+    if workers <= 1 or not hasattr(os, "fork"):
         return tuple(Engine(model).run() for model in models)
-    # imported here, not at the top: every `import tiersim.cli` would
-    # otherwise load the pool machinery (1.3 MiB and 20 ms on a 2-vCPU VM)
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here, so that a command that forks nothing loads none of
+    # them; a stream imports numpy at its first draw, and importing it
+    # once here spares each child of a fresh process its own import
+    import pickle
+    import signal
 
-    # a stream imports numpy at its first draw; importing it once here
-    # spares each forked worker of a fresh process its own import
     import numpy  # noqa: F401
 
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(models,))
+    children: dict[int, int] = {}  # worker -> pid, until it is reaped
+    pipes: dict[int, int] = {}  # worker -> read end, until it is closed
     try:
-        return tuple(pool.map(_run_index, range(len(models))))
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            pipes[worker] = read
+            try:
+                # numpy's idle BLAS threads are this process's only other
+                # threads, and no run calls them
+                pid = os.fork()
+                if pid == 0:  # the child: send its share, never return
+                    status = 1
+                    try:
+                        with open(write, "wb") as pipe:
+                            pickle.dump(_run_share(models, worker, workers), pipe, pickle.HIGHEST_PROTOCOL)
+                        status = 0
+                    except Exception:  # the parent names the worker; say why here
+                        import traceback
+
+                        traceback.print_exc()
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(write)  # so that the read end sees EOF when the child exits
+            children[worker] = pid
+        shares = [_run_share(models, 0, workers)]
+        for worker in range(1, workers):
+            with open(pipes.pop(worker), "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(children[worker], 0)
+            del children[worker]  # only once reaped: an interrupted wait leaves it to the kill below
+            if status or not data:
+                raise InternalError(f"batch worker {worker} sent no reports (wait status {status})")
+            shares.append(pickle.loads(data))
     finally:
-        # after a failed run, drop the runs not yet started
-        pool.shutdown(cancel_futures=True)
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in pipes.values():
+            os.close(read)
+    failures = [failure for _, failure in shares if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    reports: list = [None] * len(models)
+    for worker, (share, _) in enumerate(shares):
+        reports[worker::workers] = share
+    return tuple(reports)
 
 
 def build_station_model(lam: float, mu: float, servers: int, capacity: int, requests: int, seed: int) -> ScenarioModel:

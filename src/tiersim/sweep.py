@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -78,19 +79,26 @@ def parse_rate_grid(text: str) -> tuple[float, ...]:
             if count > MAX_SWEEP_RUNS:
                 raise DomainError(f"rate grid may hold at most {MAX_SWEEP_RUNS} points, got {count}")
             if count == 1:
-                return (start,)
-            step = (stop - start) / (count - 1)
-            return tuple(start + i * step for i in range(count))
-        rates = tuple(float(tok) for tok in text.split(",") if tok.strip())
+                rates = (start,)
+            else:
+                step = (stop - start) / (count - 1)
+                rates = tuple(start + i * step for i in range(count))
+        else:
+            rates = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise DomainError(f"rate grid must be numeric, got {text!r}") from None
     if not rates:
         raise DomainError(f"no rates in {text!r}")
+    # an inf or nan bound, or a step that overflows, gives a point no run can use
+    if not all(map(math.isfinite, rates)):
+        raise DomainError(f"rate grid must hold finite numbers, got {text!r}")
     return rates
 
 
 def _with_arrival_rate(model: ScenarioModel, rate: float) -> ScenarioModel:
     """Scale the class arrival rates to total ``rate``, keeping their mix."""
+    if not math.isfinite(rate):
+        raise DomainError(f"swept arrival rate must be finite, got {rate!r}")
     if rate <= 0:
         raise DomainError(f"swept arrival rate must be > 0, got {rate!r}")
     for cls in model.classes:
@@ -142,8 +150,8 @@ def run_sweep(
             runs.append(dataclasses.replace(per_rate, run=run))
     flat = run_models(tuple(runs))
 
-    # pooled reports come back unpickled, so an unvisited row is found by
-    # the model's paths, not by identity with UNVISITED
+    # a forked child's reports come back unpickled, so an unvisited row is
+    # found by the model's paths, not by identity with UNVISITED
     visited = {v.resource for c in model.classes for v in c.path}
     cells: list[tuple] = []
     reports: dict[float, tuple[MetricsReport, ...]] = {}

@@ -580,8 +580,19 @@ def test_sweep_to_stdout_and_bad_grid(station_path, capsys):
         (("--rates", "1", "--replications", "0"), "error: replications must be >= 1\n"),
         (("--rates", "0"), "error: swept arrival rate must be > 0, got 0.0\n"),
         (("--rates", "1e-320"), "error: scheduled event time is not finite: inf\n"),
+        (("--rates", "0:inf:3"), "error: rate grid must hold finite numbers, got '0:inf:3'\n"),
+        # the step overflows to -inf, so the grid reads (nan, -inf, -inf)
+        (("--rates", "1e308:-1e308:3"), "error: rate grid must hold finite numbers, got '1e308:-1e308:3'\n"),
     ],
-    ids=["grid-points", "replications", "replications-zero", "rate-zero", "rate-denormal"],
+    ids=[
+        "grid-points",
+        "replications",
+        "replications-zero",
+        "rate-zero",
+        "rate-denormal",
+        "grid-inf",
+        "grid-step-overflow",
+    ],
 )
 def test_a_sweep_beyond_the_run_bound_is_one_error_line(station_path, capsys, sizes, line):
     # rate 0 is refused too, but only once the grid and the runs are sized:
@@ -615,15 +626,15 @@ def test_sweep_rejects_non_exponential_arrivals(tmp_path, capsys):
         (("sweep", "bundled:webservices.json", "--rates", "40", "--requests", "0"), "run.stop: after_requests"),
         (
             ("sweep", "bundled:webservices.json", "--rates", "inf", "--requests", "50"),
-            "classes[0].arrival: exponential rate must be finite and > 0",
+            "rate grid must hold finite numbers, got 'inf'",
         ),
         (
             ("sweep", "bundled:webservices.json", "--rates", "1e400", "--requests", "50"),
-            "classes[0].arrival: exponential rate must be finite and > 0",
+            "rate grid must hold finite numbers, got '1e400'",
         ),
         (
             ("sweep", "bundled:webservices.json", "--rates", "nan", "--requests", "50"),
-            "classes[0].arrival: exponential rate must be finite and > 0",
+            "rate grid must hold finite numbers, got 'nan'",
         ),
         (("oracle-check", "--lambda", "1.0", "--mu", "2.0", "--requests", "0"), "requests must be an integer >= 1"),
         (

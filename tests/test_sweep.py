@@ -1,8 +1,7 @@
-"""Arrival-rate sweeps: per-rate validation and the worker-process path."""
+"""Arrival-rate sweeps: per-rate validation and the forked batch."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -10,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,15 +46,40 @@ def webservices(requests: int):
 
 @pytest.fixture()
 def pooled(monkeypatch):
-    """Send every sweep of more than one run to a pool of two workers,
-    even on a host with one usable CPU."""
+    """Fork every batch of more than one run into two workers, even on a
+    host with one usable CPU."""
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     monkeypatch.setattr(runs, "_MIN_POOLED_EVENTS", 0)
 
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a sweep that needs one worker started a pool")
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pid of each child a batch forks, in the order it forked them."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture()
+def no_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("a batch that needs one worker forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def assert_no_child_left():
+    # every child a batch forked has exited and been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_each_rate_is_validated_once(monkeypatch):
@@ -88,6 +113,17 @@ def test_a_repeated_rate_is_refused_before_any_run(monkeypatch, grid):
         run_sweep(webservices(60), parse_rate_grid(grid), replications=2, master_seed=3)
 
 
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_a_non_finite_rate_is_refused_before_any_run(monkeypatch, rate):
+    # a caller that builds its own grid skips parse_rate_grid's check
+    def no_run(model):
+        raise AssertionError("a sweep started a run of a non-finite rate")
+
+    monkeypatch.setattr(runs, "Engine", no_run)
+    with pytest.raises(DomainError, match=f"^swept arrival rate must be finite, got {rate!r}$"):
+        run_sweep(webservices(60), (rate,), replications=1, master_seed=3)
+
+
 def test_worker_count_needs_cpus_runs_and_work(monkeypatch):
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     enough = runs._MIN_POOLED_EVENTS
@@ -111,22 +147,17 @@ def test_usable_cpus_is_positive():
     assert runs.usable_cpus() >= 1
 
 
-def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled):
+def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled, forks):
     model = webservices(300)
     rates = (20.0, 40.0, 60.0)
     monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
     serial = run_sweep(model, rates, replications=2, master_seed=11)
-    started = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, mp_context, **kwargs):
-            started.append(mp_context.get_start_method())
-            super().__init__(*args, mp_context=mp_context, **kwargs)
-
+    assert forks == []
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     pooled_result = run_sweep(model, rates, replications=2, master_seed=11)
-    assert started == ["fork"]
+    # two workers: this process and one forked child
+    assert len(forks) == 1
+    assert_no_child_left()
     assert sweep_to_csv(pooled_result) == sweep_to_csv(serial)
     assert list(pooled_result.reports) == list(serial.reports) == list(rates)
     for rate in rates:
@@ -134,18 +165,10 @@ def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled):
         assert pooled_json == [report_to_json(r) for r in serial.reports[rate]]
 
 
-def test_a_pooled_sweep_of_unvisited_resources_changes_no_byte(monkeypatch, pooled):
+def test_a_pooled_sweep_of_unvisited_resources_changes_no_byte(monkeypatch, pooled, forks):
     # the webservices test above visits every resource; these synthesized
     # deployments declare resources that no class visits
     models = [model for label, model in pinned_sweep_models() if label.startswith("randdeploy:")][:2]
-    started = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(True)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for model in models:
         visited = {v.resource for c in model.classes for v in c.path}
         assert {r.name for r in model.resources()} > visited
@@ -156,37 +179,34 @@ def test_a_pooled_sweep_of_unvisited_resources_changes_no_byte(monkeypatch, pool
         assert sweep_to_csv(pooled_result) == sweep_to_csv(serial)
         for rate, reports in serial.reports.items():
             assert [report_to_json(r) for r in pooled_result.reports[rate]] == [report_to_json(r) for r in reports]
-            # in process the unvisited rows are the UNVISITED object; a
-            # worker's rows come back as unpickled copies
-            for local, forked in zip(reports, pooled_result.reports[rate]):
-                unvisited = [name for name in local.resources if name not in visited]
-                assert all(local.resources[name] is UNVISITED for name in unvisited)
-                assert not any(forked.resources[name] is UNVISITED for name in unvisited)
-    assert started == [True] * len(models)
+        # in process the unvisited rows are the UNVISITED object; the
+        # child's reports (runs 1 and 3 of 4) come back as unpickled
+        # copies, while this process's share (runs 0 and 2) keeps it
+        unvisited = [name for name in serial.reports[1.5][0].resources if name not in visited]
+        assert all(r.resources[name] is UNVISITED for reps in serial.reports.values() for r in reps for name in unvisited)
+        flat = [r for reps in pooled_result.reports.values() for r in reps]
+        for index, report in enumerate(flat):
+            identical = [report.resources[name] is UNVISITED for name in unvisited]
+            assert identical == [index % 2 == 0] * len(unvisited)
+    assert len(forks) == len(models)
+    assert_no_child_left()
 
 
-def test_run_models_returns_pooled_reports_in_input_order(monkeypatch, pooled):
+def test_run_models_returns_pooled_reports_in_input_order(monkeypatch, pooled, forks):
     web = webservices(200)
     timed = dataclasses.replace(web, run=dataclasses.replace(web.run, seed=9, stop=StopRule.after_time(4.0)))
     models = (build_station_model(1.5, 2.0, 2, 4, 400, seed=3), web, timed)
     monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
     serial = [report_to_json(r) for r in runs.run_models(models)]
     assert len(set(serial)) == len(models)
-    started = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, workers, *args, **kwargs):
-            started.append(workers)
-            super().__init__(workers, *args, **kwargs)
-
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert [report_to_json(r) for r in runs.run_models(models)] == serial
-    assert started == [2]
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
-def test_run_models_of_no_models_starts_no_pool(monkeypatch, pooled):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+def test_run_models_of_no_models_starts_no_pool(monkeypatch, pooled, no_fork):
+    # worker_count(0, 0) is 0 once the threshold is 0
     assert runs.run_models(()) == ()
 
 
@@ -197,32 +217,29 @@ def _station_arriving(arrival: Distribution, max_requests: float, stop: StopRule
     return validated(dataclasses.replace(model, classes=(cls,), run=dataclasses.replace(model.run, stop=stop)))
 
 
-def test_a_capped_class_under_a_long_time_stop_starts_no_pool(monkeypatch):
+def test_a_capped_class_under_a_long_time_stop_starts_no_pool(monkeypatch, no_fork):
     # 100 arrivals per unit time for 1000 time units, but 10 sessions in all
     model = _station_arriving(Distribution.exponential(100.0), 10, StopRule.after_time(1000.0))
     assert runs._expected_events(model) == 10 * (1 + len(model.classes[0].path))
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
 
 
-def test_a_capped_class_under_a_long_request_stop_starts_no_pool(monkeypatch):
+def test_a_capped_class_under_a_long_request_stop_starts_no_pool(monkeypatch, no_fork):
     # the stop waits for 100000 terminal sessions, but the class sends 10 in all
     model = _station_arriving(Distribution.exponential(100.0), 10, StopRule.after_requests(100_000))
     assert runs._expected_events(model) <= 10 * (1 + len(model.classes[0].path))
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
 
 
-def test_a_class_whose_rate_underflows_is_refused_by_the_engine(monkeypatch):
+def test_a_class_whose_rate_underflows_is_refused_by_the_engine(monkeypatch, no_fork):
     # the mean gap 1/1e-320 overflows to inf, so the class's rate reads
     # 0.0: it adds no sessions to the estimate, and the run fails at its
     # first arrival instead of dividing by a zero total rate
     model = _station_arriving(Distribution.exponential(1e-320), math.inf, StopRule.after_requests(50))
     assert runs._expected_events(model) == 0
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
         runs.run_models((model,) * 2)
 
@@ -263,33 +280,111 @@ def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, pooled):
     assert "scheduled event time is not finite" in errors[0][1]
 
 
+def _failing_engine(monkeypatch, fail):
+    """Patch runs.Engine: a run whose model's seed is a key of ``fail``
+    calls that key's action instead of simulating."""
+    real = runs.Engine
+
+    class Engine:
+        def __init__(self, model):
+            self.model = model
+
+        def run(self):
+            action = fail.get(self.model.run.seed)
+            return action() if action else real(self.model).run()
+
+    monkeypatch.setattr(runs, "Engine", Engine)
+
+
+def _stations(count: int):
+    return tuple(build_station_model(1.5, 2.0, 2, 4, 60, seed=seed) for seed in range(count))
+
+
+def _raise(error):
+    def action():
+        raise error
+
+    return action
+
+
+def test_a_failed_batch_raises_the_lowest_index_error(monkeypatch, pooled, forks):
+    # with 2 workers, model 1 is the child's and model 2 this process's;
+    # this process fails first, but the serial loop would raise model 1's
+    _failing_engine(monkeypatch, {1: _raise(DomainError("model 1")), 2: _raise(InternalError("model 2"))})
+    with pytest.raises(DomainError, match="^model 1$"):
+        runs.run_models(_stations(4))
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
+    with pytest.raises(DomainError, match="^model 1$"):
+        runs.run_models(_stations(4))
+
+
+def test_a_child_that_exits_without_reports_is_one_internal_error(monkeypatch, pooled, forks):
+    _failing_engine(monkeypatch, {1: lambda: os._exit(3)})
+    with pytest.raises(InternalError, match=r"batch worker 1 sent no reports \(wait status 768\)"):
+        runs.run_models(_stations(4))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_this_process_kills_and_reaps_the_children(monkeypatch, pooled, forks):
+    # this process runs models 0, 3, ...; the children would sleep for a minute
+    parent = os.getpid()
+
+    def interrupt_or_sleep():
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    _failing_engine(monkeypatch, dict.fromkeys(range(3), interrupt_or_sleep))
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        runs.run_models(_stations(3))
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_uneven_shares_change_no_byte(monkeypatch, pooled, forks):
+    # 5 runs on 3 workers: this process runs 0 and 3, the children 1 and 4, and 2
+    model = webservices(150)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
+    serial = run_sweep(model, (20.0, 40.0, 60.0, 80.0, 100.0), replications=1, master_seed=17)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 3)
+    forked = run_sweep(model, (20.0, 40.0, 60.0, 80.0, 100.0), replications=1, master_seed=17)
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert sweep_to_csv(forked) == sweep_to_csv(serial)
+    for rate, reports in serial.reports.items():
+        assert [report_to_json(r) for r in forked.reports[rate]] == [report_to_json(r) for r in reports]
+
+
 @pytest.mark.parametrize(
     "rates, replications, requests",
     [((40.0,), 1, 60), ((20.0, 40.0), 2, 60)],
     ids=["one-run", "short"],
 )
-def test_a_sweep_that_needs_one_worker_starts_no_pool(monkeypatch, rates, replications, requests):
+def test_a_sweep_that_needs_one_worker_starts_no_pool(monkeypatch, no_fork, rates, replications, requests):
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     result = run_sweep(webservices(requests), rates, replications=replications, master_seed=2)
     assert [len(reps) for reps in result.reports.values()] == [replications] * len(rates)
 
 
 def test_no_fork_means_no_pool(monkeypatch, pooled):
-    monkeypatch.setattr(runs, "_fork_context", lambda: None)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    # a platform without os.fork runs the batch in this process
+    monkeypatch.delattr(os, "fork")
     result = run_sweep(webservices(60), (20.0, 40.0), replications=2, master_seed=2)
     assert [len(reps) for reps in result.reports.values()] == [2, 2]
 
 
-def test_fork_context_is_fork_where_the_platform_has_it():
-    import multiprocessing
-
-    context = runs._fork_context()
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert context.get_start_method() == "fork"
-    else:
-        assert context is None
+def test_a_pooled_batch_forks_one_child_per_other_worker(monkeypatch, pooled, forks):
+    # this process is one of the workers, so 3 workers fork 2 children
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 3)
+    assert len(runs.run_models(_stations(4))) == 4
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def _fresh_python(code: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -299,6 +394,26 @@ def _fresh_python(code: str, cwd: Path | None = None) -> subprocess.CompletedPro
 
 def test_importing_the_cli_loads_no_pool_machinery():
     proc = _fresh_python("import tiersim.cli, sys; assert 'concurrent.futures.process' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_forked_batch_loads_no_pool_machinery():
+    code = """
+import os, sys
+from tiersim import runs
+
+forks = []
+real_fork = os.fork
+os.fork = lambda: forks.append(True) or real_fork()
+runs.usable_cpus = lambda: 2
+runs._MIN_POOLED_EVENTS = 0
+model = runs.build_station_model(1.0, 2.0, 1, 40, 200, 1)
+assert len(runs.run_models((model,) * 3)) == 3
+assert forks == [True]
+loaded = sorted(name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules)
+assert not loaded, loaded
+"""
+    proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -322,22 +437,21 @@ for argv in (
 
 
 def test_a_pooled_batch_imports_numpy_before_it_forks():
-    # otherwise each worker of a fresh `tiersim sweep` imports numpy itself
+    # otherwise each child of a fresh `tiersim sweep` imports numpy itself
     code = """
-import concurrent.futures, sys
+import os, sys
 from tiersim import runs
 
-class Pool:
-    def __init__(self, *args, **kwargs):
-        assert "numpy" in sys.modules, "forked before numpy was imported"
-        raise SystemExit(0)
+def fork():
+    assert "numpy" in sys.modules, "forked before numpy was imported"
+    raise SystemExit(0)
 
-concurrent.futures.ProcessPoolExecutor = Pool
+os.fork = fork
 runs.usable_cpus = lambda: 2
 model = runs.build_station_model(1.0, 2.0, 1, 40, 50_000, 1)
 assert "numpy" not in sys.modules
 runs.run_models((model, model))
-raise SystemExit("the batch started no pool")
+raise SystemExit("the batch forked nothing")
 """
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
@@ -363,8 +477,7 @@ def pinned_sweep_models():
         )
 
 
-def test_sweep_bytes_are_pinned(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+def test_sweep_bytes_are_pinned(monkeypatch, no_fork):
     monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
     models = list(pinned_sweep_models())
     # the synthesized deployments declare resources that no class visits

@@ -12,10 +12,13 @@ service completion releases the replica, promotes the head of that
 replica's queue, and forwards the session to its next visit at the same
 timestamp.
 
-Admission is decided in one place, _offer: a resource refuses a request
-only when its waiting room is full and no replica is idle. A refused
-session is dropped in its entirety at that visit and the drop is charged
-to the refusing resource. Only an admitted request reaches a selector,
+One loop, Engine._drive, applies every event in its own frame: no
+handler, admission or accounting function is called per event.
+Admission is still decided in one place, the loop's offer block, which
+both an arrival and a forwarded session reach: a resource refuses a
+request only when its waiting room is full and no replica is idle. A
+refused session is dropped in its entirety at that visit and the drop
+is charged to the refusing resource. Only an admitted request reaches a selector,
 which places it. A resource that would hold more than MAX_WAITING
 waiting requests raises DomainError instead of growing until memory
 runs out.
@@ -27,11 +30,15 @@ it stands to the selector balancer.make_selector bound for it once; the
 policy, its cursor and its stream live there. The backlogs are the one
 record of which replica is busy: replica r serves iff backlogs[r] > 0,
 and busy_since[r] is the one record of when that service began. What
-is measured, and over which window, is the metrics module's business:
-the engine reports each admission and completed visit to the resource's
-accumulator and, at the stop clock, the services still running and the
-requests still queued. run() and step() share one driver loop, which
-dispatches every event.
+is measured, and over which window, the metrics module defines: its
+ResourceAccumulator.record_visit and occupancy_change and
+ClassAccumulator.record_completion are the reference rules. The loop
+applies them inline at each completed visit, admission and completed
+session, with the same float operations in the same order, and the
+tests hold it to those methods field by field. At the stop clock the
+engine hands each accumulator the services still running and the
+requests still queued (ResourceAccumulator.close). run() and step() share the loop; step() stops it after
+one event.
 
 Finalizing releases each still-queued request's class link: that link
 leads back, through the class path, to the queue holding the request,
@@ -59,7 +66,7 @@ from heapq import heappop, heappush
 from .balancer import make_selector
 from .errors import DomainError, EngineEmptyError, InternalError
 from .metrics import MetricsReport, RunAccumulator, finalize
-from .model import ScenarioModel, StopKind
+from .model import END_TO_END, ScenarioModel, StopKind
 from .workload import Stream, make_sampler
 
 _ARRIVAL = 0
@@ -100,8 +107,8 @@ class ResourceSnapshot:
 class Request:
     """One session walking its class path. Freed once terminal.
 
-    _on_arrival fills the slots itself, with no __init__ frame per
-    arrival; _offer sets enqueue_time when it admits the request."""
+    The driver loop fills the slots itself when a session arrives, with
+    no __init__ frame, and sets enqueue_time at each admission."""
 
     __slots__ = ("id", "cls", "visit_index", "arrival_time", "enqueue_time")
 
@@ -182,108 +189,153 @@ class Engine:
         """Events applied so far: every scheduled event is applied or still pending."""
         return self._seq - len(self._heap)
 
-    # -- handlers ------------------------------------------------------
+    # -- driving -------------------------------------------------------
     #
     # Every push checks its time with `not time < _INF`, which also
     # rejects NaN: a validated model can still overflow the clock (a
     # tiny exponential rate draws gaps near the float maximum).
 
-    def _on_arrival(self, now: float, cr: _ClassRuntime) -> None:
-        if cr.scheduled < cr.max_requests:
-            cr.scheduled += 1
-            time = now + cr.sample_arrival()
-            if not time < _INF:
-                raise _not_finite(time)
-            self._seq += 1
-            heappush(self._heap, (time, self._seq, _ARRIVAL, cr, None, None))
-        self._next_request_id += 1
-        req = _new(Request)
-        req.id = self._next_request_id
-        req.cls = cr
-        req.visit_index = 0
-        req.arrival_time = now
-        cr.acc.generated += 1
-        self._offer(req, cr, now)
+    def _drive(self, target: float, horizon: float, once: bool):
+        """Apply events in time order until `target` sessions are
+        terminal or the next event lies past `horizon`; apply one event
+        only if `once`. Returns the last event tuple applied, or None.
 
-    def _offer(self, req: Request, cr: _ClassRuntime, now: float) -> None:
-        """Present the request at its current visit; admit or drop."""
-        res, demand_sampler = cr.path[req.visit_index]
-        acc = res.acc
-        acc.offered += 1
-        backlogs = res.backlogs
-        full = res.waiting >= res.queue_capacity
-        if full and 0 not in backlogs:
-            acc.dropped += 1
-            cr.acc.dropped += 1
-            self.terminals += 1
-            return
-        # one replica: any policy degenerates to replica 0, so none was bound
-        replica = 0 if res.select is None else res.select(backlogs, full)
-
-        req.enqueue_time = now
-        acc.occupancy_change(now, 1)
-        backlogs[replica] += 1
-        if backlogs[replica] > 1:
-            if res.waiting >= MAX_WAITING:
-                raise DomainError(
-                    f"resource {res.name!r} has {MAX_WAITING} requests waiting, the most a resource may hold "
-                    f"(tiersim.engine.MAX_WAITING); its arrivals outpace its replicas"
-                )
-            res.queues[replica].append(req)
-            res.waiting += 1
-            return
-
-        res.busy_since[replica] = now
-        time = now + demand_sampler()
-        if not time < _INF:
-            raise _not_finite(time)
-        self._seq += 1
-        heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, req))
-
-    def _on_complete(self, now: float, res: _ResourceRuntime, replica: int, req: Request) -> None:
-        res.acc.record_visit(req.enqueue_time, res.busy_since[replica], now)
-        res.backlogs[replica] -= 1
-
-        queue = res.queues[replica]
-        if queue:
-            nxt = queue.popleft()
-            res.waiting -= 1
-            res.busy_since[replica] = now
-            time = now + nxt.cls.path[nxt.visit_index][1]()
-            if not time < _INF:
-                raise _not_finite(time)
-            self._seq += 1
-            heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, nxt))
-
-        cr = req.cls
-        req.visit_index += 1
-        if req.visit_index < cr.visits:
-            self._offer(req, cr, now)
-        else:
-            cr.acc.record_completion(req.arrival_time, now - req.arrival_time)
-            self.terminals += 1
-
-    # -- driving -------------------------------------------------------
-
-    def _drive(self, limit: float, target: float, horizon: float):
-        """Apply events in time order until `limit` have been applied,
-        `target` sessions are terminal, or the next event lies past
-        `horizon`. Returns the last event tuple applied, or None."""
+        An arrival schedules its successor and builds its request; a
+        completion records the visit, starts the replica's next queued
+        request, and finishes the session or moves it on. Both then
+        reach the one offer block, which admits or drops. The counters
+        live in locals and are written back however the loop ends."""
         heap = self._heap
-        on_arrival = self._on_arrival
-        on_complete = self._on_complete
+        clock = self.clock
+        seq = self._seq
+        terminals = self.terminals
+        next_id = self._next_request_id
+        more = True
+        many = not once
         item = None
-        while limit and heap and self.terminals < target and heap[0][0] <= horizon:
-            limit -= 1
-            item = heappop(heap)
-            time, _, kind, a, b, c = item
-            if time < self.clock:
-                raise InternalError(f"event time {time!r} precedes clock {self.clock!r}")
-            self.clock = time
-            if kind == _ARRIVAL:
-                on_arrival(time, a)
-            else:
-                on_complete(time, a, b, c)
+        try:
+            while more and heap and terminals < target and heap[0][0] <= horizon:
+                more = many
+                item = heappop(heap)
+                now, _, kind, a, replica, req = item
+                if now < clock:
+                    raise InternalError(f"event time {now!r} precedes clock {clock!r}")
+                clock = now
+
+                if kind == _ARRIVAL:
+                    cr = a
+                    if cr.scheduled < cr.max_requests:
+                        cr.scheduled += 1
+                        time = now + cr.sample_arrival()
+                        if not time < _INF:
+                            raise _not_finite(time)
+                        seq += 1
+                        heappush(heap, (time, seq, _ARRIVAL, cr, None, None))
+                    next_id += 1
+                    req = _new(Request)
+                    req.id = next_id
+                    req.cls = cr
+                    req.visit_index = visit = 0
+                    req.arrival_time = now
+                    cr.acc.generated += 1
+                else:
+                    res = a
+                    acc = res.acc
+                    busy_since = res.busy_since
+                    # as acc.record_visit(enqueue, start, now)
+                    enqueue = req.enqueue_time
+                    start = busy_since[replica]
+                    acc.served += 1
+                    warmup = acc.warmup
+                    now_w = now if now > warmup else warmup
+                    acc.area += acc.occupancy * (now_w - acc.occupancy_since)
+                    acc.busy_time += now_w - (start if start > warmup else warmup)
+                    acc.occupancy_since = now_w
+                    acc.occupancy -= 1
+                    if enqueue >= warmup:
+                        n = acc.samples + 1
+                        acc.samples = n
+                        acc.waiting_mean += (start - enqueue - acc.waiting_mean) / n
+                        acc.service_mean += (now - start - acc.service_mean) / n
+                        if acc.record_series:
+                            acc.series_rows.append((acc.name, enqueue, now - enqueue))
+                    res.backlogs[replica] -= 1
+
+                    queue = res.queues[replica]
+                    if queue:
+                        nxt = queue.popleft()
+                        res.waiting -= 1
+                        busy_since[replica] = now
+                        time = now + nxt.cls.path[nxt.visit_index][1]()
+                        if not time < _INF:
+                            raise _not_finite(time)
+                        seq += 1
+                        heappush(heap, (time, seq, _COMPLETE, res, replica, nxt))
+
+                    cr = req.cls
+                    req.visit_index = visit = req.visit_index + 1
+                    if visit == cr.visits:
+                        # as cr.acc.record_completion(arrival, now - arrival)
+                        cacc = cr.acc
+                        cacc.completed += 1
+                        arrival = req.arrival_time
+                        if arrival >= cacc.warmup:
+                            response = now - arrival
+                            responses = cacc.responses
+                            responses.append(response)
+                            cacc.mean_response += (response - cacc.mean_response) / len(responses)
+                            if cacc.record_series:
+                                cacc.series_rows.append((END_TO_END, arrival, response))
+                        terminals += 1
+                        continue
+
+                # offer: present req at its visit, admit or drop
+                res, sample = cr.path[visit]
+                acc = res.acc
+                acc.offered += 1
+                backlogs = res.backlogs
+                full = res.waiting >= res.queue_capacity
+                if full and 0 not in backlogs:
+                    acc.dropped += 1
+                    cr.acc.dropped += 1
+                    terminals += 1
+                    continue
+                # one replica: any policy degenerates to replica 0, so none was bound
+                replica = 0 if res.select is None else res.select(backlogs, full)
+
+                req.enqueue_time = now
+                # as acc.occupancy_change(now, 1)
+                n = acc.occupancy
+                warmup = acc.warmup
+                now_w = now if now > warmup else warmup
+                if n:
+                    acc.area += n * (now_w - acc.occupancy_since)
+                else:
+                    acc.idle_time += now_w - acc.occupancy_since
+                acc.occupancy_since = now_w
+                acc.occupancy = n + 1
+                backlogs[replica] += 1
+                if backlogs[replica] > 1:
+                    if res.waiting >= MAX_WAITING:
+                        raise DomainError(
+                            f"resource {res.name!r} has {MAX_WAITING} requests waiting, the most a resource may hold "
+                            f"(tiersim.engine.MAX_WAITING); its arrivals outpace its replicas"
+                        )
+                    res.queues[replica].append(req)
+                    res.waiting += 1
+                    continue
+
+                res.busy_since[replica] = now
+                time = now + sample()
+                if not time < _INF:
+                    raise _not_finite(time)
+                seq += 1
+                heappush(heap, (time, seq, _COMPLETE, res, replica, req))
+        finally:
+            self.clock = clock
+            self._seq = seq
+            self.terminals = terminals
+            self._next_request_id = next_id
         return item
 
     def step(self) -> Event:
@@ -292,7 +344,7 @@ class Engine:
             raise InternalError("simulation already finalized")
         if not self._heap:
             raise EngineEmptyError("event list is empty")
-        time, seq, kind, a, b, req = self._drive(1, _INF, _INF)
+        time, seq, kind, a, b, req = self._drive(_INF, _INF, True)
         if kind == _ARRIVAL:
             return Event(time=time, seq=seq, kind="arrival", class_name=a.name)
         return Event(
@@ -311,9 +363,9 @@ class Engine:
             raise InternalError("simulation already finalized")
         stop = self.model.run.stop
         if stop.kind is StopKind.AFTER_REQUESTS:
-            self._drive(_INF, stop.n, _INF)
+            self._drive(stop.n, _INF, False)
         else:
-            self._drive(_INF, _INF, stop.t)
+            self._drive(_INF, stop.t, False)
             self.clock = stop.t
         return self._finalize(self.clock)
 

@@ -1,10 +1,15 @@
 """Measurement: streaming accumulators and the finished report.
 
-This module alone knows the measurement window. The engine reports each
-admission, completed visit and completed session as it happens (drops
-are counts it bumps itself) and, at the stop clock, hands each resource
-the start times of its running services and its queue length
-(ResourceAccumulator.close); nothing here looks at simulator state.
+This module alone defines the measurement window and rules.
+ResourceAccumulator.occupancy_change and record_visit and
+ClassAccumulator.record_completion state what an admission, a completed
+visit and a completed session record. The engine's event loop applies
+those rules inline, with the same float operations in the same order,
+and bumps the counts itself; the methods stay as the reference that the
+tests hold the loop to, and close() still calls occupancy_change. At the
+stop clock the engine hands each resource the start times of its
+running services and its queue length (ResourceAccumulator.close);
+nothing here looks at simulator state.
 
 Averages are running means, each updated inline as
 ``mean += (x - mean) / n``, so a million samples lose no precision to
@@ -67,8 +72,8 @@ class ResourceAccumulator:
         "service_mean",
         "busy_time",
         "idle_time",
-        "_occ_n",
-        "_occ_last",
+        "occupancy",
+        "occupancy_since",
         "area",
         "queued_at_stop",
         "in_service_at_stop",
@@ -88,8 +93,8 @@ class ResourceAccumulator:
         self.service_mean = 0.0
         self.busy_time = 0.0
         self.idle_time = 0.0
-        self._occ_n = 0
-        self._occ_last = warmup  # the last occupancy change, clipped
+        self.occupancy = 0  # requests at the resource, waiting or served
+        self.occupancy_since = warmup  # the last occupancy change, clipped
         self.area = 0.0
         self.queued_at_stop = 0
         self.in_service_at_stop = 0
@@ -102,10 +107,10 @@ class ResourceAccumulator:
         self.served += 1
         warmup = self.warmup
         end_w = end if end > warmup else warmup
-        self.area += self._occ_n * (end_w - self._occ_last)
+        self.area += self.occupancy * (end_w - self.occupancy_since)
         self.busy_time += end_w - (start if start > warmup else warmup)
-        self._occ_last = end_w
-        self._occ_n -= 1
+        self.occupancy_since = end_w
+        self.occupancy -= 1
         if enqueue < warmup:
             return
         n = self.samples + 1
@@ -121,15 +126,15 @@ class ResourceAccumulator:
         The time since the last change is occupancy area while the
         resource held requests and idle time while it held none.
         """
-        n = self._occ_n
+        n = self.occupancy
         warmup = self.warmup
         now_w = now if now > warmup else warmup
         if n:
-            self.area += n * (now_w - self._occ_last)
+            self.area += n * (now_w - self.occupancy_since)
         else:
-            self.idle_time += now_w - self._occ_last
-        self._occ_last = now_w
-        self._occ_n = n + delta
+            self.idle_time += now_w - self.occupancy_since
+        self.occupancy_since = now_w
+        self.occupancy = n + delta
 
     def close(self, elapsed: float, service_starts: list[float], queued: int) -> None:
         """Flush the open intervals at the stop clock.
@@ -138,7 +143,7 @@ class ResourceAccumulator:
         still running began; ``queued`` counts the requests still waiting.
         """
         self.occupancy_change(elapsed, 0)
-        stop_w = self._occ_last
+        stop_w = self.occupancy_since
         warmup = self.warmup
         for start in service_starts:
             self.busy_time += stop_w - (start if start > warmup else warmup)

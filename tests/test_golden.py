@@ -1,5 +1,6 @@
-"""Output pins: stepping and running agree, and report/series bytes
-stay fixed across refactors of the engine and the renderers."""
+"""Output pins: stepping and running agree, the engine's loop records
+what the reference driver's accumulator methods record, and report and
+series bytes stay fixed across refactors of the engine and the renderers."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from tiersim import Engine, bundled, export_series, parse_scenario, report_to_json
 from randscen import random_scenario
+from refengine import ReferenceEngine
 
 CASES = 100
 
@@ -38,6 +40,32 @@ def test_stepping_then_running_matches_running(label, model):
         stepped.step()
     assert report_to_json(stepped.run()) == expected
     assert stepped.events_applied == n
+
+
+def _fields(acc):
+    return {name: getattr(acc, name) for name in type(acc).__slots__}
+
+
+@pytest.mark.parametrize("label,model", MODELS, ids=[label for label, _ in MODELS])
+def test_loop_records_what_the_accumulator_methods_record(label, model):
+    variant = dataclasses.replace(model.run, series_enabled=True, warmup=1.0)
+    for run in (model.run, variant):
+        scenario = dataclasses.replace(model, run=run)
+        fused, reference = Engine(scenario), ReferenceEngine(scenario)
+        fused_report, reference_report = fused.run(), reference.run()
+        for name, acc in fused.accumulator.resources.items():
+            assert _fields(acc) == _fields(reference.accumulator.resources[name]), (run.warmup, name)
+        for name, acc in fused.accumulator.classes.items():
+            assert _fields(acc) == _fields(reference.accumulator.classes[name]), (run.warmup, name)
+        assert (fused.clock, fused.terminals, fused._seq, fused._next_request_id) == (
+            reference.clock,
+            reference.terminals,
+            reference._seq,
+            reference._next_request_id,
+        )
+        assert report_to_json(fused_report) == report_to_json(reference_report)
+        if run.series_enabled:
+            assert export_series(fused_report) == export_series(reference_report)
 
 
 def test_report_and_series_bytes_are_pinned():

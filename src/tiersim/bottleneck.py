@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .metrics import MetricsReport, table_lines
-from .model import json_text
+from .model import _finite, json_text
 
 DEFAULT_DROP_THRESHOLD = 0.5
 DEFAULT_WAIT_THRESHOLD = 0.5
@@ -54,9 +54,9 @@ def rank(
     Ties in score break alphabetically by resource name so the ranking
     is total and reproducible.
     """
-    if not (0.0 <= drop_threshold <= 1.0):
+    if not (_finite(drop_threshold) and 0.0 <= drop_threshold <= 1.0):
         raise DomainError(f"drop threshold must lie in [0, 1], got {drop_threshold!r}")
-    if not (0.0 <= wait_threshold <= 1.0):
+    if not (_finite(wait_threshold) and 0.0 <= wait_threshold <= 1.0):
         raise DomainError(f"wait threshold must lie in [0, 1], got {wait_threshold!r}")
 
     max_wait = max((m.avg_waiting for m in report.resources.values()), default=0.0)

@@ -1,19 +1,24 @@
 """Deterministic discrete-event core.
 
 Single-threaded, future-event-list simulation. The event list is a heap
-of (time, seq, ...) tuples; seq is a global schedule counter, so ties in
-time resolve in scheduling order and a run is a pure function of the
-scenario (model + seed). No wall-clock, no shared mutable state.
+of (time, seq, target, replica, request) tuples; seq is a global
+schedule counter, so ties in time resolve in scheduling order and a run
+is a pure function of the scenario (model + seed). No wall-clock, no
+shared mutable state.
 
-Two event kinds exist. An arrival materializes one session of a class
-and offers it to the first resource on its path; each arrival schedules
-its successor, so at most one arrival per class is ever pending. A
-service completion releases the replica, promotes the head of that
-replica's queue, and forwards the session to its next visit at the same
-timestamp.
+Two event kinds exist, told apart by their request. An arrival carries
+none (its target is the class, its replica None): it materializes one
+session of the class and offers it to the first resource on its path.
+Each arrival counts itself in its class's generated count, then
+schedules its successor while generated < max_requests, so at most one
+arrival per class is ever pending. A service completion carries the
+request it served (its target is the resource): it releases the
+replica, promotes the head of that replica's queue, and forwards the
+session to its next visit at the same timestamp.
 
 One loop, Engine._drive, applies every event in its own frame: no
-handler, admission or accounting function is called per event.
+handler, admission or accounting function is called per event. It
+reads the run's window and series setting from the model once per call.
 Admission is still decided in one place, the loop's offer block, which
 both an arrival and a forwarded session reach: a resource refuses a
 request only when its waiting room is full and no replica is idle. A
@@ -69,8 +74,6 @@ from .metrics import MetricsReport, RunAccumulator, finalize
 from .model import END_TO_END, ScenarioModel, StopKind
 from .workload import Stream, make_sampler
 
-_ARRIVAL = 0
-_COMPLETE = 1
 _INF = float("inf")
 # The most requests one resource may hold waiting; at about 178 B per
 # queued request, 10**7 is about 1.8 GB.
@@ -118,7 +121,6 @@ _new = object.__new__
 
 class _ResourceRuntime:
     __slots__ = (
-        "name",
         "queue_capacity",
         "select",
         "busy_since",
@@ -129,7 +131,6 @@ class _ResourceRuntime:
     )
 
     def __init__(self, spec, seed: int, acc):
-        self.name = spec.name
         self.queue_capacity = spec.queue_capacity
         balance = Stream(seed, f"resource:{spec.name}:balance")
         self.select = None if spec.replicas == 1 else make_selector(spec.balancer, spec.replicas, balance)
@@ -141,14 +142,13 @@ class _ResourceRuntime:
 
 
 class _ClassRuntime:
-    __slots__ = ("name", "max_requests", "path", "visits", "scheduled", "sample_arrival", "acc")
+    __slots__ = ("name", "max_requests", "path", "visits", "sample_arrival", "acc")
 
     def __init__(self, cls, seed: int, path, acc):
         self.name = cls.name
         self.max_requests = cls.max_requests
         self.path = path  # tuple of (_ResourceRuntime, demand sampler)
         self.visits = len(path)
-        self.scheduled = 0
         self.sample_arrival = make_sampler(cls.arrival, Stream(seed, f"class:{cls.name}:arrival"))
         self.acc = acc
 
@@ -176,13 +176,12 @@ class Engine:
         for cls in model.classes:
             path = tuple((self._resources[v.resource], make_sampler(v.demand, services[v.resource])) for v in cls.path)
             cr = _ClassRuntime(cls, seed, path, self.accumulator.classes[cls.name])
-            if cr.max_requests >= 1:
+            if cr.acc.generated < cr.max_requests:
                 time = cr.sample_arrival()
                 if not time < _INF:
                     raise _not_finite(time)
                 self._seq += 1
-                heappush(self._heap, (time, self._seq, _ARRIVAL, cr, None, None))
-                cr.scheduled = 1
+                heappush(self._heap, (time, self._seq, cr, None, None))
 
     @property
     def events_applied(self) -> int:
@@ -200,12 +199,16 @@ class Engine:
         terminal or the next event lies past `horizon`; apply one event
         only if `once`. Returns the last event tuple applied, or None.
 
-        An arrival schedules its successor and builds its request; a
-        completion records the visit, starts the replica's next queued
-        request, and finishes the session or moves it on. Both then
-        reach the one offer block, which admits or drops. The counters
-        live in locals and are written back however the loop ends."""
+        An arrival (an event with no request) schedules its successor
+        and builds its request; a completion records the visit, starts
+        the replica's next queued request, and finishes the session or
+        moves it on. Both then reach the one offer block, which admits
+        or drops. The counters live in locals and are written back
+        however the loop ends."""
         heap = self._heap
+        run = self.model.run
+        warmup = run.warmup
+        series = run.series_enabled
         clock = self.clock
         seq = self._seq
         terminals = self.terminals
@@ -217,27 +220,27 @@ class Engine:
             while more and heap and terminals < target and heap[0][0] <= horizon:
                 more = many
                 item = heappop(heap)
-                now, _, kind, a, replica, req = item
+                now, _, a, replica, req = item
                 if now < clock:
                     raise InternalError(f"event time {now!r} precedes clock {clock!r}")
                 clock = now
 
-                if kind == _ARRIVAL:
+                if req is None:
                     cr = a
-                    if cr.scheduled < cr.max_requests:
-                        cr.scheduled += 1
+                    cacc = cr.acc
+                    cacc.generated = generated = cacc.generated + 1
+                    if generated < cr.max_requests:
                         time = now + cr.sample_arrival()
                         if not time < _INF:
                             raise _not_finite(time)
                         seq += 1
-                        heappush(heap, (time, seq, _ARRIVAL, cr, None, None))
+                        heappush(heap, (time, seq, cr, None, None))
                     next_id += 1
                     req = _new(Request)
                     req.id = next_id
                     req.cls = cr
                     req.visit_index = visit = 0
                     req.arrival_time = now
-                    cr.acc.generated += 1
                 else:
                     res = a
                     acc = res.acc
@@ -246,7 +249,6 @@ class Engine:
                     enqueue = req.enqueue_time
                     start = busy_since[replica]
                     acc.served += 1
-                    warmup = acc.warmup
                     now_w = now if now > warmup else warmup
                     acc.area += acc.occupancy * (now_w - acc.occupancy_since)
                     acc.busy_time += now_w - (start if start > warmup else warmup)
@@ -257,7 +259,7 @@ class Engine:
                         acc.samples = n
                         acc.waiting_mean += (start - enqueue - acc.waiting_mean) / n
                         acc.service_mean += (now - start - acc.service_mean) / n
-                        if acc.record_series:
+                        if series:
                             acc.series_rows.append((acc.name, enqueue, now - enqueue))
                     res.backlogs[replica] -= 1
 
@@ -270,7 +272,7 @@ class Engine:
                         if not time < _INF:
                             raise _not_finite(time)
                         seq += 1
-                        heappush(heap, (time, seq, _COMPLETE, res, replica, nxt))
+                        heappush(heap, (time, seq, res, replica, nxt))
 
                     cr = req.cls
                     req.visit_index = visit = req.visit_index + 1
@@ -279,12 +281,12 @@ class Engine:
                         cacc = cr.acc
                         cacc.completed += 1
                         arrival = req.arrival_time
-                        if arrival >= cacc.warmup:
+                        if arrival >= warmup:
                             response = now - arrival
                             responses = cacc.responses
                             responses.append(response)
                             cacc.mean_response += (response - cacc.mean_response) / len(responses)
-                            if cacc.record_series:
+                            if series:
                                 cacc.series_rows.append((END_TO_END, arrival, response))
                         terminals += 1
                         continue
@@ -306,7 +308,6 @@ class Engine:
                 req.enqueue_time = now
                 # as acc.occupancy_change(now, 1)
                 n = acc.occupancy
-                warmup = acc.warmup
                 now_w = now if now > warmup else warmup
                 if n:
                     acc.area += n * (now_w - acc.occupancy_since)
@@ -318,7 +319,7 @@ class Engine:
                 if backlogs[replica] > 1:
                     if res.waiting >= MAX_WAITING:
                         raise DomainError(
-                            f"resource {res.name!r} has {MAX_WAITING} requests waiting, the most a resource may hold "
+                            f"resource {acc.name!r} has {MAX_WAITING} requests waiting, the most a resource may hold "
                             f"(tiersim.engine.MAX_WAITING); its arrivals outpace its replicas"
                         )
                     res.queues[replica].append(req)
@@ -330,7 +331,7 @@ class Engine:
                 if not time < _INF:
                     raise _not_finite(time)
                 seq += 1
-                heappush(heap, (time, seq, _COMPLETE, res, replica, req))
+                heappush(heap, (time, seq, res, replica, req))
         finally:
             self.clock = clock
             self._seq = seq
@@ -344,16 +345,16 @@ class Engine:
             raise InternalError("simulation already finalized")
         if not self._heap:
             raise EngineEmptyError("event list is empty")
-        time, seq, kind, a, b, req = self._drive(_INF, _INF, True)
-        if kind == _ARRIVAL:
+        time, seq, a, replica, req = self._drive(_INF, _INF, True)
+        if req is None:
             return Event(time=time, seq=seq, kind="arrival", class_name=a.name)
         return Event(
             time=time,
             seq=seq,
             kind="service_complete",
             class_name=req.cls.name,
-            resource=a.name,
-            replica=b,
+            resource=a.acc.name,
+            replica=replica,
             request_id=req.id,
         )
 

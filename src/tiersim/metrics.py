@@ -177,24 +177,20 @@ class ClassAccumulator:
 
 
 class RunAccumulator:
-    """Everything recorded during one run, keyed to one scenario.
+    """Everything recorded during one run of ``model``.
 
     ``resources`` holds an accumulator for each visited resource only;
-    ``resource_names`` keeps every declared resource, in model order.
+    the run's name, seed, window, series setting and declared resources
+    are read from ``model`` itself, by finalize.
     """
 
     def __init__(self, model: ScenarioModel):
         warmup = model.run.warmup
         series = model.run.series_enabled
-        self.scenario = model.name
-        self.seed = model.run.seed
-        self.warmup = warmup
-        self.series_enabled = series
-        specs = model.resources()
+        self.model = model
         visited = {v.resource for c in model.classes for v in c.path}
-        self.resource_names = tuple(r.name for r in specs)
         self.resources: dict[str, ResourceAccumulator] = {
-            r.name: ResourceAccumulator(r.name, r.replicas, warmup, series) for r in specs if r.name in visited
+            r.name: ResourceAccumulator(r.name, r.replicas, warmup, series) for r in model.resources() if r.name in visited
         }
         self.classes: dict[str, ClassAccumulator] = {
             c.name: ClassAccumulator(warmup, series) for c in model.classes
@@ -296,13 +292,16 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     """Turn raw accumulators into the immutable report.
 
     ``elapsed`` is the stop clock; all rates and probabilities use the
-    window [warmup, elapsed].
+    window [warmup, elapsed]. The name, seed, window, series setting and
+    every declared resource come from ``acc.model``.
     """
-    warmup = acc.warmup
+    model = acc.model
+    run = model.run
+    warmup = run.warmup
     window = (elapsed if elapsed > warmup else warmup) - warmup
 
     # every declared resource in model order; the visited ones are overwritten below
-    resources = dict.fromkeys(acc.resource_names, UNVISITED)
+    resources = dict.fromkeys([r.name for r in model.resources()], UNVISITED)
     for name, ra in acc.resources.items():
         avg_waiting = ra.waiting_mean
         avg_service = ra.service_mean
@@ -353,17 +352,17 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     # stays empty when series are off
     rows = attrgetter("series_rows")
     return MetricsReport(
-        scenario=acc.scenario,
-        seed=acc.seed,
+        scenario=model.name,
+        seed=run.seed,
         elapsed=elapsed,
-        warmup=acc.warmup,
+        warmup=warmup,
         generated=generated,
         completed=completed,
         dropped=dropped,
         in_flight=generated - completed - dropped,
         resources=resources,
         classes=classes,
-        series_enabled=acc.series_enabled,
+        series_enabled=run.series_enabled,
         resource_series=tuple(chain.from_iterable(map(rows, acc.resources.values()))),
         end_to_end_series=tuple(chain.from_iterable(map(rows, acc.classes.values()))),
     )

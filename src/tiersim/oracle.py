@@ -15,10 +15,10 @@ on the fly so huge c+K cannot overflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .model import _finite, _integer
 
 # Rescale threshold for the running weight computation.
 _BIG = 1e280
@@ -55,19 +55,21 @@ class AnalyticMetrics:
 
 
 def check_station(lam: float, mu: float, servers: int, queue_capacity: int) -> None:
-    """Raise DomainError naming the first argument mmck() cannot take."""
-    # bool is an int subclass, but True servers or rate is a mistake
-    if isinstance(servers, bool) or not (isinstance(servers, int) and servers >= 1):
+    """Raise DomainError naming the first argument mmck() cannot take.
+
+    The number rules are the scenario validator's: a bool is neither a
+    count nor a rate, and an int too large for a float is not finite."""
+    if not (_integer(servers) and servers >= 1):
         raise DomainError(f"servers must be an integer >= 1, got {servers!r}")
     if servers > MAX_SERVERS:
         raise DomainError(f"servers must be at most {MAX_SERVERS}, got {servers!r}")
-    if isinstance(queue_capacity, bool) or not (isinstance(queue_capacity, int) and queue_capacity >= 0):
+    if not (_integer(queue_capacity) and queue_capacity >= 0):
         raise DomainError(f"queue_capacity must be an integer >= 0, got {queue_capacity!r}")
     if queue_capacity > MAX_QUEUE_CAPACITY:
         raise DomainError(f"queue_capacity must be at most {MAX_QUEUE_CAPACITY}, got {queue_capacity!r}")
-    if isinstance(mu, bool) or not (isinstance(mu, (int, float)) and math.isfinite(mu) and mu > 0):
+    if not (_finite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and > 0, got {mu!r}")
-    if isinstance(lam, bool) or not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
+    if not (_finite(lam) and lam >= 0):
         raise DomainError(f"lam must be finite and >= 0, got {lam!r}")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 from .metrics import UNVISITED, ClassMetrics, MetricsReport
-from .model import END_TO_END, SEED_LIMIT, DistKind, Distribution, ScenarioModel, validated
+from .model import END_TO_END, SEED_LIMIT, DistKind, Distribution, ScenarioModel, _finite, _integer, validated
 from .runs import run_models
 from .workload import stream_key
 
@@ -97,7 +97,7 @@ def parse_rate_grid(text: str) -> tuple[float, ...]:
 
 def _with_arrival_rate(model: ScenarioModel, rate: float) -> ScenarioModel:
     """Scale the class arrival rates to total ``rate``, keeping their mix."""
-    if not math.isfinite(rate):
+    if not _finite(rate):
         raise DomainError(f"swept arrival rate must be finite, got {rate!r}")
     if rate <= 0:
         raise DomainError(f"swept arrival rate must be > 0, got {rate!r}")
@@ -129,6 +129,8 @@ def run_sweep(
     deterministic function of (scenario, rates, replications, seed). How
     many processes run it (see ``runs.run_models``) never changes the result.
     """
+    if not _integer(replications):
+        raise DomainError(f"replications must be an integer, got {replications!r}")
     if replications < 1:
         raise DomainError("replications must be >= 1")
     if len(rates) * replications > MAX_SWEEP_RUNS:

@@ -11,26 +11,25 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from tiersim import engine
-from tiersim.engine import _ARRIVAL, _COMPLETE, _INF, Engine, Request, _not_finite
+from tiersim.engine import _INF, Engine, Request, _not_finite
 from tiersim.errors import DomainError, InternalError
 
 
 class ReferenceEngine(Engine):
     def _on_arrival(self, now, cr):
-        if cr.scheduled < cr.max_requests:
-            cr.scheduled += 1
+        cr.acc.generated += 1
+        if cr.acc.generated < cr.max_requests:
             time = now + cr.sample_arrival()
             if not time < _INF:
                 raise _not_finite(time)
             self._seq += 1
-            heappush(self._heap, (time, self._seq, _ARRIVAL, cr, None, None))
+            heappush(self._heap, (time, self._seq, cr, None, None))
         self._next_request_id += 1
         req = object.__new__(Request)
         req.id = self._next_request_id
         req.cls = cr
         req.visit_index = 0
         req.arrival_time = now
-        cr.acc.generated += 1
         self._offer(req, cr, now)
 
     def _offer(self, req, cr, now):
@@ -52,7 +51,7 @@ class ReferenceEngine(Engine):
         if backlogs[replica] > 1:
             if res.waiting >= engine.MAX_WAITING:
                 raise DomainError(
-                    f"resource {res.name!r} has {engine.MAX_WAITING} requests waiting, the most a resource may hold "
+                    f"resource {acc.name!r} has {engine.MAX_WAITING} requests waiting, the most a resource may hold "
                     f"(tiersim.engine.MAX_WAITING); its arrivals outpace its replicas"
                 )
             res.queues[replica].append(req)
@@ -64,7 +63,7 @@ class ReferenceEngine(Engine):
         if not time < _INF:
             raise _not_finite(time)
         self._seq += 1
-        heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, req))
+        heappush(self._heap, (time, self._seq, res, replica, req))
 
     def _on_complete(self, now, res, replica, req):
         res.acc.record_visit(req.enqueue_time, res.busy_since[replica], now)
@@ -79,7 +78,7 @@ class ReferenceEngine(Engine):
             if not time < _INF:
                 raise _not_finite(time)
             self._seq += 1
-            heappush(self._heap, (time, self._seq, _COMPLETE, res, replica, nxt))
+            heappush(self._heap, (time, self._seq, res, replica, nxt))
 
         cr = req.cls
         req.visit_index += 1
@@ -96,11 +95,11 @@ class ReferenceEngine(Engine):
         while limit and heap and self.terminals < target and heap[0][0] <= horizon:
             limit -= 1
             item = heappop(heap)
-            time, _, kind, a, b, c = item
+            time, _, a, b, c = item
             if time < self.clock:
                 raise InternalError(f"event time {time!r} precedes clock {self.clock!r}")
             self.clock = time
-            if kind == _ARRIVAL:
+            if c is None:
                 self._on_arrival(time, a)
             else:
                 self._on_complete(time, a, b, c)

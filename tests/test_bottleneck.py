@@ -126,6 +126,11 @@ def test_thresholds_outside_unit_interval_are_rejected():
         rank(report, drop_threshold=1.5)
     with pytest.raises(DomainError):
         rank(report, wait_threshold=2.0)
+    # a threshold is a number: neither a bool nor a string
+    with pytest.raises(DomainError, match=r"^drop threshold must lie in \[0, 1\], got True$"):
+        rank(report, drop_threshold=True)
+    with pytest.raises(DomainError, match=r"^wait threshold must lie in \[0, 1\], got '0.5'$"):
+        rank(report, wait_threshold="0.5")
 
 
 def test_report_carries_its_thresholds():

@@ -595,7 +595,7 @@ def test_a_resource_visited_with_one_demand_draws_finished_variates(second):
     base = station(arrival=Distribution.exponential(1.0), service=first, seed=79)
     cls = dataclasses.replace(base.classes[0], path=(Visit(resource="A", demand=first), Visit(resource="A", demand=second)))
     eng = Engine(dataclasses.replace(base, classes=(cls,)))
-    (_, _, _, cr, _, _) = eng._heap[0]  # the class's pending arrival
+    (_, _, cr, _, _) = eng._heap[0]  # the class's pending arrival
     (_, draw_first), (_, draw_second) = cr.path
     assert python_calls(cr.sample_arrival) == 0  # Engine() drew the first arrival
     probe = Stream(79, "resource:A:service")
@@ -701,7 +701,7 @@ def test_an_unvisited_resource_reports_the_constant_row(stop, warmup):
     # that was never offered a request
     acc = eng.accumulator
     for name, replicas in (("Idle1", 1), ("Idle3", 3)):
-        idle = ResourceAccumulator(name, replicas, acc.warmup, acc.series_enabled)
+        idle = ResourceAccumulator(name, replicas, acc.model.run.warmup, acc.model.run.series_enabled)
         idle.close(report.elapsed, [], 0)
         acc.resources[name] = idle
     computed = finalize(acc, report.elapsed)

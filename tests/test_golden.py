@@ -48,8 +48,11 @@ def _fields(acc):
 
 @pytest.mark.parametrize("label,model", MODELS, ids=[label for label, _ in MODELS])
 def test_loop_records_what_the_accumulator_methods_record(label, model):
+    # each hoisted setting on its own too: a loop that swapped the window
+    # and the series flag would pass the first two runs
+    series_only = dataclasses.replace(model.run, series_enabled=True, warmup=0.0)
     variant = dataclasses.replace(model.run, series_enabled=True, warmup=1.0)
-    for run in (model.run, variant):
+    for run in (model.run, series_only, variant):
         scenario = dataclasses.replace(model, run=run)
         fused, reference = Engine(scenario), ReferenceEngine(scenario)
         fused_report, reference_report = fused.run(), reference.run()

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import pickle
 import statistics
 
@@ -257,6 +258,65 @@ def test_percentiles_nearest_rank():
     assert _percentile([], 0.95) == 0.0
     assert _percentile([4.0, 9.0], 1.0) == 9.0
     assert _percentile([4.0, 9.0], 0.0) == 4.0
+
+
+def _hypoexponential_quantile(a: float, b: float, q: float) -> float:
+    """The q-quantile of Exp(a) + Exp(b), a != b, by bisection on its CDF."""
+
+    def cdf(t: float) -> float:
+        return 1.0 - (b * math.exp(-a * t) - a * math.exp(-b * t)) / (b - a)
+
+    lo, hi = 0.0, 1.0
+    while cdf(hi) < q:
+        hi *= 2.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if cdf(mid) < q else (lo, mid)
+    return (lo + hi) / 2.0
+
+
+def _chain(lam: float, rates: tuple[float, ...], seed: int) -> ScenarioModel:
+    """One class visiting one infinite-room M/M/1 station per service rate, in order."""
+    names = [f"S{i}" for i in range(len(rates))]
+    return ScenarioModel(
+        name="chain",
+        tiers=(Tier(name="t", resources=tuple(ResourceSpec(name=name, replicas=1) for name in names)),),
+        classes=(
+            WorkloadClass(
+                name="w",
+                arrival=Distribution.exponential(lam),
+                path=tuple(Visit(resource=name, demand=Distribution.exponential(mu)) for name, mu in zip(names, rates)),
+            ),
+        ),
+        run=RunConfig(seed=seed, stop=StopRule.after_requests(50_000), warmup=200.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "lam, rates, seeds, exact",
+    [
+        # M/M/1, infinite room: the response is Exp(mu - lam) = Exp(0.2),
+        # so p50 = ln 2 / 0.2 = 3.46574 and p95 = ln 20 / 0.2 = 14.97866
+        (0.8, (1.0,), range(2801, 2811), (math.log(2) / 0.2, math.log(20) / 0.2)),
+        # two infinite M/M/1 in tandem: the sojourns are independent Exp(0.4)
+        # and Exp(0.9) (Reich 1957), so p50 = 2.93166 and p95 = 8.94608
+        (
+            0.6,
+            (1.0, 1.5),
+            range(2811, 2821),
+            (_hypoexponential_quantile(0.4, 0.9, 0.50), _hypoexponential_quantile(0.4, 0.9, 0.95)),
+        ),
+    ],
+    ids=["mm1", "tandem"],
+)
+def test_printed_response_percentiles_agree_with_theory(lam, rates, seeds, exact):
+    # 10 replications: each percentile's mean must lie within its 95%
+    # confidence half-width (t at 9 degrees of freedom) of the exact value
+    runs = [simulate(_chain(lam, rates, seed)).classes["w"] for seed in seeds]
+    for name, value in zip(("p50_response", "p95_response"), exact):
+        observed = [getattr(c, name) for c in runs]
+        half_width = 2.262 * statistics.stdev(observed) / math.sqrt(len(observed))
+        assert abs(statistics.fmean(observed) - value) <= half_width, (name, value, observed)
 
 
 def test_report_json_is_byte_stable_and_round_trips():

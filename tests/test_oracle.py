@@ -210,6 +210,11 @@ def test_domain_errors():
     for args in ((1.0, 2.0, True, 3), (1.0, 2.0, 1, True), (1.0, True, 1, 3), (True, 2.0, 1, 3)):
         with pytest.raises(DomainError):
             mmck(*args)
+    # an int too large for a float is not a finite rate
+    with pytest.raises(DomainError, match="^mu must be finite and > 0, got 1000"):
+        mmck(1, 10**400, 1, 0)
+    with pytest.raises(DomainError, match="^lam must be finite and >= 0, got 1000"):
+        mmck(10**400, 1.0, 1, 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -113,15 +114,35 @@ def test_a_repeated_rate_is_refused_before_any_run(monkeypatch, grid):
         run_sweep(webservices(60), parse_rate_grid(grid), replications=2, master_seed=3)
 
 
-@pytest.mark.parametrize("rate", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "rate",
+    [
+        math.inf,
+        math.nan,
+        pytest.param(10**400, id="int-past-float"),
+        pytest.param("40", id="string"),
+        pytest.param(True, id="bool"),
+    ],
+)
 def test_a_non_finite_rate_is_refused_before_any_run(monkeypatch, rate):
-    # a caller that builds its own grid skips parse_rate_grid's check
+    # a caller that builds its own grid skips parse_rate_grid's check; a
+    # bool, a string or an int too large for a float is no finite rate
     def no_run(model):
         raise AssertionError("a sweep started a run of a non-finite rate")
 
     monkeypatch.setattr(runs, "Engine", no_run)
-    with pytest.raises(DomainError, match=f"^swept arrival rate must be finite, got {rate!r}$"):
+    with pytest.raises(DomainError, match=f"^swept arrival rate must be finite, got {re.escape(repr(rate))}$"):
         run_sweep(webservices(60), (rate,), replications=1, master_seed=3)
+
+
+@pytest.mark.parametrize("replications", [1.5, "2", None, True], ids=["float", "string", "none", "bool"])
+def test_a_non_integer_replication_count_is_refused_before_any_run(monkeypatch, replications):
+    def no_run(model):
+        raise AssertionError("a sweep started a run with a non-integer replication count")
+
+    monkeypatch.setattr(runs, "Engine", no_run)
+    with pytest.raises(DomainError, match=f"^replications must be an integer, got {re.escape(repr(replications))}$"):
+        run_sweep(webservices(60), (40.0,), replications=replications, master_seed=3)
 
 
 def test_worker_count_needs_cpus_runs_and_work(monkeypatch):

@@ -11,9 +11,9 @@ Output files are written atomically (temp file + rename in the target
 directory), so a crash never leaves a half-written report behind, and a
 new file gets the mode the umask gives, as open() would. A command
 renders every output it was asked for, and checks that each target names
-a file in an existing directory, before it writes any, so an output that
-cannot be rendered or a target that cannot be written leaves no file
-written.
+a file in an existing directory and that no two targets name one file,
+before it writes any, so an output that cannot be rendered or a target
+that cannot be written leaves no file written.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import tempfile
 from . import __version__, bundled
 from .bottleneck import DEFAULT_DROP_THRESHOLD, DEFAULT_WAIT_THRESHOLD, format_json, format_table, rank
 from .engine import Engine
-from .errors import TiersimError
+from .errors import TiersimError, ValidationError
 from .frontend import parse_deployment, parse_execution, synthesize_scenario
 from .metrics import export_series, report_from_json, report_to_json, report_to_table
 from .model import (
@@ -81,10 +81,17 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_files(outputs: list[tuple[str, str]]) -> None:
     """Write each ``(path, text)`` atomically, once every path names a
-    file in an existing directory. The temp file goes to the path's
-    directory, so it could neither be made in a missing one nor replace
-    a directory; each refusal names the path as it was given."""
+    file in an existing directory and no two name the same file. The
+    temp file goes to the path's directory, so it could neither be made
+    in a missing one nor replace a directory; each refusal names the path
+    as it was given."""
+    targets: dict[str, str] = {}  # real path -> the path as given
     for path, _ in outputs:
+        # otherwise the later output would silently replace the earlier one
+        real = os.path.realpath(path)
+        if real in targets:
+            raise ValidationError(f"two outputs name one file: {targets[real]!r} and {path!r}")
+        targets[real] = path
         directory = os.path.dirname(path) or "."
         if os.path.isdir(path):
             code = errno.EISDIR

@@ -61,6 +61,9 @@ _STEP_RE = re.compile(
     r"(?P<label>[^\[\]@]+?)\s*\[(?P<dist>[^\[\]]+)\]\s*(?P<disk>@disk)?\s*$"
 )
 
+# the tier synthesis makes for the link resources
+_NETWORK_TIER = "network"
+
 
 @dataclass(frozen=True)
 class Step:
@@ -200,6 +203,11 @@ def parse_deployment(text: str) -> DeploymentMap:
             raise _rooted(f"deployment.links[{i}]", exc) from None
         link_specs[spec.name] = spec
         links[key] = spec
+    if links and _NETWORK_TIER in nodes:
+        raise ValidationError(
+            f"deployment.nodes[{_NETWORK_TIER!r}]: synthesis names the links' tier {_NETWORK_TIER!r},"
+            " so no node of a deployment with links may take that name"
+        )
 
     return DeploymentMap(bindings=dict(bindings), nodes=nodes, links=links)
 
@@ -247,7 +255,7 @@ def synthesize_scenario(
     # scenario mirrors the whole deployment; dedupe shared links by name
     all_links = tuple(dict.fromkeys(deployment.links.values()))
     if all_links:
-        tiers.append(Tier(name="network", resources=all_links))
+        tiers.append(Tier(name=_NETWORK_TIER, resources=all_links))
 
     cls = WorkloadClass(name=class_name, arrival=arrival, path=tuple(visits), max_requests=max_requests)
     return validated(

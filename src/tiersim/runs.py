@@ -1,12 +1,15 @@
 """Batches of runs, and the one-station check against the closed form.
 
 ``run_models`` is the one place that chooses between running models in
-this process and forking workers. A forked batch is a fork-join in which
-this process is one of the workers: it runs its own share of the models
-while its children run theirs, then reads each child's pickled reports
-from a pipe and reaps it. Either way the reports come back in input
-order, a failed batch raises the error of its lowest-index failing run,
-and neither depends on how many workers ran them.
+this process and forking workers. A batch of n runs has one worker per
+CPU this process may use, and at most n; it stays in this process when
+that is one worker or when the platform cannot fork. Otherwise it is a
+fork-join in which this process is one of the workers: it runs its own
+share of the models while its children run theirs, then reads each
+child's pickled reports from a pipe and reaps it. Either way the
+reports come back in input order, a failed batch raises the error of its
+lowest-index failing run, and neither depends on how many workers ran
+them.
 ``build_station_model`` and ``run_oracle_check`` pair a simulated
 M/M/c/K station with ``oracle.mmck``; they live here so that ``oracle``
 stays independent of the simulator. ``oracle_check_to_table`` and
@@ -26,7 +29,6 @@ from .model import (
     ResourceSpec,
     RunConfig,
     ScenarioModel,
-    StopKind,
     StopRule,
     Tier,
     Visit,
@@ -47,54 +49,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A forked batch costs a fork and a reap per child and a pickled report
-# per run the children ran, and imports nothing. On a 2-vCPU host, with
-# batches of 10 no-drop M/M/2 runs, two workers against one (`taskset -c
-# 0`): in a warm process the fork lost at 2.5k expected events (2 of 20
-# pairs) and won at 5k (15 of 20) and 10k (20 of 20); in a fresh `tiersim
-# sweep` (10 pairs per size) it won 1 of 10 at 2.5k, 2 at 7.5k, 4 and 6
-# in two rounds at 10k, 7 at 20k and 9 at 30k.
-_MIN_POOLED_EVENTS = 10_000
-
-
-def _expected_events(model: ScenarioModel) -> float:
-    """Roughly the events one run of ``model`` applies: an arrival and a
-    completion per visit for each session the stop rule waits for.
-
-    A class sends one session per mean arrival gap, and at most
-    ``max_requests`` in all. One whose gaps have mean 0, which
-    ``validate`` allows only with a finite ``max_requests``, is a burst
-    of that many sessions at t = 0. One whose mean gap is so long that
-    its rate is 0.0 (a denormal exponential rate) adds no sessions; its
-    run fails in ``Engine`` at the first arrival, whose time is not finite.
-    """
-    events = 0.0
-    steady = []  # (sessions per unit time, visits per session, max_requests)
-    for cls in model.classes:
-        gap = cls.arrival.mean()
-        if not gap:
-            events += cls.max_requests * (1 + len(cls.path))
-        elif 1.0 / gap:
-            steady.append((1.0 / gap, len(cls.path), cls.max_requests))
-    stop = model.run.stop
-    if stop.kind is not StopKind.AFTER_REQUESTS:
-        return events + sum(min(cap, rate * stop.t) * (1 + n) for rate, n, cap in steady)
-    if steady:
-        total = sum(rate for rate, _, _ in steady)
-        visits = sum(rate * n for rate, n, _ in steady) / total
-        events += min(stop.n, sum(cap for _, _, cap in steady)) * (1 + visits)
-    return events
-
-
-def worker_count(runs: int, events: float) -> int:
-    """Workers for ``runs`` runs that apply about ``events`` events in all:
-    one per usable CPU and at most one per run, or one when the batch is
-    too short to pay for forking."""
-    if events < _MIN_POOLED_EVENTS:
-        return 1
-    return min(usable_cpus(), runs)
-
-
 def _run_share(models: tuple[ScenarioModel, ...], first: int, step: int):
     """Run models ``first``, ``first + step``, ... in order. Return their
     reports and None, or the reports before the first run that raised and
@@ -111,13 +65,13 @@ def _run_share(models: tuple[ScenarioModel, ...], first: int, step: int):
 def run_models(models: tuple[ScenarioModel, ...]) -> tuple[MetricsReport, ...]:
     """Run each validated model once and return the reports in input order.
 
-    The batch runs in this process unless ``worker_count`` gives it more
-    than one worker and the platform can fork. Then this process is
-    worker 0 of a fork-join: it forks one child per other worker, worker w
-    runs models w, w + workers, ... in input order, and each child pickles
-    its reports (or its first error) into its own pipe and exits. Forked
-    children inherit the loaded package and the models; their reports come
-    back as unpickled copies.
+    The batch has ``min(usable_cpus(), len(models))`` workers. It runs in
+    this process when that is one worker or when the platform cannot
+    fork. Otherwise this process is worker 0 of a fork-join: it forks one
+    child per other worker, worker w runs models w, w + workers, ... in
+    input order, and each child pickles its reports (or its first error)
+    into its own pipe and exits. Forked children inherit the loaded
+    package and the models; their reports come back as unpickled copies.
 
     Either way the error raised is that of the lowest-index run that
     failed, as the in-process loop raises it; a worker drops its runs
@@ -126,7 +80,7 @@ def run_models(models: tuple[ScenarioModel, ...]) -> tuple[MetricsReport, ...]:
     raises, every child has been reaped: the ones not yet reaped are
     killed first.
     """
-    workers = worker_count(len(models), sum(_expected_events(m) for m in models))
+    workers = min(usable_cpus(), len(models))
     if workers <= 1 or not hasattr(os, "fork"):
         return tuple(Engine(model).run() for model in models)
     # imported here, so that a command that forks nothing loads none of

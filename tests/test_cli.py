@@ -340,6 +340,18 @@ def test_run_writes_no_file_when_one_output_cannot_be_rendered(station_path, tmp
     assert not series.exists()
 
 
+@pytest.mark.parametrize("report, series", [("r.json", "r.json"), ("./x.json", "x.json")], ids=["same", "dot-slash"])
+def test_two_outputs_to_one_file_are_refused_before_any_write(tmp_path, capsys, monkeypatch, report, series):
+    # otherwise the series CSV replaces the report, and the command exits 0
+    monkeypatch.chdir(tmp_path)
+    args = ("run", "bundled:webservices.json", "--requests", "100", "--series", "--quiet")
+    code, out, err = run_cli(capsys, *args, "--report", report, "--series-out", series)
+    assert_one_error_line(code, err, "error: ")
+    assert out == ""
+    assert repr(report) in err and repr(series) in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_written_files_get_the_mode_the_umask_gives(station_path, tmp_path, capsys, umask, mode):
     paths = {name: tmp_path / name for name in ("report.json", "series.csv", "sweep.csv", "scenario.json")}

@@ -214,6 +214,20 @@ def test_deployment_link_checks():
         parse_deployment(base % '[{"between": ["n1", "n2"]}]')
 
 
+def test_a_node_named_network_is_refused_only_beside_links():
+    # synthesis would add its own 'network' tier for the links and fail on
+    # a duplicate tier name, far from what the user wrote
+    doc = {"bindings": {"a": "network", "b": "n2"}, "nodes": {"network": ["P1"], "n2": ["P2"]}}
+    with pytest.raises(ValidationError, match=r"^deployment\.nodes\['network'\]: "):
+        parse_deployment(json.dumps(dict(doc, links=[{"between": ["network", "n2"], "resource": "lan"}])))
+    model = synthesize_scenario(
+        parse_execution("a -> a : call [exp 10]"),
+        parse_deployment(json.dumps(doc)),
+        arrival=Distribution.exponential(1.0),
+    )
+    assert [t.name for t in model.tiers] == ["network", "n2"]
+
+
 def test_shared_link_resource_must_be_declared_identically():
     doc = """
     {

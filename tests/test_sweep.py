@@ -32,7 +32,7 @@ from tiersim import (
 from tiersim import runs, sweep
 from tiersim.metrics import UNVISITED
 from tiersim.model import validated
-from tiersim.runs import build_station_model, worker_count
+from tiersim.runs import build_station_model
 from tiersim.sweep import parse_rate_grid, run_sweep, sweep_to_csv
 
 from randdeploy import random_deployment
@@ -50,7 +50,6 @@ def pooled(monkeypatch):
     """Fork every batch of more than one run into two workers, even on a
     host with one usable CPU."""
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(runs, "_MIN_POOLED_EVENTS", 0)
 
 
 @pytest.fixture()
@@ -145,25 +144,6 @@ def test_a_non_integer_replication_count_is_refused_before_any_run(monkeypatch, 
         run_sweep(webservices(60), (40.0,), replications=replications, master_seed=3)
 
 
-def test_worker_count_needs_cpus_runs_and_work(monkeypatch):
-    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    enough = runs._MIN_POOLED_EVENTS
-    assert worker_count(6, enough) == 2
-    assert worker_count(1, enough) == 1
-    assert worker_count(10**6, 10**9) == 2
-    assert worker_count(6, enough - 1) == 1
-    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
-    assert worker_count(6, 10**9) == 1
-
-
-def test_expected_events_count_an_arrival_and_each_visit():
-    model = webservices(300)
-    (cls,) = model.classes
-    assert runs._expected_events(model) == 300 * (1 + len(cls.path))
-    timed = dataclasses.replace(model, run=dataclasses.replace(model.run, stop=StopRule.after_time(10.0)))
-    assert runs._expected_events(timed) == cls.arrival.rate * 10.0 * (1 + len(cls.path))
-
-
 def test_usable_cpus_is_positive():
     assert runs.usable_cpus() >= 1
 
@@ -227,7 +207,7 @@ def test_run_models_returns_pooled_reports_in_input_order(monkeypatch, pooled, f
 
 
 def test_run_models_of_no_models_starts_no_pool(monkeypatch, pooled, no_fork):
-    # worker_count(0, 0) is 0 once the threshold is 0
+    # no runs means no workers, whatever the CPUs
     assert runs.run_models(()) == ()
 
 
@@ -238,31 +218,30 @@ def _station_arriving(arrival: Distribution, max_requests: float, stop: StopRule
     return validated(dataclasses.replace(model, classes=(cls,), run=dataclasses.replace(model.run, stop=stop)))
 
 
-def test_a_capped_class_under_a_long_time_stop_starts_no_pool(monkeypatch, no_fork):
-    # 100 arrivals per unit time for 1000 time units, but 10 sessions in all
+def test_a_capped_class_under_a_long_time_stop_starts_no_pool(monkeypatch):
+    # 100 arrivals per unit time for 1000 time units, but 10 sessions in
+    # all; the name predates the batch forking whatever its length
     model = _station_arriving(Distribution.exponential(100.0), 10, StopRule.after_time(1000.0))
-    assert runs._expected_events(model) == 10 * (1 + len(model.classes[0].path))
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
 
 
-def test_a_capped_class_under_a_long_request_stop_starts_no_pool(monkeypatch, no_fork):
-    # the stop waits for 100000 terminal sessions, but the class sends 10 in all
+def test_a_capped_class_under_a_long_request_stop_starts_no_pool(monkeypatch):
+    # the stop waits for 100000 terminal sessions, but the class sends 10
+    # in all; the name predates the batch forking whatever its length
     model = _station_arriving(Distribution.exponential(100.0), 10, StopRule.after_requests(100_000))
-    assert runs._expected_events(model) <= 10 * (1 + len(model.classes[0].path))
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
 
 
-def test_a_class_whose_rate_underflows_is_refused_by_the_engine(monkeypatch, no_fork):
+def test_a_class_whose_rate_underflows_is_refused_by_the_engine(pooled, forks):
     # the mean gap 1/1e-320 overflows to inf, so the class's rate reads
-    # 0.0: it adds no sessions to the estimate, and the run fails at its
-    # first arrival instead of dividing by a zero total rate
+    # 0.0; each run fails at its first arrival, in the child as here
     model = _station_arriving(Distribution.exponential(1e-320), math.inf, StopRule.after_requests(50))
-    assert runs._expected_events(model) == 0
-    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
         runs.run_models((model,) * 2)
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("in_pool", [False, True], ids=["in-process", "pooled"])
@@ -281,7 +260,16 @@ def test_run_models_takes_arrivals_without_a_rate(request, in_pool):
         for arrival, max_requests in arrivals
         for stop in (StopRule.after_requests(40), StopRule.after_time(6.0))
     )
-    assert [report_to_json(r) for r in runs.run_models(models)] == [report_to_json(Engine(m).run()) for m in models]
+    # a class capped at 10 sessions under a stop that waits far longer:
+    # 100 arrivals per unit time for 1000 time units, or 100000 outcomes
+    capped = tuple(
+        _station_arriving(Distribution.exponential(100.0), 10, stop)
+        for stop in (StopRule.after_time(1000.0), StopRule.after_requests(100_000))
+    )
+    models += capped * 2
+    reports = runs.run_models(models)
+    assert [r.generated for r in reports[-4:]] == [10] * 4
+    assert [report_to_json(r) for r in reports] == [report_to_json(Engine(m).run()) for m in models]
 
 
 def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, pooled):
@@ -383,14 +371,29 @@ def test_uneven_shares_change_no_byte(monkeypatch, pooled, forks):
 
 
 @pytest.mark.parametrize(
-    "rates, replications, requests",
-    [((40.0,), 1, 60), ((20.0, 40.0), 2, 60)],
-    ids=["one-run", "short"],
+    "cpus, rates, replications",
+    [(2, (40.0,), 1), (1, (20.0, 40.0), 2)],
+    ids=["one-run", "one-cpu"],
 )
-def test_a_sweep_that_needs_one_worker_starts_no_pool(monkeypatch, no_fork, rates, replications, requests):
-    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
-    result = run_sweep(webservices(requests), rates, replications=replications, master_seed=2)
+def test_a_sweep_that_needs_one_worker_starts_no_pool(monkeypatch, no_fork, cpus, rates, replications):
+    monkeypatch.setattr(runs, "usable_cpus", lambda: cpus)
+    result = run_sweep(webservices(60), rates, replications=replications, master_seed=2)
     assert [len(reps) for reps in result.reports.values()] == [replications] * len(rates)
+
+
+def test_a_short_sweep_forks_and_changes_no_byte(monkeypatch, forks):
+    # 4 runs of 60 requests: however little work, 2 CPUs mean 2 workers
+    model = webservices(60)
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
+    serial = run_sweep(model, (20.0, 40.0), replications=2, master_seed=2)
+    assert forks == []
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
+    forked = run_sweep(model, (20.0, 40.0), replications=2, master_seed=2)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert sweep_to_csv(forked) == sweep_to_csv(serial)
+    for rate, reports in serial.reports.items():
+        assert [report_to_json(r) for r in forked.reports[rate]] == [report_to_json(r) for r in reports]
 
 
 def test_no_fork_means_no_pool(monkeypatch, pooled):
@@ -427,7 +430,6 @@ forks = []
 real_fork = os.fork
 os.fork = lambda: forks.append(True) or real_fork()
 runs.usable_cpus = lambda: 2
-runs._MIN_POOLED_EVENTS = 0
 model = runs.build_station_model(1.0, 2.0, 1, 40, 200, 1)
 assert len(runs.run_models((model,) * 3)) == 3
 assert forks == [True]
@@ -469,7 +471,7 @@ def fork():
 
 os.fork = fork
 runs.usable_cpus = lambda: 2
-model = runs.build_station_model(1.0, 2.0, 1, 40, 50_000, 1)
+model = runs.build_station_model(1.0, 2.0, 1, 40, 200, 1)
 assert "numpy" not in sys.modules
 runs.run_models((model, model))
 raise SystemExit("the batch forked nothing")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import os
 from importlib import resources
 
 SCENARIO = "webservices.json"
@@ -10,8 +12,13 @@ DEPLOYMENT = "webservices_deployment.json"
 
 
 def read(name: str) -> str:
-    """Return the text of one bundled data file."""
-    return resources.files("tiersim.data").joinpath(name).read_text(encoding="utf-8")
+    """Return the text of one bundled data file. ``name`` must name a file
+    directly in the data directory; any other name, such as one that
+    climbs out of it, is a ``FileNotFoundError`` naming ``bundled:NAME``."""
+    for entry in resources.files("tiersim.data").iterdir():
+        if entry.name == name and entry.is_file():
+            return entry.read_text(encoding="utf-8")
+    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), f"bundled:{name}")
 
 
 def scenario_text() -> str:

@@ -64,6 +64,9 @@ _STEP_RE = re.compile(
 # the tier synthesis makes for the link resources
 _NETWORK_TIER = "network"
 
+# the path of a tier or a tier's resource at the head of a validate() line
+_TIER_PATH_RE = re.compile(r"tiers\[(\d+)\](?:\.resources\[(\d+)\])?")
+
 
 @dataclass(frozen=True)
 class Step:
@@ -258,11 +261,36 @@ def synthesize_scenario(
         tiers.append(Tier(name=_NETWORK_TIER, resources=all_links))
 
     cls = WorkloadClass(name=class_name, arrival=arrival, path=tuple(visits), max_requests=max_requests)
-    return validated(
-        ScenarioModel(
-            name=scenario_name,
-            tiers=tuple(tiers),
-            classes=(cls,),
-            run=run if run is not None else RunConfig(),
-        )
+    model = ScenarioModel(
+        name=scenario_name,
+        tiers=tuple(tiers),
+        classes=(cls,),
+        run=run if run is not None else RunConfig(),
     )
+    try:
+        return validated(model)
+    except ValidationError as exc:
+        # the user wrote a deployment, not these tiers: name its paths
+        lines = [_deployment_path(line, deployment) for line in str(exc).split("\n")]
+        raise ValidationError("\n".join(lines)) from None
+
+
+def _deployment_path(line: str, deployment: DeploymentMap) -> str:
+    """``line`` with a leading ``tiers[i]`` or ``tiers[i].resources[j]``
+    of the synthesized scenario named as the deployment names it: a node
+    or a node's resource, or the first link that declares a resource."""
+    m = _TIER_PATH_RE.match(line)
+    if m is None:
+        return line
+    tier, resource = int(m[1]), m[2]
+    nodes = list(deployment.nodes)
+    links = list(deployment.links.values())
+    if tier < len(nodes):
+        path = f"deployment.nodes[{nodes[tier]!r}]" + (f"[{resource}]" if resource else "")
+    elif resource:
+        # the network tier lists each distinct link resource once, in link order
+        spec = tuple(dict.fromkeys(links))[int(resource)]
+        path = f"deployment.links[{links.index(spec)}].resource"
+    else:
+        return line
+    return path + line[m.end() :]

@@ -1,15 +1,15 @@
 """Batches of runs, and the one-station check against the closed form.
 
-``run_models`` is the one place that chooses between running models in
-this process and forking workers. A batch of n runs has one worker per
-CPU this process may use, and at most n; it stays in this process when
-that is one worker or when the platform cannot fork. Otherwise it is a
-fork-join in which this process is one of the workers: it runs its own
-share of the models while its children run theirs, then reads each
-child's pickled reports from a pipe and reaps it. Either way the
+``run_models`` runs every batch as one fork-join, whatever its number of
+workers. A batch of n runs has one worker per CPU this process may use,
+and at most n; it has one worker where the platform cannot fork. This
+process is worker 0: it runs its own share of the models while its
+children run theirs, then reads each child's pickled reports from a pipe
+and reaps it. One worker forks nothing and runs every model here. The
 reports come back in input order, a failed batch raises the error of its
 lowest-index failing run, and neither depends on how many workers ran
-them.
+them; a failed share sends back only that error, not the reports before
+it.
 ``build_station_model`` and ``run_oracle_check`` pair a simulated
 M/M/c/K station with ``oracle.mmck``; they live here so that ``oracle``
 stays independent of the simulator. ``oracle_check_to_table`` and
@@ -51,39 +51,39 @@ def usable_cpus() -> int:
 
 def _run_share(models: tuple[ScenarioModel, ...], first: int, step: int):
     """Run models ``first``, ``first + step``, ... in order. Return their
-    reports and None, or the reports before the first run that raised and
-    that run's (index, error)."""
+    reports and None, or None and the (index, error) of the first run that
+    raised: the reports before it would only be thrown away."""
     reports = []
     for index in range(first, len(models), step):
         try:
             reports.append(Engine(models[index]).run())
         except Exception as error:
-            return reports, (index, error)
+            return None, (index, error)
     return reports, None
 
 
 def run_models(models: tuple[ScenarioModel, ...]) -> tuple[MetricsReport, ...]:
     """Run each validated model once and return the reports in input order.
 
-    The batch has ``min(usable_cpus(), len(models))`` workers. It runs in
-    this process when that is one worker or when the platform cannot
-    fork. Otherwise this process is worker 0 of a fork-join: it forks one
-    child per other worker, worker w runs models w, w + workers, ... in
-    input order, and each child pickles its reports (or its first error)
-    into its own pipe and exits. Forked children inherit the loaded
-    package and the models; their reports come back as unpickled copies.
+    One path runs any number of workers. The batch has
+    ``min(usable_cpus(), len(models))`` workers, at least one, and one
+    where the platform cannot fork. This process is worker 0 of a
+    fork-join: it forks one child per other worker, worker w runs models
+    w, w + workers, ... in input order, and each child pickles its reports
+    (or only its first error) into its own pipe and exits. One worker
+    forks nothing and runs every model in this process. Forked children
+    inherit the loaded package and the models; their reports come back as
+    unpickled copies.
 
-    Either way the error raised is that of the lowest-index run that
-    failed, as the in-process loop raises it; a worker drops its runs
-    after its first error. A child that exits non-zero or sends nothing
+    The error raised is that of the lowest-index run that failed; a
+    worker drops its runs after its first error, and a failed share sends
+    back that error alone. A child that exits non-zero or sends nothing
     is an ``InternalError`` naming the worker. However this returns or
     raises, every child has been reaped: the ones not yet reaped are
     killed first.
     """
-    workers = min(usable_cpus(), len(models))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return tuple(Engine(model).run() for model in models)
-    # imported here, so that a command that forks nothing loads none of
+    workers = max(1, min(usable_cpus(), len(models))) if hasattr(os, "fork") else 1
+    # imported here, so that a command that runs no batch loads none of
     # them; a stream imports numpy at its first draw, and importing it
     # once here spares each child of a fresh process its own import
     import pickle

@@ -22,7 +22,7 @@ from tiersim import (
     parse_scenario,
     serialize_scenario,
 )
-from tiersim import engine
+from tiersim import cli, engine
 from tiersim.cli import main, parse_rate_grid
 from tiersim.runs import build_station_model
 from tiersim.sweep import _with_arrival_rate
@@ -302,6 +302,20 @@ def test_run_writes_report_and_series_atomically(station_path, tmp_path, capsys)
     assert series.read_bytes() == first_series
     # no temp droppings left beside the outputs
     assert list(report.parent.glob("*.tmp")) == []
+
+
+def test_a_write_that_fails_after_its_temp_file_exists_leaves_none(tmp_path, monkeypatch):
+    error = PermissionError("refused")
+
+    def refuse(source, target):
+        assert os.path.exists(source)
+        raise error
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError) as exc:
+        cli._write_atomic(str(tmp_path / "report.json"), "text")
+    assert exc.value is error
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_seed_override_changes_the_report(station_path, tmp_path, capsys):
@@ -868,8 +882,27 @@ _TWO_NODES = '"bindings": {"a": "n1"}, "nodes": {"n1": ["P1"], "n2": ["P2"]}'
         ('{%s, "links": {}}' % _TWO_NODES, "deployment.links"),
         ('{%s, "links": [{"between": ["n1", 5], "resource": "NET"}]}' % _TWO_NODES, "deployment.links[0].between[1]"),
         ('{"bindings": {"a": "n1"}, "nodes": {"n1": [{"name": 5}]}}', "deployment.nodes['n1'][0].name"),
+        (
+            '{%s, "links": [{"between": ["n1", "n2", "n1"], "resource": "NET"}]}' % _TWO_NODES,
+            "deployment.links[0].between",
+        ),
+        (
+            '{%s, "links": [{"between": ["n1", "n2"], "resource": {"name": "lan", "replicas": "2"}}]}' % _TWO_NODES,
+            "deployment.links[0].resource.replicas",
+        ),
+        # found by validating the synthesized scenario, and named as the deployment names it
+        ('{"bindings": {"a": "n1"}, "nodes": {"n1": [{"name": "P1", "replicas": 0}]}}', "deployment.nodes['n1'][0]"),
     ],
-    ids=["binding-array", "links-number", "links-object", "endpoint-number", "name-number"],
+    ids=[
+        "binding-array",
+        "links-number",
+        "links-object",
+        "endpoint-number",
+        "name-number",
+        "three-endpoints",
+        "link-replicas-string",
+        "node-replicas-zero",
+    ],
 )
 def test_synthesize_rejects_a_malformed_deployment(tmp_path, capsys, deployment, path):
     steps = tmp_path / "steps.txt"
@@ -962,6 +995,7 @@ _BAD_DEMAND = "(expected 'exp RATE', 'det VALUE' or 'uniform LO HI')"
         (None, "gamma 1", f"line 1: bad demand 'gamma 1' {_BAD_DEMAND}"),
         (None, "det cheap", "line 1: demand parameters must be numbers, got ['cheap']"),
         (None, "uniform 1", f"line 1: bad demand 'uniform 1' {_BAD_DEMAND}"),
+        (None, " ", "line 1: empty demand bracket"),
     ],
     ids=[
         "kind-normal",
@@ -979,6 +1013,7 @@ _BAD_DEMAND = "(expected 'exp RATE', 'det VALUE' or 'uniform LO HI')"
         "step-gamma",
         "step-det-text",
         "step-uniform-one-param",
+        "step-empty-bracket",
     ],
 )
 def test_each_bad_tagged_record_is_one_pinned_error_line(station_path, tmp_path, capsys, where, record, line):
@@ -1000,7 +1035,13 @@ def test_each_bad_tagged_record_is_one_pinned_error_line(station_path, tmp_path,
     assert (code, err) == (1, f"error: {line}\n")
 
 
-def test_unknown_bundled_name_is_io_error(capsys):
-    code, _, err = run_cli(capsys, "validate", "bundled:nothing.json")
-    assert code == 2
-    assert "i/o error" in err
+@pytest.mark.parametrize(
+    "name",
+    ["nothing.json", "../model.py", "../../tiersim/data/webservices.json", ""],
+    ids=["unknown", "package-source", "climbs-back-in", "data-directory"],
+)
+def test_unknown_bundled_name_is_io_error(capsys, name):
+    # only a file directly in the packaged data directory is bundled
+    code, out, err = run_cli(capsys, "validate", f"bundled:{name}")
+    assert out == ""
+    assert (code, err) == (2, f"i/o error: [Errno 2] No such file or directory: 'bundled:{name}'\n")

@@ -732,6 +732,16 @@ def test_clock_overflow_in_a_valid_model_is_an_internal_error():
     )
     with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
         Engine(model).run()
+    # the second request waits behind the first, whose service ends at
+    # 1e308, so its own service would end past the float maximum
+    model = station(
+        arrival=Distribution.deterministic(1.0),
+        service=Distribution.deterministic(1e308),
+        max_requests=2,
+        stop=StopRule.after_requests(2),
+    )
+    with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
+        Engine(model).run()
 
 
 def test_maintained_backlogs_match_busy_plus_queue_after_every_step():

@@ -196,6 +196,10 @@ def test_deployment_node_and_binding_checks():
         parse_deployment('{"bindings": {"a": "n"}, "nodes": {"n": ["P"], "m": ["P"]}}')
     with pytest.raises(ValidationError, match="undeclared node"):
         parse_deployment('{"bindings": {"a": "ghost"}, "nodes": {"n": ["P"]}}')
+    with pytest.raises(ValidationError, match=r"^deployment\.nodes must be a non-empty object$"):
+        parse_deployment('{"bindings": {"a": "n"}, "nodes": {}}')
+    with pytest.raises(ValidationError, match=r"^deployment\.bindings must be a non-empty object$"):
+        parse_deployment('{"bindings": {}, "nodes": {"n": ["P"]}}')
 
 
 def test_deployment_link_checks():
@@ -226,6 +230,55 @@ def test_a_node_named_network_is_refused_only_beside_links():
         arrival=Distribution.exponential(1.0),
     )
     assert [t.name for t in model.tiers] == ["network", "n2"]
+
+
+def _three_nodes(first="n1", c1="c1", d2="d2", lan="lan", wan="wan"):
+    """Nodes ``first``, n2 and n3; n2 has a disk, and ``wan`` carries two links."""
+    return {
+        "bindings": {"a": first, "b": "n2", "c": "n3"},
+        "nodes": {first: [c1], "n2": ["c2", d2], "n3": ["c3"]},
+        "links": [
+            {"between": [first, "n2"], "resource": lan},
+            {"between": ["n2", "n3"], "resource": wan},
+            {"between": [first, "n3"], "resource": wan},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, lines",
+    [
+        (_three_nodes(first="n 1"), ["deployment.nodes['n 1']: tier name must be a non-empty token, got 'n 1'"]),
+        (
+            _three_nodes(c1={"name": "c1", "replicas": 0}),
+            ["deployment.nodes['n1'][0]: replicas must be an integer >= 1, got 0"],
+        ),
+        (
+            _three_nodes(c1={"name": "__end_to_end__"}),
+            ["deployment.nodes['n1'][0]: resource name '__end_to_end__' is reserved"],
+        ),
+        (
+            _three_nodes(d2={"name": "d2", "replicas": 5000}, lan={"name": "lan", "queue_capacity": -1}),
+            [
+                "deployment.nodes['n2'][1]: replicas must be at most 4096, got 5000",
+                "deployment.links[0].resource: queue_capacity must be an integer >= 0 or infinite, got -1",
+            ],
+        ),
+        (
+            _three_nodes(wan={"name": "wan", "replicas": 0}),
+            ["deployment.links[1].resource: replicas must be an integer >= 1, got 0"],
+        ),
+    ],
+    ids=["node-name", "node-replicas", "reserved-name", "disk-and-link", "shared-link"],
+)
+def test_synthesis_names_a_bad_value_where_the_deployment_declares_it(doc, lines):
+    # validate() sees the synthesized tiers, which the user never wrote
+    deployment = parse_deployment(json.dumps(doc))
+    with pytest.raises(ValidationError) as exc:
+        synthesize_scenario(
+            parse_execution("a -> b : call [exp 10] @disk"), deployment, arrival=Distribution.exponential(1.0)
+        )
+    assert str(exc.value).split("\n") == lines
 
 
 def test_shared_link_resource_must_be_declared_identically():
@@ -276,6 +329,8 @@ def test_synthesis_requires_bindings_links_and_disks():
         synthesize_scenario(
             parse_execution("ghost -> a : x [det 1]"), deployment, arrival=Distribution.exponential(1.0)
         )
+    with pytest.raises(ValidationError, match="^participant 'z' has no binding in the deployment map$"):
+        synthesize_scenario(parse_execution("a -> z : x [det 1]"), deployment, arrival=Distribution.exponential(1.0))
     with pytest.raises(ValidationError, match="'n2'"):
         # n2 has no disks
         synthesize_scenario(

@@ -211,6 +211,33 @@ def test_run_models_of_no_models_starts_no_pool(monkeypatch, pooled, no_fork):
     assert runs.run_models(()) == ()
 
 
+@pytest.mark.parametrize("one_worker", ["one-cpu", "no-fork"])
+def test_a_one_worker_batch_runs_one_share_in_this_process(monkeypatch, pooled, no_fork, one_worker):
+    # the fork-join with one worker forks nothing and runs share 0 here
+    if one_worker == "one-cpu":
+        monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
+    else:
+        monkeypatch.delattr(os, "fork")
+    shares = []
+    real = runs._run_share
+
+    def recording(*args):
+        shares.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runs, "_run_share", recording)
+    models = _stations(3)
+    reports = runs.run_models(models)
+    assert shares == [(models, 0, 1)]
+    assert [report_to_json(r) for r in reports] == [report_to_json(Engine(m).run()) for m in models]
+
+
+def test_a_failed_share_sends_back_only_its_error(monkeypatch):
+    error = DomainError("model 1")
+    _failing_engine(monkeypatch, {1: _raise(error)})
+    assert runs._run_share(_stations(2), 0, 1) == (None, (1, error))
+
+
 def _station_arriving(arrival: Distribution, max_requests: float, stop: StopRule):
     model = build_station_model(1.0, 2.0, 2, 3, 40, seed=7)
     (cls,) = model.classes
@@ -287,6 +314,13 @@ def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, pooled):
         errors.append((type(exc.value), str(exc.value)))
     assert errors[0] == errors[1]
     assert "scheduled event time is not finite" in errors[0][1]
+    # one worker runs every model here, so the error is the one raised
+    error = InternalError("model 2")
+    _failing_engine(monkeypatch, {2: _raise(error)})
+    monkeypatch.setattr(runs, "usable_cpus", lambda: 1)
+    with pytest.raises(InternalError) as exc:
+        runs.run_models(_stations(3))
+    assert exc.value is error
 
 
 def _failing_engine(monkeypatch, fail):

@@ -13,7 +13,10 @@ new file gets the mode the umask gives, as open() would. A command
 renders every output it was asked for, and checks that each target names
 a file in an existing directory and that no two targets name one file,
 before it writes any, so an output that cannot be rendered or a target
-that cannot be written leaves no file written.
+that cannot be written leaves no file written. The one exception to
+rendering first is the series CSV of ``run --series-out``: its refusals
+come first like any other, but its rows are formatted in chunks as they
+are written, so the whole CSV is never held at once.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ import errno
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 
 from . import __version__, bundled
 from .bottleneck import DEFAULT_DROP_THRESHOLD, DEFAULT_WAIT_THRESHOLD, format_json, format_table, rank
 from .engine import Engine
 from .errors import TiersimError, ValidationError
 from .frontend import parse_deployment, parse_execution, synthesize_scenario
-from .metrics import export_series, report_from_json, report_to_json, report_to_table
+from .metrics import report_from_json, report_to_json, report_to_table, series_chunks
 from .model import (
     Distribution,
     RunConfig,
@@ -60,12 +64,15 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` one by one into a temp file beside
+    ``path``, then rename it to ``path``. The file appears whole or not
+    at all; a failure, in a write or in the iterable, removes the temp."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tiersim.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0o600; reading the umask means setting it
         umask = os.umask(0)
         os.umask(umask)
@@ -79,8 +86,8 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_files(outputs: list[tuple[str, str]]) -> None:
-    """Write each ``(path, text)`` atomically, once every path names a
+def _write_files(outputs: list[tuple[str, Iterable[str]]]) -> None:
+    """Write each ``(path, chunks)`` atomically, once every path names a
     file in an existing directory and no two name the same file. The
     temp file goes to the path's directory, so it could neither be made
     in a missing one nor replace a directory; each refusal names the path
@@ -100,15 +107,15 @@ def _write_files(outputs: list[tuple[str, str]]) -> None:
         else:
             continue
         raise OSError(code, os.strerror(code), path)
-    for path, text in outputs:
-        _write_atomic(path, text)
+    for path, chunks in outputs:
+        _write_atomic(path, chunks)
 
 
 def _write_output(args: argparse.Namespace, text: str, what: str) -> None:
     """Write ``text`` to ``--output`` and say so unless ``--quiet``, or
     to stdout when there is no ``--output``."""
     if args.output:
-        _write_files([(args.output, text)])
+        _write_files([(args.output, [text])])
         if not args.quiet:
             print(f"wrote {what} to {args.output}")
     else:
@@ -147,9 +154,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = Engine(model).run()
     outputs = []
     if args.report:
-        outputs.append((args.report, report_to_json(report)))
+        outputs.append((args.report, [report_to_json(report)]))
     if args.series_out:
-        outputs.append((args.series_out, export_series(report)))
+        # refuses here, before any write; the rows are formatted as written
+        outputs.append((args.series_out, series_chunks(report)))
     _write_files(outputs)
     if not args.quiet:
         sys.stdout.write(_REPORT_FORMATS[args.format](report))

@@ -47,6 +47,7 @@ from .model import (
     _as_dict,
     _as_list,
     _as_record,
+    _check_distribution,
     _load_json,
     _parse_resource,
     _read_list,
@@ -103,9 +104,16 @@ def _parse_demand(text: str, line_no: int) -> Distribution:
         values = [float(a) for a in args]
     except ValueError:
         raise ScenarioSyntaxError(f"demand parameters must be numbers, got {args!r}", line=line_no) from None
-    if kind is not None and len(values) == len(_DIST_PARAMS[kind]):
-        return Distribution(kind, **dict(zip(_DIST_PARAMS[kind], values)))
-    raise ScenarioSyntaxError(f"bad demand {text!r} ({_DEMAND_EXPECTED})", line=line_no)
+    if kind is None or len(values) != len(_DIST_PARAMS[kind]):
+        raise ScenarioSyntaxError(f"bad demand {text!r} ({_DEMAND_EXPECTED})", line=line_no)
+    demand = Distribution(kind, **dict(zip(_DIST_PARAMS[kind], values)))
+    # the validator's own rule, checked once here so that the error names
+    # the line rather than each visit synthesis would make of this step
+    issues: list[str] = []
+    _check_distribution(demand, "demand", issues)
+    if issues:
+        raise ScenarioSyntaxError(issues[0], line=line_no)
+    return demand
 
 
 def parse_execution(text: str) -> tuple[Step, ...]:

@@ -41,7 +41,7 @@ report_to_json writes that row from one text rendered at import.
 A series point is one labelled row, ``(label, arrival, response)``: a
 resource's rows carry its name and a class's rows carry END_TO_END. Each
 accumulator appends the row once, as the report holds it and
-export_series writes it; finalize only gathers the accumulators' lists.
+series_chunks formats it; finalize only gathers the accumulators' lists.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -477,13 +478,18 @@ def report_to_table(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_series(report: MetricsReport) -> str:
-    """CSV of raw (arrival time, response time) points for plotting.
+# rows that series_chunks formats into one chunk: a chunk is about 48 kB
+# of text, so neither the export nor a streamed write holds one str per row
+_SERIES_CHUNK_ROWS = 1024
 
-    One row per completed visit, labeled with its resource, plus one row
-    per completed session labeled __end_to_end__. Rows are ordered by
-    arrival time (stable for ties), which is what a response-vs-arrival
-    scatter needs.
+
+def series_chunks(report: MetricsReport) -> Iterator[str]:
+    """The series CSV that export_series returns, as consecutive pieces:
+    the header line, then the rows _SERIES_CHUNK_ROWS at a time.
+
+    A refusal is raised by this call, before the first chunk, so a
+    caller that writes the chunks as they come writes nothing for a
+    report that holds no series rows.
     """
     if report.loaded_series_rows is not None:
         raise SeriesDisabledError("a loaded report holds no series rows; export them from the run that recorded them")
@@ -491,12 +497,30 @@ def export_series(report: MetricsReport) -> str:
         raise SeriesDisabledError("this run did not record series data (enable run.series)")
     rows = sorted(chain(report.resource_series, report.end_to_end_series), key=itemgetter(1))
     # each label as csv writes it, quoted where it holds a comma or a quote;
-    # quoting each label once, not each row, keeps the export a plain join
+    # quoting each label once, not each row, keeps a chunk a plain join
     cells = {}
     for label in set(map(itemgetter(0), rows)):
         out = io.StringIO()
         csv.writer(out, lineterminator="").writerow((label,))
         cells[label] = out.getvalue()
-    lines = ["resource,arrival_time,response_time"]
-    lines.extend(f"{cells[label]},{t!r},{r!r}" for label, t, r in rows)
-    return "\n".join(lines) + "\n"
+    return _format_series(rows, cells)
+
+
+def _format_series(rows: list[tuple[str, float, float]], cells: dict[str, str]) -> Iterator[str]:
+    yield "resource,arrival_time,response_time\n"
+    for start in range(0, len(rows), _SERIES_CHUNK_ROWS):
+        chunk = rows[start : start + _SERIES_CHUNK_ROWS]
+        yield "".join([f"{cells[label]},{t!r},{r!r}\n" for label, t, r in chunk])
+
+
+def export_series(report: MetricsReport) -> str:
+    """CSV of raw (arrival time, response time) points for plotting.
+
+    One row per completed visit, labeled with its resource, plus one row
+    per completed session labeled __end_to_end__. Rows are ordered by
+    arrival time (stable for ties), which is what a response-vs-arrival
+    scatter needs. The text is the join of series_chunks, so it holds
+    the chunks beside the result but never one str per row; a caller
+    that only writes the CSV can write those chunks one by one instead.
+    """
+    return "".join(series_chunks(report))

@@ -17,13 +17,17 @@ import pytest
 from tiersim import (
     Distribution,
     DomainError,
+    Engine,
     WorkloadClass,
     __version__,
+    bundled,
+    export_series,
     parse_scenario,
     serialize_scenario,
 )
 from tiersim import cli, engine
 from tiersim.cli import main, parse_rate_grid
+from tiersim.metrics import _SERIES_CHUNK_ROWS
 from tiersim.runs import build_station_model
 from tiersim.sweep import _with_arrival_rate
 
@@ -352,6 +356,40 @@ def test_run_writes_no_file_when_one_output_cannot_be_rendered(station_path, tmp
     assert code == 1
     assert not report.exists()
     assert not series.exists()
+
+
+def test_a_series_written_in_chunks_is_the_exported_csv(tmp_path, capsys):
+    # the bundled scenario without its max_requests cap, run long enough
+    # that its series CSV spans several chunks
+    doc = json.loads(bundled.scenario_text())
+    for cls in doc["classes"]:
+        cls.pop("max_requests", None)
+    scenario = tmp_path / "lifted.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    series = tmp_path / "series.csv"
+    code, _, _ = run_cli(
+        capsys, "run", str(scenario), "--requests", "2500", "--series", "--series-out", str(series), "--quiet"
+    )
+    assert code == 0
+    doc["run"].update(stop={"kind": "after_requests", "n": 2500}, series=True)
+    expected = export_series(Engine(parse_scenario(json.dumps(doc))).run())
+    assert expected.count("\n") > 3 * _SERIES_CHUNK_ROWS
+    assert series.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("demand", ["exp 0", "uniform 3 1"])
+def test_an_invalid_step_demand_is_one_error_line_naming_the_line(tmp_path, capsys, demand):
+    # line 3 of the bundled script is a step with @disk across two nodes,
+    # which synthesis turns into three visits; the error names the line once
+    lines = bundled.execution_text().splitlines()
+    lines[2] = f"requester -> broker : discover service [{demand}] @disk"
+    steps = tmp_path / "steps.txt"
+    steps.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "synthesize", str(steps), "bundled:webservices_deployment.json", "--arrival-rate", "75"
+    )
+    assert_one_error_line(code, err, "error: line 3: demand: ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("report, series", [("r.json", "r.json"), ("./x.json", "x.json")], ids=["same", "dot-slash"])

@@ -173,6 +173,22 @@ def test_bad_demands_are_rejected_with_line_numbers():
         parse_execution("a -> b : x []")
 
 
+@pytest.mark.parametrize(
+    "demand, message",
+    [
+        ("exp 0", "demand: exponential rate must be finite and > 0, got 0.0"),
+        ("uniform 3 1", "demand: uniform bounds must satisfy 0 <= lo <= hi, got (3.0, 1.0)"),
+    ],
+    ids=["exp-zero", "uniform-reversed"],
+)
+def test_an_invalid_demand_is_one_error_naming_its_line(demand, message):
+    # the validator's rule, named by line as a malformed bracket is
+    script = f"a -> b : ok [det 1]\n\nb -> a : bad [{demand}] @disk\n"
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse_execution(script)
+    assert str(exc.value) == f"line 3: {message}"
+
+
 def test_empty_script_is_invalid():
     with pytest.raises(ValidationError):
         parse_execution("# only comments\n\n")

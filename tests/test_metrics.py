@@ -9,6 +9,9 @@ import json
 import math
 import pickle
 import statistics
+import tracemalloc
+from itertools import chain
+from operator import itemgetter
 
 import pytest
 
@@ -23,14 +26,16 @@ from tiersim import (
     Tier,
     Visit,
     WorkloadClass,
+    bundled,
     export_series,
     finalize,
+    parse_scenario,
     report_from_json,
     report_to_json,
     report_to_table,
     simulate,
 )
-from tiersim.metrics import UNVISITED, MetricsReport, RunAccumulator, _percentile
+from tiersim.metrics import _SERIES_CHUNK_ROWS, UNVISITED, MetricsReport, RunAccumulator, _percentile, series_chunks
 from tiersim.sweep import SweepResult, sweep_to_csv
 from pycalls import python_calls
 from randscen import random_scenario
@@ -421,6 +426,83 @@ def test_series_labels_that_need_quoting_read_back_as_three_fields():
     labels = [row[0] for row in rows[1:]]
     assert set(labels) == {"a,b", 'x"y', "__end_to_end__"}
     assert labels.count("a,b") == report.resources["a,b"].served
+
+
+def reference_series(report: MetricsReport) -> str:
+    """The series CSV as one join of one line per row: the formatter
+    that series_chunks replaced, kept as the bytes it must reproduce."""
+    rows = sorted(chain(report.resource_series, report.end_to_end_series), key=itemgetter(1))
+    cells = {}
+    for label in set(map(itemgetter(0), rows)):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow((label,))
+        cells[label] = out.getvalue()
+    lines = ["resource,arrival_time,response_time"]
+    lines.extend(f"{cells[label]},{t!r},{r!r}" for label, t, r in rows)
+    return "\n".join(lines) + "\n"
+
+
+N = _SERIES_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, N - 1, N, N + 1, 2 * N + 1])
+def test_export_series_bytes_hold_across_chunk_edges(n):
+    # labels alternate, so rows N-2, N-1 and N, N+1 put both labels that
+    # need quoting on both sides of the first edge; the rows are given
+    # out of order, so the sort decides where each edge falls
+    rows = [(("a,b", 'x"y')[j % 2], j * 0.1, 1.0 / (j + 3)) for j in range(n)]
+    report = dataclasses.replace(
+        simulate(one_station_model(series=True)),
+        resource_series=(*reversed(rows[1::2]), *rows[::2]),
+        end_to_end_series=(),
+    )
+    chunks = list(series_chunks(report))
+    assert "".join(chunks) == export_series(report) == reference_series(report)
+    assert all(chunk.endswith("\n") and chunk.count("\n") <= N for chunk in chunks)
+    assert len(chunks) == 1 + -(-n // N)
+    if n > N:
+        # the header is chunk 0; rows N-2, N-1 end chunk 1 and row N (and
+        # N+1 where there is one) starts chunk 2
+        edge = chunks[1].splitlines()[-2:] + chunks[2].splitlines()[:2]
+        assert [line[:6] for line in edge] == ['"a,b",', '"x""y"', '"a,b",', '"x""y"'][: len(edge)]
+
+
+@pytest.fixture(scope="module")
+def webservices_series_report() -> MetricsReport:
+    """The bundled scenario with max_requests lifted, stopped after
+    12,500 terminal sessions, series on: about 23k series rows."""
+    doc = json.loads(bundled.scenario_text())
+    for cls in doc["classes"]:
+        cls.pop("max_requests", None)
+    doc["run"].update(stop={"kind": "after_requests", "n": 12_500}, series=True)
+    return Engine(parse_scenario(json.dumps(doc))).run()
+
+
+def traced_peak(fn) -> tuple[object, int]:
+    """``fn()`` and the peak of its traced allocations above their start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_series_peaks_near_its_result(webservices_series_report):
+    # one str per row held beside the result peaked at 4.3 times the CSV
+    csv_text, peak = traced_peak(lambda: export_series(webservices_series_report))
+    assert csv_text.count("\n") > 20 * N
+    assert peak <= 2.5 * len(csv_text), (peak, len(csv_text))
+
+
+def test_draining_series_chunks_stays_under_a_megabyte(webservices_series_report):
+    def drain():
+        for _ in series_chunks(webservices_series_report):
+            pass
+
+    _, peak = traced_peak(drain)
+    assert peak <= 1_000_000, peak
 
 
 def test_table_rendering_lists_every_resource_and_class():

@@ -40,10 +40,12 @@ ResourceAccumulator.record_visit and occupancy_change and
 ClassAccumulator.record_completion are the reference rules. The loop
 applies them inline at each completed visit, admission and completed
 session, with the same float operations in the same order, and the
-tests hold it to those methods field by field. At the stop clock the
-engine hands each accumulator the services still running and the
-requests still queued (ResourceAccumulator.close). run() and step() share the loop; step() stops it after
-one event.
+tests hold it to those methods field by field. A kept session response
+goes, as in record_completion, onto its class's packed ``array('d')``
+of responses, 8 bytes each, from which finalize selects p50 and p95.
+At the stop clock the engine hands each accumulator the services still
+running and the requests still queued (ResourceAccumulator.close).
+run() and step() share the loop; step() stops it after one event.
 
 Finalizing releases each still-queued request's class link: that link
 leads back, through the class path, to the queue holding the request,

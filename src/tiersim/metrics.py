@@ -22,6 +22,13 @@ Per-visit response is reported as the sum of the waiting and service
 means, which makes the response = service + waiting identity exact
 rather than merely close.
 
+A class's p50 and p95 are exact nearest-rank order statistics, so each
+class keeps every response inside the window: packed in an
+``array('d')``, 8 bytes a response, appended by record_completion and
+by the engine's loop alike. finalize selects the two ranks with one
+numpy.partition of a copy, in O(n) time rather than a sort's O(n log n),
+and gives the same floats a sort would.
+
 Warmup is transient deletion: a visit enqueued before the warmup point
 contributes to no average. Busy, idle and occupancy time run on a
 clipped clock: each time t is read as ``t if t > warmup else warmup``
@@ -49,6 +56,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -163,7 +171,7 @@ class ClassAccumulator:
         self.completed = 0
         self.dropped = 0
         self.mean_response = 0.0  # over responses, the sessions that arrived inside the window
-        self.responses: list[float] = []
+        self.responses = array("d")  # the kept responses, packed: 8 bytes each
         self.series_rows: list[tuple[str, float, float]] = []
         self.record_series = record_series
 
@@ -280,13 +288,25 @@ _SERIES_TYPES = {"enabled": "bool", "resource_rows": "int", "end_to_end_rows": "
 _REPORT_KEYS = (*_HEADER_TYPES, "totals", "resources", "classes", "series")
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile; 0.0 when there are no samples."""
-    n = len(sorted_values)
+def _nearest_ranks(values: array, qs: tuple[float, ...]) -> list[float]:
+    """Each q in ``qs`` as a nearest-rank percentile of ``values``: the
+    k-th smallest value, k = max(0, ceil(q * n) - 1) counted from 0, which
+    is ``sorted(values)[k]``; 0.0 for every q when there are no values.
+
+    One numpy.partition of a view of the buffer puts every k-th value in
+    its sorted place without sorting the rest. The partition is a copy and
+    the view dies within the call, so ``values`` keeps no export and may
+    still grow.
+    """
+    n = len(values)
     if n == 0:
-        return 0.0
-    idx = max(0, math.ceil(q * n) - 1)
-    return sorted_values[min(idx, n - 1)]
+        return [0.0] * len(qs)
+    # imported here, as workload._refill does: commands that keep no
+    # response never load numpy
+    import numpy as np
+
+    ks = [max(0, math.ceil(q * n) - 1) for q in qs]
+    return np.partition(np.frombuffer(values), ks)[ks].tolist()
 
 
 def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
@@ -335,14 +355,14 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
 
     classes: dict[str, ClassMetrics] = {}
     for name, ca in acc.classes.items():
-        ordered = sorted(ca.responses)
+        p50, p95 = _nearest_ranks(ca.responses, (0.50, 0.95))
         classes[name] = ClassMetrics(
             generated=ca.generated,
             completed=ca.completed,
             dropped=ca.dropped,
             mean_response=ca.mean_response,
-            p50_response=_percentile(ordered, 0.50),
-            p95_response=_percentile(ordered, 0.95),
+            p50_response=p50,
+            p95_response=p95,
         )
 
     generated = sum(ca.generated for ca in acc.classes.values())

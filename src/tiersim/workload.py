@@ -14,9 +14,11 @@ A stream's generator is keyed on its first draw, not when the stream is
 built. Since the key depends only on (seed, consumer), when that happens
 never changes a sample; it only means that a stream which never draws
 (such as the balance stream of a resource whose policy is not
-``random``) costs no generator, and a process that never draws never
-imports numpy. A declared resource that no class visits has no runtime,
-no stream and no accumulator at all.
+``random``) costs no generator and imports no numpy. A process imports
+numpy at its first draw, or when it finalizes a run that kept a
+response, since metrics selects a class's p50 and p95 with it;
+validate, synthesize and report do neither. A declared resource that no
+class visits has no runtime, no stream and no accumulator at all.
 
 Only raw uniform doubles come from the generator. Variates are formed by
 explicit inverse transforms here, so the sampling algorithm is part of

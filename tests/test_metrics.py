@@ -10,10 +10,13 @@ import math
 import pickle
 import statistics
 import tracemalloc
+from array import array
 from itertools import chain
 from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiersim import (
     Distribution,
@@ -35,7 +38,7 @@ from tiersim import (
     report_to_table,
     simulate,
 )
-from tiersim.metrics import _SERIES_CHUNK_ROWS, UNVISITED, MetricsReport, RunAccumulator, _percentile, series_chunks
+from tiersim.metrics import _SERIES_CHUNK_ROWS, UNVISITED, MetricsReport, RunAccumulator, _nearest_ranks, series_chunks
 from tiersim.sweep import SweepResult, sweep_to_csv
 from pycalls import python_calls
 from randscen import random_scenario
@@ -253,6 +256,12 @@ def test_zero_window_reports_zeros_and_full_idle():
     assert m.p_idle == 1.0
 
 
+def _percentile(values: list[float], q: float) -> float:
+    """The nearest-rank q-percentile of ``values``, as finalize reads it."""
+    (value,) = _nearest_ranks(array("d", values), (q,))
+    return value
+
+
 def test_percentiles_nearest_rank():
     values = sorted(float(i) for i in range(1, 101))
     assert _percentile(values, 0.50) == 50.0
@@ -263,14 +272,34 @@ def test_percentiles_nearest_rank():
     assert _percentile([], 0.95) == 0.0
     assert _percentile([4.0, 9.0], 1.0) == 9.0
     assert _percentile([4.0, 9.0], 0.0) == 4.0
+    # unsorted input, and ties
+    shuffled = [float((37 * i) % 100 + 1) for i in range(100)]
+    assert shuffled != values and sorted(shuffled) == values
+    assert _percentile(shuffled, 0.50) == 50.0
+    assert _percentile(shuffled, 0.95) == 95.0
+    assert _percentile([3.0, 1.0, 2.0], 0.95) == 3.0
+    assert _percentile([9.0, 4.0], 0.0) == 4.0
+    assert _percentile([5.0, 1.0, 5.0, 5.0, 1.0], 0.50) == 5.0
+    assert _percentile([2.0, 2.0, 2.0], 0.95) == 2.0
+    assert _nearest_ranks(array("d", [3.0, 1.0, 2.0, 1.0]), (0.50, 0.95)) == [1.0, 3.0]
+    assert _nearest_ranks(array("d"), (0.50, 0.95)) == [0.0, 0.0]
 
 
-def _hypoexponential_quantile(a: float, b: float, q: float) -> float:
-    """The q-quantile of Exp(a) + Exp(b), a != b, by bisection on its CDF."""
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 1e-300, 7e10]) | st.floats(0.0, 1e6), max_size=300))
+def test_nearest_ranks_select_what_a_sort_gives(values):
+    n = len(values)
+    qs = (0.0, 0.5, 0.95, 1.0)
+    expected = [sorted(values)[max(0, math.ceil(q * n) - 1)] if n else 0.0 for q in qs]
+    buffer = array("d", values)
+    assert _nearest_ranks(buffer, qs) == expected
+    # the selection leaves the buffer as it was, and exported nowhere
+    assert buffer.tolist() == values
+    buffer.append(1.0)
 
-    def cdf(t: float) -> float:
-        return 1.0 - (b * math.exp(-a * t) - a * math.exp(-b * t)) / (b - a)
 
+def _quantile(cdf, q: float) -> float:
+    """The q-quantile of a continuous distribution on [0, inf), by bisection on its CDF."""
     lo, hi = 0.0, 1.0
     while cdf(hi) < q:
         hi *= 2.0
@@ -280,12 +309,49 @@ def _hypoexponential_quantile(a: float, b: float, q: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _chain(lam: float, rates: tuple[float, ...], seed: int) -> ScenarioModel:
-    """One class visiting one infinite-room M/M/1 station per service rate, in order."""
+def _hypoexponential_quantile(a: float, b: float, q: float) -> float:
+    """The q-quantile of Exp(a) + Exp(b), a != b."""
+    return _quantile(lambda t: 1.0 - (b * math.exp(-a * t) - a * math.exp(-b * t)) / (b - a), q)
+
+
+def _mm1k_response_quantile(lam: float, mu: float, capacity: int, q: float) -> float:
+    """The q-quantile of an accepted request's response at an M/M/1 station
+    with ``capacity`` waiting places. An arrival that finds n present
+    (n <= capacity) is accepted and leaves after n + 1 services, an
+    Erlang(n + 1, mu) response; it finds n with probability pi_n, which is
+    proportional to (lam/mu)^n for n <= capacity + 1, so an accepted one
+    finds n with weight pi_n / (1 - pi_{capacity + 1})."""
+    rho = lam / mu
+    weights = [rho**n for n in range(capacity + 1)]
+    total = sum(weights)
+
+    def cdf(t: float) -> float:
+        # P(Erlang(k, mu) > t) is the Poisson(mu t) probability of fewer than k events
+        terms = [math.exp(-mu * t) * (mu * t) ** j / math.factorial(j) for j in range(capacity + 1)]
+        return 1.0 - sum(w * sum(terms[: n + 1]) for n, w in enumerate(weights)) / total
+
+    return _quantile(cdf, q)
+
+
+def _chain(
+    lam: float,
+    rates: tuple[float, ...],
+    seed: int,
+    capacity: float = math.inf,
+    warmup: float = 200.0,
+    requests: int = 50_000,
+) -> ScenarioModel:
+    """One class visiting one M/M/1 station per service rate, in order, each
+    with ``capacity`` waiting places."""
     names = [f"S{i}" for i in range(len(rates))]
     return ScenarioModel(
         name="chain",
-        tiers=(Tier(name="t", resources=tuple(ResourceSpec(name=name, replicas=1) for name in names)),),
+        tiers=(
+            Tier(
+                name="t",
+                resources=tuple(ResourceSpec(name=name, replicas=1, queue_capacity=capacity) for name in names),
+            ),
+        ),
         classes=(
             WorkloadClass(
                 name="w",
@@ -293,34 +359,48 @@ def _chain(lam: float, rates: tuple[float, ...], seed: int) -> ScenarioModel:
                 path=tuple(Visit(resource=name, demand=Distribution.exponential(mu)) for name, mu in zip(names, rates)),
             ),
         ),
-        run=RunConfig(seed=seed, stop=StopRule.after_requests(50_000), warmup=200.0),
+        run=RunConfig(seed=seed, stop=StopRule.after_requests(requests), warmup=warmup),
     )
 
 
 @pytest.mark.parametrize(
-    "lam, rates, seeds, exact",
+    "model, seeds, t, exact",
     [
         # M/M/1, infinite room: the response is Exp(mu - lam) = Exp(0.2),
         # so p50 = ln 2 / 0.2 = 3.46574 and p95 = ln 20 / 0.2 = 14.97866
-        (0.8, (1.0,), range(2801, 2811), (math.log(2) / 0.2, math.log(20) / 0.2)),
+        (
+            lambda seed: _chain(0.8, (1.0,), seed),
+            range(2801, 2811),
+            2.262,
+            (math.log(2) / 0.2, math.log(20) / 0.2),
+        ),
         # two infinite M/M/1 in tandem: the sojourns are independent Exp(0.4)
         # and Exp(0.9) (Reich 1957), so p50 = 2.93166 and p95 = 8.94608
         (
-            0.6,
-            (1.0, 1.5),
+            lambda seed: _chain(0.6, (1.0, 1.5), seed),
             range(2811, 2821),
+            2.262,
             (_hypoexponential_quantile(0.4, 0.9, 0.50), _hypoexponential_quantile(0.4, 0.9, 0.95)),
         ),
+        # M/M/1/K with 5 waiting places at rho = 0.9: a mixture of Erlangs,
+        # p50 = 2.688793 and p95 = 7.913927; 20 replications
+        (
+            lambda seed: _chain(0.9, (1.0,), seed, capacity=5, warmup=50.0),
+            range(3201, 3221),
+            2.093,
+            (_mm1k_response_quantile(0.9, 1.0, 5, 0.50), _mm1k_response_quantile(0.9, 1.0, 5, 0.95)),
+        ),
     ],
-    ids=["mm1", "tandem"],
+    ids=["mm1", "tandem", "mm1k"],
 )
-def test_printed_response_percentiles_agree_with_theory(lam, rates, seeds, exact):
-    # 10 replications: each percentile's mean must lie within its 95%
-    # confidence half-width (t at 9 degrees of freedom) of the exact value
-    runs = [simulate(_chain(lam, rates, seed)).classes["w"] for seed in seeds]
+def test_printed_response_percentiles_agree_with_theory(model, seeds, t, exact):
+    # each percentile's mean over the replications must lie within its 95%
+    # confidence half-width (t at len(seeds) - 1 degrees of freedom) of the
+    # exact value
+    runs = [simulate(model(seed)).classes["w"] for seed in seeds]
     for name, value in zip(("p50_response", "p95_response"), exact):
         observed = [getattr(c, name) for c in runs]
-        half_width = 2.262 * statistics.stdev(observed) / math.sqrt(len(observed))
+        half_width = t * statistics.stdev(observed) / math.sqrt(len(observed))
         assert abs(statistics.fmean(observed) - value) <= half_width, (name, value, observed)
 
 
@@ -503,6 +583,18 @@ def test_draining_series_chunks_stays_under_a_megabyte(webservices_series_report
 
     _, peak = traced_peak(drain)
     assert peak <= 1_000_000, peak
+
+
+def test_a_run_holds_about_two_doubles_per_kept_response():
+    # a kept response is 8 bytes in its class's buffer, and finalize's
+    # partition copies it once; a list of floats and a sorted copy of it
+    # peaked at 49 B a response on this model, the buffer at 22 B
+    model = _chain(0.8, (1.0,), 1, warmup=0.0, requests=15_000)
+    Engine(_chain(0.8, (1.0,), 1, warmup=0.0, requests=100)).run()  # numpy imported, outside the trace
+    report, peak = traced_peak(lambda: Engine(model).run())
+    kept = report.classes["w"].completed
+    assert kept == 15_000
+    assert peak / kept <= 24, peak / kept
 
 
 def test_table_rendering_lists_every_resource_and_class():

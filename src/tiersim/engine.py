@@ -43,6 +43,10 @@ session, with the same float operations in the same order, and the
 tests hold it to those methods field by field. A kept session response
 goes, as in record_completion, onto its class's packed ``array('d')``
 of responses, 8 bytes each, from which finalize selects p50 and p95.
+With series on, a kept visit appends its arrival and response to its
+resource's two packed series columns, and a kept session appends its
+arrival to its class's column, as record_visit and record_completion
+do: 8 bytes a value, and no tuple per row.
 At the stop clock the engine hands each accumulator the services still
 running and the requests still queued (ResourceAccumulator.close).
 run() and step() share the loop; step() stops it after one event.
@@ -73,7 +77,7 @@ from heapq import heappop, heappush
 from .balancer import make_selector
 from .errors import DomainError, EngineEmptyError, InternalError
 from .metrics import MetricsReport, RunAccumulator, finalize
-from .model import END_TO_END, ScenarioModel, StopKind
+from .model import ScenarioModel, StopKind
 from .workload import Stream, make_sampler
 
 _INF = float("inf")
@@ -262,7 +266,8 @@ class Engine:
                         acc.waiting_mean += (start - enqueue - acc.waiting_mean) / n
                         acc.service_mean += (now - start - acc.service_mean) / n
                         if series:
-                            acc.series_rows.append((acc.name, enqueue, now - enqueue))
+                            acc.series_arrivals.append(enqueue)
+                            acc.series_responses.append(now - enqueue)
                     res.backlogs[replica] -= 1
 
                     queue = res.queues[replica]
@@ -289,7 +294,7 @@ class Engine:
                             responses.append(response)
                             cacc.mean_response += (response - cacc.mean_response) / len(responses)
                             if series:
-                                cacc.series_rows.append((END_TO_END, arrival, response))
+                                cacc.series_arrivals.append(arrival)
                         terminals += 1
                         continue
 

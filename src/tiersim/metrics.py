@@ -45,10 +45,17 @@ resource that no class visits is never offered a request, so its report
 row is the one constant UNVISITED row, shared by every run, and
 report_to_json writes that row from one text rendered at import.
 
-A series point is one labelled row, ``(label, arrival, response)``: a
-resource's rows carry its name and a class's rows carry END_TO_END. Each
-accumulator appends the row once, as the report holds it and
-series_chunks formats it; finalize only gathers the accumulators' lists.
+A series point is one row, ``(label, arrival, response)``: a resource's
+rows carry its name and a class's rows carry END_TO_END. No row is
+stored as a tuple. Each accumulator keeps its points as packed
+``array('d')`` columns, 8 bytes a value: a resource keeps an arrival and
+a response column, and a class keeps an arrival column beside the
+responses it already keeps, which record_completion appends under the
+same window rule. finalize hands each column to the report with the row
+count it holds at that moment (a SeriesRows), so the report reads the
+accumulators' own buffers without a copy, and what they record later is
+not part of it. series_chunks sorts the rows with one stable argsort of
+the arrival columns.
 """
 
 from __future__ import annotations
@@ -56,11 +63,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from array import array
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import accumulate, repeat
 
 from .errors import SeriesDisabledError
 from .model import END_TO_END, JSONText, ScenarioModel, _as_dict, _as_record, _load_json, _read_values, json_text
@@ -86,7 +94,8 @@ class ResourceAccumulator:
         "area",
         "queued_at_stop",
         "in_service_at_stop",
-        "series_rows",
+        "series_arrivals",
+        "series_responses",
         "record_series",
     )
 
@@ -107,7 +116,8 @@ class ResourceAccumulator:
         self.area = 0.0
         self.queued_at_stop = 0
         self.in_service_at_stop = 0
-        self.series_rows: list[tuple[str, float, float]] = []
+        self.series_arrivals = array("d")  # the series rows as two packed columns
+        self.series_responses = array("d")
         self.record_series = record_series
 
     def record_visit(self, enqueue: float, start: float, end: float) -> None:
@@ -127,7 +137,8 @@ class ResourceAccumulator:
         self.waiting_mean += (start - enqueue - self.waiting_mean) / n
         self.service_mean += (end - start - self.service_mean) / n
         if self.record_series:
-            self.series_rows.append((self.name, enqueue, end - enqueue))
+            self.series_arrivals.append(enqueue)
+            self.series_responses.append(end - enqueue)
 
     def occupancy_change(self, now: float, delta: int) -> None:
         """Request count at this resource changed by delta at time now.
@@ -163,7 +174,16 @@ class ResourceAccumulator:
 class ClassAccumulator:
     """Running observations for one workload class."""
 
-    __slots__ = ("warmup", "generated", "completed", "dropped", "mean_response", "responses", "series_rows", "record_series")
+    __slots__ = (
+        "warmup",
+        "generated",
+        "completed",
+        "dropped",
+        "mean_response",
+        "responses",
+        "series_arrivals",
+        "record_series",
+    )
 
     def __init__(self, warmup: float, record_series: bool):
         self.warmup = warmup
@@ -172,7 +192,8 @@ class ClassAccumulator:
         self.dropped = 0
         self.mean_response = 0.0  # over responses, the sessions that arrived inside the window
         self.responses = array("d")  # the kept responses, packed: 8 bytes each
-        self.series_rows: list[tuple[str, float, float]] = []
+        # the series rows' arrivals; their responses are ``responses``
+        self.series_arrivals = array("d")
         self.record_series = record_series
 
     def record_completion(self, arrival: float, response: float) -> None:
@@ -182,7 +203,7 @@ class ClassAccumulator:
             responses.append(response)
             self.mean_response += (response - self.mean_response) / len(responses)
             if self.record_series:
-                self.series_rows.append((END_TO_END, arrival, response))
+                self.series_arrivals.append(arrival)
 
 
 class RunAccumulator:
@@ -204,6 +225,54 @@ class RunAccumulator:
         self.classes: dict[str, ClassAccumulator] = {
             c.name: ClassAccumulator(warmup, series) for c in model.classes
         }
+
+
+# One labelled run of series rows: rows i < n of the two columns.
+SeriesColumns = tuple[str, array, array, int]
+
+
+class SeriesRows(Sequence):
+    """A read-only sequence of ``(label, arrival, response)`` rows read
+    from packed columns: each ``(label, arrivals, responses, n)`` in
+    ``columns`` gives its first n rows, in order, and the columns follow
+    one another. Holding n, not a copy, keeps the rows fixed while the
+    buffers grow. Compares equal to a SeriesRows or a tuple of the same
+    rows.
+    """
+
+    __slots__ = ("columns", "_ends")
+
+    def __init__(self, columns: Iterable[SeriesColumns]):
+        self.columns = tuple(columns)
+        self._ends = tuple(accumulate(n for *_, n in self.columns))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i: int) -> tuple[str, float, float]:
+        n = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("series row index out of range")
+        k = bisect_right(self._ends, i)
+        label, arrivals, responses, _ = self.columns[k]
+        j = i - self._ends[k - 1] if k else i
+        return label, arrivals[j], responses[j]
+
+    def __iter__(self) -> Iterator[tuple[str, float, float]]:
+        for label, arrivals, responses, n in self.columns:
+            yield from zip(repeat(label, n), arrivals, responses)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SeriesRows, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __reduce__(self):
+        # rebuilt from its columns, at any pickle protocol
+        return SeriesRows, (self.columns,)
 
 
 @dataclass(frozen=True)
@@ -248,8 +317,8 @@ class MetricsReport:
     resources: dict[str, ResourceMetrics]
     classes: dict[str, ClassMetrics]
     series_enabled: bool
-    resource_series: tuple[tuple[str, float, float], ...]
-    end_to_end_series: tuple[tuple[str, float, float], ...]
+    resource_series: SeriesRows
+    end_to_end_series: SeriesRows
     # a loaded report's (resource, end-to-end) series row counts as saved;
     # None for a finished run, which holds the rows themselves
     loaded_series_rows: tuple[int, int] | None = None
@@ -369,9 +438,8 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
     completed = sum(ca.completed for ca in acc.classes.values())
     dropped = sum(ca.dropped for ca in acc.classes.values())
 
-    # each accumulator's own rows, in model then record order; a list
-    # stays empty when series are off
-    rows = attrgetter("series_rows")
+    # each accumulator's own columns, in model then record order, with
+    # the row count they hold now; the columns stay empty when series are off
     return MetricsReport(
         scenario=model.name,
         seed=run.seed,
@@ -384,8 +452,16 @@ def finalize(acc: RunAccumulator, elapsed: float) -> MetricsReport:
         resources=resources,
         classes=classes,
         series_enabled=run.series_enabled,
-        resource_series=tuple(chain.from_iterable(map(rows, acc.resources.values()))),
-        end_to_end_series=tuple(chain.from_iterable(map(rows, acc.classes.values()))),
+        resource_series=SeriesRows(
+            (ra.name, ra.series_arrivals, ra.series_responses, len(ra.series_arrivals))
+            for ra in acc.resources.values()
+            if ra.series_arrivals
+        ),
+        end_to_end_series=SeriesRows(
+            (END_TO_END, ca.series_arrivals, ca.responses, len(ca.series_arrivals))
+            for ca in acc.classes.values()
+            if ca.series_arrivals
+        ),
     )
 
 
@@ -454,8 +530,8 @@ def report_from_json(text: str) -> MetricsReport:
         resources=resources,
         classes=classes,
         series_enabled=series["enabled"],
-        resource_series=(),
-        end_to_end_series=(),
+        resource_series=SeriesRows(()),
+        end_to_end_series=SeriesRows(()),
         loaded_series_rows=(series["resource_rows"], series["end_to_end_rows"]),
     )
 
@@ -509,28 +585,48 @@ def series_chunks(report: MetricsReport) -> Iterator[str]:
 
     A refusal is raised by this call, before the first chunk, so a
     caller that writes the chunks as they come writes nothing for a
-    report that holds no series rows.
+    report that holds no series rows. The rows are ordered at the first
+    chunk by one stable numpy argsort of the concatenated arrival columns;
+    each chunk is then formatted from plain slices of the sorted columns,
+    with each label's CSV cell quoted once. No tuple or str is made per
+    row beyond the chunk being formatted.
     """
     if report.loaded_series_rows is not None:
         raise SeriesDisabledError("a loaded report holds no series rows; export them from the run that recorded them")
     if not report.series_enabled:
         raise SeriesDisabledError("this run did not record series data (enable run.series)")
-    rows = sorted(chain(report.resource_series, report.end_to_end_series), key=itemgetter(1))
-    # each label as csv writes it, quoted where it holds a comma or a quote;
-    # quoting each label once, not each row, keeps a chunk a plain join
-    cells = {}
-    for label in set(map(itemgetter(0), rows)):
-        out = io.StringIO()
-        csv.writer(out, lineterminator="").writerow((label,))
-        cells[label] = out.getvalue()
-    return _format_series(rows, cells)
+    return _format_series(report.resource_series.columns + report.end_to_end_series.columns)
 
 
-def _format_series(rows: list[tuple[str, float, float]], cells: dict[str, str]) -> Iterator[str]:
+def _csv_cell(label: str) -> str:
+    """``label`` as csv writes it, quoted where it holds a comma or a quote."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow((label,))
+    return out.getvalue()
+
+
+def _format_series(columns: tuple[SeriesColumns, ...]) -> Iterator[str]:
     yield "resource,arrival_time,response_time\n"
-    for start in range(0, len(rows), _SERIES_CHUNK_ROWS):
-        chunk = rows[start : start + _SERIES_CHUNK_ROWS]
-        yield "".join([f"{cells[label]},{t!r},{r!r}\n" for label, t, r in chunk])
+    if not any(n for *_, n in columns):
+        return
+    # imported here, as _nearest_ranks does: a run that records a row has
+    # drawn a variate, so numpy is already loaded
+    import numpy as np
+
+    # one stable argsort orders all rows by arrival, ties in column then
+    # record order; the sorted columns are then read in plain slices
+    arrivals = np.concatenate([np.frombuffer(a, count=n) for _, a, _, n in columns])
+    order = np.argsort(arrivals, kind="stable")
+    arrivals = arrivals[order]
+    responses = np.concatenate([np.frombuffer(r, count=n) for _, _, r, n in columns])[order]
+    # each row's label as the index of its column's cell, quoted once a column
+    which = np.repeat(np.arange(len(columns), dtype=np.int32), [n for *_, n in columns])[order]
+    del order
+    cells = [_csv_cell(label) for label, *_ in columns]
+    for start in range(0, len(arrivals), _SERIES_CHUNK_ROWS):
+        part = slice(start, start + _SERIES_CHUNK_ROWS)
+        rows = zip(map(cells.__getitem__, which[part].tolist()), arrivals[part].tolist(), responses[part].tolist())
+        yield "".join([f"{cell},{t!r},{r!r}\n" for cell, t, r in rows])
 
 
 def export_series(report: MetricsReport) -> str:
@@ -538,9 +634,11 @@ def export_series(report: MetricsReport) -> str:
 
     One row per completed visit, labeled with its resource, plus one row
     per completed session labeled __end_to_end__. Rows are ordered by
-    arrival time (stable for ties), which is what a response-vs-arrival
-    scatter needs. The text is the join of series_chunks, so it holds
-    the chunks beside the result but never one str per row; a caller
-    that only writes the CSV can write those chunks one by one instead.
+    arrival time, which is what a response-vs-arrival scatter needs; rows
+    that arrived at the same time keep the report's order, resource rows
+    (model then record order) before end-to-end rows. The text is the
+    join of series_chunks, so it holds the chunks beside the result but
+    never one str per row; a caller that only writes the CSV can write
+    those chunks one by one instead.
     """
     return "".join(series_chunks(report))

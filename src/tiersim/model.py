@@ -248,7 +248,10 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
     if not model.classes:
         issues.append("classes: at least one workload class is required")
 
-    tier_of: dict[str, int] = {}  # each resource name -> the index of its tier
+    tier_of: dict[str, int] = {}  # each accepted resource name -> the index of its tier
+    # each declared name, accepted or refused -> whether its queue is bounded,
+    # so a visit to a refused name is not also reported as unknown; a name
+    # built in code that is not a str may not hash, and is left out
     bounded: dict[str, bool] = {}
     seen_tiers: set[str] = set()
     for ti, tier in enumerate(model.tiers):
@@ -265,6 +268,8 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             issues.append(": tier holds no resources")
         for ri, res in enumerate(tier.resources):
             first = len(issues)
+            if isinstance(res.name, str):
+                bounded.setdefault(res.name, res.queue_capacity != INFINITE)
             if not _valid_name(res.name):
                 issues.append(f": resource name must be a non-empty token, got {res.name!r}")
             elif res.name == END_TO_END:
@@ -273,7 +278,6 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
                 issues.append(f": duplicate resource name {res.name!r} (also in tiers[{tier_of[res.name]}])")
             else:
                 tier_of[res.name] = ti
-                bounded[res.name] = res.queue_capacity != INFINITE
             if not (_integer(res.replicas) and res.replicas >= 1):
                 issues.append(f": replicas must be an integer >= 1, got {res.replicas!r}")
             elif res.replicas > MAX_REPLICAS:
@@ -317,7 +321,7 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             issues.append(f"{cpath}.path: path must hold at least one visit")
         for vi, visit in enumerate(cls.path):
             vpath = f"{cpath}.path[{vi}]"
-            if visit.resource not in tier_of:
+            if visit.resource not in bounded:
                 issues.append(f"{vpath}: visit references unknown resource {visit.resource!r}")
             _check_distribution(visit.demand, f"{vpath}.demand", issues)
         if gap:

@@ -13,6 +13,7 @@ import numpy
 import pytest
 
 from tiersim import (
+    END_TO_END,
     INFINITE,
     BalancerPolicy,
     Distribution,
@@ -785,7 +786,7 @@ def test_calls_per_event_stay_bounded():
     # Exact counts for a fixed seed, no wall clock: a regrowth of the
     # per-event call chain fails here before it shows as lost speed.
     # The counts are mm1 4.01, jsq8 4.78, round_robin 4.60, random 5.17
-    # and the bundled webservices scenario with series on 3.30. One loop
+    # and the bundled webservices scenario with series on 3.95. One loop
     # frame applies every event, with no handler, admission or
     # accumulator frame; an arrival or service draw is one C call, and a
     # new request makes no call. What remains is heappop, heappush, the
@@ -849,15 +850,23 @@ def test_a_finished_run_is_freed_without_the_cyclic_collector(series):
 
 
 def test_each_series_row_is_the_accumulators_own_row():
+    # the report reads each accumulator's own columns, not a copy of them
     eng = Engine(webservices(300, series=True))
     report = eng.run()
     acc = eng.accumulator
-    recorded = [row for ra in acc.resources.values() for row in ra.series_rows]
-    assert len(report.resource_series) == len(recorded) > 0
-    assert all(a is b for a, b in zip(report.resource_series, recorded))
-    recorded = [row for ca in acc.classes.values() for row in ca.series_rows]
-    assert len(report.end_to_end_series) == len(recorded) == report.completed
-    assert all(a is b for a, b in zip(report.end_to_end_series, recorded))
+    columns = [(ra.name, ra.series_arrivals, ra.series_responses) for ra in acc.resources.values()]
+    assert len(report.resource_series.columns) == len(columns) > 0
+    for (label, arrivals, responses, n), (name, own_arrivals, own_responses) in zip(
+        report.resource_series.columns, columns
+    ):
+        assert label == name and arrivals is own_arrivals and responses is own_responses
+        assert n == len(arrivals) == len(responses) > 0
+    assert list(report.resource_series) == [(name, *row) for name, a, r in columns for row in zip(a, r)]
+    ((label, arrivals, responses, n),) = report.end_to_end_series.columns
+    (ca,) = acc.classes.values()
+    assert label == END_TO_END and arrivals is ca.series_arrivals and responses is ca.responses
+    assert n == len(arrivals) == len(responses) == report.completed
+    assert list(report.end_to_end_series) == [(END_TO_END, *row) for row in zip(arrivals, responses)]
 
 
 def test_finalize_calls_do_not_grow_with_series_rows():

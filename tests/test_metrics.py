@@ -38,7 +38,15 @@ from tiersim import (
     report_to_table,
     simulate,
 )
-from tiersim.metrics import _SERIES_CHUNK_ROWS, UNVISITED, MetricsReport, RunAccumulator, _nearest_ranks, series_chunks
+from tiersim.metrics import (
+    _SERIES_CHUNK_ROWS,
+    UNVISITED,
+    MetricsReport,
+    RunAccumulator,
+    SeriesRows,
+    _nearest_ranks,
+    series_chunks,
+)
 from tiersim.sweep import SweepResult, sweep_to_csv
 from pycalls import python_calls
 from randscen import random_scenario
@@ -441,6 +449,14 @@ def test_report_json_carries_series_counts():
     assert doc["series"]["resource_rows"] == report.resources["A"].served
 
 
+def series_rows(*columns: tuple[str, list[tuple[float, float]]]) -> SeriesRows:
+    """Rows as a run's report holds them: one pair of packed columns per
+    ``(label, [(arrival, response), ...])``, in the order given."""
+    return SeriesRows(
+        (label, array("d", [t for t, _ in rows]), array("d", [r for _, r in rows]), len(rows)) for label, rows in columns
+    )
+
+
 def test_export_series_format_and_order():
     base = simulate(one_station_model(series=True))
     report = MetricsReport(
@@ -455,8 +471,8 @@ def test_export_series_format_and_order():
         resources=base.resources,
         classes=base.classes,
         series_enabled=True,
-        resource_series=(("A", 1.0, 0.5), ("A", 3.0, 0.25), ("B", 2.0, 0.125)),
-        end_to_end_series=(("__end_to_end__", 1.0, 0.75),),
+        resource_series=series_rows(("A", [(1.0, 0.5), (3.0, 0.25)]), ("B", [(2.0, 0.125)])),
+        end_to_end_series=series_rows(("__end_to_end__", [(1.0, 0.75)])),
     )
     text = export_series(report)
     assert text.splitlines() == [
@@ -488,6 +504,29 @@ def test_series_rows_match_counts_from_a_real_run():
     assert len(report.end_to_end_series) == report.completed
     csv_text = export_series(report)
     assert len(csv_text.splitlines()) == 1 + len(report.resource_series) + len(report.end_to_end_series)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_report_keeps_its_series_rows(protocol):
+    report = simulate(one_station_model(replicas=2, series=True))
+    copy = pickle.loads(pickle.dumps(report, protocol))
+    assert len(copy.resource_series) == report.resources["A"].served > 0
+    assert copy.resource_series == report.resource_series == tuple(report.resource_series)
+    assert copy.end_to_end_series == report.end_to_end_series
+    assert copy.end_to_end_series[-1] == report.end_to_end_series[-1]
+    assert export_series(copy) == export_series(report)
+
+
+def test_series_rows_read_as_a_tuple_of_rows():
+    rows = series_rows(("A", [(1.0, 0.5), (3.0, 0.25)]), ("B", []), ("C", [(2.0, 0.125)]))
+    expected = (("A", 1.0, 0.5), ("A", 3.0, 0.25), ("C", 2.0, 0.125))
+    assert len(rows) == 3 and tuple(rows) == expected and rows == expected and expected == rows
+    assert [rows[i] for i in range(-3, 3)] == [*expected, *expected]
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            rows[i]
+    assert rows != expected[:2] and rows != (*expected[:2], ("C", 2.0, 0.25))
+    assert series_rows() == () and not series_rows()
 
 
 def test_series_labels_that_need_quoting_read_back_as_three_fields():
@@ -530,11 +569,11 @@ def test_export_series_bytes_hold_across_chunk_edges(n):
     # labels alternate, so rows N-2, N-1 and N, N+1 put both labels that
     # need quoting on both sides of the first edge; the rows are given
     # out of order, so the sort decides where each edge falls
-    rows = [(("a,b", 'x"y')[j % 2], j * 0.1, 1.0 / (j + 3)) for j in range(n)]
+    rows = [(j * 0.1, 1.0 / (j + 3)) for j in range(n)]
     report = dataclasses.replace(
         simulate(one_station_model(series=True)),
-        resource_series=(*reversed(rows[1::2]), *rows[::2]),
-        end_to_end_series=(),
+        resource_series=series_rows(('x"y', rows[1::2][::-1]), ("a,b", rows[::2])),
+        end_to_end_series=series_rows(),
     )
     chunks = list(series_chunks(report))
     assert "".join(chunks) == export_series(report) == reference_series(report)
@@ -547,26 +586,39 @@ def test_export_series_bytes_hold_across_chunk_edges(n):
         assert [line[:6] for line in edge] == ['"a,b",', '"x""y"', '"a,b",', '"x""y"'][: len(edge)]
 
 
-@pytest.fixture(scope="module")
-def webservices_series_report() -> MetricsReport:
+def webservices_series_report_model(sessions: int = 12_500) -> ScenarioModel:
     """The bundled scenario with max_requests lifted, stopped after
-    12,500 terminal sessions, series on: about 23k series rows."""
+    ``sessions`` terminal sessions, series on: about 23k series rows at
+    12,500."""
     doc = json.loads(bundled.scenario_text())
     for cls in doc["classes"]:
         cls.pop("max_requests", None)
-    doc["run"].update(stop={"kind": "after_requests", "n": 12_500}, series=True)
-    return Engine(parse_scenario(json.dumps(doc))).run()
+    doc["run"].update(stop={"kind": "after_requests", "n": sessions}, series=True)
+    return parse_scenario(json.dumps(doc))
 
 
-def traced_peak(fn) -> tuple[object, int]:
-    """``fn()`` and the peak of its traced allocations above their start."""
+@pytest.fixture(scope="module")
+def webservices_series_report() -> MetricsReport:
+    return Engine(webservices_series_report_model()).run()
+
+
+def traced(fn) -> tuple[object, int, int]:
+    """``fn()``, the peak of its traced allocations above their start,
+    and what they still hold once it has returned."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - start
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - start, held - start
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(fn) -> tuple[object, int]:
+    """``fn()`` and the peak of its traced allocations above their start."""
+    result, peak, _ = traced(fn)
+    return result, peak
 
 
 def test_export_series_peaks_near_its_result(webservices_series_report):
@@ -595,6 +647,39 @@ def test_a_run_holds_about_two_doubles_per_kept_response():
     kept = report.classes["w"].completed
     assert kept == 15_000
     assert peak / kept <= 24, peak / kept
+
+
+def test_a_run_holds_two_doubles_per_series_row():
+    # a resource row is an arrival and a response, 8 bytes each, in its
+    # resource's columns; an end-to-end row adds only its arrival to the
+    # responses its class keeps anyway. A (label, arrival, response) tuple
+    # and its floats held 115 B a row and peaked at 133 B; the columns
+    # hold 17 B and peak at 27 B.
+    model = webservices_series_report_model()
+    Engine(webservices_series_report_model(100)).run()  # numpy imported, outside the trace
+    report, peak, held = traced(lambda: Engine(model).run())
+    rows = len(report.resource_series) + len(report.end_to_end_series)
+    assert rows > 20 * N
+    assert held / rows <= 24, held / rows
+    assert peak / rows <= 32, peak / rows
+
+
+def test_rows_recorded_after_finalize_are_not_in_the_report():
+    eng = Engine(webservices_series_report_model(300))
+    report = eng.run()
+    rows = (tuple(report.resource_series), tuple(report.end_to_end_series))
+    csv_text = export_series(report)
+    for ra in eng.accumulator.resources.values():
+        ra.record_visit(1e9, 1e9 + 1, 1e9 + 2)
+    for ca in eng.accumulator.classes.values():
+        ca.record_completion(1e9, 5.0)
+    assert sum(map(len, (ra.series_arrivals for ra in eng.accumulator.resources.values()))) > len(rows[0])
+    assert (tuple(report.resource_series), tuple(report.end_to_end_series)) == rows
+    assert export_series(report) == csv_text
+    # a second finalize sees the new rows; the first report still does not
+    again = finalize(eng.accumulator, report.elapsed)
+    assert len(again.resource_series) == len(rows[0]) + len(eng.accumulator.resources)
+    assert export_series(report) == csv_text
 
 
 def test_table_rendering_lists_every_resource_and_class():
@@ -659,7 +744,9 @@ def _report_cases():
     # a row equal to UNVISITED but for the sign of a zero keeps its sign
     signed = dict(report.resources, r5=dataclasses.replace(UNVISITED, avg_waiting=-0.0))
     yield "signed-zero", dataclasses.replace(report, resources=signed)
-    yield "series", simulate(one_station_model(replicas=2, series=True))
+    series = simulate(one_station_model(replicas=2, series=True))
+    yield "series", series
+    yield "pickled-series", pickle.loads(pickle.dumps(series))
 
 
 @pytest.mark.parametrize("report", [pytest.param(report, id=label) for label, report in _report_cases()])

@@ -331,8 +331,30 @@ def test_each_structural_invariant_has_its_issue_line(case):
         assert len(issues) > 1
 
 
+@pytest.mark.parametrize("capped", [True, False], ids=["capped", "unbounded"])
 @pytest.mark.parametrize(
-    "field", ["replicas", "queue_capacity", "max_requests", "seed", "after_requests count", "after_time horizon", "warmup"]
+    "name, line",
+    [
+        ("__end_to_end__", "tiers[0].resources[0]: resource name '__end_to_end__' is reserved"),
+        ("a b", "tiers[0].resources[0]: resource name must be a non-empty token, got 'a b'"),
+    ],
+    ids=["reserved", "malformed"],
+)
+def test_a_refused_resource_name_is_one_line_not_also_an_unknown_visit(name, line, capped):
+    # the visit names a declared resource, so only the declaration is at
+    # fault; an unbounded class also reads that resource's queue bound
+    doc = json.loads(bundled.scenario_text())
+    doc["tiers"][0]["resources"][0]["name"] = name
+    doc["classes"][0]["path"][0]["resource"] = name
+    if not capped:
+        del doc["classes"][0]["max_requests"]
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert str(exc.value).split("\n") == [line]
+
+
+@pytest.mark.parametrize(
+    "field",["replicas", "queue_capacity", "max_requests", "seed", "after_requests count", "after_time horizon", "warmup"]
 )
 def test_bool_is_not_an_integer_field(field):
     import dataclasses

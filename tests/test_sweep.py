@@ -23,6 +23,7 @@ from tiersim import (
     RunConfig,
     StopRule,
     bundled,
+    export_series,
     parse_deployment,
     parse_execution,
     parse_scenario,
@@ -203,6 +204,23 @@ def test_run_models_returns_pooled_reports_in_input_order(monkeypatch, pooled, f
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     assert [report_to_json(r) for r in runs.run_models(models)] == serial
     assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_series_rows_come_back_from_the_fork_join_byte_for_byte(pooled, forks):
+    # the child runs models 1 and 3 and sends their reports, series
+    # columns included, back through its pickle pipe
+    web = webservices(1000)
+    models = tuple(
+        dataclasses.replace(web, run=dataclasses.replace(web.run, seed=seed, warmup=warmup))
+        for seed, warmup in ((1, 0.0), (2, 1.0), (3, 0.0), (4, 2.0))
+    )
+    assert all(m.run.series_enabled for m in models)
+    reports = runs.run_models(models)
+    assert len(forks) == 1
+    for model, report in zip(models, reports):
+        assert report.resource_series and report.end_to_end_series
+        assert export_series(report) == export_series(Engine(model).run())
     assert_no_child_left()
 
 

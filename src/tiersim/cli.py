@@ -134,6 +134,9 @@ def _apply_overrides(model: ScenarioModel, args: argparse.Namespace) -> Scenario
         run = dataclasses.replace(run, warmup=args.warmup)
     if getattr(args, "series", False):
         run = dataclasses.replace(run, series_enabled=True)
+    if run is model.run:
+        # no override: the model is as parse_scenario or synthesize_scenario validated it
+        return model
     return validated(dataclasses.replace(model, run=run))
 
 

@@ -41,7 +41,6 @@ from .model import (
     ResourceSpec,
     RunConfig,
     ScenarioModel,
-    Tier,
     Visit,
     WorkloadClass,
     _as_dict,
@@ -54,6 +53,7 @@ from .model import (
     _require_keys,
     _rooted,
     _str,
+    _tier,
     validated,
 )
 
@@ -143,6 +143,9 @@ def parse_execution(text: str) -> tuple[Step, ...]:
     return tuple(steps)
 
 
+_LINK_KEYS = frozenset({"between", "resource"})
+
+
 def _parse_resource_entry(obj: object) -> ResourceSpec:
     # a bare name is shorthand for a resource with every default
     return _parse_resource({"name": obj} if isinstance(obj, str) else obj)
@@ -187,21 +190,26 @@ def parse_deployment(text: str) -> DeploymentMap:
     for i, entry in enumerate(_as_list(raw.get("links", []), "deployment.links")):
         # the paths below are relative to the link, rooted only when one is raised
         try:
-            link = _as_record(entry, ("between", "resource"), "")
-            between = _as_list(link["between"], ".between")
+            # each inline test calls the named reader only to name its error
+            if not (type(entry) is dict and entry.keys() == _LINK_KEYS):
+                _as_record(entry, ("between", "resource"), "")
+            between = entry["between"]
+            if not isinstance(between, list):
+                _as_list(between, ".between")
             if len(between) != 2:
                 raise ValidationError(".between: expected two node names")
-            for endpoint_path, endpoint in zip((".between[0]", ".between[1]"), between):
-                if _str(endpoint, endpoint_path) not in nodes:
-                    raise ValidationError(f".between: unknown node {endpoint!r}")
             a, b = between
+            if not (isinstance(a, str) and a in nodes and isinstance(b, str) and b in nodes):
+                for endpoint_path, endpoint in zip((".between[0]", ".between[1]"), between):
+                    if _str(endpoint, endpoint_path) not in nodes:
+                        raise ValidationError(f".between: unknown node {endpoint!r}")
             if a == b:
                 raise ValidationError(f".between: a link must join two distinct nodes, got {a!r} twice")
             key = (a, b) if a <= b else (b, a)
             if key in links:
                 raise ValidationError(f": duplicate link between {a!r} and {b!r}")
             try:
-                spec = _parse_resource_entry(link["resource"])
+                spec = _parse_resource_entry(entry["resource"])
             except ValidationError as exc:
                 raise _rooted(".resource", exc) from None
             if spec.name in seen_resource:
@@ -261,12 +269,12 @@ def synthesize_scenario(
                 raise ValidationError(f"step {step.label!r} is tagged @disk but node {dst_node!r} declares no disks")
             visits.extend(Visit(resource=d.name, demand=step.demand) for d in disks)
 
-    tiers = [Tier(name=node, resources=specs) for node, specs in deployment.nodes.items()]
+    tiers = [_tier(node, specs) for node, specs in deployment.nodes.items()]
     # declare every link resource, even ones no step crosses, so the
     # scenario mirrors the whole deployment; dedupe shared links by name
     all_links = tuple(dict.fromkeys(deployment.links.values()))
     if all_links:
-        tiers.append(Tier(name=_NETWORK_TIER, resources=all_links))
+        tiers.append(_tier(_NETWORK_TIER, all_links))
 
     cls = WorkloadClass(name=class_name, arrival=arrival, path=tuple(visits), max_requests=max_requests)
     model = ScenarioModel(

@@ -10,7 +10,10 @@ for a valid model); ``validated`` raises them as one ValidationError.
 
 The on-disk format is strict JSON: unknown keys are rejected rather than
 ignored, which catches typos like ``"replicsa"`` before a run silently
-uses a default.
+uses a default. A deployment may declare hundreds of resources, so their
+reader tests each value inline and calls a named reader only to word an
+error, and the writer fills a template per tier and per resource: the
+same error lines and bytes as the named readers and ``json_text`` give.
 """
 
 from __future__ import annotations
@@ -268,22 +271,24 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
             issues.append(": tier holds no resources")
         for ri, res in enumerate(tier.resources):
             first = len(issues)
-            if isinstance(res.name, str):
-                bounded.setdefault(res.name, res.queue_capacity != INFINITE)
-            if not _valid_name(res.name):
-                issues.append(f": resource name must be a non-empty token, got {res.name!r}")
-            elif res.name == END_TO_END:
+            name, replicas, cap = res.name, res.replicas, res.queue_capacity
+            if isinstance(name, str):
+                bounded.setdefault(name, cap != INFINITE)
+            if not _valid_name(name):
+                issues.append(f": resource name must be a non-empty token, got {name!r}")
+            elif name == END_TO_END:
                 issues.append(f": resource name {END_TO_END!r} is reserved")
-            elif res.name in tier_of:
-                issues.append(f": duplicate resource name {res.name!r} (also in tiers[{tier_of[res.name]}])")
+            elif name in tier_of:
+                issues.append(f": duplicate resource name {name!r} (also in tiers[{tier_of[name]}])")
             else:
-                tier_of[res.name] = ti
-            if not (_integer(res.replicas) and res.replicas >= 1):
-                issues.append(f": replicas must be an integer >= 1, got {res.replicas!r}")
-            elif res.replicas > MAX_REPLICAS:
-                issues.append(f": replicas must be at most {MAX_REPLICAS}, got {res.replicas!r}")
-            cap = res.queue_capacity
-            if not (cap == INFINITE or (_integer(cap) and cap >= 0)):
+                tier_of[name] = ti
+            # `type(x) is int or _integer(x)` is _integer(x), decided without
+            # a call for the exact ints a parsed model holds
+            if not ((type(replicas) is int or _integer(replicas)) and replicas >= 1):
+                issues.append(f": replicas must be an integer >= 1, got {replicas!r}")
+            elif replicas > MAX_REPLICAS:
+                issues.append(f": replicas must be at most {MAX_REPLICAS}, got {replicas!r}")
+            if not (cap == INFINITE or ((type(cap) is int or _integer(cap)) and cap >= 0)):
                 issues.append(f": queue_capacity must be an integer >= 0 or infinite, got {cap!r}")
             if not isinstance(res.balancer, BalancerPolicy):
                 issues.append(f": balancer must be a BalancerPolicy, got {res.balancer!r}")
@@ -481,12 +486,6 @@ def _tagged_to_json(record: Distribution | StopRule, params: dict) -> dict:
     return {"kind": record.kind.value, **{p: getattr(record, p) for p in params[record.kind]}}
 
 
-def _parse_capacity(obj: object, path: str) -> int | float:
-    if obj == "inf":
-        return INFINITE
-    return _int(obj, path)
-
-
 def _rooted(path: str, exc: ValidationError) -> ValidationError:
     """``exc``, whose message starts with a path relative to some value,
     named under that value's ``path`` instead.
@@ -513,39 +512,68 @@ def _read_list(obj: object, read: Callable[[object], object], path: str) -> list
 # built once: a set display is rebuilt on every call, and a wide
 # deployment map or scenario parses hundreds of resources
 _RESOURCE_KEYS = frozenset({"name", "replicas", "queue_capacity", "discipline", "balancer"})
+_TIER_KEYS = frozenset({"name", "resources"})
 # dict lookups both ways: calling BalancerPolicy(value) costs twice as
 # much, and reading the enum property policy.value makes two Python calls
 _BALANCERS = {policy.value: policy for policy in BalancerPolicy}
 _BALANCER_NAMES = {policy: name for name, policy in _BALANCERS.items()}
 
+# A frozen dataclass's __init__ sets each field through object.__setattr__;
+# a reader makes the same calls without the __init__ frame, which builds
+# the same instance faster. (Filling __dict__ would add a dict to each.)
+_new = object.__new__
+_set = object.__setattr__
+
 
 def _parse_resource(obj: object) -> ResourceSpec:
-    """A resource object, with error paths relative to it (see _rooted)."""
-    d = _as_dict(obj, "")
-    _require_keys(d, _RESOURCE_KEYS, ("name",), "")
+    """A resource object, with error paths relative to it (see _rooted).
+    Each inline test calls its named reader only to word the error."""
+    if not (type(obj) is dict and obj.keys() <= _RESOURCE_KEYS and "name" in obj):
+        _require_keys(_as_dict(obj, ""), _RESOURCE_KEYS, ("name",), "")
     # FCFS is the only discipline; the key stays legal so documents naming it parse
-    if d.get("discipline", "fcfs") != "fcfs":
-        raise ValidationError(f".discipline: unknown discipline {d['discipline']!r}")
-    balancer = d.get("balancer", "jsq")
+    if obj.get("discipline", "fcfs") != "fcfs":
+        raise ValidationError(f".discipline: unknown discipline {obj['discipline']!r}")
+    balancer = obj.get("balancer", "jsq")
     # an array or object is no key of any dict
     policy = _BALANCERS.get(balancer) if isinstance(balancer, str) else None
     if policy is None:
         raise ValidationError(f".balancer: unknown balancer policy {balancer!r}")
-    # positional: a frozen dataclass binds keywords about 1.5 times as
-    # slowly, and this runs for every declared resource of every scenario
-    return ResourceSpec(
-        _str(d["name"], ".name"),
-        _int(d.get("replicas", 1), ".replicas"),
-        _parse_capacity(d.get("queue_capacity", "inf"), ".queue_capacity"),
-        policy,
-    )
+    name = obj["name"]
+    if not isinstance(name, str):
+        _str(name, ".name")
+    replicas = obj.get("replicas", 1)
+    if type(replicas) is not int:
+        _int(replicas, ".replicas")
+    capacity = obj.get("queue_capacity", "inf")
+    if capacity == "inf":
+        capacity = INFINITE
+    elif type(capacity) is not int:
+        _int(capacity, ".queue_capacity")
+    spec = _new(ResourceSpec)
+    _set(spec, "name", name)
+    _set(spec, "replicas", replicas)
+    _set(spec, "queue_capacity", capacity)
+    _set(spec, "balancer", policy)
+    return spec
+
+
+def _tier(name: str, resources: tuple[ResourceSpec, ...]) -> Tier:
+    """``Tier(name, resources)``, built as _parse_resource builds a spec."""
+    tier = _new(Tier)
+    _set(tier, "name", name)
+    _set(tier, "resources", resources)
+    return tier
 
 
 def _parse_tier(obj: object) -> Tier:
     """A tier object, with error paths relative to it (see _rooted)."""
-    td = _as_record(obj, ("name", "resources"), "")
-    resources = tuple(_read_list(td["resources"], _parse_resource, ".resources"))
-    return Tier(name=_str(td["name"], ".name"), resources=resources)
+    if not (type(obj) is dict and obj.keys() == _TIER_KEYS):
+        _as_record(obj, ("name", "resources"), "")
+    resources = tuple(_read_list(obj["resources"], _parse_resource, ".resources"))
+    name = obj["name"]
+    if not isinstance(name, str):
+        _str(name, ".name")
+    return _tier(name, resources)
 
 
 def parse_scenario(text: str) -> ScenarioModel:
@@ -680,27 +708,65 @@ def _write_container(value: object, pad: str, sort_keys: bool, out: list[str]) -
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _tier_docs(tiers: tuple[Tier, ...]) -> list[dict]:
+    return [
+        {
+            "name": tier.name,
+            "resources": [
+                {
+                    "name": r.name,
+                    "replicas": r.replicas,
+                    "queue_capacity": "inf" if r.queue_capacity == INFINITE else r.queue_capacity,
+                    "discipline": "fcfs",
+                    "balancer": _BALANCER_NAMES[r.balancer],
+                }
+                for r in tier.resources
+            ],
+        }
+        for tier in tiers
+    ]
+
+
+# A tier and a resource object as json_text writes them in a scenario
+# document's "tiers" array, 4 and 8 spaces in.
+_TIER_TEXT = '{\n      "name": %s,\n      "resources": %s\n    }'
+_RESOURCE_TEXT = (
+    '{\n          "name": %s,\n          "replicas": %d,\n          "queue_capacity": %s,\n'
+    '          "discipline": "fcfs",\n          "balancer": "%s"\n        }'
+)
+
+
+def _tiers_value(tiers: tuple[Tier, ...]) -> JSONText | list[dict]:
+    """The scenario document's "tiers" value: one text from the templates,
+    or, for a value of a type they do not write (a model built in code may
+    hold one), the plain objects, which json_text writes or refuses."""
+    tier_texts = []
+    for tier in tiers:
+        texts = []
+        for r in tier.resources:
+            name, replicas, cap = r.name, r.replicas, r.queue_capacity
+            if cap == INFINITE:
+                cap = '"inf"'
+            elif type(cap) is not int:
+                return _tier_docs(tiers)
+            if type(name) is not str or type(replicas) is not int:
+                return _tier_docs(tiers)
+            # a policy's name is a plain lowercase token: quoting is all it needs
+            texts.append(_RESOURCE_TEXT % (encode_basestring_ascii(name), replicas, cap, _BALANCER_NAMES[r.balancer]))
+        if type(tier.name) is not str:
+            return _tier_docs(tiers)
+        resources = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
+        tier_texts.append(_TIER_TEXT % (encode_basestring_ascii(tier.name), resources))
+    return JSONText("[\n    " + ",\n    ".join(tier_texts) + "\n  ]") if tier_texts else []
+
+
 def _scenario_doc(model: ScenarioModel) -> dict:
-    """The scenario document of ``model``, as serialize_scenario writes it."""
+    """The scenario document of ``model``, as serialize_scenario writes it:
+    plain data, but for its tiers, written as one text (see _tiers_value)."""
     return {
         "format_version": FORMAT_VERSION,
         "name": model.name,
-        "tiers": [
-            {
-                "name": tier.name,
-                "resources": [
-                    {
-                        "name": r.name,
-                        "replicas": r.replicas,
-                        "queue_capacity": "inf" if r.queue_capacity == INFINITE else r.queue_capacity,
-                        "discipline": "fcfs",
-                        "balancer": _BALANCER_NAMES[r.balancer],
-                    }
-                    for r in tier.resources
-                ],
-            }
-            for tier in model.tiers
-        ],
+        "tiers": _tiers_value(model.tiers),
         "classes": [
             {
                 "name": cls.name,

@@ -24,8 +24,10 @@ from tiersim import (
     export_series,
     parse_scenario,
     serialize_scenario,
+    validate,
 )
 from tiersim import cli, engine
+from tiersim import model as model_module
 from tiersim.cli import main, parse_rate_grid
 from tiersim.metrics import _SERIES_CHUNK_ROWS
 from tiersim.runs import build_station_model
@@ -1083,3 +1085,41 @@ def test_unknown_bundled_name_is_io_error(capsys, name):
     code, out, err = run_cli(capsys, "validate", f"bundled:{name}")
     assert out == ""
     assert (code, err) == (2, f"i/o error: [Errno 2] No such file or directory: 'bundled:{name}'\n")
+
+
+_SYNTHESIZE = ("synthesize", "bundled:webservices_steps.txt", "bundled:webservices_deployment.json")
+
+
+@pytest.mark.parametrize(
+    "argv, validations",
+    [
+        (("run", "STATION", "--quiet"), 1),
+        (("run", "STATION", "--quiet", "--seed", "3"), 2),
+        (("run", "STATION", "--quiet", "--series"), 2),
+        # run_sweep validates each rate's model once more
+        (("sweep", "STATION", "--rates", "1.0,2.0"), 3),
+        (("sweep", "STATION", "--rates", "1.0,2.0", "--requests", "50"), 4),
+        ((*_SYNTHESIZE, "--arrival-rate", "75"), 1),
+        ((*_SYNTHESIZE, "--arrival-rate", "75", "--requests", "20"), 2),
+    ],
+    ids=["run", "run-seed", "run-series", "sweep", "sweep-requests", "synthesize", "synthesize-requests"],
+)
+def test_a_command_without_overrides_validates_its_model_once(monkeypatch, capsys, station_path, argv, validations):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(model_module, "validate", counted)
+    code, _, err = run_cli(capsys, *(station_path if a == "STATION" else a for a in argv))
+    assert (code, err) == (0, "")
+    assert len(calls) == validations
+
+
+def test_apply_overrides_returns_the_model_itself_when_none_is_given():
+    model = parse_scenario(bundled.scenario_text())
+    for argv in (["run", "x"], ["sweep", "x", "--rates", "1"], [*_SYNTHESIZE, "--arrival-rate", "1"]):
+        assert cli._apply_overrides(model, cli.build_parser().parse_args(argv)) is model
+    overridden = cli._apply_overrides(model, cli.build_parser().parse_args(["run", "x", "--warmup", "0.0"]))
+    assert overridden is not model and overridden.run.warmup == 0.0

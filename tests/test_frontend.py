@@ -428,14 +428,17 @@ def _wide_inputs(nodes: int) -> tuple[str, str]:
 
 
 def test_setup_calls_stay_bounded():
-    # Exact counts, no wall clock. A declared resource costs 30.8 calls
-    # from deployment text to parsed scenario: 11.4 to read the
-    # deployment, 3.7 to synthesize (3 of them validating), 2.1 to write
-    # the scenario and 13.6 to parse it (3 validating). Writing through
-    # json.dumps's indenting encoder cost 166.7, one generator resumption
-    # per container and scalar; readers that looped in a generator and
-    # called BalancerPolicy(value) cost 2.7 more per parse, and the
-    # writer's reading BalancerPolicy.value cost 2 more per write.
+    # Exact counts, no wall clock. setup() makes 9.75 calls per declared
+    # resource: 2.68 to read the deployment, 2.07 to synthesize (1.37 of
+    # them validating), 1.0 for model.resources(), 0.09 to write the
+    # scenario and 3.91 to parse it (1.37 validating). The readers test
+    # each value inline and call a named reader only to name an error, a
+    # spec or tier is built without its __init__ frame, and the writer
+    # fills a template per tier and per resource. A named reader per check, the
+    # frozen constructors, _integer per integer field in validate, and
+    # json_text per tier and resource cost 31.76 (11.35, 3.73, 1.0, 2.09
+    # and 13.58). Writing through json.dumps's indenting encoder cost
+    # 166.7, one generator resumption per container and scalar.
     steps, deployment_text = _wide_inputs(300)
     execution = parse_execution(steps)
     declared = 3 * 300
@@ -447,4 +450,4 @@ def test_setup_calls_stay_bounded():
         assert len(model.resources()) == declared
         parse_scenario(serialize_scenario(model))
 
-    assert python_calls(setup) <= 33 * declared
+    assert python_calls(setup) <= 10.7 * declared

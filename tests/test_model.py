@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -39,6 +40,8 @@ from tiersim.model import json_text
 
 from randdeploy import random_deployment
 from randscen import random_scenario
+from refmodel import parse_resource as reference_resource
+from refmodel import scenario_doc as reference_doc
 
 
 def small_model(**run_kwargs) -> ScenarioModel:
@@ -643,5 +646,313 @@ def _synthesized_scenarios():
 )
 def test_serialize_scenario_writes_what_json_dumps_writes(models):
     for model in models():
-        doc = model_module._scenario_doc(model)
-        assert serialize_scenario(model) == json.dumps(doc, indent=2) + "\n", model.name
+        assert serialize_scenario(model) == json.dumps(reference_doc(model), indent=2) + "\n", model.name
+
+
+def _with_resource(**changes) -> ScenarioModel:
+    """small_model whose tier holds a plain resource, then one built in
+    code with ``changes`` (which validate may refuse)."""
+    base = small_model()
+    odd = dataclasses.replace(base.tiers[0].resources[0], **changes)
+    return dataclasses.replace(base, tiers=(Tier(name="only", resources=(ResourceSpec("plain"), odd)),))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"replicas": 2.0},
+        {"replicas": True},
+        {"replicas": -(10**30)},
+        {"queue_capacity": 3.0},
+        {"queue_capacity": False},
+        {"queue_capacity": -math.inf},
+        {"queue_capacity": 2**70},
+        {"name": "spé \"x\"\n"},
+        {"name": None},
+        {"balancer": "round_robin"},
+        {"balancer": "bogus"},
+        {"name": object()},
+        {"replicas": [1]},
+    ],
+    ids=lambda changes: "-".join(f"{k}={v!r}" for k, v in changes.items())[:40],
+)
+def test_serialize_scenario_writes_or_refuses_values_built_in_code_as_json_dumps_does(changes):
+    # a spec whose values no resource row writes falls back to the plain
+    # document, which json_text writes or refuses like json.dumps
+    model = _with_resource(**changes)
+    try:
+        expected = json.dumps(reference_doc(model), indent=2) + "\n"
+    except (KeyError, TypeError) as exc:
+        with pytest.raises(type(exc)) as found:
+            serialize_scenario(model)
+        assert str(found.value) == str(exc)
+    else:
+        assert serialize_scenario(model) == expected
+
+
+@pytest.mark.parametrize("name", [None, 7, "spé", "a\tb", object()], ids=["none", "int", "accent", "tab", "object"])
+def test_serialize_scenario_writes_or_refuses_a_tier_name_built_in_code_as_json_dumps_does(name):
+    base = _with_resource()
+    model = dataclasses.replace(base, tiers=(*base.tiers, Tier(name=name, resources=(ResourceSpec("x"),))))
+    try:
+        expected = json.dumps(reference_doc(model), indent=2) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=re.escape(str(exc))):
+            serialize_scenario(model)
+    else:
+        assert serialize_scenario(model) == expected
+
+
+def test_a_tier_without_resources_is_written_as_an_empty_array():
+    model = _with_resource()
+    model = dataclasses.replace(model, tiers=(*model.tiers, Tier(name="empty", resources=())))
+    assert serialize_scenario(model) == json.dumps(reference_doc(model), indent=2) + "\n"
+    assert '"resources": []' in serialize_scenario(model)
+
+
+# -- the inline resource reader against the reference reader -----------
+
+_RESOURCE_VALUES = {
+    "name": st.one_of(_names, st.sampled_from(["n0_disk1", "é", "a b", "", " cpu", "__end_to_end__"])),
+    "replicas": st.integers(1, 8),
+    "queue_capacity": st.one_of(st.just("inf"), st.integers(0, 20)),
+    "discipline": st.just("fcfs"),
+    "balancer": st.sampled_from(["jsq", "round_robin", "random"]),
+}
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=2), st.dictionaries(st.text(max_size=4), inner, max_size=2)),
+    max_leaves=4,
+)
+# what the integer fields are given besides an integer's JSON type
+_NOT_QUITE_INTEGERS = st.sampled_from([True, False, 1.0, 0.0, 2.5, -1, -(10**6), 10**400, -(10**400), "2", "inf"])
+
+
+# the value mutations weigh more: a key mutation fails a check that comes first
+_MUTATIONS = ["none", "drop", "unknown", "swap", "swap", "integer", "integer", "integer", "text", "text", "non-object"]
+
+
+@st.composite
+def resource_objects(draw):
+    """A resource object with every key or some, then one to three
+    mutations, so that the order of two failing checks shows too."""
+    items = [(k, draw(v)) for k, v in _RESOURCE_VALUES.items() if k == "name" or draw(st.booleans())]
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(st.sampled_from(_MUTATIONS))
+        if mutation == "drop" and items:
+            del items[draw(st.integers(0, len(items) - 1))]
+        elif mutation == "unknown":
+            key = draw(st.text(max_size=8).filter(lambda k: k not in _RESOURCE_VALUES))
+            items.insert(draw(st.integers(0, len(items))), (key, draw(_JSON_VALUES)))
+        elif mutation == "non-object":
+            return draw(st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=2)))
+        elif mutation in ("swap", "integer", "text"):
+            if mutation == "swap":
+                key, values = draw(st.sampled_from(list(_RESOURCE_VALUES))), _JSON_VALUES
+            elif mutation == "integer":
+                key, values = draw(st.sampled_from(["replicas", "queue_capacity"])), _NOT_QUITE_INTEGERS
+            else:
+                key = draw(st.sampled_from(["balancer", "discipline"]))
+                values = _JSON_VALUES.filter(lambda v: not isinstance(v, str))
+            items = [(k, v) for k, v in items if k != key]
+            items.insert(draw(st.integers(0, len(items))), (key, draw(values)))
+    return dict(items)
+
+
+def _outcome(read, *args):
+    """``read(*args)``, or the line of the ValidationError it raises."""
+    try:
+        return read(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _scenario_with(obj, name) -> str:
+    return json.dumps(
+        {
+            "name": "s",
+            "tiers": [{"name": "t", "resources": [obj]}],
+            "classes": [
+                {
+                    "name": "c",
+                    "arrival": {"kind": "exponential", "rate": 1.0},
+                    "path": [{"resource": name, "demand": {"kind": "exponential", "rate": 2.0}}],
+                }
+            ],
+            "run": {"stop": {"kind": "after_requests", "n": 10}},
+        }
+    )
+
+
+@settings(max_examples=800, deadline=None)
+@given(resource_objects())
+def test_the_resource_reader_gives_the_reference_spec_or_error_line(obj):
+    expected = _outcome(reference_resource, obj)
+    assert _outcome(model_module._parse_resource, obj) == expected
+
+    # a scenario's resource: the same spec, validated, or the same line under its path
+    name = expected.name if isinstance(expected, ResourceSpec) and isinstance(expected.name, str) else "cpu"
+    found = _outcome(parse_scenario, _scenario_with(obj, name))
+    if isinstance(expected, str):
+        assert found == "$.tiers[0].resources[0]" + expected
+    else:
+        model = ScenarioModel(
+            name="s",
+            tiers=(Tier(name="t", resources=(expected,)),),
+            classes=(
+                WorkloadClass(
+                    name="c",
+                    arrival=Distribution.exponential(1.0),
+                    path=(Visit(resource=name, demand=Distribution.exponential(2.0)),),
+                ),
+            ),
+            run=RunConfig(stop=StopRule.after_requests(10)),
+        )
+        issues = validate(model)
+        assert found == ("\n".join(issues) if issues else model)
+
+    # a deployment's node entry and link resource, where a bare name is a
+    # resource; the other resources' names are longer than any drawn name
+    entry = {"name": obj} if isinstance(obj, str) else obj
+    expected = _outcome(reference_resource, entry)
+    doc = {
+        "bindings": {"a": "n"},
+        "nodes": {"n": [obj], "m": ["m_cpu_0000"]},
+        "links": [{"between": ["n", "m"], "resource": obj}],
+    }
+    found = _outcome(parse_deployment, json.dumps(doc))
+    if isinstance(expected, str):
+        assert found == "deployment.nodes['n'][0]" + expected
+    else:
+        assert found == f"deployment.links[0]: link resource {expected.name!r} collides with a node resource"
+        assert _outcome(parse_deployment, json.dumps(dict(doc, links=[]))).nodes["n"] == (expected,)
+    doc["nodes"]["n"] = ["n_cpu_0000"]
+    found = _outcome(parse_deployment, json.dumps(doc))
+    if isinstance(expected, str):
+        assert found == "deployment.links[0].resource" + expected
+    else:
+        assert found.links[("m", "n")] == expected
+
+
+@pytest.mark.parametrize(
+    "resource, line",
+    [
+        ([1, 2], "$.tiers[0].resources[0]: expected an object, got list"),
+        ({"name": "cpu", "replicsa": 2}, "$.tiers[0].resources[0]: unknown key 'replicsa'"),
+        ({"replicas": 2, "depth": 1}, "$.tiers[0].resources[0]: unknown key 'depth'"),
+        ({"replicas": 2}, "$.tiers[0].resources[0]: missing required key 'name'"),
+        ({"name": "cpu", "discipline": 0}, "$.tiers[0].resources[0].discipline: unknown discipline 0"),
+        ({"name": "cpu", "balancer": ["jsq"]}, "$.tiers[0].resources[0].balancer: unknown balancer policy ['jsq']"),
+        ({"name": 7, "replicas": 0.5}, "$.tiers[0].resources[0].name: expected a string, got 7"),
+        ({"name": "cpu", "replicas": True}, "$.tiers[0].resources[0].replicas: expected an integer, got True"),
+        ({"name": "cpu", "queue_capacity": 1.0}, "$.tiers[0].resources[0].queue_capacity: expected an integer, got 1.0"),
+        ({"name": "cpu", "queue_capacity": False}, "$.tiers[0].resources[0].queue_capacity: expected an integer, got False"),
+    ],
+)
+def test_a_bad_resource_value_is_one_pinned_line(resource, line):
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(_scenario_with(resource, "cpu"))
+    assert str(exc.value) == line
+
+
+_NODES = {"n": ["n_cpu"], "m": ["m_cpu"]}
+
+
+@pytest.mark.parametrize(
+    "nodes, link, line",
+    [
+        (
+            {"n": [{"name": "cpu", "queue_capacity": "infinite"}], "m": ["m_cpu"]},
+            {"between": ["n", "m"], "resource": "lan"},
+            "deployment.nodes['n'][0].queue_capacity: expected an integer, got 'infinite'",
+        ),
+        (
+            _NODES,
+            {"between": ["n", "m"], "resource": {"name": "lan", "replicas": math.inf}},
+            "deployment.links[0].resource.replicas: expected an integer, got inf",
+        ),
+        (_NODES, ["n", "m"], "deployment.links[0]: expected an object, got list"),
+        (_NODES, {"between": ["n", "m"], "resource": "lan", "via": 1}, "deployment.links[0]: unknown key 'via'"),
+        (_NODES, {"between": "n m", "resource": "lan"}, "deployment.links[0].between: expected an array, got str"),
+        (_NODES, {"between": [["n"], "m"], "resource": "lan"}, "deployment.links[0].between[0]: expected a string, got ['n']"),
+        (_NODES, {"between": ["n", "x"], "resource": "lan"}, "deployment.links[0].between: unknown node 'x'"),
+    ],
+    ids=["node-capacity", "link-replicas", "link-array", "link-key", "between-text", "endpoint-array", "endpoint-unknown"],
+)
+def test_a_bad_deployment_value_is_one_pinned_line(nodes, link, line):
+    doc = {"bindings": {"a": "n"}, "nodes": nodes, "links": [link]}
+    with pytest.raises(ValidationError) as exc:
+        parse_deployment(json.dumps(doc))
+    assert str(exc.value) == line
+
+
+# -- specs and tiers from the readers are the constructors' ------------
+
+
+def _built_and_read():
+    """(built, read) pairs: each spec and tier of a scenario and of a
+    deployment, from the readers, beside the same built by its constructor."""
+    text = json.dumps(
+        {
+            "name": "s",
+            "tiers": [
+                {
+                    "name": "t",
+                    "resources": [
+                        {"name": "cpu"},
+                        {"name": "disk", "replicas": 3, "queue_capacity": 0, "balancer": "random"},
+                    ],
+                }
+            ],
+            "classes": [
+                {
+                    "name": "c",
+                    "arrival": {"kind": "exponential", "rate": 1.0},
+                    "path": [{"resource": "cpu", "demand": {"kind": "exponential", "rate": 2.0}}],
+                }
+            ],
+            "run": {"stop": {"kind": "after_requests", "n": 10}},
+        }
+    )
+    (tier,) = parse_scenario(text).tiers
+    cpu = ResourceSpec("cpu")
+    disk = ResourceSpec("disk", replicas=3, queue_capacity=0, balancer=BalancerPolicy.RANDOM)
+    yield cpu, tier.resources[0]
+    yield disk, tier.resources[1]
+    yield Tier(name="t", resources=(cpu, disk)), tier
+    synthesized = synthesize_scenario(
+        parse_execution("a -> b : call [exp 10]"),
+        parse_deployment(
+            json.dumps(
+                {
+                    "bindings": {"a": "n", "b": "m"},
+                    "nodes": {"n": ["n_cpu"], "m": [{"name": "m_cpu", "queue_capacity": 4}]},
+                    "links": [{"between": ["n", "m"], "resource": {"name": "lan", "balancer": "round_robin"}}],
+                }
+            )
+        ),
+        arrival=Distribution.exponential(1.0),
+    )
+    n, m, network = synthesized.tiers
+    lan = ResourceSpec("lan", balancer=BalancerPolicy.ROUND_ROBIN)
+    yield ResourceSpec("m_cpu", queue_capacity=4), m.resources[0]
+    yield lan, network.resources[0]
+    yield Tier(name="n", resources=(ResourceSpec("n_cpu"),)), n
+    yield Tier(name="network", resources=(lan,)), network
+
+
+@pytest.mark.parametrize("protocol", range(6))
+def test_specs_and_tiers_from_the_readers_are_the_constructors(protocol):
+    for built, read in _built_and_read():
+        assert type(read) is type(built)
+        assert read == built and hash(read) == hash(built) and repr(read) == repr(built)
+        assert pickle.dumps(read, protocol) == pickle.dumps(built, protocol)
+        assert pickle.loads(pickle.dumps(read, protocol)) == built
+        assert dataclasses.replace(read, name="other") == dataclasses.replace(built, name="other")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.name = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del read.name

@@ -56,9 +56,11 @@ leads back, through the class path, to the queue holding the request,
 so without the release a finished run would wait for the cyclic
 collector. The queues themselves stay, for snapshot().
 
-Only the resources that some class visits get runtime state, a balance
-stream and a service stream; a declared resource that no class visits
-costs a run nothing, and metrics gives it its constant report row.
+Only the resources that some class visits get runtime state and a
+service stream; of those, only a multi-replica resource whose policy is
+random has a balance stream, which its selector builds. A declared
+resource that no class visits costs a run nothing, and metrics gives it
+its constant report row.
 
 Each class draws its arrival gaps from its arrival stream, and each
 visited resource has one service stream that every visit to it draws
@@ -138,8 +140,7 @@ class _ResourceRuntime:
 
     def __init__(self, spec, seed: int, acc):
         self.queue_capacity = spec.queue_capacity
-        balance = Stream(seed, f"resource:{spec.name}:balance")
-        self.select = None if spec.replicas == 1 else make_selector(spec.balancer, spec.replicas, balance)
+        self.select = None if spec.replicas == 1 else make_selector(spec.balancer, spec.replicas, seed, spec.name)
         self.busy_since = [0.0] * spec.replicas
         self.backlogs = [0] * spec.replicas  # (1 if serving) + len(queues[r]), kept by the engine
         self.queues: list[deque[Request]] = [deque() for _ in range(spec.replicas)]

@@ -10,14 +10,20 @@ generator keyed by SHA-256(master seed || consumer name), so:
 * adding or removing a consumer never perturbs another consumer's
   samples, because no stream is derived from another's position.
 
+A key reaches Philox as its two 64-bit words, low then high, the order
+in which ``Philox(key=k)`` splits k, through ``_PhiloxKey``: numpy's
+seed-sequence interface, which Philox asks for those 2 words and takes
+as its key. So keying builds no ``SeedSequence`` and reads no OS
+entropy, where ``Philox(key=k)`` builds one from fresh entropy and then
+overwrites its output; the generator, and every uniform, is the same.
+
 A stream's generator is keyed on its first draw, not when the stream is
 built. Since the key depends only on (seed, consumer), when that happens
 never changes a sample; it only means that a stream which never draws
-(such as the balance stream of a resource whose policy is not
-``random``) costs no generator and imports no numpy. A process imports
-numpy at its first draw, or when it finalizes a run that kept a
-response, since metrics selects a class's p50 and p95 with it;
-validate, synthesize and report do neither. A declared resource that no
+costs no generator and imports no numpy. A process imports numpy at its
+first draw, or when it finalizes a run that kept a response, since
+metrics selects a class's p50 and p95 with it; validate, synthesize and
+report do neither. A declared resource that no
 class visits has no runtime, no stream and no accumulator at all.
 
 Only raw uniform doubles come from the generator. Variates are formed by
@@ -46,11 +52,12 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable, Iterator
+from functools import cache
 from itertools import chain, repeat
 from math import log1p
 from operator import add, length_hint, mul, neg, truediv
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .model import Distribution, DistKind, valid_seed
 
 # How many uniforms to pull from the bit generator per refill, once the
@@ -77,6 +84,39 @@ def stream_key(master_seed: int, consumer: str) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
+class _PhiloxKey:
+    """A 128-bit stream key as numpy's seed-sequence interface
+    (``numpy.random.bit_generator.ISeedSequence``), registered as one at
+    the first refill. ``Philox(_PhiloxKey(k))`` asks it for 2 uint64
+    words and takes them as its key, the key ``Philox(key=k)`` takes:
+    k's low 64 bits, then its high 64 bits."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, key: int):
+        np = _numpy()
+        self.words = np.array((key & 0xFFFFFFFFFFFFFFFF, key >> 64), np.uint64)
+
+    def generate_state(self, n_words, dtype="uint32"):
+        words = self.words
+        # Philox asks for exactly this; any other words would key another generator
+        if n_words != 2 or words.dtype != dtype:
+            raise InternalError(f"a stream key is 2 uint64 words, not {n_words!r} of {dtype!r}")
+        return words
+
+
+@cache
+def _numpy():
+    """numpy, imported at the first refill rather than with the package,
+    with ``_PhiloxKey`` registered as a seed sequence: validate,
+    synthesize and report import ``tiersim.cli`` and never draw."""
+    import numpy
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
+    return numpy
+
+
 class _Refills:
     """The batch a stream is drawing from and how many uniforms it has
     taken from the generator. The refill generator writes it and
@@ -92,11 +132,8 @@ class _Refills:
 
 def _refill(master_seed: int, consumer: str, state: _Refills) -> Iterator[Iterator[float]]:
     """Endless batches of uniforms from the consumer's generator."""
-    # imported here, at the first refill: it is half of `import
-    # tiersim.cli`, which validate, synthesize and report need without a draw
-    import numpy as np
-
-    random = np.random.Generator(np.random.Philox(key=stream_key(master_seed, consumer))).random
+    np = _numpy()
+    random = np.random.Generator(np.random.Philox(_PhiloxKey(stream_key(master_seed, consumer)))).random
     size = _FIRST_BATCH
     while True:
         state.batch = batch = iter(random(size).tolist())

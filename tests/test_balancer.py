@@ -16,13 +16,33 @@ from tiersim.balancer import make_selector
 POLICIES = (BalancerPolicy.JSQ, BalancerPolicy.ROUND_ROBIN, BalancerPolicy.RANDOM)
 
 
+SEED = 1234
+RESOURCE = "balance-test"
+
+
 def fresh_stream() -> Stream:
-    return Stream(1234, "balance-test")
+    """A probe of the stream a RANDOM selector for RESOURCE draws from."""
+    return Stream(SEED, f"resource:{RESOURCE}:balance")
 
 
-def selector(policy: BalancerPolicy, replicas: int, stream: Stream | None = None, cursor: int = 0):
+def built_streams(monkeypatch) -> list[Stream]:
+    """Every stream make_selector builds from here on, in order."""
+    built = []
+
+    class RecordedStream(Stream):
+        __slots__ = ()
+
+        def __init__(self, master_seed, consumer):
+            super().__init__(master_seed, consumer)
+            built.append(self)
+
+    monkeypatch.setattr("tiersim.balancer.Stream", RecordedStream)
+    return built
+
+
+def selector(policy: BalancerPolicy, replicas: int, cursor: int = 0, seed: int = SEED):
     """A fresh selector; round-robin's cursor is reached by `cursor` earlier selections with room."""
-    select = make_selector(policy, replicas, stream if stream is not None else fresh_stream())
+    select = make_selector(policy, replicas, seed, RESOURCE)
     for _ in range(cursor):
         select([0] * replicas, False)
     return select
@@ -74,22 +94,34 @@ def test_round_robin_next_pick_follows_a_fallen_forward_pick():
     assert select([1, 1, 1], False) == 2
 
 
-def test_random_is_reproducible_and_consumes_one_draw():
+def test_only_a_random_selector_builds_a_stream(monkeypatch):
+    built = built_streams(monkeypatch)
+    for policy in (BalancerPolicy.JSQ, BalancerPolicy.ROUND_ROBIN):
+        selector(policy, 3)
+    assert built == []
+    selector(BalancerPolicy.RANDOM, 3)
+    assert [s.consumer for s in built] == [f"resource:{RESOURCE}:balance"]
+    assert built[0].draws == 0  # and keys no generator until it places a request
+
+
+def test_random_is_reproducible_and_consumes_one_draw(monkeypatch):
     probe = fresh_stream()
     n = 4
     expected = [min(int(probe.uniform01() * n), n - 1) for _ in range(200)]
 
-    s = fresh_stream()
-    select = selector(BalancerPolicy.RANDOM, n, s)
+    built = built_streams(monkeypatch)
+    select = selector(BalancerPolicy.RANDOM, n)
+    (s,) = built
     got = [select([1] * n, False) for _ in range(200)]
     assert got == expected
     assert s.draws == 200
 
 
-def test_random_falls_forward_to_idle_when_pool_exhausted():
+def test_random_falls_forward_to_idle_when_pool_exhausted(monkeypatch):
     probe = fresh_stream()
-    s = fresh_stream()
-    select = selector(BalancerPolicy.RANDOM, 4, s)
+    built = built_streams(monkeypatch)
+    select = selector(BalancerPolicy.RANDOM, 4)
+    (s,) = built
     backlogs = [1, 1, 0, 1]
     for _ in range(100):
         start = min(int(probe.uniform01() * 4), 3)
@@ -101,7 +133,7 @@ def test_random_falls_forward_to_idle_when_pool_exhausted():
 
 def test_unknown_policy_is_an_internal_error_when_bound():
     with pytest.raises(InternalError, match="unknown balancer policy"):
-        make_selector("least_loaded", 2, fresh_stream())
+        make_selector("least_loaded", 2, SEED, RESOURCE)
 
 
 @settings(max_examples=300, deadline=None)
@@ -118,7 +150,7 @@ def test_selection_contract(backlogs, full, idle, cursor, policy, seed):
         # the engine refuses a full resource with no idle replica, so a
         # full one reaches select only with some replica idle
         backlogs[idle % len(backlogs)] = 0
-    choice = selector(policy, len(backlogs), Stream(seed, "prop"), cursor)(backlogs, full)
+    choice = selector(policy, len(backlogs), cursor, seed)(backlogs, full)
     assert isinstance(choice, int) and 0 <= choice < len(backlogs)
     if full:
         # without a free slot the pick must go straight into service

@@ -33,8 +33,7 @@ from tiersim import (
     simulate,
     validate,
 )
-from tiersim import bundled
-from tiersim.balancer import make_selector
+from tiersim import bundled, runs
 from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
 from pycalls import python_calls
 from randscen import random_scenario
@@ -539,17 +538,29 @@ def test_a_refused_request_leaves_the_round_robin_sequence_unchanged():
     assert refused and fell_forward
 
 
+def built_streams(monkeypatch) -> list[Stream]:
+    """Every stream the engine and the selectors build from here on."""
+    built = []
+
+    class RecordedStream(Stream):
+        __slots__ = ()
+
+        def __init__(self, master_seed, consumer):
+            super().__init__(master_seed, consumer)
+            built.append(self)
+
+    monkeypatch.setattr("tiersim.engine.Stream", RecordedStream)
+    # a random selector builds its own balance stream
+    monkeypatch.setattr("tiersim.balancer.Stream", RecordedStream)
+    return built
+
+
 def test_a_refused_request_draws_nothing(monkeypatch):
-    streams = {}
-
-    def recording(policy, replicas, stream):
-        streams[stream.consumer] = stream
-        return make_selector(policy, replicas, stream)
-
-    monkeypatch.setattr("tiersim.engine.make_selector", recording)
+    streams = built_streams(monkeypatch)
     m = simulate(_overloaded(BalancerPolicy.RANDOM, 2)).resources["A"]
     assert m.dropped > 0
-    assert streams["resource:A:balance"].draws == m.offered - m.dropped
+    (balance,) = [s for s in streams if s.consumer == "resource:A:balance"]
+    assert balance.draws == m.offered - m.dropped
 
 
 def test_arrivals_come_from_the_documented_stream():
@@ -634,19 +645,14 @@ def test_fresh_engine_snapshot_is_empty():
 
 def test_only_streams_that_draw_key_a_generator(monkeypatch):
     doc = json.loads(bundled.read("webservices.json"))
+    # one visited multi-replica resource under each policy: only random draws
+    for spec, policy in zip(doc["tiers"][1]["resources"], ("random", "jsq", "round_robin")):
+        spec.update(replicas=3, balancer=policy)
     idle = [{"name": f"Idle{i}", "replicas": 1, "queue_capacity": 0} for i in range(100)]
     doc["tiers"].append({"name": "unvisited", "resources": idle})
     model = parse_scenario(json.dumps(doc))
 
-    streams = []
-
-    class RecordedStream(Stream):
-        __slots__ = ()
-
-        def __init__(self, master_seed, consumer):
-            super().__init__(master_seed, consumer)
-            streams.append(self)
-
+    streams = built_streams(monkeypatch)
     keyed = []
     philox = numpy.random.Philox
 
@@ -654,7 +660,6 @@ def test_only_streams_that_draw_key_a_generator(monkeypatch):
         keyed.append(kwargs)
         return philox(*args, **kwargs)
 
-    monkeypatch.setattr("tiersim.engine.Stream", RecordedStream)
     monkeypatch.setattr(numpy.random, "Philox", counting_philox)
     eng = Engine(model)
     eng.run()
@@ -663,9 +668,43 @@ def test_only_streams_that_draw_key_a_generator(monkeypatch):
     visited = {v.resource for cls in model.classes for v in cls.path}
     assert len(visited) == len(model.resources()) - len(idle)
     assert set(eng._resources) == visited
-    assert len(streams) == 2 * len(visited) + len(model.classes)
+    multi = [r for r in model.resources() if r.name in visited and r.replicas > 1]
+    balanced = {r.name for r in multi if r.balancer is BalancerPolicy.RANDOM}
+    assert len(multi) == 3 and len(balanced) == 1
+    assert len(streams) == len(visited) + len(model.classes) + len(balanced)
+    balance = {s.consumer for s in streams if s.consumer.endswith(":balance")}
+    assert balance == {f"resource:{name}:balance" for name in balanced}
     assert not any(s.consumer.startswith("resource:Idle") for s in streams)
     assert len(keyed) == sum(s.draws > 0 for s in streams)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["one-worker", "forked"])
+def test_keying_reads_no_os_entropy(monkeypatch, workers):
+    # one worker runs both models here; forked, each order puts each
+    # model once here and once in the child
+    bundled_model = parse_scenario(bundled.scenario_text())
+    balanced = station(
+        arrival=Distribution.exponential(5.0),
+        service=Distribution.exponential(1.0),
+        replicas=3,
+        capacity=2,
+        policy=BalancerPolicy.RANDOM,
+        stop=StopRule.after_requests(400),
+        seed=35,
+    )
+    assert simulate(balanced).resources["A"].served > 0  # so its balance stream draws
+    batches = [(bundled_model, balanced), (balanced, bundled_model)]
+    expected = [[report_to_json(Engine(model).run()) for model in batch] for batch in batches]
+
+    def refuse(*args):
+        raise AssertionError("read OS entropy")
+
+    monkeypatch.setattr(numpy.random.bit_generator, "randbits", refuse)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        numpy.random.Philox(key=1)  # the patch bites where a SeedSequence is built
+    monkeypatch.setattr(runs, "usable_cpus", lambda: workers)
+    for batch, want in zip(batches, expected):
+        assert [report_to_json(report) for report in runs.run_models(batch)] == want
 
 
 def with_idle_tier(stop: StopRule, warmup: float) -> ScenarioModel:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import random
 import weakref
 from types import SimpleNamespace
 
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pycalls import python_calls
-from tiersim import Distribution, DistKind, DomainError, Stream, stream_key
-from tiersim.workload import _BUFFER, _FIRST_BATCH, make_sampler
+from tiersim import Distribution, DistKind, DomainError, InternalError, Stream, stream_key
+from tiersim.workload import _BUFFER, _FIRST_BATCH, _PhiloxKey, make_sampler
 
 
 def test_same_consumer_same_seed_reproduces_exactly():
@@ -81,13 +82,62 @@ def test_stream_keyed_late_draws_the_same_sequence():
 
 
 @pytest.mark.parametrize(
-    "seed, consumer", [(0, "class:web:arrival"), (42, "resource:SP_Disk:service"), (2**64 - 1, "")]
+    "seed, consumer",
+    [
+        (0, "class:web:arrival"),
+        (42, "resource:SP_Disk:service"),
+        (2**64 - 1, ""),
+        (1, "resource:A:balance"),
+        (2**63, "class:wéb:arrival"),
+    ],
 )
 def test_uniforms_are_the_keyed_philox_doubles_in_order(seed, consumer):
+    # across the doubling first batches and full ones: the stream keys
+    # Philox through _PhiloxKey, the reference through Philox(key=)
     s = Stream(seed, consumer)
     got = [s.uniform01() for _ in range(5000)]
     expected = numpy.random.Generator(numpy.random.Philox(key=stream_key(seed, consumer))).random(5000).tolist()
     assert got == expected
+
+
+def _keys() -> list[int]:
+    """The edges of the 128-bit key and of its two 64-bit words, and 200 others."""
+    rng = random.Random(35)
+    return [0, 1, 2**64 - 1, 2**64, 2**128 - 1] + [rng.getrandbits(128) for _ in range(200)]
+
+
+def test_the_key_object_keys_the_generator_philox_key_does():
+    keys = _keys()
+    assert len(set(keys)) == len(keys)
+    for key in keys:
+        by_key, by_object = numpy.random.Philox(key=key), numpy.random.Philox(_PhiloxKey(key))
+        assert by_object.state["state"]["key"].tolist() == by_key.state["state"]["key"].tolist(), key
+        assert by_object.random_raw(3).tolist() == by_key.random_raw(3).tolist(), key
+        got = numpy.random.Generator(by_object).random(40).tolist()
+        assert got == numpy.random.Generator(by_key).random(40).tolist(), key
+
+
+def test_the_key_object_is_the_low_then_the_high_word():
+    assert _PhiloxKey(2**64 + 3).generate_state(2, numpy.uint64).tolist() == [3, 1]
+    assert _PhiloxKey(2**128 - 1).generate_state(2, "uint64").tolist() == [2**64 - 1] * 2
+
+
+@pytest.mark.parametrize(
+    "request_args",
+    [
+        (1, numpy.uint64),
+        (3, numpy.uint64),
+        (4, numpy.uint32),
+        (2, numpy.uint32),
+        (2, numpy.int64),
+        (2, numpy.dtype(numpy.uint64).newbyteorder()),
+        (2, None),
+        (2,),  # the interface's default dtype is uint32
+    ],
+)
+def test_the_key_object_hands_out_two_uint64_words_or_nothing(request_args):
+    with pytest.raises(InternalError, match="a stream key is 2 uint64 words"):
+        _PhiloxKey(5).generate_state(*request_args)
 
 
 def test_draws_counts_exactly_across_batch_edges():

@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from . import __version__, bundled
 from .bottleneck import DEFAULT_DROP_THRESHOLD, DEFAULT_WAIT_THRESHOLD, format_json, format_table, rank
 from .engine import Engine
-from .errors import TiersimError, ValidationError
+from .errors import ScenarioSyntaxError, TiersimError, ValidationError
 from .frontend import parse_deployment, parse_execution, synthesize_scenario
 from .metrics import report_from_json, report_to_json, report_to_table, series_chunks
 from .model import (
@@ -57,11 +57,18 @@ _ORACLE_FORMATS = {"table": oracle_check_to_table, "json": oracle_check_to_json}
 
 
 def _read_input(path: str) -> str:
-    """Read a file argument; 'bundled:NAME' loads a packaged example."""
+    """Read a file argument; 'bundled:NAME' loads a packaged example.
+    Text that is not UTF-8 is a syntax error naming the file and the
+    offset of the first byte that cannot be decoded."""
     if path.startswith(_BUNDLED_PREFIX):
         return bundled.read(path[len(_BUNDLED_PREFIX) :])
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so exc.start is the file offset
+            byte = exc.object[exc.start]
+            raise ScenarioSyntaxError(f"{path}: byte {byte:#04x} at offset {exc.start} is not UTF-8") from None
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:

@@ -34,21 +34,20 @@ are admitted and complete. A multi-replica resource hands that list as
 it stands to the selector balancer.make_selector bound for it once; the
 policy, its cursor and its stream live there. The backlogs are the one
 record of which replica is busy: replica r serves iff backlogs[r] > 0,
-and busy_since[r] is the one record of when that service began. What
-is measured, and over which window, the metrics module defines: its
-ResourceAccumulator.record_visit and occupancy_change and
-ClassAccumulator.record_completion are the reference rules. The loop
-applies them inline at each completed visit, admission and completed
-session, with the same float operations in the same order, and the
-tests hold it to those methods field by field. A kept session response
-goes, as in record_completion, onto its class's packed ``array('d')``
-of responses, 8 bytes each, from which finalize selects p50 and p95.
-With series on, a kept visit appends its arrival and response to its
-resource's two packed series columns, and a kept session appends its
-arrival to its class's column, as record_visit and record_completion
-do: 8 bytes a value, and no tuple per row.
-At the stop clock the engine hands each accumulator the services still
-running and the requests still queued (ResourceAccumulator.close).
+and busy_since[r] is the one record of when that service began.
+
+The loop states the measurement rules: what a completed visit, an
+admission and a completed session record in the metrics module's plain
+accumulators, and over which window. tests/refengine.py holds the same
+rules as functions, applied through one handler frame per event, and
+the tests hold this loop to them field by field. A kept session response
+goes onto its class's packed ``array('d')`` of responses, 8 bytes each,
+from which finalize selects p50 and p95. With series on, a kept visit
+appends its arrival and response to its resource's two packed series
+columns, and a kept session appends its arrival to its class's column:
+8 bytes a value, and no tuple per row. At the stop clock the engine
+hands each accumulator the window, the services still running and the
+requests still queued (ResourceAccumulator.close).
 run() and step() share the loop; step() stops it after one event.
 
 Finalizing releases each still-queued request's class link: that link
@@ -252,7 +251,7 @@ class Engine:
                     res = a
                     acc = res.acc
                     busy_since = res.busy_since
-                    # as acc.record_visit(enqueue, start, now)
+                    # a completed visit: busy [start, now], then the request leaves
                     enqueue = req.enqueue_time
                     start = busy_since[replica]
                     acc.served += 1
@@ -285,7 +284,7 @@ class Engine:
                     cr = req.cls
                     req.visit_index = visit = req.visit_index + 1
                     if visit == cr.visits:
-                        # as cr.acc.record_completion(arrival, now - arrival)
+                        # a completed session
                         cacc = cr.acc
                         cacc.completed += 1
                         arrival = req.arrival_time
@@ -314,7 +313,7 @@ class Engine:
                 replica = 0 if res.select is None else res.select(backlogs, full)
 
                 req.enqueue_time = now
-                # as acc.occupancy_change(now, 1)
+                # an admission: the time since the last change is area or idle time
                 n = acc.occupancy
                 now_w = now if now > warmup else warmup
                 if n:
@@ -380,8 +379,9 @@ class Engine:
 
     def _finalize(self, elapsed: float) -> MetricsReport:
         self._finished = True
+        warmup = self.model.run.warmup
         for res in self._resources.values():
-            res.acc.close(elapsed, [since for since, n in zip(res.busy_since, res.backlogs) if n], res.waiting)
+            res.acc.close(elapsed, warmup, [since for since, n in zip(res.busy_since, res.backlogs) if n], res.waiting)
             # break the cycle request -> class path -> this queue -> request
             for queue in res.queues:
                 for req in queue:

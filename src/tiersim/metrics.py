@@ -1,13 +1,12 @@
 """Measurement: streaming accumulators and the finished report.
 
-This module alone defines the measurement window and rules.
-ResourceAccumulator.occupancy_change and record_visit and
-ClassAccumulator.record_completion state what an admission, a completed
-visit and a completed session record. The engine's event loop applies
-those rules inline, with the same float operations in the same order,
-and bumps the counts itself; the methods stay as the reference that the
-tests hold the loop to, and close() still calls occupancy_change. At the
-stop clock the engine hands each resource the start times of its
+The accumulators are plain records. The engine's event loop
+(Engine._drive) is the one place that states what an admission, a
+completed visit and a completed session record, and writes those fields
+itself; tests/refengine.py holds the reference rules the loop is checked
+against. This module defines the records, the flush at the stop clock
+and finalize, which turns the records into the report. At the stop clock
+the engine hands each resource the window, the start times of its
 running services and its queue length (ResourceAccumulator.close);
 nothing here looks at simulator state.
 
@@ -24,10 +23,10 @@ rather than merely close.
 
 A class's p50 and p95 are exact nearest-rank order statistics, so each
 class keeps every response inside the window: packed in an
-``array('d')``, 8 bytes a response, appended by record_completion and
-by the engine's loop alike. finalize selects the two ranks with one
-numpy.partition of a copy, in O(n) time rather than a sort's O(n log n),
-and gives the same floats a sort would.
+``array('d')``, 8 bytes a response, appended by the engine's loop.
+finalize selects the two ranks with one numpy.partition of a copy, in
+O(n) time rather than a sort's O(n log n), and gives the same floats a
+sort would.
 
 Warmup is transient deletion: a visit enqueued before the warmup point
 contributes to no average. Busy, idle and occupancy time run on a
@@ -50,9 +49,9 @@ rows carry its name and a class's rows carry END_TO_END. No row is
 stored as a tuple. Each accumulator keeps its points as packed
 ``array('d')`` columns, 8 bytes a value: a resource keeps an arrival and
 a response column, and a class keeps an arrival column beside the
-responses it already keeps, which record_completion appends under the
-same window rule. finalize hands each column to the report with the row
-count it holds at that moment (a SeriesRows), so the report reads the
+responses it already keeps, which the loop appends under the same window
+rule. finalize hands each column to the report with the row count it
+holds at that moment (a SeriesRows), so the report reads the
 accumulators' own buffers without a copy, and what they record later is
 not part of it. series_chunks sorts the rows with one stable argsort of
 the arrival columns.
@@ -70,17 +69,31 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
 
-from .errors import SeriesDisabledError
-from .model import END_TO_END, JSONText, ScenarioModel, _as_dict, _as_record, _load_json, _read_values, json_text
+from .errors import SeriesDisabledError, ValidationError
+from .model import (
+    END_TO_END,
+    JSONText,
+    ScenarioModel,
+    _as_dict,
+    _as_record,
+    _find_surrogate,
+    _load_json,
+    _read_values,
+    json_text,
+)
 
 
 class ResourceAccumulator:
-    """Running observations for one resource over the window [warmup, stop]."""
+    """Running observations for one resource over the window [warmup, stop].
+
+    A plain record: the engine's loop writes every field as it applies
+    each event, and close() flushes the intervals still open at the stop
+    clock.
+    """
 
     __slots__ = (
         "name",
         "replicas",
-        "warmup",
         "offered",
         "dropped",
         "served",
@@ -96,13 +109,11 @@ class ResourceAccumulator:
         "in_service_at_stop",
         "series_arrivals",
         "series_responses",
-        "record_series",
     )
 
-    def __init__(self, name: str, replicas: int, warmup: float, record_series: bool):
+    def __init__(self, name: str, replicas: int, warmup: float):
         self.name = name
         self.replicas = replicas
-        self.warmup = warmup
         self.offered = 0
         self.dropped = 0
         self.served = 0
@@ -118,53 +129,21 @@ class ResourceAccumulator:
         self.in_service_at_stop = 0
         self.series_arrivals = array("d")  # the series rows as two packed columns
         self.series_responses = array("d")
-        self.record_series = record_series
 
-    def record_visit(self, enqueue: float, start: float, end: float) -> None:
-        """One completed service: the busy interval is [start, end] and
-        the request leaves the resource at end (occupancy_change(end, -1))."""
-        self.served += 1
-        warmup = self.warmup
-        end_w = end if end > warmup else warmup
-        self.area += self.occupancy * (end_w - self.occupancy_since)
-        self.busy_time += end_w - (start if start > warmup else warmup)
-        self.occupancy_since = end_w
-        self.occupancy -= 1
-        if enqueue < warmup:
-            return
-        n = self.samples + 1
-        self.samples = n
-        self.waiting_mean += (start - enqueue - self.waiting_mean) / n
-        self.service_mean += (end - start - self.service_mean) / n
-        if self.record_series:
-            self.series_arrivals.append(enqueue)
-            self.series_responses.append(end - enqueue)
+    def close(self, elapsed: float, warmup: float, service_starts: list[float], queued: int) -> None:
+        """Flush the open intervals at the stop clock ``elapsed`` of a run
+        whose window opens at ``warmup``.
 
-    def occupancy_change(self, now: float, delta: int) -> None:
-        """Request count at this resource changed by delta at time now.
-
-        The time since the last change is occupancy area while the
-        resource held requests and idle time while it held none.
-        """
-        n = self.occupancy
-        warmup = self.warmup
-        now_w = now if now > warmup else warmup
-        if n:
-            self.area += n * (now_w - self.occupancy_since)
-        else:
-            self.idle_time += now_w - self.occupancy_since
-        self.occupancy_since = now_w
-        self.occupancy = n + delta
-
-    def close(self, elapsed: float, service_starts: list[float], queued: int) -> None:
-        """Flush the open intervals at the stop clock.
-
+        The time since the last occupancy change is occupancy area while
+        the resource holds requests and idle time while it holds none.
         ``service_starts`` holds, in replica order, when each service
         still running began; ``queued`` counts the requests still waiting.
         """
-        self.occupancy_change(elapsed, 0)
-        stop_w = self.occupancy_since
-        warmup = self.warmup
+        stop_w = elapsed if elapsed > warmup else warmup
+        if self.occupancy:
+            self.area += self.occupancy * (stop_w - self.occupancy_since)
+        else:
+            self.idle_time += stop_w - self.occupancy_since
         for start in service_starts:
             self.busy_time += stop_w - (start if start > warmup else warmup)
         self.in_service_at_stop = len(service_starts)
@@ -172,21 +151,19 @@ class ResourceAccumulator:
 
 
 class ClassAccumulator:
-    """Running observations for one workload class."""
+    """Running observations for one workload class: a plain record that
+    the engine's loop writes."""
 
     __slots__ = (
-        "warmup",
         "generated",
         "completed",
         "dropped",
         "mean_response",
         "responses",
         "series_arrivals",
-        "record_series",
     )
 
-    def __init__(self, warmup: float, record_series: bool):
-        self.warmup = warmup
+    def __init__(self):
         self.generated = 0
         self.completed = 0
         self.dropped = 0
@@ -194,16 +171,6 @@ class ClassAccumulator:
         self.responses = array("d")  # the kept responses, packed: 8 bytes each
         # the series rows' arrivals; their responses are ``responses``
         self.series_arrivals = array("d")
-        self.record_series = record_series
-
-    def record_completion(self, arrival: float, response: float) -> None:
-        self.completed += 1
-        if arrival >= self.warmup:
-            responses = self.responses
-            responses.append(response)
-            self.mean_response += (response - self.mean_response) / len(responses)
-            if self.record_series:
-                self.series_arrivals.append(arrival)
 
 
 class RunAccumulator:
@@ -216,15 +183,12 @@ class RunAccumulator:
 
     def __init__(self, model: ScenarioModel):
         warmup = model.run.warmup
-        series = model.run.series_enabled
         self.model = model
         visited = {v.resource for c in model.classes for v in c.path}
         self.resources: dict[str, ResourceAccumulator] = {
-            r.name: ResourceAccumulator(r.name, r.replicas, warmup, series) for r in model.resources() if r.name in visited
+            r.name: ResourceAccumulator(r.name, r.replicas, warmup) for r in model.resources() if r.name in visited
         }
-        self.classes: dict[str, ClassAccumulator] = {
-            c.name: ClassAccumulator(warmup, series) for c in model.classes
-        }
+        self.classes: dict[str, ClassAccumulator] = {c.name: ClassAccumulator() for c in model.classes}
 
 
 # One labelled run of series rows: rows i < n of the two columns.
@@ -508,7 +472,8 @@ def _read_record(obj: object, types: dict[str, str], path: str) -> dict:
 
 def report_from_json(text: str) -> MetricsReport:
     """Load a report written by report_to_json; every key it writes is
-    required, no other is allowed, and each value must have its field's type.
+    required, no other is allowed, each value must have its field's type,
+    and UTF-8 must be able to encode the scenario, resource and class names.
 
     Series rows are not stored in the JSON, only their counts. A loaded
     report keeps the series record as saved, so report_to_json writes
@@ -524,8 +489,14 @@ def report_from_json(text: str) -> MetricsReport:
         name: ClassMetrics(**_read_record(c, _CLASS_TYPES, f"$.classes[{name!r}]"))
         for name, c in _as_dict(doc["classes"], "$.classes").items()
     }
+    header = _read_values(doc, _HEADER_TYPES, "$")
+    # a name UTF-8 cannot encode could be neither printed nor written; a
+    # scenario refuses it too (model._valid_name)
+    for key, names in (("scenario", [header["scenario"]]), ("resources", resources), ("classes", classes)):
+        for name in filter(_find_surrogate, names):
+            raise ValidationError(f"$.{key}: name {name!r} has no UTF-8 encoding")
     return MetricsReport(
-        **_read_values(doc, _HEADER_TYPES, "$"),
+        **header,
         **_read_record(doc["totals"], _TOTALS_TYPES, "$.totals"),
         resources=resources,
         classes=classes,

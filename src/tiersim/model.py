@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, fields
@@ -191,9 +192,17 @@ class ScenarioModel:
         raise KeyError(name)
 
 
+# finds a code point that UTF-8 cannot encode: a surrogate, such as the
+# lone one that the JSON escape "\ud800" decodes to
+_find_surrogate = re.compile("[\ud800-\udfff]").search
+
+
 def _valid_name(name: object) -> bool:
-    # str.split() splits on exactly the characters str.isspace() accepts
-    return isinstance(name, str) and name.split() == [name]
+    """A non-empty run of non-space characters that UTF-8 can encode, as
+    a stream key, a report and an output line must."""
+    # str.split() splits on exactly the characters str.isspace() accepts;
+    # str.isascii() reads a flag, so an ASCII name skips the search
+    return isinstance(name, str) and name.split() == [name] and (name.isascii() or not _find_surrogate(name))
 
 
 def _finite(x: object) -> bool:

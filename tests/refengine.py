@@ -1,9 +1,17 @@
-"""Reference driver: the engine with one handler frame per event.
+"""Reference measurement rules and the driver that applies them.
 
-ReferenceEngine applies each event through separate handlers and records
-every measurement through the accumulator methods (record_visit,
-occupancy_change, record_completion), as the engine did before its loop
-applied both inline. Tests hold Engine's loop to it field by field.
+record_visit, occupancy_change and record_completion state what a
+completed visit, an admission and a completed session record in the
+plain accumulators of tiersim.metrics. Each takes the accumulator and
+the run's window (``warmup``) and series flag as arguments, as the
+engine's loop reads them from the model. The engine's loop applies the
+same rules inline; these functions are the separate statement that the
+tests hold it to.
+
+ReferenceEngine applies each event through its own handler frame and
+records every measurement through these functions, as the engine did
+before its loop applied both inline. Tests hold Engine's loop to it
+field by field.
 """
 
 from __future__ import annotations
@@ -13,6 +21,53 @@ from heapq import heappop, heappush
 from tiersim import engine
 from tiersim.engine import _INF, Engine, Request, _not_finite
 from tiersim.errors import DomainError, InternalError
+
+
+def record_visit(acc, warmup, series, enqueue, start, end):
+    """One completed service: the busy interval is [start, end] and the
+    request leaves the resource at end (occupancy_change(end, -1))."""
+    acc.served += 1
+    end_w = end if end > warmup else warmup
+    acc.area += acc.occupancy * (end_w - acc.occupancy_since)
+    acc.busy_time += end_w - (start if start > warmup else warmup)
+    acc.occupancy_since = end_w
+    acc.occupancy -= 1
+    if enqueue < warmup:
+        return
+    n = acc.samples + 1
+    acc.samples = n
+    acc.waiting_mean += (start - enqueue - acc.waiting_mean) / n
+    acc.service_mean += (end - start - acc.service_mean) / n
+    if series:
+        acc.series_arrivals.append(enqueue)
+        acc.series_responses.append(end - enqueue)
+
+
+def occupancy_change(acc, warmup, now, delta):
+    """The request count at the resource changed by delta at time now.
+
+    The time since the last change is occupancy area while the resource
+    held requests and idle time while it held none.
+    """
+    n = acc.occupancy
+    now_w = now if now > warmup else warmup
+    if n:
+        acc.area += n * (now_w - acc.occupancy_since)
+    else:
+        acc.idle_time += now_w - acc.occupancy_since
+    acc.occupancy_since = now_w
+    acc.occupancy = n + delta
+
+
+def record_completion(acc, warmup, series, arrival, response):
+    """A session that arrived at ``arrival`` completed after ``response``."""
+    acc.completed += 1
+    if arrival >= warmup:
+        responses = acc.responses
+        responses.append(response)
+        acc.mean_response += (response - acc.mean_response) / len(responses)
+        if series:
+            acc.series_arrivals.append(arrival)
 
 
 class ReferenceEngine(Engine):
@@ -46,7 +101,7 @@ class ReferenceEngine(Engine):
         replica = 0 if res.select is None else res.select(backlogs, full)
 
         req.enqueue_time = now
-        acc.occupancy_change(now, 1)
+        occupancy_change(acc, self.model.run.warmup, now, 1)
         backlogs[replica] += 1
         if backlogs[replica] > 1:
             if res.waiting >= engine.MAX_WAITING:
@@ -66,7 +121,8 @@ class ReferenceEngine(Engine):
         heappush(self._heap, (time, self._seq, res, replica, req))
 
     def _on_complete(self, now, res, replica, req):
-        res.acc.record_visit(req.enqueue_time, res.busy_since[replica], now)
+        run = self.model.run
+        record_visit(res.acc, run.warmup, run.series_enabled, req.enqueue_time, res.busy_since[replica], now)
         res.backlogs[replica] -= 1
 
         queue = res.queues[replica]
@@ -85,7 +141,7 @@ class ReferenceEngine(Engine):
         if req.visit_index < cr.visits:
             self._offer(req, cr, now)
         else:
-            cr.acc.record_completion(req.arrival_time, now - req.arrival_time)
+            record_completion(cr.acc, run.warmup, run.series_enabled, req.arrival_time, now - req.arrival_time)
             self.terminals += 1
 
     def _drive(self, target, horizon, once):

@@ -263,6 +263,20 @@ def test_validate_bad_json_is_a_tool_error(tmp_path, capsys):
     assert "error:" in err and "line" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("validate",), ("run",), ("sweep", "--rates", "1.0")], ids=["validate", "run", "sweep"]
+)
+def test_a_name_with_no_utf8_encoding_is_one_error_line(station_path, tmp_path, capsys, argv):
+    # json.dumps writes the lone surrogate as the escape "\ud800"
+    doc = json.loads(Path(station_path).read_text(encoding="utf-8"))
+    doc["classes"][0]["name"] = "load\ud800"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert out == ""
+    assert_one_error_line(code, err, "error: classes[0]: class name must be a non-empty token, got 'load\\ud800'\n")
+
+
 def test_validate_invalid_model_is_a_tool_error(tmp_path, capsys):
     doc = json.loads(serialize_scenario(build_station_model(1.0, 1.0, 1, 1, 10, seed=1)))
     doc["classes"][0]["path"][0]["resource"] = "ghost"
@@ -532,6 +546,17 @@ def _setting(value, *keys):
     return edit
 
 
+def _renaming(section: str, name: str, new: str):
+    """An edit that renames the report's row ``name`` in ``section`` to ``new``."""
+
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc[section][new] = doc[section].pop(name)
+        return json.dumps(doc)
+
+    return edit
+
+
 def _huge_elapsed(text: str) -> str:
     """The report with a 5000-digit integer as its elapsed time."""
     doc = json.loads(text)
@@ -556,6 +581,9 @@ def _huge_elapsed(text: str) -> str:
         (_setting(1, "series", "enabled"), "error: $.series.enabled: expected a boolean, got 1"),
         (_setting(int("9" * 400), "elapsed"), "error: $.elapsed: number out of range, got an integer of 400 digits"),
         (_huge_elapsed, "error: integer literal longer than "),
+        (_setting("m\ud800", "scenario"), "error: $.scenario: name 'm\\ud800' has no UTF-8 encoding\n"),
+        (_renaming("resources", "station", "\udc00"), "error: $.resources: name '\\udc00' has no UTF-8 encoding\n"),
+        (_renaming("classes", "load", "lo\udfffad"), "error: $.classes: name 'lo\\udfffad' has no UTF-8 encoding\n"),
     ],
     ids=[
         "truncated",
@@ -572,6 +600,9 @@ def _huge_elapsed(text: str) -> str:
         "number-series-flag",
         "float-overflowing-elapsed",
         "overlong-elapsed",
+        "surrogate-scenario-name",
+        "surrogate-resource-name",
+        "surrogate-class-name",
     ],
 )
 def test_report_rejects_a_malformed_report_file(station_path, tmp_path, capsys, edit, prefix):
@@ -956,8 +987,8 @@ def test_synthesize_rejects_a_malformed_deployment(tmp_path, capsys, deployment,
 _FILE = "<file>"
 
 
-@pytest.mark.parametrize("text", ["{", "[]", "{}"], ids=["truncated", "array", "empty-object"])
-@pytest.mark.parametrize(
+# each command that reads a file, with that file as _FILE
+_EVERY_FILE_INPUT = pytest.mark.parametrize(
     "argv",
     [
         ("validate", _FILE),
@@ -969,6 +1000,10 @@ _FILE = "<file>"
     ],
     ids=["validate", "run", "sweep", "report", "synthesize-steps", "synthesize-deployment"],
 )
+
+
+@pytest.mark.parametrize("text", ["{", "[]", "{}"], ids=["truncated", "array", "empty-object"])
+@_EVERY_FILE_INPUT
 def test_every_file_input_rejects_malformed_text_with_one_error_line(tmp_path, capsys, argv, text):
     path = tmp_path / "input"
     path.write_text(text, encoding="utf-8")
@@ -977,6 +1012,15 @@ def test_every_file_input_rejects_malformed_text_with_one_error_line(tmp_path, c
     assert_one_error_line(code, err, "error: ")
     # the message starts at the offending position: a line, or a document path
     assert re.match(r"error: (line 1\b|\$: |deployment: )", err), err
+
+
+@_EVERY_FILE_INPUT
+def test_every_file_input_refuses_bytes_that_are_not_utf8_with_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b'{"name": "\xff"}')
+    code, out, err = run_cli(capsys, *(str(path) if arg == _FILE else arg for arg in argv))
+    assert out == ""
+    assert_one_error_line(code, err, f"error: {path}: byte 0xff at offset 10 is not UTF-8\n")
 
 
 def _without_uniform_bounds(text: str) -> str:

@@ -741,8 +741,8 @@ def test_an_unvisited_resource_reports_the_constant_row(stop, warmup):
     # that was never offered a request
     acc = eng.accumulator
     for name, replicas in (("Idle1", 1), ("Idle3", 3)):
-        idle = ResourceAccumulator(name, replicas, acc.model.run.warmup, acc.model.run.series_enabled)
-        idle.close(report.elapsed, [], 0)
+        idle = ResourceAccumulator(name, replicas, acc.model.run.warmup)
+        idle.close(report.elapsed, acc.model.run.warmup, [], 0)
         acc.resources[name] = idle
     computed = finalize(acc, report.elapsed)
     assert computed.resources["Idle1"] == computed.resources["Idle3"] == UNVISITED

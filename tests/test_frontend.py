@@ -284,8 +284,16 @@ def _three_nodes(first="n1", c1="c1", d2="d2", lan="lan", wan="wan"):
             _three_nodes(wan={"name": "wan", "replicas": 0}),
             ["deployment.links[1].resource: replicas must be an integer >= 1, got 0"],
         ),
+        # json.dumps writes each lone surrogate as an escape, which parse_deployment reads back
+        (
+            _three_nodes(first="n\ud800", c1="c\udc01"),
+            [
+                "deployment.nodes['n\\ud800']: tier name must be a non-empty token, got 'n\\ud800'",
+                "deployment.nodes['n\\ud800'][0]: resource name must be a non-empty token, got 'c\\udc01'",
+            ],
+        ),
     ],
-    ids=["node-name", "node-replicas", "reserved-name", "disk-and-link", "shared-link"],
+    ids=["node-name", "node-replicas", "reserved-name", "disk-and-link", "shared-link", "surrogate-names"],
 )
 def test_synthesis_names_a_bad_value_where_the_deployment_declares_it(doc, lines):
     # validate() sees the synthesized tiers, which the user never wrote

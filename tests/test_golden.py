@@ -1,5 +1,5 @@
 """Output pins: stepping and running agree, the engine's loop records
-what the reference driver's accumulator methods record, and report and
+what the reference driver's rules (refengine.py) record, and report and
 series bytes stay fixed across refactors of the engine and the renderers."""
 
 from __future__ import annotations

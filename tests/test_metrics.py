@@ -50,6 +50,7 @@ from tiersim.metrics import (
 from tiersim.sweep import SweepResult, sweep_to_csv
 from pycalls import python_calls
 from randscen import random_scenario
+from refengine import occupancy_change, record_completion, record_visit
 
 
 class Welford:
@@ -99,8 +100,8 @@ def test_inline_recorders_match_the_welford_reference():
         enqueue = 0.37 * i
         start = enqueue + (i % 7) * 0.113
         end = start + 0.05 + (i % 5) * 0.071
-        ra.record_visit(enqueue, start, end)
-        ca.record_completion(enqueue, end - enqueue)
+        record_visit(ra, 0.0, False, enqueue, start, end)
+        record_completion(ca, 0.0, False, enqueue, end - enqueue)
         waits.add(start - enqueue)
         services.add(end - start)
         responses.add(end - enqueue)
@@ -118,7 +119,7 @@ def test_response_is_exactly_service_plus_waiting():
         start = enqueue + 0.150
         end = start + 0.057
         ra.offered += 1
-        ra.record_visit(enqueue, start, end)
+        record_visit(ra, 0.0, False, enqueue, start, end)
     report = finalize(acc, 10.0)
     m = report.resources["A"]
     assert m.avg_waiting == pytest.approx(0.150, abs=1e-12)
@@ -138,11 +139,11 @@ def test_drop_probability_is_the_exact_ratio():
 def test_mean_in_system_integrates_occupancy():
     acc = RunAccumulator(one_station_model())
     ra = acc.resources["A"]
-    ra.occupancy_change(0.0, +1)
-    ra.occupancy_change(1.0, +1)
-    ra.occupancy_change(2.0, -1)
-    ra.occupancy_change(4.0, -1)
-    ra.close(4.0, [], 0)
+    occupancy_change(ra, 0.0, 0.0, +1)
+    occupancy_change(ra, 0.0, 1.0, +1)
+    occupancy_change(ra, 0.0, 2.0, -1)
+    occupancy_change(ra, 0.0, 4.0, -1)
+    ra.close(4.0, 0.0, [], 0)
     # area: 1*(1) + 2*(1) + 1*(2) = 5 over elapsed 4
     assert finalize(acc, 4.0).resources["A"].mean_in_system == pytest.approx(1.25, abs=1e-12)
 
@@ -151,9 +152,9 @@ def test_single_replica_idle_is_the_exact_complement():
     acc = RunAccumulator(one_station_model())
     ra = acc.resources["A"]
     ra.offered = 3
-    ra.record_visit(0.0, 0.0, 2.0)
-    ra.record_visit(2.0, 2.5, 3.0)
-    ra.record_visit(3.0, 5.0, 6.5)
+    record_visit(ra, 0.0, False, 0.0, 0.0, 2.0)
+    record_visit(ra, 0.0, False, 2.0, 2.5, 3.0)
+    record_visit(ra, 0.0, False, 3.0, 5.0, 6.5)
     m = finalize(acc, 10.0).resources["A"]
     assert m.utilization == pytest.approx(0.4, abs=1e-12)
     assert m.p_idle == 1.0 - m.utilization
@@ -163,9 +164,9 @@ def test_single_replica_idle_is_the_exact_complement():
 def test_multi_replica_idle_uses_all_idle_time():
     acc = RunAccumulator(one_station_model(replicas=2))
     ra = acc.resources["A"]
-    ra.occupancy_change(3.0, +1)  # empty, so all replicas idle, since 0
-    ra.occupancy_change(8.0, -1)
-    ra.close(10.0, [], 0)
+    occupancy_change(ra, 0.0, 3.0, +1)  # empty, so all replicas idle, since 0
+    occupancy_change(ra, 0.0, 8.0, -1)
+    ra.close(10.0, 0.0, [], 0)
     m = finalize(acc, 10.0).resources["A"]
     assert m.p_idle == pytest.approx(0.5, abs=1e-12)
 
@@ -175,11 +176,11 @@ def test_warmup_clips_time_and_filters_samples():
     ra = acc.resources["A"]
     ra.offered = 2
     # enqueued before warmup: contributes clipped busy time, no samples
-    ra.record_visit(0.0, 1.0, 3.0)
+    record_visit(ra, 2.0, False, 0.0, 1.0, 3.0)
     assert ra.busy_time == pytest.approx(1.0, abs=1e-12)
     assert ra.samples == 0
     # enqueued after warmup: a normal sample
-    ra.record_visit(2.5, 2.5, 3.0)
+    record_visit(ra, 2.0, False, 2.5, 2.5, 3.0)
     assert ra.samples == 1
     m = finalize(acc, 4.0).resources["A"]
     # window is [2, 4]; busy 1.0 + 0.5 of it
@@ -191,9 +192,9 @@ def test_warmup_clips_time_and_filters_samples():
 def test_warmup_clips_occupancy_area():
     acc = RunAccumulator(one_station_model(warmup=2.0))
     ra = acc.resources["A"]
-    ra.occupancy_change(0.0, +1)
-    ra.occupancy_change(4.0, -1)
-    ra.close(4.0, [], 0)
+    occupancy_change(ra, 2.0, 0.0, +1)
+    occupancy_change(ra, 2.0, 4.0, -1)
+    ra.close(4.0, 2.0, [], 0)
     m = finalize(acc, 4.0).resources["A"]
     assert m.mean_in_system == pytest.approx(1.0, abs=1e-12)
 
@@ -201,8 +202,8 @@ def test_warmup_clips_occupancy_area():
 def test_warmup_clips_all_idle_time():
     acc = RunAccumulator(one_station_model(replicas=2, warmup=2.0))
     ra = acc.resources["A"]
-    ra.occupancy_change(3.0, +1)  # idle [0, 3) but only [2, 3) counts
-    ra.close(6.0, [3.0], 0)  # the service begun at 3 still runs at the stop
+    occupancy_change(ra, 2.0, 3.0, +1)  # idle [0, 3) but only [2, 3) counts
+    ra.close(6.0, 2.0, [3.0], 0)  # the service begun at 3 still runs at the stop
     m = finalize(acc, 6.0).resources["A"]
     assert m.p_idle == pytest.approx(0.25, abs=1e-12)
     assert m.utilization == pytest.approx(3.0 / (2 * 4.0), abs=1e-12)
@@ -257,7 +258,7 @@ def test_multi_replica_idle_is_the_share_of_the_window_with_every_replica_idle(w
 
 def test_zero_window_reports_zeros_and_full_idle():
     acc = RunAccumulator(one_station_model(warmup=5.0))
-    acc.resources["A"].close(5.0, [], 0)
+    acc.resources["A"].close(5.0, 5.0, [], 0)
     m = finalize(acc, 5.0).resources["A"]
     assert m.utilization == 0.0
     assert m.mean_in_system == 0.0
@@ -669,10 +670,11 @@ def test_rows_recorded_after_finalize_are_not_in_the_report():
     report = eng.run()
     rows = (tuple(report.resource_series), tuple(report.end_to_end_series))
     csv_text = export_series(report)
+    run = eng.model.run
     for ra in eng.accumulator.resources.values():
-        ra.record_visit(1e9, 1e9 + 1, 1e9 + 2)
+        record_visit(ra, run.warmup, run.series_enabled, 1e9, 1e9 + 1, 1e9 + 2)
     for ca in eng.accumulator.classes.values():
-        ca.record_completion(1e9, 5.0)
+        record_completion(ca, run.warmup, run.series_enabled, 1e9, 5.0)
     assert sum(map(len, (ra.series_arrivals for ra in eng.accumulator.resources.values()))) > len(rows[0])
     assert (tuple(report.resource_series), tuple(report.end_to_end_series)) == rows
     assert export_series(report) == csv_text

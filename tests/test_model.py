@@ -440,7 +440,8 @@ def _reference_valid_name(name: object) -> bool:
         return False
     if name != name.strip() or any(ch.isspace() for ch in name):
         return False
-    return True
+    # a surrogate code point has no UTF-8 encoding
+    return not any(0xD800 <= ord(ch) <= 0xDFFF for ch in name)
 
 
 def _named(kind: str, name: object) -> ScenarioModel:
@@ -475,9 +476,13 @@ _WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 def test_names_with_any_whitespace_give_the_lines_of_the_reference_check(monkeypatch, kind):
     assert len(_WHITESPACE) == 29
     spaced = [name for ws in _WHITESPACE for name in (ws + "ab", "a" + ws + "b", "ab" + ws)]
-    refused = [*spaced, "", None, 7, b"ab"]
-    # a zero-width space and a NUL are not whitespace, so both checks take them
-    names = [*refused, "ab", "\u00e9", 'a"b', "a\\b", "a,b", "a\u200bb", "a\x00b"]
+    # a lone surrogate, high or low, anywhere in the name: no UTF-8 encoding
+    unencodable = ["\ud800", "a\udbffb", "ab\udc00", "\udfff\ud800"]
+    refused = [*spaced, *unencodable, "", None, 7, b"ab"]
+    # both checks take a zero-width space and a NUL, which are not
+    # whitespace, a character past the BMP, which a str holds as one code
+    # point, and the code points on either side of the surrogates
+    names = [*refused, "ab", "\u00e9", 'a"b', "a\\b", "a,b", "a\u200bb", "a\x00b", "a\U0001f600", "\ud7ff\ue000"]
     lines = [validate(_named(kind, name)) for name in names]
     for name, found in zip(refused, lines):
         assert _NAME_LINES[kind].format(name) in found

@@ -28,25 +28,29 @@ which places it. A resource that would hold more than MAX_WAITING
 waiting requests raises DomainError instead of growing until memory
 runs out.
 
-The engine keeps queue state only. Each resource keeps its per-replica
-backlogs (1 if serving, plus the queued requests) up to date as requests
-are admitted and complete. A multi-replica resource hands that list as
-it stands to the selector balancer.make_selector bound for it once; the
-policy, its cursor and its stream live there. The backlogs are the one
-record of which replica is busy: replica r serves iff backlogs[r] > 0,
-and busy_since[r] is the one record of when that service began.
+Each visited resource and each class is one object: a subclass of the
+metrics module's accumulator record that adds the loop's own state. So
+what the loop drives is what finalize reads, with no second record to
+reach. A resource adds its per-replica backlogs (1 if serving, plus the
+queued requests), kept up to date as requests are admitted and complete.
+A multi-replica resource hands that list as it stands to the selector
+balancer.make_selector bound for it once; the policy, its cursor and its
+stream live there. The backlogs are the one record of which replica is
+busy: replica r serves iff backlogs[r] > 0, and busy_since[r] is the one
+record of when that service began. A class adds its path and its
+arrival sampler.
 
 The loop states the measurement rules: what a completed visit, an
-admission and a completed session record in the metrics module's plain
-accumulators, and over which window. tests/refengine.py holds the same
-rules as functions, applied through one handler frame per event, and
-the tests hold this loop to them field by field. A kept session response
+admission and a completed session record in the accumulator fields, and
+over which window. tests/refengine.py holds the same rules as
+functions, applied through one handler frame per event, and the tests
+hold this loop to them field by field. A kept session response
 goes onto its class's packed ``array('d')`` of responses, 8 bytes each,
 from which finalize selects p50 and p95. With series on, a kept visit
 appends its arrival and response to its resource's two packed series
 columns, and a kept session appends its arrival to its class's column:
 8 bytes a value, and no tuple per row. At the stop clock the engine
-hands each accumulator the window, the services still running and the
+hands each resource the window, the services still running and the
 requests still queued (ResourceAccumulator.close).
 run() and step() share the loop; step() stops it after one event.
 
@@ -55,11 +59,12 @@ leads back, through the class path, to the queue holding the request,
 so without the release a finished run would wait for the cyclic
 collector. The queues themselves stay, for snapshot().
 
-Only the resources that some class visits get runtime state and a
-service stream; of those, only a multi-replica resource whose policy is
-random has a balance stream, which its selector builds. A declared
-resource that no class visits costs a run nothing, and metrics gives it
-its constant report row.
+Engine() decides once which resources get a record: only those that
+some class visits get one, with its queue state and a service stream,
+and the engine hands the same records to RunAccumulator. Of those, only
+a multi-replica resource whose policy is random has a balance stream,
+which its selector builds. A declared resource that no class visits
+costs a run nothing, and metrics gives it its constant report row.
 
 Each class draws its arrival gaps from its arrival stream, and each
 visited resource has one service stream that every visit to it draws
@@ -77,7 +82,7 @@ from heapq import heappop, heappush
 
 from .balancer import make_selector
 from .errors import DomainError, EngineEmptyError, InternalError
-from .metrics import MetricsReport, RunAccumulator, finalize
+from .metrics import ClassAccumulator, MetricsReport, ResourceAccumulator, RunAccumulator, finalize
 from .model import ScenarioModel, StopKind
 from .workload import Stream, make_sampler
 
@@ -126,37 +131,34 @@ class Request:
 _new = object.__new__
 
 
-class _ResourceRuntime:
-    __slots__ = (
-        "queue_capacity",
-        "select",
-        "busy_since",
-        "backlogs",
-        "queues",
-        "waiting",
-        "acc",
-    )
+class _ResourceRuntime(ResourceAccumulator):
+    """A visited resource: its measurement record, plus the queue state
+    the loop keeps beside it."""
 
-    def __init__(self, spec, seed: int, acc):
+    __slots__ = ("queue_capacity", "select", "busy_since", "backlogs", "queues", "waiting")
+
+    def __init__(self, spec, seed: int, warmup: float):
+        super().__init__(spec.name, spec.replicas, warmup)
         self.queue_capacity = spec.queue_capacity
         self.select = None if spec.replicas == 1 else make_selector(spec.balancer, spec.replicas, seed, spec.name)
         self.busy_since = [0.0] * spec.replicas
         self.backlogs = [0] * spec.replicas  # (1 if serving) + len(queues[r]), kept by the engine
         self.queues: list[deque[Request]] = [deque() for _ in range(spec.replicas)]
         self.waiting = 0
-        self.acc = acc
 
 
-class _ClassRuntime:
-    __slots__ = ("name", "max_requests", "path", "visits", "sample_arrival", "acc")
+class _ClassRuntime(ClassAccumulator):
+    """A class: its measurement record, plus its path and arrival sampler."""
 
-    def __init__(self, cls, seed: int, path, acc):
+    __slots__ = ("name", "max_requests", "path", "visits", "sample_arrival")
+
+    def __init__(self, cls, seed: int, path):
+        super().__init__()
         self.name = cls.name
         self.max_requests = cls.max_requests
         self.path = path  # tuple of (_ResourceRuntime, demand sampler)
         self.visits = len(path)
         self.sample_arrival = make_sampler(cls.arrival, Stream(seed, f"class:{cls.name}:arrival"))
-        self.acc = acc
 
 
 class Engine:
@@ -172,22 +174,23 @@ class Engine:
         self._finished = False
 
         seed = model.run.seed
-        self.accumulator = RunAccumulator(model)
-        accs = self.accumulator.resources
+        visited = {v.resource for cls in model.classes for v in cls.path}
         # visited resources only: one no class visits is never offered a request
         self._resources: dict[str, _ResourceRuntime] = {
-            spec.name: _ResourceRuntime(spec, seed, accs[spec.name]) for spec in model.resources() if spec.name in accs
+            spec.name: _ResourceRuntime(spec, seed, model.run.warmup) for spec in model.resources() if spec.name in visited
         }
         services = {name: Stream(seed, f"resource:{name}:service") for name in self._resources}
+        classes: dict[str, _ClassRuntime] = {}
         for cls in model.classes:
             path = tuple((self._resources[v.resource], make_sampler(v.demand, services[v.resource])) for v in cls.path)
-            cr = _ClassRuntime(cls, seed, path, self.accumulator.classes[cls.name])
-            if cr.acc.generated < cr.max_requests:
-                time = cr.sample_arrival()
-                if not time < _INF:
-                    raise _not_finite(time)
-                self._seq += 1
-                heappush(self._heap, (time, self._seq, cr, None, None))
+            classes[cls.name] = cr = _ClassRuntime(cls, seed, path)
+            # a validated class generates at least one session
+            time = cr.sample_arrival()
+            if not time < _INF:
+                raise _not_finite(time)
+            self._seq += 1
+            heappush(self._heap, (time, self._seq, cr, None, None))
+        self.accumulator = RunAccumulator(model, self._resources, classes)
 
     @property
     def events_applied(self) -> int:
@@ -233,8 +236,7 @@ class Engine:
 
                 if req is None:
                     cr = a
-                    cacc = cr.acc
-                    cacc.generated = generated = cacc.generated + 1
+                    cr.generated = generated = cr.generated + 1
                     if generated < cr.max_requests:
                         time = now + cr.sample_arrival()
                         if not time < _INF:
@@ -249,25 +251,24 @@ class Engine:
                     req.arrival_time = now
                 else:
                     res = a
-                    acc = res.acc
                     busy_since = res.busy_since
                     # a completed visit: busy [start, now], then the request leaves
                     enqueue = req.enqueue_time
                     start = busy_since[replica]
-                    acc.served += 1
+                    res.served += 1
                     now_w = now if now > warmup else warmup
-                    acc.area += acc.occupancy * (now_w - acc.occupancy_since)
-                    acc.busy_time += now_w - (start if start > warmup else warmup)
-                    acc.occupancy_since = now_w
-                    acc.occupancy -= 1
+                    res.area += res.occupancy * (now_w - res.occupancy_since)
+                    res.busy_time += now_w - (start if start > warmup else warmup)
+                    res.occupancy_since = now_w
+                    res.occupancy -= 1
                     if enqueue >= warmup:
-                        n = acc.samples + 1
-                        acc.samples = n
-                        acc.waiting_mean += (start - enqueue - acc.waiting_mean) / n
-                        acc.service_mean += (now - start - acc.service_mean) / n
+                        n = res.samples + 1
+                        res.samples = n
+                        res.waiting_mean += (start - enqueue - res.waiting_mean) / n
+                        res.service_mean += (now - start - res.service_mean) / n
                         if series:
-                            acc.series_arrivals.append(enqueue)
-                            acc.series_responses.append(now - enqueue)
+                            res.series_arrivals.append(enqueue)
+                            res.series_responses.append(now - enqueue)
                     res.backlogs[replica] -= 1
 
                     queue = res.queues[replica]
@@ -285,28 +286,26 @@ class Engine:
                     req.visit_index = visit = req.visit_index + 1
                     if visit == cr.visits:
                         # a completed session
-                        cacc = cr.acc
-                        cacc.completed += 1
+                        cr.completed += 1
                         arrival = req.arrival_time
                         if arrival >= warmup:
                             response = now - arrival
-                            responses = cacc.responses
+                            responses = cr.responses
                             responses.append(response)
-                            cacc.mean_response += (response - cacc.mean_response) / len(responses)
+                            cr.mean_response += (response - cr.mean_response) / len(responses)
                             if series:
-                                cacc.series_arrivals.append(arrival)
+                                cr.series_arrivals.append(arrival)
                         terminals += 1
                         continue
 
                 # offer: present req at its visit, admit or drop
                 res, sample = cr.path[visit]
-                acc = res.acc
-                acc.offered += 1
+                res.offered += 1
                 backlogs = res.backlogs
                 full = res.waiting >= res.queue_capacity
                 if full and 0 not in backlogs:
-                    acc.dropped += 1
-                    cr.acc.dropped += 1
+                    res.dropped += 1
+                    cr.dropped += 1
                     terminals += 1
                     continue
                 # one replica: any policy degenerates to replica 0, so none was bound
@@ -314,19 +313,19 @@ class Engine:
 
                 req.enqueue_time = now
                 # an admission: the time since the last change is area or idle time
-                n = acc.occupancy
+                n = res.occupancy
                 now_w = now if now > warmup else warmup
                 if n:
-                    acc.area += n * (now_w - acc.occupancy_since)
+                    res.area += n * (now_w - res.occupancy_since)
                 else:
-                    acc.idle_time += now_w - acc.occupancy_since
-                acc.occupancy_since = now_w
-                acc.occupancy = n + 1
+                    res.idle_time += now_w - res.occupancy_since
+                res.occupancy_since = now_w
+                res.occupancy = n + 1
                 backlogs[replica] += 1
                 if backlogs[replica] > 1:
                     if res.waiting >= MAX_WAITING:
                         raise DomainError(
-                            f"resource {acc.name!r} has {MAX_WAITING} requests waiting, the most a resource may hold "
+                            f"resource {res.name!r} has {MAX_WAITING} requests waiting, the most a resource may hold "
                             f"(tiersim.engine.MAX_WAITING); its arrivals outpace its replicas"
                         )
                     res.queues[replica].append(req)
@@ -360,7 +359,7 @@ class Engine:
             seq=seq,
             kind="service_complete",
             class_name=req.cls.name,
-            resource=a.acc.name,
+            resource=a.name,
             replica=replica,
             request_id=req.id,
         )
@@ -381,7 +380,7 @@ class Engine:
         self._finished = True
         warmup = self.model.run.warmup
         for res in self._resources.values():
-            res.acc.close(elapsed, warmup, [since for since, n in zip(res.busy_since, res.backlogs) if n], res.waiting)
+            res.close(elapsed, warmup, [since for since, n in zip(res.busy_since, res.backlogs) if n], res.waiting)
             # break the cycle request -> class path -> this queue -> request
             for queue in res.queues:
                 for req in queue:
@@ -405,9 +404,9 @@ class Engine:
             busy=tuple(b > 0 for b in res.backlogs),
             queue_lengths=tuple(len(q) for q in res.queues),
             in_system=sum(res.backlogs),
-            offered=res.acc.offered,
-            served=res.acc.served,
-            dropped=res.acc.dropped,
+            offered=res.offered,
+            served=res.served,
+            dropped=res.dropped,
         )
 
 

@@ -1,14 +1,17 @@
 """Measurement: streaming accumulators and the finished report.
 
-The accumulators are plain records. The engine's event loop
-(Engine._drive) is the one place that states what an admission, a
-completed visit and a completed session record, and writes those fields
-itself; tests/refengine.py holds the reference rules the loop is checked
-against. This module defines the records, the flush at the stop clock
-and finalize, which turns the records into the report. At the stop clock
-the engine hands each resource the window, the start times of its
-running services and its queue length (ResourceAccumulator.close);
-nothing here looks at simulator state.
+The accumulators are plain records of measurement fields only. The
+engine's runtimes subclass them, adding queue state, so a run keeps one
+object per visited resource and per class, and RunAccumulator holds the
+engine's own records. The engine's event loop (Engine._drive) is the one
+place that states what an admission, a completed visit and a completed
+session record, and writes those fields itself; tests/refengine.py holds
+the reference rules the loop is checked against. This module defines the
+records, the flush at the stop clock and finalize, which turns the
+records into the report. At the stop clock the engine hands each
+resource the window, the start times of its running services and its
+queue length (ResourceAccumulator.close); nothing here reads queue
+state.
 
 Averages are running means, each updated inline as
 ``mean += (x - mean) / n``, so a million samples lose no precision to
@@ -39,10 +42,11 @@ replicas are all idle. Counts are never windowed: offered, served,
 dropped and a class's counts, and so each p_drop, include the warmup,
 which keeps conservation exact.
 
-Only a resource that some class visits gets an accumulator. A declared
-resource that no class visits is never offered a request, so its report
-row is the one constant UNVISITED row, shared by every run, and
-report_to_json writes that row from one text rendered at import.
+Only a resource that some class visits gets a record; the engine
+decides which. A declared resource that no class visits is never offered
+a request, so its report row is the one constant UNVISITED row, shared
+by every run, and report_to_json writes that row from one text rendered
+at import.
 
 A series point is one row, ``(label, arrival, response)``: a resource's
 rows carry its name and a class's rows carry END_TO_END. No row is
@@ -174,21 +178,19 @@ class ClassAccumulator:
 
 
 class RunAccumulator:
-    """Everything recorded during one run of ``model``.
+    """Everything recorded during one run of ``model``: the record of
+    each visited resource, by name in model order, and of each class.
 
-    ``resources`` holds an accumulator for each visited resource only;
-    the run's name, seed, window, series setting and declared resources
-    are read from ``model`` itself, by finalize.
+    A plain holder: the engine builds the records, each with its queue
+    state beside its measurement fields, and hands them over. The run's
+    name, seed, window, series setting and declared resources are read
+    from ``model`` itself, by finalize.
     """
 
-    def __init__(self, model: ScenarioModel):
-        warmup = model.run.warmup
+    def __init__(self, model: ScenarioModel, resources: dict, classes: dict):
         self.model = model
-        visited = {v.resource for c in model.classes for v in c.path}
-        self.resources: dict[str, ResourceAccumulator] = {
-            r.name: ResourceAccumulator(r.name, r.replicas, warmup) for r in model.resources() if r.name in visited
-        }
-        self.classes: dict[str, ClassAccumulator] = {c.name: ClassAccumulator() for c in model.classes}
+        self.resources: dict[str, ResourceAccumulator] = resources
+        self.classes: dict[str, ClassAccumulator] = classes
 
 
 # One labelled run of series rows: rows i < n of the two columns.
@@ -465,9 +467,20 @@ def report_to_json(report: MetricsReport) -> str:
     return json_text(doc, sort_keys=True) + "\n"
 
 
+def _read_report_values(d: dict, types: dict[str, str], path: str) -> dict:
+    """The values of ``d`` at the keys of ``types``, read by _read_values;
+    no run writes NaN, so none is read. An infinity is, since a clock near
+    the float maximum can write one."""
+    values = _read_values(d, types, path)
+    for key, value in values.items():
+        if value != value:
+            raise ValidationError(f"{path}.{key}: expected a finite number, got nan")
+    return values
+
+
 def _read_record(obj: object, types: dict[str, str], path: str) -> dict:
-    """``obj`` as an object holding exactly the keys of ``types``, read by _read_values."""
-    return _read_values(_as_record(obj, tuple(types), path), types, path)
+    """``obj`` as an object holding exactly the keys of ``types``, read by _read_report_values."""
+    return _read_report_values(_as_record(obj, tuple(types), path), types, path)
 
 
 def report_from_json(text: str) -> MetricsReport:
@@ -489,7 +502,7 @@ def report_from_json(text: str) -> MetricsReport:
         name: ClassMetrics(**_read_record(c, _CLASS_TYPES, f"$.classes[{name!r}]"))
         for name, c in _as_dict(doc["classes"], "$.classes").items()
     }
-    header = _read_values(doc, _HEADER_TYPES, "$")
+    header = _read_report_values(doc, _HEADER_TYPES, "$")
     # a name UTF-8 cannot encode could be neither printed nor written; a
     # scenario refuses it too (model._valid_name)
     for key, names in (("scenario", [header["scenario"]]), ("resources", resources), ("classes", classes)):

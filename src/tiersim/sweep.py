@@ -84,11 +84,9 @@ def parse_rate_grid(text: str) -> tuple[float, ...]:
                 step = (stop - start) / (count - 1)
                 rates = tuple(start + i * step for i in range(count))
         else:
-            rates = tuple(float(tok) for tok in text.split(",") if tok.strip())
+            rates = tuple(map(float, text.split(",")))
     except ValueError:
         raise DomainError(f"rate grid must be numeric, got {text!r}") from None
-    if not rates:
-        raise DomainError(f"no rates in {text!r}")
     # an inf or nan bound, or a step that overflows, gives a point no run can use
     if not all(map(math.isfinite, rates)):
         raise DomainError(f"rate grid must hold finite numbers, got {text!r}")

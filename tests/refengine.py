@@ -2,9 +2,11 @@
 
 record_visit, occupancy_change and record_completion state what a
 completed visit, an admission and a completed session record in the
-plain accumulators of tiersim.metrics. Each takes the accumulator and
-the run's window (``warmup``) and series flag as arguments, as the
-engine's loop reads them from the model. The engine's loop applies the
+accumulators of tiersim.metrics: the plain records that accumulator()
+builds, or the engine's runtimes, which are those records with queue
+state beside them. Each takes the record and the run's window
+(``warmup``) and series flag as arguments, as the engine's loop reads
+them from the model. The engine's loop applies the
 same rules inline; these functions are the separate statement that the
 tests hold it to.
 
@@ -21,6 +23,7 @@ from heapq import heappop, heappush
 from tiersim import engine
 from tiersim.engine import _INF, Engine, Request, _not_finite
 from tiersim.errors import DomainError, InternalError
+from tiersim.metrics import ClassAccumulator, ResourceAccumulator, RunAccumulator
 
 
 def record_visit(acc, warmup, series, enqueue, start, end):
@@ -70,10 +73,21 @@ def record_completion(acc, warmup, series, arrival, response):
             acc.series_arrivals.append(arrival)
 
 
+def accumulator(model):
+    """A RunAccumulator of plain records for ``model``: one for each
+    visited resource, in model order, and one for each class, with no
+    queue state beside them."""
+    visited = {v.resource for cls in model.classes for v in cls.path}
+    resources = {
+        r.name: ResourceAccumulator(r.name, r.replicas, model.run.warmup) for r in model.resources() if r.name in visited
+    }
+    return RunAccumulator(model, resources, {cls.name: ClassAccumulator() for cls in model.classes})
+
+
 class ReferenceEngine(Engine):
     def _on_arrival(self, now, cr):
-        cr.acc.generated += 1
-        if cr.acc.generated < cr.max_requests:
+        cr.generated += 1
+        if cr.generated < cr.max_requests:
             time = now + cr.sample_arrival()
             if not time < _INF:
                 raise _not_finite(time)
@@ -89,24 +103,23 @@ class ReferenceEngine(Engine):
 
     def _offer(self, req, cr, now):
         res, demand_sampler = cr.path[req.visit_index]
-        acc = res.acc
-        acc.offered += 1
+        res.offered += 1
         backlogs = res.backlogs
         full = res.waiting >= res.queue_capacity
         if full and 0 not in backlogs:
-            acc.dropped += 1
-            cr.acc.dropped += 1
+            res.dropped += 1
+            cr.dropped += 1
             self.terminals += 1
             return
         replica = 0 if res.select is None else res.select(backlogs, full)
 
         req.enqueue_time = now
-        occupancy_change(acc, self.model.run.warmup, now, 1)
+        occupancy_change(res, self.model.run.warmup, now, 1)
         backlogs[replica] += 1
         if backlogs[replica] > 1:
             if res.waiting >= engine.MAX_WAITING:
                 raise DomainError(
-                    f"resource {acc.name!r} has {engine.MAX_WAITING} requests waiting, the most a resource may hold "
+                    f"resource {res.name!r} has {engine.MAX_WAITING} requests waiting, the most a resource may hold "
                     f"(tiersim.engine.MAX_WAITING); its arrivals outpace its replicas"
                 )
             res.queues[replica].append(req)
@@ -122,7 +135,7 @@ class ReferenceEngine(Engine):
 
     def _on_complete(self, now, res, replica, req):
         run = self.model.run
-        record_visit(res.acc, run.warmup, run.series_enabled, req.enqueue_time, res.busy_since[replica], now)
+        record_visit(res, run.warmup, run.series_enabled, req.enqueue_time, res.busy_since[replica], now)
         res.backlogs[replica] -= 1
 
         queue = res.queues[replica]
@@ -141,7 +154,7 @@ class ReferenceEngine(Engine):
         if req.visit_index < cr.visits:
             self._offer(req, cr, now)
         else:
-            record_completion(cr.acc, run.warmup, run.series_enabled, req.arrival_time, now - req.arrival_time)
+            record_completion(cr, run.warmup, run.series_enabled, req.arrival_time, now - req.arrival_time)
             self.terminals += 1
 
     def _drive(self, target, horizon, once):

@@ -8,7 +8,10 @@ Soc. 48, 1952). The draws come from the engine's own streams through
 ``workload.make_sampler``; nothing else of the engine is used.
 
 - Arrivals: t1 = gap() and t(n+1) = t(n) + gap(), for max_requests
-  sessions.
+  sessions. An unbounded class takes them in doubling batches, until the
+  stop falls before the last arrival taken: an arrival and all it causes
+  come after every earlier arrival's key, so a later one changes nothing
+  before the stop.
 - A station drops an offer if c + K admitted requests are still present.
   A single server starts an admitted request at its offer when it is
   free, and at its predecessor's departure when it is not:
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from tiersim import StopKind
+from tiersim import UNBOUNDED, StopKind
 from tiersim.workload import Stream, make_sampler
 
 _ROOT = (float("-inf"),)  # Engine() itself, which schedules the first arrival
@@ -54,14 +57,29 @@ class SamplePath:
 
 def sample_path(model) -> SamplePath:
     (cls,) = model.classes
+    if cls.max_requests != UNBOUNDED:
+        return _sample_path(model, cls.max_requests)[0]
+    sessions = 16
+    while True:
+        path, bound, last = _sample_path(model, sessions)
+        if bound < last:
+            return path
+        sessions *= 2
+
+
+def _sample_path(model, sessions: int) -> tuple[SamplePath, tuple, tuple]:
+    """The path of the first ``sessions`` arrivals, the key of the stop
+    and the key of the last arrival."""
+    (cls,) = model.classes
     seed, stop = model.run.seed, model.run.stop
     gap = make_sampler(cls.arrival, Stream(seed, f"class:{cls.name}:arrival"))
     offers, key, t = [], _ROOT, 0.0  # each session's (offer time, offer key, arrival key)
-    for n in range(cls.max_requests):
+    for n in range(sessions):
         t = gap() if n == 0 else t + gap()
         key = (t, key, 0)
         offers.append((t, key, key))
     visits, drops, terminals, last = {}, {}, [], t  # terminals: (terminal key, arrival key)
+    arrival = key
     for visit in cls.path:
         spec = model.resource(visit.resource)
         if spec.replicas > 1 and spec.queue_capacity != 0:
@@ -95,10 +113,11 @@ def sample_path(model) -> SamplePath:
         clock = bound[0]
     else:
         clock, bound = last, _END
-    return SamplePath(
+    path = SamplePath(
         clock=clock,
         visits={name: [(a, s, k[0]) for k, a, s, _ in done if k <= bound] for name, done in visits.items()},
         drops={name: sum(k <= bound for k in keys) for name, keys in drops.items()},
         ends=[(arrived[0], k[0] - arrived[0]) for _, k, arrived in offers if k <= bound],
         in_flight=sum(arrived <= bound < k for k, arrived in terminals),
     )
+    return path, bound, arrival

@@ -578,6 +578,15 @@ def _huge_elapsed(text: str) -> str:
         (_setting(1.5, "resources", "station", "served"), "error: $.resources['station'].served: expected an integer"),
         (_setting(None, "resources", "station", "p_idle"), "error: $.resources['station'].p_idle: expected a number"),
         (_setting(False, "classes", "load", "mean_response"), "error: $.classes['load'].mean_response: expected a"),
+        (
+            _setting(math.nan, "resources", "station", "avg_waiting"),
+            "error: $.resources['station'].avg_waiting: expected a finite number, got nan\n",
+        ),
+        (
+            _setting(math.nan, "classes", "load", "p95_response"),
+            "error: $.classes['load'].p95_response: expected a finite number, got nan\n",
+        ),
+        (_setting(math.nan, "elapsed"), "error: $.elapsed: expected a finite number, got nan\n"),
         (_setting(1, "series", "enabled"), "error: $.series.enabled: expected a boolean, got 1"),
         (_setting(int("9" * 400), "elapsed"), "error: $.elapsed: number out of range, got an integer of 400 digits"),
         (_huge_elapsed, "error: integer literal longer than "),
@@ -597,6 +606,9 @@ def _huge_elapsed(text: str) -> str:
         "fractional-count",
         "null-metric",
         "bool-metric",
+        "nan-resource-metric",
+        "nan-class-metric",
+        "nan-elapsed",
         "number-series-flag",
         "float-overflowing-elapsed",
         "overlong-elapsed",
@@ -620,6 +632,10 @@ def test_parse_rate_grid_forms():
     assert parse_rate_grid("2.0:9.0:1") == (2.0,)
     for bad in ("", "a,b", "1:2", "1:2:3:4", "0.1:1:0", "x:1:3"):
         with pytest.raises(DomainError):
+            parse_rate_grid(bad)
+    # an empty entry is refused like any other non-number, not skipped
+    for bad in ("1,,2", "1,2,", ",1", " ", "1, ,2"):
+        with pytest.raises(DomainError, match=f"^rate grid must be numeric, got {bad!r}$"):
             parse_rate_grid(bad)
 
 

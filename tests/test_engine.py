@@ -668,6 +668,8 @@ def test_only_streams_that_draw_key_a_generator(monkeypatch):
     visited = {v.resource for cls in model.classes for v in cls.path}
     assert len(visited) == len(model.resources()) - len(idle)
     assert set(eng._resources) == visited
+    # one record a visited resource: the loop's runtime is what finalize reads
+    assert eng.accumulator.resources is eng._resources
     multi = [r for r in model.resources() if r.name in visited and r.replicas > 1]
     balanced = {r.name for r in multi if r.balancer is BalancerPolicy.RANDOM}
     assert len(multi) == 3 and len(balanced) == 1

@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from tiersim import Engine, bundled, export_series, parse_scenario, report_to_json
+from tiersim.metrics import ClassAccumulator, ResourceAccumulator
 from randscen import random_scenario
 from refengine import ReferenceEngine
 
@@ -42,8 +43,9 @@ def test_stepping_then_running_matches_running(label, model):
     assert stepped.events_applied == n
 
 
-def _fields(acc):
-    return {name: getattr(acc, name) for name in type(acc).__slots__}
+def _fields(acc, record):
+    # the measurement slots of ``record``, not the engine's queue state beside them
+    return {name: getattr(acc, name) for name in record.__slots__}
 
 
 @pytest.mark.parametrize("label,model", MODELS, ids=[label for label, _ in MODELS])
@@ -57,9 +59,11 @@ def test_loop_records_what_the_accumulator_methods_record(label, model):
         fused, reference = Engine(scenario), ReferenceEngine(scenario)
         fused_report, reference_report = fused.run(), reference.run()
         for name, acc in fused.accumulator.resources.items():
-            assert _fields(acc) == _fields(reference.accumulator.resources[name]), (run.warmup, name)
+            expected = reference.accumulator.resources[name]
+            assert _fields(acc, ResourceAccumulator) == _fields(expected, ResourceAccumulator), (run.warmup, name)
         for name, acc in fused.accumulator.classes.items():
-            assert _fields(acc) == _fields(reference.accumulator.classes[name]), (run.warmup, name)
+            expected = reference.accumulator.classes[name]
+            assert _fields(acc, ClassAccumulator) == _fields(expected, ClassAccumulator), (run.warmup, name)
         assert (fused.clock, fused.terminals, fused._seq, fused._next_request_id) == (
             reference.clock,
             reference.terminals,

@@ -42,7 +42,6 @@ from tiersim.metrics import (
     _SERIES_CHUNK_ROWS,
     UNVISITED,
     MetricsReport,
-    RunAccumulator,
     SeriesRows,
     _nearest_ranks,
     series_chunks,
@@ -50,7 +49,7 @@ from tiersim.metrics import (
 from tiersim.sweep import SweepResult, sweep_to_csv
 from pycalls import python_calls
 from randscen import random_scenario
-from refengine import occupancy_change, record_completion, record_visit
+from refengine import accumulator, occupancy_change, record_completion, record_visit
 
 
 class Welford:
@@ -93,7 +92,7 @@ def test_welford_matches_batch_statistics():
 
 
 def test_inline_recorders_match_the_welford_reference():
-    acc = RunAccumulator(one_station_model())
+    acc = accumulator(one_station_model())
     ra, ca = acc.resources["A"], acc.classes["w"]
     waits, services, responses = Welford(), Welford(), Welford()
     for i in range(50):
@@ -111,7 +110,7 @@ def test_inline_recorders_match_the_welford_reference():
 
 
 def test_response_is_exactly_service_plus_waiting():
-    acc = RunAccumulator(one_station_model())
+    acc = accumulator(one_station_model())
     ra = acc.resources["A"]
     # ten visits averaging 0.150 waiting and 0.057 service
     for i in range(10):
@@ -128,7 +127,7 @@ def test_response_is_exactly_service_plus_waiting():
 
 
 def test_drop_probability_is_the_exact_ratio():
-    acc = RunAccumulator(one_station_model())
+    acc = accumulator(one_station_model())
     ra = acc.resources["A"]
     ra.offered = 1000
     ra.dropped = 761
@@ -137,7 +136,7 @@ def test_drop_probability_is_the_exact_ratio():
 
 
 def test_mean_in_system_integrates_occupancy():
-    acc = RunAccumulator(one_station_model())
+    acc = accumulator(one_station_model())
     ra = acc.resources["A"]
     occupancy_change(ra, 0.0, 0.0, +1)
     occupancy_change(ra, 0.0, 1.0, +1)
@@ -149,7 +148,7 @@ def test_mean_in_system_integrates_occupancy():
 
 
 def test_single_replica_idle_is_the_exact_complement():
-    acc = RunAccumulator(one_station_model())
+    acc = accumulator(one_station_model())
     ra = acc.resources["A"]
     ra.offered = 3
     record_visit(ra, 0.0, False, 0.0, 0.0, 2.0)
@@ -162,7 +161,7 @@ def test_single_replica_idle_is_the_exact_complement():
 
 
 def test_multi_replica_idle_uses_all_idle_time():
-    acc = RunAccumulator(one_station_model(replicas=2))
+    acc = accumulator(one_station_model(replicas=2))
     ra = acc.resources["A"]
     occupancy_change(ra, 0.0, 3.0, +1)  # empty, so all replicas idle, since 0
     occupancy_change(ra, 0.0, 8.0, -1)
@@ -172,7 +171,7 @@ def test_multi_replica_idle_uses_all_idle_time():
 
 
 def test_warmup_clips_time_and_filters_samples():
-    acc = RunAccumulator(one_station_model(warmup=2.0))
+    acc = accumulator(one_station_model(warmup=2.0))
     ra = acc.resources["A"]
     ra.offered = 2
     # enqueued before warmup: contributes clipped busy time, no samples
@@ -190,7 +189,7 @@ def test_warmup_clips_time_and_filters_samples():
 
 
 def test_warmup_clips_occupancy_area():
-    acc = RunAccumulator(one_station_model(warmup=2.0))
+    acc = accumulator(one_station_model(warmup=2.0))
     ra = acc.resources["A"]
     occupancy_change(ra, 2.0, 0.0, +1)
     occupancy_change(ra, 2.0, 4.0, -1)
@@ -200,7 +199,7 @@ def test_warmup_clips_occupancy_area():
 
 
 def test_warmup_clips_all_idle_time():
-    acc = RunAccumulator(one_station_model(replicas=2, warmup=2.0))
+    acc = accumulator(one_station_model(replicas=2, warmup=2.0))
     ra = acc.resources["A"]
     occupancy_change(ra, 2.0, 3.0, +1)  # idle [0, 3) but only [2, 3) counts
     ra.close(6.0, 2.0, [3.0], 0)  # the service begun at 3 still runs at the stop
@@ -257,7 +256,7 @@ def test_multi_replica_idle_is_the_share_of_the_window_with_every_replica_idle(w
 
 
 def test_zero_window_reports_zeros_and_full_idle():
-    acc = RunAccumulator(one_station_model(warmup=5.0))
+    acc = accumulator(one_station_model(warmup=5.0))
     acc.resources["A"].close(5.0, 5.0, [], 0)
     m = finalize(acc, 5.0).resources["A"]
     assert m.utilization == 0.0
@@ -437,6 +436,16 @@ def test_report_json_is_byte_stable_and_round_trips():
     assert loaded.resource_series == ()
     assert loaded.loaded_series_rows == (len(report.resource_series), len(report.end_to_end_series))
     assert report_to_json(loaded) == text
+
+
+def test_a_loaded_report_keeps_an_infinity():
+    # a clock near the float maximum can write Infinity, so it loads and
+    # writes back, where NaN is refused (test_cli)
+    doc = json.loads(report_to_json(simulate(one_station_model())))
+    doc["elapsed"] = doc["resources"]["A"]["avg_waiting"] = math.inf
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "Infinity" in text
+    assert report_to_json(report_from_json(text)) == text
 
 
 def test_report_json_carries_series_counts():

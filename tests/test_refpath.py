@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tiersim import (
     END_TO_END,
     INFINITE,
+    UNBOUNDED,
     BalancerPolicy,
     Distribution,
     Engine,
@@ -27,7 +28,9 @@ from tiersim import (
     bundled,
     parse_scenario,
 )
+from tiersim.metrics import UNVISITED
 from tiersim.model import validated
+from randscen import random_scenario
 from refpath import sample_path
 
 
@@ -49,7 +52,9 @@ def check_against_the_recursion(model):
     assert _bits(report.resource_series) == _bits(rows)
     kept = [(a, r) for a, r in path.ends if a >= warmup]
     assert _bits(report.end_to_end_series) == _bits((END_TO_END, a, r) for a, r in kept)
-    assert {name: m.dropped for name, m in report.resources.items()} == path.drops
+    assert {name: report.resources[name].dropped for name in path.drops} == path.drops
+    for name, m in report.resources.items():
+        assert name in path.drops or m is UNVISITED, name
     (cls,) = report.classes.values()
     assert (cls.dropped, cls.completed) == (sum(path.drops.values()), len(path.ends))
     responses = [r for _, r in kept]
@@ -129,7 +134,10 @@ def tandems(draw):
         for i, (c, k) in enumerate(stations)
     )
     path = tuple(Visit(resource=r.name, demand=draw(_DISTRIBUTIONS)) for r in specs)
-    cls = WorkloadClass(name="w", arrival=draw(_DISTRIBUTIONS), path=path, max_requests=draw(st.integers(1, 40)))
+    max_requests = draw(st.one_of(st.integers(1, 40), st.just(UNBOUNDED)))
+    # an unbounded class needs a mean gap > 0; at least 0.1 keeps its run short
+    arrivals = _DISTRIBUTIONS if max_requests < UNBOUNDED else _DISTRIBUTIONS.filter(lambda d: d.mean() >= 0.1)
+    cls = WorkloadClass(name="w", arrival=draw(arrivals), path=path, max_requests=max_requests)
     stop = draw(
         st.one_of(st.integers(1, 50).map(StopRule.after_requests), st.floats(0.1, 20.0).map(StopRule.after_time))
     )
@@ -142,7 +150,33 @@ def tandems(draw):
     return validated(ScenarioModel(name="tandem", tiers=(Tier(name="t", resources=specs),), classes=(cls,), run=run))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(tandems())
 def test_one_class_tandems_are_their_recursion(model):
+    check_against_the_recursion(model)
+
+
+def _in_scope(model):
+    """One class, each resource visited once, each a single server or c
+    servers with no room."""
+    if len(model.classes) != 1:
+        return False
+    names = [v.resource for v in model.classes[0].path]
+    specs = [model.resource(name) for name in names]
+    return len(set(names)) == len(names) and all(r.replicas == 1 or r.queue_capacity == 0 for r in specs)
+
+
+RANDSCEN = [case for case in range(100) if _in_scope(random_scenario(case))]
+
+
+def test_the_random_scenarios_in_scope_are_these():
+    # 18 is unbounded; 79, 90 and 92 declare resources their class never visits
+    assert RANDSCEN == [18, 40, 79, 90, 92]
+
+
+@pytest.mark.parametrize("warmup", [0.0, 1.0])
+@pytest.mark.parametrize("case", RANDSCEN)
+def test_random_scenarios_in_scope_are_their_recursion(case, warmup):
+    model = random_scenario(case)
+    model = validated(dataclasses.replace(model, run=dataclasses.replace(model.run, warmup=warmup, series_enabled=True)))
     check_against_the_recursion(model)

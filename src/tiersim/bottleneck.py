@@ -3,7 +3,9 @@
 A resource is a bottleneck candidate when sessions either pile up in
 front of it or die at its door. Both symptoms are combined into one
 score: the resource's average waiting time normalized by the worst
-average waiting time in the run, plus its drop probability. A resource
+average waiting time in the run, plus its drop probability. A saved
+report may hold an infinite wait; then the resources that hold it score
+a normalized wait of 1 and every other resource 0, never NaN. A resource
 is flagged when either symptom alone crosses its threshold (both
 default to 0.5 and are CLI-overridable), so a pure dropper and a pure
 queuer are both caught.
@@ -62,7 +64,10 @@ def rank(
     max_wait = max((m.avg_waiting for m in report.resources.values()), default=0.0)
     entries = []
     for name, m in report.resources.items():
-        normalized = m.avg_waiting / max_wait if max_wait > 0.0 else 0.0
+        w = m.avg_waiting
+        # inf / inf is NaN: an infinite worst wait normalizes to 1.0 where
+        # it is held and to 0.0 elsewhere; a finite one as w / max_wait
+        normalized = (1.0 if w == max_wait else w / max_wait) if max_wait > 0.0 else 0.0
         entries.append(
             BottleneckEntry(
                 resource=name,

@@ -26,7 +26,12 @@ refused session is dropped in its entirety at that visit and the drop
 is charged to the refusing resource. Only an admitted request reaches a selector,
 which places it. A resource that would hold more than MAX_WAITING
 waiting requests raises DomainError instead of growing until memory
-runs out.
+runs out. So does a service start whose demand > 0 the clock absorbs
+(now + demand == now, once the clock is past about 2**53 times the
+demand) when the visit's mean demand is absorbed too: every service
+there would take no time. A lone draw far below its mean, which a long
+run makes now and then, ends where it starts, as any sum of a float
+clock rounds; so does a demand of 0.
 
 Each visited resource and each class is one object: a subclass of the
 metrics module's accumulator record that adds the loop's own state. So
@@ -201,7 +206,10 @@ class Engine:
     #
     # Every push checks its time with `not time < _INF`, which also
     # rejects NaN: a validated model can still overflow the clock (a
-    # tiny exponential rate draws gaps near the float maximum).
+    # tiny exponential rate draws gaps near the float maximum). A service
+    # start checks `not now < time < _INF` in the same comparison chain:
+    # a demand > 0 whose end is not past now was lost to the clock, and
+    # _check_start decides whether that is an error.
 
     def _drive(self, target: float, horizon: float, once: bool):
         """Apply events in time order until `target` sessions are
@@ -276,9 +284,10 @@ class Engine:
                         nxt = queue.popleft()
                         res.waiting -= 1
                         busy_since[replica] = now
-                        time = now + nxt.cls.path[nxt.visit_index][1]()
-                        if not time < _INF:
-                            raise _not_finite(time)
+                        demand = nxt.cls.path[nxt.visit_index][1]()
+                        time = now + demand
+                        if not now < time < _INF and demand:
+                            self._check_start(nxt.cls, nxt.visit_index, demand, now, time)
                         seq += 1
                         heappush(heap, (time, seq, res, replica, nxt))
 
@@ -333,9 +342,10 @@ class Engine:
                     continue
 
                 res.busy_since[replica] = now
-                time = now + sample()
-                if not time < _INF:
-                    raise _not_finite(time)
+                demand = sample()
+                time = now + demand
+                if not now < time < _INF and demand:
+                    self._check_start(cr, visit, demand, now, time)
                 seq += 1
                 heappush(heap, (time, seq, res, replica, req))
         finally:
@@ -344,6 +354,22 @@ class Engine:
             self.terminals = terminals
             self._next_request_id = next_id
         return item
+
+    def _check_start(self, cr, visit: int, demand: float, now: float, time: float) -> None:
+        """Raise unless a service of ``demand`` > 0 that starts at ``now``
+        at visit ``visit`` of ``cr`` may end at ``time``, which is not past
+        ``now`` or not finite. A demand the clock absorbs is an error when
+        the visit's mean demand is absorbed too, so that every service
+        there takes no time; a lone draw far below the mean ends where it
+        starts, as any sum rounds."""
+        if not time < _INF:
+            raise _not_finite(time)
+        mean = next(c for c in self.model.classes if c.name == cr.name).path[visit].demand.mean()
+        if now + mean == now:
+            raise DomainError(
+                f"resource {cr.path[visit][0].name!r}: a service demand of {demand!r} was lost to the clock at "
+                f"{now!r}, as is the visit's mean demand {mean!r}"
+            )
 
     def step(self) -> Event:
         """Apply exactly one event and describe it. Testing hook."""

@@ -14,6 +14,11 @@ uses a default. A deployment may declare hundreds of resources, so their
 reader tests each value inline and calls a named reader only to word an
 error, and the writer fills a template per tier and per resource: the
 same error lines and bytes as the named readers and ``json_text`` give.
+That template is the one writer of tiers. A model built in code may hold
+a value of a type the reader never builds (a float count, a name that is
+not a str); the writer refuses such a model with validate's lines, or
+writes it as json.dumps does where validate accepts the value, which it
+does only for an int or str subclass.
 """
 
 from __future__ import annotations
@@ -717,25 +722,6 @@ def _write_container(value: object, pad: str, sort_keys: bool, out: list[str]) -
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _tier_docs(tiers: tuple[Tier, ...]) -> list[dict]:
-    return [
-        {
-            "name": tier.name,
-            "resources": [
-                {
-                    "name": r.name,
-                    "replicas": r.replicas,
-                    "queue_capacity": "inf" if r.queue_capacity == INFINITE else r.queue_capacity,
-                    "discipline": "fcfs",
-                    "balancer": _BALANCER_NAMES[r.balancer],
-                }
-                for r in tier.resources
-            ],
-        }
-        for tier in tiers
-    ]
-
-
 # A tier and a resource object as json_text writes them in a scenario
 # document's "tiers" array, 4 and 8 spaces in.
 _TIER_TEXT = '{\n      "name": %s,\n      "resources": %s\n    }'
@@ -745,28 +731,34 @@ _RESOURCE_TEXT = (
 )
 
 
-def _tiers_value(tiers: tuple[Tier, ...]) -> JSONText | list[dict]:
-    """The scenario document's "tiers" value: one text from the templates,
-    or, for a value of a type they do not write (a model built in code may
-    hold one), the plain objects, which json_text writes or refuses."""
+def _tiers_value(model: ScenarioModel) -> JSONText:
+    """The scenario document's "tiers" value, one text from the templates.
+
+    A model the reader built holds an exact str for every name and an
+    exact int (or inf) for every count. A model built in code may hold a
+    value of another type: then ``validated`` refuses the model with
+    validate's lines, or accepts it, which it does only for a str or int
+    subclass, and the templates write that as json.dumps does."""
+    valid = None  # the model, once validated has accepted it
     tier_texts = []
-    for tier in tiers:
+    for tier in model.tiers:
         texts = []
         for r in tier.resources:
             name, replicas, cap = r.name, r.replicas, r.queue_capacity
             if cap == INFINITE:
                 cap = '"inf"'
             elif type(cap) is not int:
-                return _tier_docs(tiers)
+                valid = valid or validated(model)
+                cap = int.__repr__(cap)
             if type(name) is not str or type(replicas) is not int:
-                return _tier_docs(tiers)
+                valid = valid or validated(model)
             # a policy's name is a plain lowercase token: quoting is all it needs
             texts.append(_RESOURCE_TEXT % (encode_basestring_ascii(name), replicas, cap, _BALANCER_NAMES[r.balancer]))
         if type(tier.name) is not str:
-            return _tier_docs(tiers)
+            valid = valid or validated(model)
         resources = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
         tier_texts.append(_TIER_TEXT % (encode_basestring_ascii(tier.name), resources))
-    return JSONText("[\n    " + ",\n    ".join(tier_texts) + "\n  ]") if tier_texts else []
+    return JSONText("[\n    " + ",\n    ".join(tier_texts) + "\n  ]" if tier_texts else "[]")
 
 
 def _scenario_doc(model: ScenarioModel) -> dict:
@@ -775,7 +767,7 @@ def _scenario_doc(model: ScenarioModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "name": model.name,
-        "tiers": _tiers_value(model.tiers),
+        "tiers": _tiers_value(model),
         "classes": [
             {
                 "name": cls.name,

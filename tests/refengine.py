@@ -127,7 +127,20 @@ class ReferenceEngine(Engine):
             return
 
         res.busy_since[replica] = now
-        time = now + demand_sampler()
+        self._start(res, replica, req, demand_sampler(), now)
+
+    def _start(self, res, replica, req, demand, now):
+        """Schedule the end of a service that starts at now. A demand > 0
+        the clock absorbs is an error if the visit's mean demand is too."""
+        time = now + demand
+        if demand > 0 and time == now:
+            (cls,) = (c for c in self.model.classes if c.name == req.cls.name)
+            mean = cls.path[req.visit_index].demand.mean()
+            if now + mean == now:
+                raise DomainError(
+                    f"resource {res.name!r}: a service demand of {demand!r} was lost to the clock at {now!r}, "
+                    f"as is the visit's mean demand {mean!r}"
+                )
         if not time < _INF:
             raise _not_finite(time)
         self._seq += 1
@@ -143,11 +156,7 @@ class ReferenceEngine(Engine):
             nxt = queue.popleft()
             res.waiting -= 1
             res.busy_since[replica] = now
-            time = now + nxt.cls.path[nxt.visit_index][1]()
-            if not time < _INF:
-                raise _not_finite(time)
-            self._seq += 1
-            heappush(self._heap, (time, self._seq, res, replica, nxt))
+            self._start(res, replica, nxt, nxt.cls.path[nxt.visit_index][1](), now)
 
         cr = req.cls
         req.visit_index += 1

@@ -146,3 +146,21 @@ def test_table_rendering():
     assert lines[0].split() == ["Resource", "Score", "NormWaiting", "P(drop)", "Flagged"]
     assert lines[2].startswith("SP_Disk")
     assert "yes" in text and "no" in text
+
+
+def test_an_infinite_wait_normalizes_to_one_where_it_is_held_and_zero_elsewhere():
+    # a saved report may hold Infinity; inf / inf would make NaN scores
+    # that flag nothing and sort out of order
+    resources = dict(seven_resource_report().resources)
+    resources["SP_CPU"] = res(float("inf"), 0.0)
+    ranking = rank(make_report(resources))
+    by_name = {e.resource: e for e in ranking.entries}
+    assert by_name["SP_CPU"].normalized_waiting == by_name["SP_CPU"].score == 1.0
+    assert by_name["SP_CPU"].flagged
+    assert {e.normalized_waiting for name, e in by_name.items() if name != "SP_CPU"} == {0.0}
+    assert [e.resource for e in ranking.entries][:4] == ["SP_CPU", "SP_Disk", "Internet1", "Internet2"]
+    assert set(ranking.flagged()) == {"SP_CPU", "Internet1", "Internet2", "SP_Disk"}
+    # every resource that holds the infinite worst wait scores 1
+    resources["SB_Disk"] = res(float("inf"), 0.0)
+    ranking = rank(make_report(resources))
+    assert [(e.resource, e.normalized_waiting) for e in ranking.entries][:2] == [("SB_Disk", 1.0), ("SP_CPU", 1.0)]

@@ -175,6 +175,19 @@ def test_a_queue_past_the_waiting_ceiling_is_one_error_line(tmp_path, capsys, mo
     )
 
 
+def test_a_service_demand_lost_to_the_clock_is_one_error_line(capsys):
+    # at 1e-300 arrivals per second the clock passes 1e296, where adding a
+    # demand of milliseconds leaves it where it was
+    code, out, err = run_cli(capsys, "sweep", "bundled:webservices.json", "--rates", "1e-300", "--requests", "50")
+    assert out == ""
+    assert_one_error_line(code, err, "error: resource 'SRS_CPU': a service demand of ")
+    assert re.fullmatch(
+        r"error: resource 'SRS_CPU': a service demand of \S+ was lost to the clock at \S+, "
+        r"as is the visit's mean demand \S+\n",
+        err,
+    )
+
+
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 # the CLI in a child interpreter that may map at most 1 GiB
 _CAPPED_CLI = (
@@ -503,6 +516,24 @@ def test_report_rerenders_and_ranks(station_path, tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "report", str(out_path), "--bottlenecks")
     assert "Flagged" in out
+
+
+def test_report_ranks_an_infinite_wait_first_with_no_nan(tmp_path, capsys):
+    saved = tmp_path / "report.json"
+    assert run_cli(capsys, "run", "bundled:webservices.json", "--requests", "200", "--report", str(saved), "--quiet")[0] == 0
+    doc = json.loads(saved.read_text(encoding="utf-8"))
+    doc["resources"]["SP_CPU"]["avg_waiting"] = math.inf
+    saved.write_text(json.dumps(doc), encoding="utf-8")
+
+    code, out, _ = run_cli(capsys, "report", str(saved), "--bottlenecks", "--format", "json")
+    assert code == 0 and "NaN" not in out
+    entries = json.loads(out)["entries"]
+    assert (entries[0]["resource"], entries[0]["normalized_waiting"], entries[0]["flagged"]) == ("SP_CPU", 1.0, True)
+    assert [e["score"] for e in entries] == sorted((e["score"] for e in entries), reverse=True)
+
+    code, out, _ = run_cli(capsys, "report", str(saved), "--bottlenecks")
+    assert code == 0 and "nan" not in out
+    assert out.splitlines()[2].split() == ["SP_CPU", "1", "1", "0", "yes"]
 
 
 @pytest.mark.parametrize("series", [("--series",), ()], ids=["series-on", "series-off"])

@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import sys
 
 import numpy
@@ -17,6 +18,7 @@ from tiersim import (
     INFINITE,
     BalancerPolicy,
     Distribution,
+    DomainError,
     Engine,
     EngineEmptyError,
     InternalError,
@@ -37,6 +39,7 @@ from tiersim import bundled, runs
 from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
 from pycalls import python_calls
 from randscen import random_scenario
+from refengine import ReferenceEngine
 
 
 def station(
@@ -766,14 +769,21 @@ def test_snapshot_of_an_unvisited_resource_is_all_idle():
 
 def test_clock_overflow_in_a_valid_model_is_an_internal_error():
     # validate() checks parameters, not the clock: gaps near 1e307 push
-    # the arrival clock past the float maximum within a few dozen draws
+    # the arrival clock past the float maximum within a few dozen draws.
+    # Demands near 1 vanish at such a clock long before that, which is a
+    # domain error (see the lost-demand test below)
     model = station(
         arrival=Distribution.exponential(1e-307),
         service=Distribution.exponential(1.0),
         stop=StopRule.after_requests(50),
     )
-    with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
+    with pytest.raises(DomainError, match="^resource 'A': a service demand of .* was lost to the clock at "):
         Engine(model).run()
+    # demands that survive at 1e307: near 1e300, or 0, which ends where it starts
+    for service in (Distribution.exponential(1e-300), Distribution.deterministic(0.0)):
+        model = station(arrival=Distribution.exponential(1e-307), service=service, stop=StopRule.after_requests(50))
+        with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
+            Engine(model).run()
     # the second request waits behind the first, whose service ends at
     # 1e308, so its own service would end past the float maximum
     model = station(
@@ -784,6 +794,56 @@ def test_clock_overflow_in_a_valid_model_is_an_internal_error():
     )
     with pytest.raises(InternalError, match="scheduled event time is not finite: inf"):
         Engine(model).run()
+
+
+def _lost_demand_models():
+    # at admission: arrivals near 1e307 and demands near 1
+    yield station(
+        arrival=Distribution.exponential(1e-307), service=Distribution.exponential(1.0), stop=StopRule.after_requests(50)
+    )
+    # at a queued start: a demand of 1 waits behind one of 1e300, so it
+    # starts at 1 + 1e300, where adding 1 changes nothing
+    model = station(arrival=Distribution.deterministic(1.0), service=Distribution.deterministic(1e300), max_requests=1)
+    small = WorkloadClass(
+        name="small",
+        arrival=Distribution.deterministic(2.0),
+        path=(Visit(resource="A", demand=Distribution.deterministic(1.0)),),
+        max_requests=1,
+    )
+    yield dataclasses.replace(model, classes=(*model.classes, small))
+
+
+@pytest.mark.parametrize("model", list(_lost_demand_models()), ids=["at-admission", "at-queued-start"])
+def test_a_service_demand_lost_to_the_clock_is_a_domain_error(model):
+    # once the clock is past 2**53 times a demand, now + demand == now:
+    # the service would take no time, so the run stops instead
+    assert validate(model) == ()
+    with pytest.raises(DomainError) as found:
+        Engine(model).run()
+    assert re.fullmatch(
+        r"resource 'A': a service demand of \S+ was lost to the clock at \S+, as is the visit's mean demand 1.0",
+        str(found.value),
+    )
+    with pytest.raises(DomainError) as reference:
+        ReferenceEngine(model).run()
+    assert str(reference.value) == str(found.value)
+
+
+def test_a_lone_draw_the_clock_absorbs_ends_where_it_starts():
+    # a gap of 1e11 puts the clock near 2e14 within 2000 sessions, where a
+    # draw below about 0.016 is absorbed, but a mean demand of 1 is not:
+    # as in any long run, a few draws far below the mean take no time
+    model = station(
+        arrival=Distribution.deterministic(1e11),
+        service=Distribution.exponential(1.0),
+        max_requests=2000,
+        stop=StopRule.after_requests(2000),
+        series=True,
+    )
+    report = Engine(model).run()
+    assert sum(1 for _, _, response in report.resource_series if response == 0.0) == 16
+    assert report.resources["A"].avg_service == pytest.approx(1.0, rel=0.05)
+    assert report_to_json(ReferenceEngine(model).run()) == report_to_json(report)
 
 
 def test_maintained_backlogs_match_busy_plus_queue_after_every_step():

@@ -305,6 +305,23 @@ def test_synthesis_names_a_bad_value_where_the_deployment_declares_it(doc, lines
     assert str(exc.value).split("\n") == lines
 
 
+def test_synthesis_passes_a_line_that_names_no_tier_through_unchanged():
+    # the class and its arrival are the caller's, not the deployment's
+    doc = {"bindings": {"a": "client"}, "nodes": {"client": [{"name": "c", "replicas": 0}]}}
+    with pytest.raises(ValidationError) as exc:
+        synthesize_scenario(
+            parse_execution("a -> a : call [exp 10]"),
+            parse_deployment(json.dumps(doc)),
+            class_name="a b",
+            arrival=Distribution.exponential(0),
+        )
+    assert str(exc.value).split("\n") == [
+        "deployment.nodes['client'][0]: replicas must be an integer >= 1, got 0",
+        "classes[0]: class name must be a non-empty token, got 'a b'",
+        "classes[0].arrival: exponential rate must be finite and > 0, got 0",
+    ]
+
+
 def test_shared_link_resource_must_be_declared_identically():
     doc = """
     {

@@ -662,50 +662,93 @@ def _with_resource(**changes) -> ScenarioModel:
     return dataclasses.replace(base, tiers=(Tier(name="only", resources=(ResourceSpec("plain"), odd)),))
 
 
+class _Count(int):
+    """An int subclass whose own texts json.dumps does not write."""
+
+    def __repr__(self) -> str:
+        return f"_Count({int(self)})"
+
+    __str__ = __repr__
+
+
+class _Name(str):
+    """A str subclass whose own texts json.dumps does not write."""
+
+    def __repr__(self) -> str:
+        return f"_Name({str.__str__(self)!r})"
+
+    __str__ = __repr__
+
+
+def _refused_with_validates_lines(model: ScenarioModel) -> None:
+    assert validate(model)
+    with pytest.raises(ValidationError) as found:
+        serialize_scenario(model)
+    assert str(found.value) == "\n".join(validate(model))
+
+
+# values of a type the reader never builds, which validate refuses
+_REFUSED_VALUES = [
+    {"replicas": 2.0},
+    {"replicas": True},
+    {"replicas": [1]},
+    {"queue_capacity": 3.0},
+    {"queue_capacity": False},
+    {"queue_capacity": -math.inf},
+    {"name": None},
+    {"name": object()},
+]
+# values of a type the reader builds, written whether validate accepts
+# them or not, and int and str subclasses, which validate accepts
+_WRITTEN_VALUES = [
+    {"replicas": -(10**30)},
+    {"queue_capacity": 2**70},
+    {"name": "spé \"x\"\n"},
+    {"balancer": "round_robin"},
+    {"replicas": _Count(3), "queue_capacity": _Count(2**70), "name": _Name("cpu")},
+]
+
+
 @pytest.mark.parametrize(
-    "changes",
-    [
-        {"replicas": 2.0},
-        {"replicas": True},
-        {"replicas": -(10**30)},
-        {"queue_capacity": 3.0},
-        {"queue_capacity": False},
-        {"queue_capacity": -math.inf},
-        {"queue_capacity": 2**70},
-        {"name": "spé \"x\"\n"},
-        {"name": None},
-        {"balancer": "round_robin"},
-        {"balancer": "bogus"},
-        {"name": object()},
-        {"replicas": [1]},
-    ],
-    ids=lambda changes: "-".join(f"{k}={v!r}" for k, v in changes.items())[:40],
+    "changes, refused",
+    [(c, True) for c in _REFUSED_VALUES] + [(c, False) for c in _WRITTEN_VALUES],
+    # an object()'s repr holds its address, which differs from run to run
+    ids=lambda v: re.sub(" at 0x[0-9a-f]+", "", "-".join(f"{k}={x!r}" for k, x in v.items()))[:40]
+    if isinstance(v, dict)
+    else str(v),
 )
-def test_serialize_scenario_writes_or_refuses_values_built_in_code_as_json_dumps_does(changes):
-    # a spec whose values no resource row writes falls back to the plain
-    # document, which json_text writes or refuses like json.dumps
+def test_serialize_scenario_writes_a_resource_value_as_json_dumps_does_or_refuses_its_type_with_validates_lines(
+    changes, refused
+):
+    # a model built in code may hold any value; the one tier writer refuses
+    # a type the reader never builds as validated does
     model = _with_resource(**changes)
-    try:
-        expected = json.dumps(reference_doc(model), indent=2) + "\n"
-    except (KeyError, TypeError) as exc:
-        with pytest.raises(type(exc)) as found:
-            serialize_scenario(model)
-        assert str(found.value) == str(exc)
+    if refused:
+        _refused_with_validates_lines(model)
     else:
-        assert serialize_scenario(model) == expected
+        assert serialize_scenario(model) == json.dumps(reference_doc(model), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("name", [None, 7, "spé", "a\tb", object()], ids=["none", "int", "accent", "tab", "object"])
-def test_serialize_scenario_writes_or_refuses_a_tier_name_built_in_code_as_json_dumps_does(name):
+def test_serialize_scenario_meets_an_unknown_balancer_as_a_missing_key():
+    # validate refuses it too, but the writer looks the policy's name up first
+    with pytest.raises(KeyError, match="bogus"):
+        serialize_scenario(_with_resource(balancer="bogus"))
+
+
+@pytest.mark.parametrize(
+    "name, refused",
+    [(None, True), (7, True), ("spé", False), ("a\tb", False), (object(), True), (_Name("t2"), False)],
+    ids=["none", "int", "accent", "tab", "object", "str-subclass"],
+)
+def test_serialize_scenario_writes_a_tier_name_as_json_dumps_does_or_refuses_its_type_with_validates_lines(
+    name, refused
+):
     base = _with_resource()
     model = dataclasses.replace(base, tiers=(*base.tiers, Tier(name=name, resources=(ResourceSpec("x"),))))
-    try:
-        expected = json.dumps(reference_doc(model), indent=2) + "\n"
-    except TypeError as exc:
-        with pytest.raises(TypeError, match=re.escape(str(exc))):
-            serialize_scenario(model)
+    if refused:
+        _refused_with_validates_lines(model)
     else:
-        assert serialize_scenario(model) == expected
+        assert serialize_scenario(model) == json.dumps(reference_doc(model), indent=2) + "\n"
 
 
 def test_a_tier_without_resources_is_written_as_an_empty_array():
@@ -860,6 +903,27 @@ def test_the_resource_reader_gives_the_reference_spec_or_error_line(obj):
 def test_a_bad_resource_value_is_one_pinned_line(resource, line):
     with pytest.raises(ValidationError) as exc:
         parse_scenario(_scenario_with(resource, "cpu"))
+    assert str(exc.value) == line
+
+
+_CPU = {"name": "cpu"}
+
+
+@pytest.mark.parametrize(
+    "tier, line",
+    [
+        (["t", [_CPU]], "$.tiers[0]: expected an object, got list"),
+        ({"name": "t"}, "$.tiers[0]: missing required key 'resources'"),
+        ({"name": "t", "resources": [_CPU], "x": 1}, "$.tiers[0]: unknown key 'x'"),
+        ({"name": 5, "resources": [_CPU]}, "$.tiers[0].name: expected a string, got 5"),
+    ],
+    ids=["list", "no-resources", "unknown-key", "int-name"],
+)
+def test_a_bad_tier_is_one_pinned_line(tier, line):
+    doc = json.loads(_scenario_with(_CPU, "cpu"))
+    doc["tiers"] = [tier]
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(json.dumps(doc))
     assert str(exc.value) == line
 
 

@@ -149,6 +149,14 @@ def test_usable_cpus_is_positive():
     assert runs.usable_cpus() >= 1
 
 
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_api_is_the_cpu_count_or_one(monkeypatch, count, usable):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert runs.usable_cpus() == usable
+
+
 def test_the_pool_forks_and_changes_no_byte(monkeypatch, pooled, forks):
     model = webservices(300)
     rates = (20.0, 40.0, 60.0)

@@ -46,7 +46,7 @@ from .model import (
     _as_dict,
     _as_list,
     _as_record,
-    _check_distribution,
+    _distribution_issue,
     _load_json,
     _parse_resource,
     _read_list,
@@ -109,10 +109,9 @@ def _parse_demand(text: str, line_no: int) -> Distribution:
     demand = Distribution(kind, **dict(zip(_DIST_PARAMS[kind], values)))
     # the validator's own rule, checked once here so that the error names
     # the line rather than each visit synthesis would make of this step
-    issues: list[str] = []
-    _check_distribution(demand, "demand", issues)
-    if issues:
-        raise ScenarioSyntaxError(issues[0], line=line_no)
+    issue = _distribution_issue(demand)
+    if issue:
+        raise ScenarioSyntaxError(f"demand: {issue}", line=line_no)
     return demand
 
 

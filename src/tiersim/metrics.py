@@ -57,8 +57,10 @@ responses it already keeps, which the loop appends under the same window
 rule. finalize hands each column to the report with the row count it
 holds at that moment (a SeriesRows), so the report reads the
 accumulators' own buffers without a copy, and what they record later is
-not part of it. series_chunks sorts the rows with one stable argsort of
-the arrival columns.
+not part of it. A SeriesRows is iterated, counted, compared and
+pickled, never indexed: its rows run in column order (model order, then
+record order), which is not the CSV's arrival order. series_chunks
+sorts the rows with one stable argsort of the arrival columns.
 """
 
 from __future__ import annotations
@@ -68,10 +70,9 @@ import io
 import math
 import operator
 from array import array
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from .errors import SeriesDisabledError, ValidationError
 from .model import (
@@ -197,35 +198,22 @@ class RunAccumulator:
 SeriesColumns = tuple[str, array, array, int]
 
 
-class SeriesRows(Sequence):
-    """A read-only sequence of ``(label, arrival, response)`` rows read
-    from packed columns: each ``(label, arrivals, responses, n)`` in
-    ``columns`` gives its first n rows, in order, and the columns follow
-    one another. Holding n, not a copy, keeps the rows fixed while the
-    buffers grow. Compares equal to a SeriesRows or a tuple of the same
-    rows.
+class SeriesRows:
+    """The ``(label, arrival, response)`` rows of packed columns, to
+    iterate, count and compare: each ``(label, arrivals, responses, n)``
+    in ``columns`` gives its first n rows, in order, and the columns
+    follow one another. Holding n, not a copy, keeps the rows fixed while
+    the buffers grow. Compares equal to a SeriesRows or a tuple of the
+    same rows.
     """
 
-    __slots__ = ("columns", "_ends")
+    __slots__ = ("columns",)
 
     def __init__(self, columns: Iterable[SeriesColumns]):
         self.columns = tuple(columns)
-        self._ends = tuple(accumulate(n for *_, n in self.columns))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i: int) -> tuple[str, float, float]:
-        n = len(self)
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("series row index out of range")
-        k = bisect_right(self._ends, i)
-        label, arrivals, responses, _ = self.columns[k]
-        j = i - self._ends[k - 1] if k else i
-        return label, arrivals[j], responses[j]
+        return sum(n for *_, n in self.columns)
 
     def __iter__(self) -> Iterator[tuple[str, float, float]]:
         for label, arrivals, responses, n in self.columns:

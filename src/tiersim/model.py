@@ -229,23 +229,20 @@ def valid_seed(x: object) -> bool:
     return _integer(x) and 0 <= x < SEED_LIMIT
 
 
-def _check_distribution(dist: Distribution, path: str, issues: list[str]) -> None:
+def _distribution_issue(dist: Distribution) -> str | None:
+    """What is wrong with ``dist``, without a path, or None when it is valid."""
     if dist.kind is DistKind.EXPONENTIAL:
         if not (_finite(dist.rate) and dist.rate > 0):
-            issues.append(f"{path}: exponential rate must be finite and > 0, got {dist.rate!r}")
+            return f"exponential rate must be finite and > 0, got {dist.rate!r}"
     elif dist.kind is DistKind.DETERMINISTIC:
         if not (_finite(dist.value) and dist.value >= 0):
-            issues.append(f"{path}: deterministic value must be finite and >= 0, got {dist.value!r}")
+            return f"deterministic value must be finite and >= 0, got {dist.value!r}"
     elif dist.kind is DistKind.UNIFORM:
         if not (_finite(dist.lo) and _finite(dist.hi) and 0 <= dist.lo <= dist.hi):
-            issues.append(f"{path}: uniform bounds must satisfy 0 <= lo <= hi, got ({dist.lo!r}, {dist.hi!r})")
+            return f"uniform bounds must satisfy 0 <= lo <= hi, got ({dist.lo!r}, {dist.hi!r})"
     else:
-        issues.append(f"{path}: kind must be a DistKind, got {dist.kind!r}")
-
-
-def _root_issues(issues: list[str], first: int, path: str) -> None:
-    """Name ``path`` at the head of each issue from index ``first`` on; see _rooted."""
-    issues[first:] = [path + issue for issue in issues[first:]]
+        return f"kind must be a DistKind, got {dist.kind!r}"
+    return None
 
 
 def validate(model: ScenarioModel) -> tuple[str, ...]:
@@ -272,44 +269,38 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
     bounded: dict[str, bool] = {}
     seen_tiers: set[str] = set()
     for ti, tier in enumerate(model.tiers):
-        # a tier's and a resource's issues name paths relative to them,
-        # rooted only when there are any (see _rooted)
-        found = len(issues)
+        # each issue line is built whole where it is found, so a valid tier
+        # or resource builds no path
         if not _valid_name(tier.name):
-            issues.append(f": tier name must be a non-empty token, got {tier.name!r}")
+            issues.append(f"tiers[{ti}]: tier name must be a non-empty token, got {tier.name!r}")
         elif tier.name in seen_tiers:
-            issues.append(f": duplicate tier name {tier.name!r}")
+            issues.append(f"tiers[{ti}]: duplicate tier name {tier.name!r}")
         else:
             seen_tiers.add(tier.name)
         if not tier.resources:
-            issues.append(": tier holds no resources")
+            issues.append(f"tiers[{ti}]: tier holds no resources")
         for ri, res in enumerate(tier.resources):
-            first = len(issues)
             name, replicas, cap = res.name, res.replicas, res.queue_capacity
             if isinstance(name, str):
                 bounded.setdefault(name, cap != INFINITE)
             if not _valid_name(name):
-                issues.append(f": resource name must be a non-empty token, got {name!r}")
+                issues.append(f"tiers[{ti}].resources[{ri}]: resource name must be a non-empty token, got {name!r}")
             elif name == END_TO_END:
-                issues.append(f": resource name {END_TO_END!r} is reserved")
+                issues.append(f"tiers[{ti}].resources[{ri}]: resource name {END_TO_END!r} is reserved")
             elif name in tier_of:
-                issues.append(f": duplicate resource name {name!r} (also in tiers[{tier_of[name]}])")
+                issues.append(f"tiers[{ti}].resources[{ri}]: duplicate resource name {name!r} (also in tiers[{tier_of[name]}])")
             else:
                 tier_of[name] = ti
             # `type(x) is int or _integer(x)` is _integer(x), decided without
             # a call for the exact ints a parsed model holds
             if not ((type(replicas) is int or _integer(replicas)) and replicas >= 1):
-                issues.append(f": replicas must be an integer >= 1, got {replicas!r}")
+                issues.append(f"tiers[{ti}].resources[{ri}]: replicas must be an integer >= 1, got {replicas!r}")
             elif replicas > MAX_REPLICAS:
-                issues.append(f": replicas must be at most {MAX_REPLICAS}, got {replicas!r}")
+                issues.append(f"tiers[{ti}].resources[{ri}]: replicas must be at most {MAX_REPLICAS}, got {replicas!r}")
             if not (cap == INFINITE or ((type(cap) is int or _integer(cap)) and cap >= 0)):
-                issues.append(f": queue_capacity must be an integer >= 0 or infinite, got {cap!r}")
+                issues.append(f"tiers[{ti}].resources[{ri}]: queue_capacity must be an integer >= 0 or infinite, got {cap!r}")
             if not isinstance(res.balancer, BalancerPolicy):
-                issues.append(f": balancer must be a BalancerPolicy, got {res.balancer!r}")
-            if len(issues) > first:
-                _root_issues(issues, first, f".resources[{ri}]")
-        if len(issues) > found:
-            _root_issues(issues, found, f"tiers[{ti}]")
+                issues.append(f"tiers[{ti}].resources[{ri}]: balancer must be a BalancerPolicy, got {res.balancer!r}")
 
     stop = model.run.stop
     # 0 when there is no valid after_time horizon; the stop check below names that
@@ -319,30 +310,31 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
         during, shorten = "before a session can end", "lower the path's demand"
     seen_classes: set[str] = set()
     for ci, cls in enumerate(model.classes):
-        cpath = f"classes[{ci}]"
         if not _valid_name(cls.name):
-            issues.append(f"{cpath}: class name must be a non-empty token, got {cls.name!r}")
+            issues.append(f"classes[{ci}]: class name must be a non-empty token, got {cls.name!r}")
         elif cls.name in seen_classes:
-            issues.append(f"{cpath}: duplicate class name {cls.name!r}")
+            issues.append(f"classes[{ci}]: duplicate class name {cls.name!r}")
         else:
             seen_classes.add(cls.name)
-        found = len(issues)
-        _check_distribution(cls.arrival, f"{cpath}.arrival", issues)
+        arrival_issue = _distribution_issue(cls.arrival)
+        if arrival_issue:
+            issues.append(f"classes[{ci}].arrival: {arrival_issue}")
         # the mean gap of an unbounded class whose arrival law is valid
-        gap = cls.arrival.mean() if len(issues) == found and cls.max_requests == UNBOUNDED else None
+        gap = cls.arrival.mean() if arrival_issue is None and cls.max_requests == UNBOUNDED else None
         if gap == 0:
             # every gap is 0, so arrivals would be scheduled at t = 0 forever
             issues.append(
-                f"{cpath}.arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0"
+                f"classes[{ci}].arrival: an unbounded class needs a mean interarrival gap > 0 or a finite max_requests, got 0"
             )
         found = len(issues)
         if not cls.path:
-            issues.append(f"{cpath}.path: path must hold at least one visit")
+            issues.append(f"classes[{ci}].path: path must hold at least one visit")
         for vi, visit in enumerate(cls.path):
-            vpath = f"{cpath}.path[{vi}]"
             if visit.resource not in bounded:
-                issues.append(f"{vpath}: visit references unknown resource {visit.resource!r}")
-            _check_distribution(visit.demand, f"{vpath}.demand", issues)
+                issues.append(f"classes[{ci}].path[{vi}]: visit references unknown resource {visit.resource!r}")
+            demand_issue = _distribution_issue(visit.demand)
+            if demand_issue:
+                issues.append(f"classes[{ci}].path[{vi}].demand: {demand_issue}")
         if gap:
             window = horizon
             if stop.kind is StopKind.AFTER_REQUESTS and len(issues) == found:
@@ -356,13 +348,13 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
                     window += visit.demand.mean()
             if window / gap > MAX_EXPECTED_ARRIVALS:
                 issues.append(
-                    f"{cpath}.arrival: an unbounded class may expect at most {MAX_EXPECTED_ARRIVALS} arrivals "
+                    f"classes[{ci}].arrival: an unbounded class may expect at most {MAX_EXPECTED_ARRIVALS} arrivals "
                     f"{during}, got {window / gap:.3g} (mean gap {gap!r}); "
                     f"raise the gap, {shorten} or set max_requests"
                 )
         mr = cls.max_requests
         if not (mr == UNBOUNDED or (_integer(mr) and mr >= 1)):
-            issues.append(f"{cpath}: max_requests must be an integer >= 1 or unbounded, got {mr!r}")
+            issues.append(f"classes[{ci}]: max_requests must be an integer >= 1 or unbounded, got {mr!r}")
 
     run = model.run
     if not valid_seed(run.seed):
@@ -673,7 +665,9 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def json_text(value: object, sort_keys: bool = False) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=sort_keys)``
     writes it, for dicts with str keys, lists, tuples, str, int, float,
-    bool and None (and JSONText), exact classes only."""
+    bool and None (and JSONText). Exact classes take the fast path; a
+    value of any other class, such as an int, float or str subclass, is
+    handed to json.dumps itself, which refuses what it cannot write."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         text = scalar(value)
@@ -684,8 +678,9 @@ def json_text(value: object, sort_keys: bool = False) -> str:
 
 
 def _write_container(value: object, pad: str, sort_keys: bool, out: list[str]) -> None:
-    """Append the texts of ``value``, a dict, list or tuple whose first
-    line is indented by ``pad`` (a newline and two spaces per level)."""
+    """Append the texts of ``value``, a dict, list or tuple, or a value
+    whose class is no key of _SCALAR_TEXT, with its first line indented
+    by ``pad`` (a newline and two spaces per level)."""
     inner = pad + "  "
     sep = "," + inner
     if type(value) is dict:
@@ -719,7 +714,8 @@ def _write_container(value: object, pad: str, sort_keys: bool, out: list[str]) -
             first = sep
         out.append(pad + "]")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        # no exact class: json.dumps writes it, or raises its own TypeError
+        out.append(json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", pad))
 
 
 # A tier and a resource object as json_text writes them in a scenario

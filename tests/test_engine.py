@@ -404,6 +404,17 @@ def test_engine_cannot_be_driven_after_finalize():
         eng.step()
 
 
+def test_an_event_before_the_clock_is_an_internal_error():
+    # validate() refuses a negative demand; unchecked, the first service
+    # would end a second before its own start
+    model = station(arrival=Distribution.exponential(1.0), service=Distribution.deterministic(0.0))
+    visit = Visit(resource="A", demand=Distribution.deterministic(-1.0))
+    model = dataclasses.replace(model, classes=(dataclasses.replace(model.classes[0], path=(visit,)),))
+    assert validate(model)
+    with pytest.raises(InternalError, match=r"^event time \S+ precedes clock \S+$"):
+        Engine(model).run()
+
+
 def test_simulate_equals_engine_run():
     model = random_scenario(3)
     assert report_to_json(simulate(model)) == report_to_json(Engine(model).run())

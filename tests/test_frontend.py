@@ -8,8 +8,10 @@ import json
 import pytest
 
 from tiersim import (
+    DeploymentMap,
     DistKind,
     Distribution,
+    ResourceSpec,
     RunConfig,
     ScenarioSyntaxError,
     StopRule,
@@ -246,6 +248,19 @@ def test_a_node_named_network_is_refused_only_beside_links():
         arrival=Distribution.exponential(1.0),
     )
     assert [t.name for t in model.tiers] == ["network", "n2"]
+
+
+def test_a_node_named_network_built_in_code_meets_the_network_tier_as_a_duplicate():
+    # parse_deployment refuses this map; built in code, the clash is the
+    # network tier's own line, which names no node or link and passes unchanged
+    deployment = DeploymentMap(
+        bindings={"a": "network", "b": "n2"},
+        nodes={"network": (ResourceSpec("P1"),), "n2": (ResourceSpec("P2"),)},
+        links={("n2", "network"): ResourceSpec("lan")},
+    )
+    with pytest.raises(ValidationError) as exc:
+        synthesize_scenario(parse_execution("a -> a : call [exp 10]"), deployment, arrival=Distribution.exponential(1.0))
+    assert str(exc.value) == "tiers[2]: duplicate tier name 'network'"
 
 
 def _three_nodes(first="n1", c1="c1", d2="d2", lan="lan", wan="wan"):

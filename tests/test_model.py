@@ -7,6 +7,8 @@ import json
 import math
 import pickle
 import re
+from collections import OrderedDict
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -584,6 +586,44 @@ def test_the_arrival_bound_holds_only_unbounded_classes_under_a_time_stop():
     assert len(validate(with_class(base, arrival=flood))) == 1
 
 
+class _Count(int):
+    """An int subclass whose own texts json.dumps does not write."""
+
+    def __repr__(self) -> str:
+        return f"_Count({int(self)})"
+
+    __str__ = __repr__
+
+
+class _Name(str):
+    """A str subclass whose own texts json.dumps does not write."""
+
+    def __repr__(self) -> str:
+        return f"_Name({str.__str__(self)!r})"
+
+    __str__ = __repr__
+
+
+class _Real(float):
+    """A float subclass whose own texts json.dumps does not write."""
+
+    def __repr__(self) -> str:
+        return f"_Real({float.__repr__(self)})"
+
+    __str__ = __repr__
+
+
+class _Word(str, Enum):
+    """A str Enum, whose members json.dumps writes as their values."""
+
+    SHORT = "s"
+    QUOTED = 'q"\u00e9'
+
+
+class _Items(list):
+    """A list subclass, which json.dumps writes as a list."""
+
+
 # scalars json.dumps writes in a form of their own: escapes, signed and
 # exponent floats, the non-finite spellings, ints past 64 bits
 _EDGE_SCALARS = st.sampled_from(
@@ -607,12 +647,23 @@ _EDGE_SCALARS = st.sampled_from(
     ]
 )
 _SCALARS = st.one_of(_EDGE_SCALARS, st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+# scalars of no exact class; validate accepts an int, float or str
+# subclass where it asks for the base class
+_SUBCLASS_SCALARS = st.one_of(
+    st.text().map(_Name),
+    st.integers().map(_Count),
+    st.floats().map(_Real),
+    st.sampled_from(_Word),
+)
+_KEYS = st.one_of(st.text(), st.sampled_from(["a", "\u00e9", 'q"']))
 _VALUES = st.recursive(
-    _SCALARS,
+    st.one_of(_SCALARS, _SUBCLASS_SCALARS),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(st.text(), st.sampled_from(["a", "\u00e9", 'q"'])), inner, max_size=4),
+        st.lists(inner, max_size=4).map(_Items),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4).map(OrderedDict),
     ),
     max_leaves=40,
 )
@@ -654,30 +705,38 @@ def test_serialize_scenario_writes_what_json_dumps_writes(models):
         assert serialize_scenario(model) == json.dumps(reference_doc(model), indent=2) + "\n", model.name
 
 
+def _with_first_class(model: ScenarioModel, **changes) -> ScenarioModel:
+    return dataclasses.replace(model, classes=(dataclasses.replace(model.classes[0], **changes), *model.classes[1:]))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda m: dataclasses.replace(m, name=_Name(m.name)),
+        lambda m: _with_first_class(m, name=_Name(m.classes[0].name)),
+        lambda m: _with_first_class(m, max_requests=_Count(m.classes[0].max_requests)),
+        lambda m: dataclasses.replace(m, run=dataclasses.replace(m.run, seed=_Count(m.run.seed))),
+        lambda m: dataclasses.replace(m, run=dataclasses.replace(m.run, warmup=_Real(m.run.warmup))),
+    ],
+    ids=["scenario-name", "class-name", "max-requests", "seed", "warmup"],
+)
+def test_serialize_scenario_writes_a_subclass_value_of_a_class_or_run_as_json_dumps_does(change):
+    # validate accepts an int, float or str subclass anywhere it asks for
+    # the class; the writer gives it the exact value's bytes
+    base = parse_scenario(bundled.scenario_text())
+    model = change(base)
+    assert validate(model) == ()
+    text = serialize_scenario(model)
+    assert text == serialize_scenario(base) == json.dumps(reference_doc(model), indent=2) + "\n"
+    assert parse_scenario(text) == model == base
+
+
 def _with_resource(**changes) -> ScenarioModel:
     """small_model whose tier holds a plain resource, then one built in
     code with ``changes`` (which validate may refuse)."""
     base = small_model()
     odd = dataclasses.replace(base.tiers[0].resources[0], **changes)
     return dataclasses.replace(base, tiers=(Tier(name="only", resources=(ResourceSpec("plain"), odd)),))
-
-
-class _Count(int):
-    """An int subclass whose own texts json.dumps does not write."""
-
-    def __repr__(self) -> str:
-        return f"_Count({int(self)})"
-
-    __str__ = __repr__
-
-
-class _Name(str):
-    """A str subclass whose own texts json.dumps does not write."""
-
-    def __repr__(self) -> str:
-        return f"_Name({str.__str__(self)!r})"
-
-    __str__ = __repr__
 
 
 def _refused_with_validates_lines(model: ScenarioModel) -> None:

@@ -118,8 +118,10 @@ _DISTRIBUTIONS = st.one_of(
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(lambda b: Distribution.uniform(min(b), max(b))),
 )
 # a positive mean demand that a clock of a few hundred absorbs, as one of
-# 1e-300 is, makes the engine refuse the run (test_engine), not a path
-_DEMANDS = _DISTRIBUTIONS.filter(lambda d: d.mean() == 0.0 or d.mean() > 1e-9)
+# 1e-300 is, makes the engine refuse the run (test_engine), not a path.
+# A demand is kept if its mean is larger, or if it only ever draws 0: the
+# mean of uniform(0, 5e-324) underflows to 0.0, yet it draws 5e-324
+_DEMANDS = _DISTRIBUTIONS.filter(lambda d: d.mean() > 1e-9 or max(d.value, d.hi) == 0.0)
 
 
 # a single server with any room, or c servers with none

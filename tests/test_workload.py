@@ -69,6 +69,11 @@ def test_stream_rejects_bad_seed_at_construction(seed):
         Stream(seed, "x")
 
 
+def test_make_sampler_refuses_a_kind_it_cannot_sample():
+    with pytest.raises(DomainError, match="^cannot sample distribution kind 'pareto'$"):
+        make_sampler(Distribution("pareto", rate=1.0), Stream(1, "x"))
+
+
 def test_stream_keyed_late_draws_the_same_sequence():
     alone = Stream(9, "late")
     expected = [alone.uniform01() for _ in range(1500)]

@@ -57,7 +57,11 @@ columns, and a kept session appends its arrival to its class's column:
 8 bytes a value, and no tuple per row. At the stop clock the engine
 hands each resource the window, the services still running and the
 requests still queued (ResourceAccumulator.close).
-run() and step() share the loop; step() stops it after one event.
+run() and step() share the loop, which applies every event that sorts
+before a (time, seq) bound in the heap's own order: run() passes
+(stop time, inf) for an after_time stop and (inf, 0) for an
+after_requests one, and step() the next event's time and seq + 1, which
+sorts after that event and before every other.
 
 Finalizing releases each still-queued request's class link: that link
 leads back, through the class path, to the queue holding the request,
@@ -97,8 +101,12 @@ _INF = float("inf")
 MAX_WAITING = 10**7
 
 
-def _not_finite(time: float) -> InternalError:
-    return InternalError(f"scheduled event time is not finite: {time!r}")
+def _bad_time(time: float, now: float) -> InternalError:
+    """The error for an event scheduled at ``time`` when the clock reads
+    ``now``: ``time`` is not finite, or it precedes ``now``."""
+    if not time < _INF:
+        return InternalError(f"scheduled event time is not finite: {time!r}")
+    return InternalError(f"event time {time!r} precedes clock {now!r}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +199,8 @@ class Engine:
             classes[cls.name] = cr = _ClassRuntime(cls, seed, path)
             # a validated class generates at least one session
             time = cr.sample_arrival()
-            if not time < _INF:
-                raise _not_finite(time)
+            if not 0.0 <= time < _INF:
+                raise _bad_time(time, 0.0)
             self._seq += 1
             heappush(self._heap, (time, self._seq, cr, None, None))
         self.accumulator = RunAccumulator(model, self._resources, classes)
@@ -204,17 +212,21 @@ class Engine:
 
     # -- driving -------------------------------------------------------
     #
-    # Every push checks its time with `not time < _INF`, which also
-    # rejects NaN: a validated model can still overflow the clock (a
-    # tiny exponential rate draws gaps near the float maximum). A service
-    # start checks `not now < time < _INF` in the same comparison chain:
-    # a demand > 0 whose end is not past now was lost to the clock, and
-    # _check_start decides whether that is an error.
+    # Every push checks its time with `not now <= time < _INF` (now is
+    # 0.0 for the first arrivals), which also rejects NaN: a validated
+    # model can still overflow the clock (a tiny exponential rate draws
+    # gaps near the float maximum), and an unvalidated one can schedule
+    # an event before the clock (a negative gap or demand). The heap pops
+    # in (time, seq) order, so once every push is checked no event pops
+    # before the clock, and the loop does not check it again. A service
+    # start first checks `not now < time < _INF`: a demand > 0 whose end
+    # is not past now was lost to the clock, and _check_start applies
+    # the push check and then decides whether the loss is an error.
 
-    def _drive(self, target: float, horizon: float, once: bool):
-        """Apply events in time order until `target` sessions are
-        terminal or the next event lies past `horizon`; apply one event
-        only if `once`. Returns the last event tuple applied, or None.
+    def _drive(self, target: float, bound: tuple) -> None:
+        """Apply events in (time, seq) order until `target` sessions are
+        terminal or the next event does not sort before `bound`, a
+        (time, seq) pair compared as the heap compares its entries.
 
         An arrival (an event with no request) schedules its successor
         and builds its request; a completion records the visit, starts
@@ -226,29 +238,21 @@ class Engine:
         run = self.model.run
         warmup = run.warmup
         series = run.series_enabled
-        clock = self.clock
+        now = self.clock
         seq = self._seq
         terminals = self.terminals
         next_id = self._next_request_id
-        more = True
-        many = not once
-        item = None
         try:
-            while more and heap and terminals < target and heap[0][0] <= horizon:
-                more = many
-                item = heappop(heap)
-                now, _, a, replica, req = item
-                if now < clock:
-                    raise InternalError(f"event time {now!r} precedes clock {clock!r}")
-                clock = now
+            while heap and terminals < target and heap[0] < bound:
+                now, _, a, replica, req = heappop(heap)
 
                 if req is None:
                     cr = a
                     cr.generated = generated = cr.generated + 1
                     if generated < cr.max_requests:
                         time = now + cr.sample_arrival()
-                        if not time < _INF:
-                            raise _not_finite(time)
+                        if not now <= time < _INF:
+                            raise _bad_time(time, now)
                         seq += 1
                         heappush(heap, (time, seq, cr, None, None))
                     next_id += 1
@@ -349,21 +353,22 @@ class Engine:
                 seq += 1
                 heappush(heap, (time, seq, res, replica, req))
         finally:
-            self.clock = clock
+            self.clock = now
             self._seq = seq
             self.terminals = terminals
             self._next_request_id = next_id
-        return item
 
     def _check_start(self, cr, visit: int, demand: float, now: float, time: float) -> None:
-        """Raise unless a service of ``demand`` > 0 that starts at ``now``
+        """Raise unless a service of ``demand`` != 0 that starts at ``now``
         at visit ``visit`` of ``cr`` may end at ``time``, which is not past
-        ``now`` or not finite. A demand the clock absorbs is an error when
-        the visit's mean demand is absorbed too, so that every service
-        there takes no time; a lone draw far below the mean ends where it
-        starts, as any sum rounds."""
-        if not time < _INF:
-            raise _not_finite(time)
+        ``now`` or not finite. An end that is not finite or precedes
+        ``now`` is an InternalError (see _bad_time). An end at ``now`` is a
+        demand the clock absorbed: an error when the visit's mean demand
+        is absorbed too, so that every service there takes no time; a
+        lone draw far below the mean ends where it starts, as any sum
+        rounds."""
+        if not now <= time < _INF:
+            raise _bad_time(time, now)
         mean = next(c for c in self.model.classes if c.name == cr.name).path[visit].demand.mean()
         if now + mean == now:
             raise DomainError(
@@ -372,12 +377,15 @@ class Engine:
             )
 
     def step(self) -> Event:
-        """Apply exactly one event and describe it. Testing hook."""
+        """Apply exactly one event, the next in (time, seq) order, and
+        describe it. Testing hook."""
         if self._finished:
             raise InternalError("simulation already finalized")
         if not self._heap:
             raise EngineEmptyError("event list is empty")
-        time, seq, a, replica, req = self._drive(_INF, _INF, True)
+        time, seq, a, replica, req = self._heap[0]
+        # the bound sorts just after this event and before every other
+        self._drive(_INF, (time, seq + 1))
         if req is None:
             return Event(time=time, seq=seq, kind="arrival", class_name=a.name)
         return Event(
@@ -396,9 +404,9 @@ class Engine:
             raise InternalError("simulation already finalized")
         stop = self.model.run.stop
         if stop.kind is StopKind.AFTER_REQUESTS:
-            self._drive(stop.n, _INF, False)
+            self._drive(stop.n, (_INF, 0))
         else:
-            self._drive(_INF, stop.t, False)
+            self._drive(_INF, (stop.t, _INF))
             self.clock = stop.t
         return self._finalize(self.clock)
 

@@ -16,9 +16,10 @@ error, and the writer fills a template per tier and per resource: the
 same error lines and bytes as the named readers and ``json_text`` give.
 That template is the one writer of tiers. A model built in code may hold
 a value of a type the reader never builds (a float count, a name that is
-not a str); the writer refuses such a model with validate's lines, or
-writes it as json.dumps does where validate accepts the value, which it
-does only for an int or str subclass.
+not a str, a float seed), in a tier, a resource, a class or the run; the
+writer refuses such a model with validate's lines, or writes it as
+json.dumps does where validate accepts the value, which it does only for
+an int, float or str subclass.
 """
 
 from __future__ import annotations
@@ -582,6 +583,27 @@ def _parse_tier(obj: object) -> Tier:
     return _tier(name, resources)
 
 
+def _parse_visit(obj: object) -> Visit:
+    """A visit object, with error paths relative to it (see _rooted)."""
+    d = _as_record(obj, ("resource", "demand"), "")
+    resource = _str(d["resource"], ".resource")
+    return Visit(resource, _read_tagged(d["demand"], Distribution, _DIST_PARAMS, "distribution", ".demand"))
+
+
+def _parse_class(obj: object) -> WorkloadClass:
+    """A class object, with error paths relative to it (see _rooted). It
+    reads its keys, its path, max_requests, name and arrival, in that
+    order, so the first fault found is the first in that order."""
+    d = _as_dict(obj, "")
+    _require_keys(d, ("name", "arrival", "path", "max_requests"), ("name", "arrival", "path"), "")
+    path = tuple(_read_list(d["path"], _parse_visit, ".path"))
+    mr = d.get("max_requests", "unbounded")
+    max_requests = UNBOUNDED if mr == "unbounded" else _int(mr, ".max_requests")
+    name = _str(d["name"], ".name")
+    arrival = _read_tagged(d["arrival"], Distribution, _DIST_PARAMS, "distribution", ".arrival")
+    return WorkloadClass(name, arrival, path, max_requests)
+
+
 def parse_scenario(text: str) -> ScenarioModel:
     """Parse and fully validate a scenario JSON document.
 
@@ -596,28 +618,7 @@ def parse_scenario(text: str) -> ScenarioModel:
 
     tiers = _read_list(top["tiers"], _parse_tier, "$.tiers")
 
-    classes = []
-    for ci, cobj in enumerate(_as_list(top["classes"], "$.classes")):
-        cpath = f"$.classes[{ci}]"
-        cd = _as_dict(cobj, cpath)
-        _require_keys(cd, ("name", "arrival", "path", "max_requests"), ("name", "arrival", "path"), cpath)
-        visits = []
-        for vi, vobj in enumerate(_as_list(cd["path"], f"{cpath}.path")):
-            vpath = f"{cpath}.path[{vi}]"
-            vd = _as_record(vobj, ("resource", "demand"), vpath)
-            resource = _str(vd["resource"], f"{vpath}.resource")
-            demand = _read_tagged(vd["demand"], Distribution, _DIST_PARAMS, "distribution", f"{vpath}.demand")
-            visits.append(Visit(resource=resource, demand=demand))
-        mr_raw = cd.get("max_requests", "unbounded")
-        max_requests = UNBOUNDED if mr_raw == "unbounded" else _int(mr_raw, f"{cpath}.max_requests")
-        classes.append(
-            WorkloadClass(
-                name=_str(cd["name"], f"{cpath}.name"),
-                arrival=_read_tagged(cd["arrival"], Distribution, _DIST_PARAMS, "distribution", f"{cpath}.arrival"),
-                path=tuple(visits),
-                max_requests=max_requests,
-            )
-        )
+    classes = _read_list(top["classes"], _parse_class, "$.classes")
 
     rd = _as_dict(top["run"], "$.run")
     _require_keys(rd, ("seed", "stop", "warmup", "series"), ("stop",), "$.run")
@@ -757,9 +758,34 @@ def _tiers_value(model: ScenarioModel) -> JSONText:
     return JSONText("[\n    " + ",\n    ".join(tier_texts) + "\n  ]" if tier_texts else "[]")
 
 
+# the exact types the reader builds for a field of each annotated type
+# name; where it builds a float it reads an int too
+_READ_CLASSES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (bool,)}
+
+
+def _reads_back(model: ScenarioModel) -> bool:
+    """Whether each value in ``model``'s classes and run has an exact
+    type the reader builds for it. A parameter of a kind that no tagged
+    record lists is not checked: the writer raises on the kind itself."""
+    run = model.run
+    pairs = [(model.name, "str"), (run.seed, "int"), (run.warmup, "float"), (run.series_enabled, "bool")]
+    tagged = [(run.stop, _STOP_PARAMS)]
+    for cls in model.classes:
+        pairs += [(cls.name, "str"), *((v.resource, "str") for v in cls.path)]
+        tagged += [(cls.arrival, _DIST_PARAMS), *((v.demand, _DIST_PARAMS) for v in cls.path)]
+        if cls.max_requests != UNBOUNDED:
+            pairs.append((cls.max_requests, "int"))
+    pairs += [(getattr(r, p), t) for r, params in tagged for p, t in params.get(r.kind, {}).items()]
+    return all(type(v) in _READ_CLASSES[t] for v, t in pairs)
+
+
 def _scenario_doc(model: ScenarioModel) -> dict:
     """The scenario document of ``model``, as serialize_scenario writes it:
-    plain data, but for its tiers, written as one text (see _tiers_value)."""
+    plain data, but for its tiers, written as one text (see _tiers_value).
+    A class or run value of any other type makes it call ``validated``,
+    as _tiers_value does for a tier or resource value."""
+    if not _reads_back(model):
+        validated(model)
     return {
         "format_version": FORMAT_VERSION,
         "name": model.name,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from tiersim import engine
-from tiersim.engine import _INF, Engine, Request, _not_finite
+from tiersim.engine import _INF, Engine, Request, _bad_time
 from tiersim.errors import DomainError, InternalError
 from tiersim.metrics import ClassAccumulator, ResourceAccumulator, RunAccumulator
 
@@ -90,7 +90,7 @@ class ReferenceEngine(Engine):
         if cr.generated < cr.max_requests:
             time = now + cr.sample_arrival()
             if not time < _INF:
-                raise _not_finite(time)
+                raise _bad_time(time, now)
             self._seq += 1
             heappush(self._heap, (time, self._seq, cr, None, None))
         self._next_request_id += 1
@@ -142,7 +142,7 @@ class ReferenceEngine(Engine):
                     f"as is the visit's mean demand {mean!r}"
                 )
         if not time < _INF:
-            raise _not_finite(time)
+            raise _bad_time(time, now)
         self._seq += 1
         heappush(self._heap, (time, self._seq, res, replica, req))
 
@@ -166,14 +166,12 @@ class ReferenceEngine(Engine):
             record_completion(cr, run.warmup, run.series_enabled, req.arrival_time, now - req.arrival_time)
             self.terminals += 1
 
-    def _drive(self, target, horizon, once):
+    def _drive(self, target, bound):
+        """Engine._drive's contract, with the clock checked on every event:
+        the independent statement that no event pops before the clock."""
         heap = self._heap
-        item = None
-        limit = 1 if once else _INF
-        while limit and heap and self.terminals < target and heap[0][0] <= horizon:
-            limit -= 1
-            item = heappop(heap)
-            time, _, a, b, c = item
+        while heap and self.terminals < target and heap[0] < bound:
+            time, _, a, b, c = heappop(heap)
             if time < self.clock:
                 raise InternalError(f"event time {time!r} precedes clock {self.clock!r}")
             self.clock = time
@@ -181,4 +179,3 @@ class ReferenceEngine(Engine):
                 self._on_arrival(time, a)
             else:
                 self._on_complete(time, a, b, c)
-        return item

@@ -415,6 +415,56 @@ def test_an_event_before_the_clock_is_an_internal_error():
         Engine(model).run()
 
 
+def _visits_a(name: str, arrival: Distribution, demand: Distribution, max_requests: float = math.inf) -> WorkloadClass:
+    return WorkloadClass(name=name, arrival=arrival, path=(Visit(resource="A", demand=demand),), max_requests=max_requests)
+
+
+def _unvalidated(*classes: WorkloadClass, seed: int = 1) -> ScenarioModel:
+    """station()'s model with ``classes`` in place of its own, each
+    visiting its one resource "A"; validate() may refuse them."""
+    model = station(arrival=Distribution.deterministic(1.0), service=Distribution.deterministic(1.0), seed=seed)
+    return dataclasses.replace(model, classes=classes)
+
+
+def test_a_first_arrival_before_the_clock_is_refused_when_the_engine_is_built():
+    model = _unvalidated(_visits_a("w", Distribution.deterministic(-1.0), Distribution.deterministic(1.0)))
+    with pytest.raises(InternalError) as found:
+        Engine(model)
+    assert str(found.value) == "event time -1.0 precedes clock 0.0"
+
+
+@pytest.mark.parametrize(
+    "model, line",
+    [
+        # the first two gaps are >= 0, the third negative
+        (
+            _unvalidated(
+                _visits_a("c", Distribution.uniform(-1.0, 1.0), Distribution.deterministic(1.0), max_requests=5), seed=2
+            ),
+            "event time 0.009789436066675705 precedes clock 0.613391562567416",
+        ),
+        # y waits behind x's service, which ends at 6; its own would end at 5
+        (
+            _unvalidated(
+                _visits_a("x", Distribution.deterministic(1.0), Distribution.deterministic(5.0), max_requests=1),
+                _visits_a("y", Distribution.deterministic(2.0), Distribution.deterministic(-1.0), max_requests=1),
+            ),
+            "event time 5.0 precedes clock 6.0",
+        ),
+        (
+            _unvalidated(_visits_a("w", Distribution.deterministic(1.0), Distribution.deterministic(math.nan))),
+            "scheduled event time is not finite: nan",
+        ),
+    ],
+    ids=["next-arrival", "queued-start", "nan-demand"],
+)
+def test_each_push_site_refuses_a_time_before_the_clock_or_not_finite(model, line):
+    engine = Engine(model)
+    with pytest.raises(InternalError) as found:
+        engine.run()
+    assert str(found.value) == line
+
+
 def test_simulate_equals_engine_run():
     model = random_scenario(3)
     assert report_to_json(simulate(model)) == report_to_json(Engine(model).run())

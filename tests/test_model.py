@@ -413,6 +413,27 @@ def test_validation_error_names_offending_element():
     assert "nowhere" in str(err.value)
 
 
+def test_a_class_names_its_first_fault_in_read_order():
+    # a class is read key by key: its keys, its path (each visit's keys,
+    # resource and demand), then max_requests, name and arrival
+    doc = json.loads(bundled.scenario_text())
+    cls = doc["classes"][0]
+    faults = [
+        ("extra", 1, "$.classes[0]: unknown key 'extra'"),
+        ("path", [{"resource": 7, "demand": {}}], "$.classes[0].path[0].resource: expected a string, got 7"),
+        ("path", [{"resource": "SRS_CPU", "demand": {}}], "$.classes[0].path[0].demand.kind: unknown distribution kind None"),
+        ("max_requests", "many", "$.classes[0].max_requests: expected an integer, got 'many'"),
+        ("name", 7, "$.classes[0].name: expected a string, got 7"),
+        ("arrival", {"kind": "zipf"}, "$.classes[0].arrival.kind: unknown distribution kind 'zipf'"),
+    ]
+    for i, (_, _, line) in enumerate(faults):
+        # this fault and every later one; a later path fault replaces an earlier
+        doc["classes"] = [{**cls, **{key: value for key, value, _ in faults[i:][::-1]}}]
+        with pytest.raises(ValidationError) as found:
+            parse_scenario(json.dumps(doc))
+        assert str(found.value) == line
+
+
 def test_zero_capacity_is_valid_pure_loss():
     import dataclasses
 
@@ -729,6 +750,48 @@ def test_serialize_scenario_writes_a_subclass_value_of_a_class_or_run_as_json_du
     text = serialize_scenario(model)
     assert text == serialize_scenario(base) == json.dumps(reference_doc(model), indent=2) + "\n"
     assert parse_scenario(text) == model == base
+
+
+def _with_run(model: ScenarioModel, **changes) -> ScenarioModel:
+    return dataclasses.replace(model, run=dataclasses.replace(model.run, **changes))
+
+
+def _with_first_demand(model: ScenarioModel, demand: Distribution) -> ScenarioModel:
+    first = model.classes[0]
+    return _with_first_class(model, path=(dataclasses.replace(first.path[0], demand=demand), *first.path[1:]))
+
+
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        (lambda m: dataclasses.replace(m, name=7), "name: scenario name must be a non-empty token, got 7"),
+        (lambda m: _with_first_class(m, name=7), "classes[0]: class name must be a non-empty token, got 7"),
+        (
+            lambda m: _with_first_class(m, max_requests=2.0),
+            "classes[0]: max_requests must be an integer >= 1 or unbounded, got 2.0",
+        ),
+        (lambda m: _with_run(m, seed=1.5), "run.seed: seed must be an unsigned 64-bit integer, got 1.5"),
+        (lambda m: _with_run(m, warmup="0"), "run.warmup: warmup must be finite and >= 0, got '0'"),
+        (lambda m: _with_run(m, series_enabled=1), "run.series: series must be a boolean, got 1"),
+        (lambda m: _with_run(m, stop=StopRule.after_requests(5.0)), "run.stop: after_requests count must be >= 1, got 5.0"),
+        (
+            lambda m: _with_first_demand(m, Distribution.exponential("2")),
+            "classes[0].path[0].demand: exponential rate must be finite and > 0, got '2'",
+        ),
+        (
+            lambda m: _with_first_class(m, path=(Visit(resource=7, demand=Distribution.deterministic(1.0)),)),
+            "classes[0].path[0]: visit references unknown resource 7",
+        ),
+    ],
+    ids=["scenario-name", "class-name", "max-requests", "seed", "warmup", "series", "stop-n", "rate", "visit-resource"],
+)
+def test_serialize_scenario_refuses_a_class_or_run_value_of_a_type_the_reader_never_builds(change, line):
+    # the reader would refuse the text the writer wrote; the writer refuses
+    # the model instead, with validate's line
+    model = change(parse_scenario(bundled.scenario_text()))
+    with pytest.raises(ValidationError) as found:
+        serialize_scenario(model)
+    assert str(found.value) == line
 
 
 def _with_resource(**changes) -> ScenarioModel:

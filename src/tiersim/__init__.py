@@ -8,10 +8,9 @@ Typical use:
 """
 
 from .bottleneck import BottleneckEntry, BottleneckReport, rank
-from .engine import Engine, Event, simulate
+from .engine import Engine, simulate
 from .errors import (
     DomainError,
-    EngineEmptyError,
     InternalError,
     ScenarioSyntaxError,
     SeriesDisabledError,
@@ -71,8 +70,6 @@ __all__ = [
     "DomainError",
     "END_TO_END",
     "Engine",
-    "EngineEmptyError",
-    "Event",
     "INFINITE",
     "InternalError",
     "MetricsReport",

@@ -57,16 +57,19 @@ columns, and a kept session appends its arrival to its class's column:
 8 bytes a value, and no tuple per row. At the stop clock the engine
 hands each resource the window, the services still running and the
 requests still queued (ResourceAccumulator.close).
-run() and step() share the loop, which applies every event that sorts
-before a (time, seq) bound in the heap's own order: run() passes
-(stop time, inf) for an after_time stop and (inf, 0) for an
-after_requests one, and step() the next event's time and seq + 1, which
-sorts after that event and before every other.
+The loop applies every event that sorts before a (time, seq) bound in
+the heap's own order: run() passes (stop time, inf) for an after_time
+stop and (inf, 0) for an after_requests one. A caller that passes the
+next event's time and seq + 1, which sorts after that event and before
+every other, applies that one event: tests/refengine.py's step() drives
+the engine so.
 
 Finalizing releases each still-queued request's class link: that link
 leads back, through the class path, to the queue holding the request,
 so without the release a finished run would wait for the cyclic
-collector. The queues themselves stay, for snapshot().
+collector. The queues themselves stay: tests/refengine.py's snapshot()
+reads them, and a test checks that a finished run with queued requests
+is freed without the collector.
 
 Engine() decides once which resources get a record: only those that
 some class visits get one, with its queue state and a service stream,
@@ -86,11 +89,10 @@ them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .balancer import make_selector
-from .errors import DomainError, EngineEmptyError, InternalError
+from .errors import DomainError, InternalError
 from .metrics import ClassAccumulator, MetricsReport, ResourceAccumulator, RunAccumulator, finalize
 from .model import ScenarioModel, StopKind
 from .workload import Stream, make_sampler
@@ -107,29 +109,6 @@ def _bad_time(time: float, now: float) -> InternalError:
     if not time < _INF:
         return InternalError(f"scheduled event time is not finite: {time!r}")
     return InternalError(f"event time {time!r} precedes clock {now!r}")
-
-
-@dataclass(frozen=True)
-class Event:
-    """What step() just applied, for inspection in tests and tools."""
-
-    time: float
-    seq: int
-    kind: str
-    class_name: str | None = None
-    resource: str | None = None
-    replica: int | None = None
-    request_id: int | None = None
-
-
-@dataclass(frozen=True)
-class ResourceSnapshot:
-    busy: tuple[bool, ...]
-    queue_lengths: tuple[int, ...]
-    in_system: int
-    offered: int
-    served: int
-    dropped: int
 
 
 class Request:
@@ -376,28 +355,6 @@ class Engine:
                 f"{now!r}, as is the visit's mean demand {mean!r}"
             )
 
-    def step(self) -> Event:
-        """Apply exactly one event, the next in (time, seq) order, and
-        describe it. Testing hook."""
-        if self._finished:
-            raise InternalError("simulation already finalized")
-        if not self._heap:
-            raise EngineEmptyError("event list is empty")
-        time, seq, a, replica, req = self._heap[0]
-        # the bound sorts just after this event and before every other
-        self._drive(_INF, (time, seq + 1))
-        if req is None:
-            return Event(time=time, seq=seq, kind="arrival", class_name=a.name)
-        return Event(
-            time=time,
-            seq=seq,
-            kind="service_complete",
-            class_name=req.cls.name,
-            resource=a.name,
-            replica=replica,
-            request_id=req.id,
-        )
-
     def run(self) -> MetricsReport:
         """Drive to the stop rule and return the finalized report."""
         if self._finished:
@@ -420,28 +377,6 @@ class Engine:
                 for req in queue:
                     req.cls = None
         return finalize(self.accumulator, elapsed)
-
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
-    def snapshot(self, resource: str) -> ResourceSnapshot:
-        """The resource's replicas, queues and counts as they stand; a
-        declared resource that no class visits is always empty."""
-        res = self._resources.get(resource)
-        if res is None:
-            replicas = self.model.resource(resource).replicas  # KeyError for an undeclared name
-            return ResourceSnapshot((False,) * replicas, (0,) * replicas, 0, 0, 0, 0)
-        return ResourceSnapshot(
-            busy=tuple(b > 0 for b in res.backlogs),
-            queue_lengths=tuple(len(q) for q in res.queues),
-            in_system=sum(res.backlogs),
-            offered=res.offered,
-            served=res.served,
-            dropped=res.dropped,
-        )
 
 
 def simulate(model: ScenarioModel) -> MetricsReport:

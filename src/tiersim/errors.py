@@ -36,9 +36,5 @@ class SeriesDisabledError(TiersimError):
     or from a loaded report, which holds no series rows."""
 
 
-class EngineEmptyError(TiersimError):
-    """step() called on a simulation whose event list is exhausted."""
-
-
 class InternalError(TiersimError):
     """Invariant broken inside the package itself; always a bug."""

@@ -331,7 +331,10 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
         if not cls.path:
             issues.append(f"classes[{ci}].path: path must hold at least one visit")
         for vi, visit in enumerate(cls.path):
-            if visit.resource not in bounded:
+            # a name built in code that is not a str may not hash: test it first
+            if not isinstance(visit.resource, str):
+                issues.append(f"classes[{ci}].path[{vi}]: visit resource must be a non-empty token, got {visit.resource!r}")
+            elif visit.resource not in bounded:
                 issues.append(f"classes[{ci}].path[{vi}]: visit references unknown resource {visit.resource!r}")
             demand_issue = _distribution_issue(visit.demand)
             if demand_issue:

@@ -14,10 +14,15 @@ ReferenceEngine applies each event through its own handler frame and
 records every measurement through these functions, as the engine did
 before its loop applied both inline. Tests hold Engine's loop to it
 field by field.
+
+step() applies an engine's next event through the engine's own loop
+and describes it, and snapshot() reads one resource's replicas, queues
+and counts as they stand: the event-by-event view the tests inspect.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from tiersim import engine
@@ -71,6 +76,59 @@ def record_completion(acc, warmup, series, arrival, response):
         acc.mean_response += (response - acc.mean_response) / len(responses)
         if series:
             acc.series_arrivals.append(arrival)
+
+
+@dataclass(frozen=True)
+class Event:
+    """The event step() applied."""
+
+    time: float
+    seq: int
+    kind: str
+    class_name: str
+    resource: str | None = None
+    replica: int | None = None
+    request_id: int | None = None
+
+
+def step(eng):
+    """Apply exactly ``eng``'s next event, the first in (time, seq)
+    order, through its loop, and describe it. IndexError when no event
+    is pending."""
+    time, seq, a, replica, req = eng._heap[0]
+    # the bound sorts just after this event and before every other
+    eng._drive(_INF, (time, seq + 1))
+    if req is None:
+        return Event(time, seq, "arrival", a.name)
+    return Event(time, seq, "service_complete", req.cls.name, a.name, replica, req.id)
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    busy: tuple[bool, ...]
+    queue_lengths: tuple[int, ...]
+    in_system: int
+    offered: int
+    served: int
+    dropped: int
+
+
+def snapshot(eng, resource):
+    """The resource's replicas, queues and counts as they stand in
+    ``eng``; a declared resource that no class visits is always empty,
+    and an undeclared name is a KeyError."""
+    res = eng._resources.get(resource)
+    if res is None:
+        replicas = eng.model.resource(resource).replicas
+        return Snapshot((False,) * replicas, (0,) * replicas, 0, 0, 0, 0)
+    return Snapshot(
+        busy=tuple(b > 0 for b in res.backlogs),
+        queue_lengths=tuple(len(q) for q in res.queues),
+        in_system=sum(res.backlogs),
+        offered=res.offered,
+        served=res.served,
+        dropped=res.dropped,
+    )
 
 
 def accumulator(model):

@@ -20,7 +20,6 @@ from tiersim import (
     Distribution,
     DomainError,
     Engine,
-    EngineEmptyError,
     InternalError,
     ResourceSpec,
     RunConfig,
@@ -39,7 +38,7 @@ from tiersim import bundled, runs
 from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
 from pycalls import python_calls
 from randscen import random_scenario
-from refengine import ReferenceEngine
+from refengine import ReferenceEngine, snapshot, step
 
 
 def station(
@@ -176,7 +175,7 @@ def test_step_exposes_the_event_sequence():
             stop=StopRule.after_requests(8),
         )
     )
-    seen = [eng.step() for _ in range(6)]
+    seen = [step(eng) for _ in range(6)]
     assert [(e.time, e.kind) for e in seen] == [
         (0.25, "arrival"),
         (0.50, "arrival"),
@@ -191,7 +190,7 @@ def test_step_exposes_the_event_sequence():
     assert done.request_id == 1
     assert done.class_name == "w"
     assert eng.clock == 1.25
-    snap = eng.snapshot("A")
+    snap = snapshot(eng, "A")
     assert snap.busy == (True,)  # the 1.25 arrival went straight into service
     assert snap.dropped == 3
 
@@ -376,7 +375,7 @@ def test_zero_traffic_window():
     assert m.mean_in_system == 0.0
 
 
-def test_step_drains_then_raises_empty():
+def test_stepping_drains_the_event_list():
     eng = Engine(
         station(
             arrival=Distribution.deterministic(1.0),
@@ -386,12 +385,10 @@ def test_step_drains_then_raises_empty():
         )
     )
     events = 0
-    while eng.pending_events:
-        eng.step()
+    while eng._heap:
+        step(eng)
         events += 1
-    assert events == 4  # two arrivals, two completions
-    with pytest.raises(EngineEmptyError):
-        eng.step()
+    assert events == eng.events_applied == 4  # two arrivals, two completions
 
 
 def test_engine_cannot_be_driven_after_finalize():
@@ -400,8 +397,6 @@ def test_engine_cannot_be_driven_after_finalize():
     eng.run()
     with pytest.raises(InternalError):
         eng.run()
-    with pytest.raises(InternalError):
-        eng.step()
 
 
 def test_an_event_before_the_clock_is_an_internal_error():
@@ -534,8 +529,8 @@ def test_capacity_ceiling_is_never_exceeded():
     )
     eng = Engine(model)
     while eng.terminals < 400:
-        eng.step()
-        snap = eng.snapshot("A")
+        step(eng)
+        snap = snapshot(eng, "A")
         assert snap.in_system <= 5
         assert sum(snap.queue_lengths) <= 2
         assert sum(snap.busy) + sum(snap.queue_lengths) == snap.in_system
@@ -563,9 +558,9 @@ def _arrivals(eng: Engine):
         return [busy + queued for busy, queued in zip(snap.busy, snap.queue_lengths)]
 
     while eng.terminals < 400:
-        before = eng.snapshot("A")
-        if eng.step().kind == "arrival":
-            after = eng.snapshot("A")
+        before = snapshot(eng, "A")
+        if step(eng).kind == "arrival":
+            after = snapshot(eng, "A")
             yield backlogs(before), backlogs(after), sum(before.queue_lengths) >= 2, after.dropped > before.dropped
 
 
@@ -639,7 +634,7 @@ def test_arrivals_come_from_the_documented_stream():
             seed=seed,
         )
     )
-    assert eng.step().time == first
+    assert step(eng).time == first
 
 
 def test_service_draws_come_from_the_documented_stream():
@@ -654,10 +649,10 @@ def test_service_draws_come_from_the_documented_stream():
             seed=seed,
         )
     )
-    eng.step()  # arrival at 1.0 starts service immediately
-    done = eng.step()
+    step(eng)  # arrival at 1.0 starts service immediately
+    done = step(eng)
     while done.kind != "service_complete":  # later arrivals may pop first
-        done = eng.step()
+        done = step(eng)
     assert done.time == 1.0 + first_service
 
 
@@ -699,12 +694,12 @@ def test_little_self_consistency_on_unbounded_station():
 
 def test_fresh_engine_snapshot_is_empty():
     eng = Engine(station(arrival=Distribution.deterministic(1.0), service=Distribution.deterministic(1.0)))
-    snap = eng.snapshot("A")
+    snap = snapshot(eng, "A")
     assert snap.busy == (False,)
     assert snap.queue_lengths == (0,)
     assert snap.in_system == 0
     assert (snap.offered, snap.served, snap.dropped) == (0, 0, 0)
-    assert eng.pending_events == 1  # the first arrival
+    assert len(eng._heap) == 1  # the first arrival
 
 
 def test_only_streams_that_draw_key_a_generator(monkeypatch):
@@ -818,14 +813,14 @@ def test_an_unvisited_resource_reports_the_constant_row(stop, warmup):
 def test_snapshot_of_an_unvisited_resource_is_all_idle():
     eng = Engine(with_idle_tier(StopRule.after_requests(200), 0.0))
     for _ in range(50):
-        eng.step()
-    snap = eng.snapshot("Idle3")
+        step(eng)
+    snap = snapshot(eng, "Idle3")
     assert snap.busy == (False, False, False)
     assert snap.queue_lengths == (0, 0, 0)
     assert (snap.in_system, snap.offered, snap.served, snap.dropped) == (0, 0, 0, 0)
-    assert eng.snapshot("Idle1").busy == (False,)
+    assert snapshot(eng, "Idle1").busy == (False,)
     with pytest.raises(KeyError):
-        eng.snapshot("nope")
+        snapshot(eng, "nope")
 
 
 def test_clock_overflow_in_a_valid_model_is_an_internal_error():
@@ -916,9 +911,9 @@ def test_maintained_backlogs_match_busy_plus_queue_after_every_step():
         whole.run()
         eng = Engine(model)
         for _ in range(whole.events_applied):
-            eng.step()
+            step(eng)
             for name, res in eng._resources.items():
-                snap = eng.snapshot(name)
+                snap = snapshot(eng, name)
                 assert res.backlogs == [busy + queued for busy, queued in zip(snap.busy, snap.queue_lengths)], (
                     model.name,
                     name,
@@ -1003,7 +998,7 @@ def test_a_finished_run_is_freed_without_the_cyclic_collector(series):
     try:
         eng = Engine(model)
         eng.run()
-        queued = sum(sum(eng.snapshot(r.name).queue_lengths) for r in model.resources())
+        queued = sum(sum(snapshot(eng, r.name).queue_lengths) for r in model.resources())
         assert queued > 0  # the run stops with requests still queued
         del eng
         assert gc.collect() == 0

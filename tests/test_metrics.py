@@ -49,7 +49,7 @@ from tiersim.metrics import (
 from tiersim.sweep import SweepResult, sweep_to_csv
 from pycalls import python_calls
 from randscen import random_scenario
-from refengine import accumulator, occupancy_change, record_completion, record_visit
+from refengine import accumulator, occupancy_change, record_completion, record_visit, snapshot, step
 
 
 class Welford:
@@ -229,11 +229,11 @@ def _stepped_all_idle_time(model, names):
                 idle[name] += span
 
     for _ in range(whole.events_applied):
-        event = eng.step()
+        event = step(eng)
         hold(event.time)
         last = event.time
         for name in names:
-            all_idle[name] = not any(eng.snapshot(name).busy)
+            all_idle[name] = not any(snapshot(eng, name).busy)
     report = eng.run()
     hold(report.elapsed)
     return report, idle

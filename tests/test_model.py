@@ -281,6 +281,12 @@ def _structural_cases():
             "classes[0].path: path must hold at least one visit",
             True,
         ),
+        # a list does not hash, so it is refused before the declared names are looked up
+        "visit-resource-list": (
+            replaced(classes=(dataclasses.replace(cls, path=(dataclasses.replace(cls.path[0], resource=["x"]),)),)),
+            "classes[0].path[0]: visit resource must be a non-empty token, got ['x']",
+            True,
+        ),
         "balancer-text": (
             replaced(tiers=(Tier(name="only", resources=(dataclasses.replace(tier.resources[0], balancer="jsq"),)),)),
             "tiers[0].resources[0]: balancer must be a BalancerPolicy, got 'jsq'",
@@ -780,10 +786,25 @@ def _with_first_demand(model: ScenarioModel, demand: Distribution) -> ScenarioMo
         ),
         (
             lambda m: _with_first_class(m, path=(Visit(resource=7, demand=Distribution.deterministic(1.0)),)),
-            "classes[0].path[0]: visit references unknown resource 7",
+            "classes[0].path[0]: visit resource must be a non-empty token, got 7",
+        ),
+        (
+            lambda m: _with_first_class(m, path=(Visit(resource=["x"], demand=Distribution.deterministic(1.0)),)),
+            "classes[0].path[0]: visit resource must be a non-empty token, got ['x']",
         ),
     ],
-    ids=["scenario-name", "class-name", "max-requests", "seed", "warmup", "series", "stop-n", "rate", "visit-resource"],
+    ids=[
+        "scenario-name",
+        "class-name",
+        "max-requests",
+        "seed",
+        "warmup",
+        "series",
+        "stop-n",
+        "rate",
+        "visit-resource",
+        "visit-resource-list",
+    ],
 )
 def test_serialize_scenario_refuses_a_class_or_run_value_of_a_type_the_reader_never_builds(change, line):
     # the reader would refuse the text the writer wrote; the writer refuses

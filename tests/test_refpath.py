@@ -48,7 +48,9 @@ def check_against_the_recursion(model):
     path = sample_path(model)
     warmup = model.run.warmup
     assert report.elapsed == path.clock
-    rows = [(name, a, d - a) for name, visits in path.visits.items() for a, _, d in visits if a >= warmup]
+    # a report lists a resource's rows in declaration order, not path order
+    declared = [r.name for r in model.resources() if r.name in path.visits]
+    rows = [(name, a, d - a) for name in declared for a, _, d in path.visits[name] if a >= warmup]
     assert _bits(report.resource_series) == _bits(rows)
     kept = [(a, r) for a, r in path.ends if a >= warmup]
     assert _bits(report.end_to_end_series) == _bits((END_TO_END, a, r) for a, r in kept)
@@ -138,7 +140,8 @@ def tandems(draw):
         ResourceSpec(name=f"r{i}", replicas=c, queue_capacity=k, balancer=draw(st.sampled_from(BalancerPolicy)))
         for i, (c, k) in enumerate(stations)
     )
-    path = tuple(Visit(resource=r.name, demand=draw(_DEMANDS)) for r in specs)
+    # in any order, so that some tandems visit out of declaration order
+    path = tuple(Visit(resource=r.name, demand=draw(_DEMANDS)) for r in draw(st.permutations(specs)))
     max_requests = draw(st.one_of(st.integers(1, 40), st.just(UNBOUNDED)))
     # an unbounded class needs a mean gap > 0; at least 0.1 keeps its run short
     arrivals = _DISTRIBUTIONS if max_requests < UNBOUNDED else _DISTRIBUTIONS.filter(lambda d: d.mean() >= 0.1)

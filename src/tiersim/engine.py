@@ -98,8 +98,9 @@ from .model import ScenarioModel, StopKind
 from .workload import Stream, make_sampler
 
 _INF = float("inf")
-# The most requests one resource may hold waiting; at about 178 B per
-# queued request, 10**7 is about 1.8 GB.
+# The most requests one resource may hold waiting; at 96 to 120 B per
+# queued request (a 64 B Request, one or two 24 B floats, a deque slot),
+# 10**7 is at most about 1.2 GB.
 MAX_WAITING = 10**7
 
 
@@ -112,12 +113,14 @@ def _bad_time(time: float, now: float) -> InternalError:
 
 
 class Request:
-    """One session walking its class path. Freed once terminal.
+    """One session walking its class path, freed once terminal: its
+    class, the index of its current visit, the time the session arrived
+    and the time it joined its current resource.
 
     The driver loop fills the slots itself when a session arrives, with
     no __init__ frame, and sets enqueue_time at each admission."""
 
-    __slots__ = ("id", "cls", "visit_index", "arrival_time", "enqueue_time")
+    __slots__ = ("cls", "visit_index", "arrival_time", "enqueue_time")
 
 
 _new = object.__new__
@@ -162,7 +165,6 @@ class Engine:
         self.terminals = 0
         self._seq = 0
         self._heap: list = []
-        self._next_request_id = 0
         self._finished = False
 
         seed = model.run.seed
@@ -220,7 +222,6 @@ class Engine:
         now = self.clock
         seq = self._seq
         terminals = self.terminals
-        next_id = self._next_request_id
         try:
             while heap and terminals < target and heap[0] < bound:
                 now, _, a, replica, req = heappop(heap)
@@ -234,9 +235,7 @@ class Engine:
                             raise _bad_time(time, now)
                         seq += 1
                         heappush(heap, (time, seq, cr, None, None))
-                    next_id += 1
                     req = _new(Request)
-                    req.id = next_id
                     req.cls = cr
                     req.visit_index = visit = 0
                     req.arrival_time = now
@@ -335,7 +334,6 @@ class Engine:
             self.clock = now
             self._seq = seq
             self.terminals = terminals
-            self._next_request_id = next_id
 
     def _check_start(self, cr, visit: int, demand: float, now: float, time: float) -> None:
         """Raise unless a service of ``demand`` != 0 that starts at ``now``

@@ -738,22 +738,24 @@ def _tiers_value(model: ScenarioModel) -> JSONText:
     exact int (or inf) for every count. A model built in code may hold a
     value of another type: then ``validated`` refuses the model with
     validate's lines, or accepts it, which it does only for a str or int
-    subclass, and the templates write that as json.dumps does."""
+    subclass, and the templates write that as json.dumps does. A balancer
+    that is not a BalancerPolicy member, even a str equal to one, is
+    refused."""
     valid = None  # the model, once validated has accepted it
     tier_texts = []
     for tier in model.tiers:
         texts = []
         for r in tier.resources:
-            name, replicas, cap = r.name, r.replicas, r.queue_capacity
+            name, replicas, cap, balancer = r.name, r.replicas, r.queue_capacity, r.balancer
             if cap == INFINITE:
                 cap = '"inf"'
             elif type(cap) is not int:
                 valid = valid or validated(model)
                 cap = int.__repr__(cap)
-            if type(name) is not str or type(replicas) is not int:
+            if type(name) is not str or type(replicas) is not int or type(balancer) is not BalancerPolicy:
                 valid = valid or validated(model)
             # a policy's name is a plain lowercase token: quoting is all it needs
-            texts.append(_RESOURCE_TEXT % (encode_basestring_ascii(name), replicas, cap, _BALANCER_NAMES[r.balancer]))
+            texts.append(_RESOURCE_TEXT % (encode_basestring_ascii(name), replicas, cap, _BALANCER_NAMES[balancer]))
         if type(tier.name) is not str:
             valid = valid or validated(model)
         resources = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
@@ -768,17 +770,20 @@ _READ_CLASSES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (b
 
 def _reads_back(model: ScenarioModel) -> bool:
     """Whether each value in ``model``'s classes and run has an exact
-    type the reader builds for it. A parameter of a kind that no tagged
-    record lists is not checked: the writer raises on the kind itself."""
+    type the reader builds for it: each distribution and stop kind is a
+    DistKind or StopKind member (a str equals its member, so the type is
+    tested), and each parameter of that kind has its field's type."""
     run = model.run
     pairs = [(model.name, "str"), (run.seed, "int"), (run.warmup, "float"), (run.series_enabled, "bool")]
-    tagged = [(run.stop, _STOP_PARAMS)]
+    tagged = [(run.stop, StopKind, _STOP_PARAMS)]
     for cls in model.classes:
         pairs += [(cls.name, "str"), *((v.resource, "str") for v in cls.path)]
-        tagged += [(cls.arrival, _DIST_PARAMS), *((v.demand, _DIST_PARAMS) for v in cls.path)]
+        tagged += [(cls.arrival, DistKind, _DIST_PARAMS), *((v.demand, DistKind, _DIST_PARAMS) for v in cls.path)]
         if cls.max_requests != UNBOUNDED:
             pairs.append((cls.max_requests, "int"))
-    pairs += [(getattr(r, p), t) for r, params in tagged for p, t in params.get(r.kind, {}).items()]
+    if any(type(r.kind) is not kind for r, kind, _ in tagged):
+        return False
+    pairs += [(getattr(r, p), t) for r, _, params in tagged for p, t in params[r.kind].items()]
     return all(type(v) in _READ_CLASSES[t] for v, t in pairs)
 
 

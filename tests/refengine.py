@@ -88,7 +88,7 @@ class Event:
     class_name: str
     resource: str | None = None
     replica: int | None = None
-    request_id: int | None = None
+    arrival_time: float | None = None
 
 
 def step(eng):
@@ -100,7 +100,7 @@ def step(eng):
     eng._drive(_INF, (time, seq + 1))
     if req is None:
         return Event(time, seq, "arrival", a.name)
-    return Event(time, seq, "service_complete", req.cls.name, a.name, replica, req.id)
+    return Event(time, seq, "service_complete", req.cls.name, a.name, replica, req.arrival_time)
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,7 @@ class ReferenceEngine(Engine):
                 raise _bad_time(time, now)
             self._seq += 1
             heappush(self._heap, (time, self._seq, cr, None, None))
-        self._next_request_id += 1
         req = object.__new__(Request)
-        req.id = self._next_request_id
         req.cls = cr
         req.visit_index = 0
         req.arrival_time = now

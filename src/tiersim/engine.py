@@ -62,7 +62,10 @@ the heap's own order: run() passes (stop time, inf) for an after_time
 stop and (inf, 0) for an after_requests one. A caller that passes the
 next event's time and seq + 1, which sorts after that event and before
 every other, applies that one event: tests/refengine.py's step() drives
-the engine so.
+the engine so. The loop's count of terminal sessions (completed or
+dropped), which an after_requests stop compares with its n, is rebuilt
+from the class records' completed and dropped counts whenever _drive is
+entered: the engine keeps no count of its own.
 
 Finalizing releases each still-queued request's class link: that link
 leads back, through the class path, to the queue holding the request,
@@ -145,11 +148,11 @@ class _ResourceRuntime(ResourceAccumulator):
 class _ClassRuntime(ClassAccumulator):
     """A class: its measurement record, plus its path and arrival sampler."""
 
-    __slots__ = ("name", "max_requests", "path", "visits", "sample_arrival")
+    __slots__ = ("spec", "max_requests", "path", "visits", "sample_arrival")
 
     def __init__(self, cls, seed: int, path):
         super().__init__()
-        self.name = cls.name
+        self.spec = cls  # the WorkloadClass this runtime was built from
         self.max_requests = cls.max_requests
         self.path = path  # tuple of (_ResourceRuntime, demand sampler)
         self.visits = len(path)
@@ -162,7 +165,6 @@ class Engine:
     def __init__(self, model: ScenarioModel):
         self.model = model
         self.clock = 0.0
-        self.terminals = 0
         self._seq = 0
         self._heap: list = []
         self._finished = False
@@ -170,13 +172,13 @@ class Engine:
         seed = model.run.seed
         visited = {v.resource for cls in model.classes for v in cls.path}
         # visited resources only: one no class visits is never offered a request
-        self._resources: dict[str, _ResourceRuntime] = {
+        resources: dict[str, _ResourceRuntime] = {
             spec.name: _ResourceRuntime(spec, seed, model.run.warmup) for spec in model.resources() if spec.name in visited
         }
-        services = {name: Stream(seed, f"resource:{name}:service") for name in self._resources}
+        services = {name: Stream(seed, f"resource:{name}:service") for name in resources}
         classes: dict[str, _ClassRuntime] = {}
         for cls in model.classes:
-            path = tuple((self._resources[v.resource], make_sampler(v.demand, services[v.resource])) for v in cls.path)
+            path = tuple((resources[v.resource], make_sampler(v.demand, services[v.resource])) for v in cls.path)
             classes[cls.name] = cr = _ClassRuntime(cls, seed, path)
             # a validated class generates at least one session
             time = cr.sample_arrival()
@@ -184,7 +186,7 @@ class Engine:
                 raise _bad_time(time, 0.0)
             self._seq += 1
             heappush(self._heap, (time, self._seq, cr, None, None))
-        self.accumulator = RunAccumulator(model, self._resources, classes)
+        self.accumulator = RunAccumulator(model, resources, classes)
 
     @property
     def events_applied(self) -> int:
@@ -213,15 +215,16 @@ class Engine:
         and builds its request; a completion records the visit, starts
         the replica's next queued request, and finishes the session or
         moves it on. Both then reach the one offer block, which admits
-        or drops. The counters live in locals and are written back
-        however the loop ends."""
+        or drops. The clock and the schedule counter live in locals and
+        are written back however the loop ends; the terminal count is
+        rebuilt from the class records on entry and written nowhere."""
         heap = self._heap
         run = self.model.run
         warmup = run.warmup
         series = run.series_enabled
         now = self.clock
         seq = self._seq
-        terminals = self.terminals
+        terminals = sum(cr.completed + cr.dropped for cr in self.accumulator.classes.values())
         try:
             while heap and terminals < target and heap[0] < bound:
                 now, _, a, replica, req = heappop(heap)
@@ -333,7 +336,6 @@ class Engine:
         finally:
             self.clock = now
             self._seq = seq
-            self.terminals = terminals
 
     def _check_start(self, cr, visit: int, demand: float, now: float, time: float) -> None:
         """Raise unless a service of ``demand`` != 0 that starts at ``now``
@@ -346,7 +348,7 @@ class Engine:
         rounds."""
         if not now <= time < _INF:
             raise _bad_time(time, now)
-        mean = next(c for c in self.model.classes if c.name == cr.name).path[visit].demand.mean()
+        mean = cr.spec.path[visit].demand.mean()
         if now + mean == now:
             raise DomainError(
                 f"resource {cr.path[visit][0].name!r}: a service demand of {demand!r} was lost to the clock at "
@@ -363,12 +365,9 @@ class Engine:
         else:
             self._drive(_INF, (stop.t, _INF))
             self.clock = stop.t
-        return self._finalize(self.clock)
-
-    def _finalize(self, elapsed: float) -> MetricsReport:
         self._finished = True
-        warmup = self.model.run.warmup
-        for res in self._resources.values():
+        elapsed, warmup = self.clock, self.model.run.warmup
+        for res in self.accumulator.resources.values():
             res.close(elapsed, warmup, [since for since, n in zip(res.busy_since, res.backlogs) if n], res.waiting)
             # break the cycle request -> class path -> this queue -> request
             for queue in res.queues:

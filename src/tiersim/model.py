@@ -819,6 +819,11 @@ def _scenario_doc(model: ScenarioModel) -> dict:
 def serialize_scenario(model: ScenarioModel) -> str:
     """Render a model back to scenario JSON.
 
-    Round-trips exactly: ``parse_scenario(serialize_scenario(m)) == m``.
+    For a model that ``validate`` accepts it round-trips exactly:
+    ``parse_scenario(serialize_scenario(m)) == m``. A value of a type the
+    reader never builds raises ValidationError with validate's lines. A
+    model whose types all fit but whose values validate refuses (replicas
+    0, a tier with no resources, a repeated resource name) is written
+    unchecked, and parse_scenario refuses that text with the same lines.
     """
     return json_text(_scenario_doc(model)) + "\n"

@@ -16,8 +16,9 @@ before its loop applied both inline. Tests hold Engine's loop to it
 field by field.
 
 step() applies an engine's next event through the engine's own loop
-and describes it, and snapshot() reads one resource's replicas, queues
-and counts as they stand: the event-by-event view the tests inspect.
+and describes it, snapshot() reads one resource's replicas, queues
+and counts as they stand, and terminals() counts the sessions that have
+completed or been dropped: the event-by-event view the tests inspect.
 """
 
 from __future__ import annotations
@@ -99,8 +100,14 @@ def step(eng):
     # the bound sorts just after this event and before every other
     eng._drive(_INF, (time, seq + 1))
     if req is None:
-        return Event(time, seq, "arrival", a.name)
-    return Event(time, seq, "service_complete", req.cls.name, a.name, replica, req.arrival_time)
+        return Event(time, seq, "arrival", a.spec.name)
+    return Event(time, seq, "service_complete", req.cls.spec.name, a.name, replica, req.arrival_time)
+
+
+def terminals(eng):
+    """The sessions of ``eng`` that have completed or been dropped, as
+    its class records count them."""
+    return sum(cr.completed + cr.dropped for cr in eng.accumulator.classes.values())
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ def snapshot(eng, resource):
     """The resource's replicas, queues and counts as they stand in
     ``eng``; a declared resource that no class visits is always empty,
     and an undeclared name is a KeyError."""
-    res = eng._resources.get(resource)
+    res = eng.accumulator.resources.get(resource)
     if res is None:
         replicas = eng.model.resource(resource).replicas
         return Snapshot((False,) * replicas, (0,) * replicas, 0, 0, 0, 0)
@@ -143,6 +150,10 @@ def accumulator(model):
 
 
 class ReferenceEngine(Engine):
+    def __init__(self, model):
+        super().__init__(model)
+        self.terminals = 0  # its own count, beside the class records
+
     def _on_arrival(self, now, cr):
         cr.generated += 1
         if cr.generated < cr.max_requests:
@@ -190,7 +201,7 @@ class ReferenceEngine(Engine):
         the clock absorbs is an error if the visit's mean demand is too."""
         time = now + demand
         if demand > 0 and time == now:
-            (cls,) = (c for c in self.model.classes if c.name == req.cls.name)
+            (cls,) = (c for c in self.model.classes if c.name == req.cls.spec.name)
             mean = cls.path[req.visit_index].demand.mean()
             if now + mean == now:
                 raise DomainError(

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -1214,3 +1215,24 @@ def test_apply_overrides_returns_the_model_itself_when_none_is_given():
         assert cli._apply_overrides(model, cli.build_parser().parse_args(argv)) is model
     overridden = cli._apply_overrides(model, cli.build_parser().parse_args(["run", "x", "--warmup", "0.0"]))
     assert overridden is not model and overridden.run.warmup == 0.0
+
+
+def _readme_section(title: str) -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (section,) = (s for s in re.split(r"^## ", readme, flags=re.M) if s.startswith(f"{title}\n"))
+    return section
+
+
+def test_the_readme_command_lines_and_library_example_run(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (block,) = re.findall(r"```sh\n(.*?)```", _readme_section("Command line"), re.S)
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("tiersim ")]
+    assert len(commands) == 6
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
+
+    (scenario,) = re.findall(r"```json\n(.*?)```", _readme_section("Scenario format"), re.S)
+    (tmp_path / "scenario.json").write_text(scenario, encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", _readme_section("Library use"), re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().err == ""

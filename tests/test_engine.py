@@ -38,7 +38,7 @@ from tiersim import bundled, runs
 from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
 from pycalls import python_calls
 from randscen import random_scenario
-from refengine import ReferenceEngine, snapshot, step
+from refengine import ReferenceEngine, snapshot, step, terminals
 
 
 def station(
@@ -528,7 +528,7 @@ def test_capacity_ceiling_is_never_exceeded():
         seed=13,
     )
     eng = Engine(model)
-    while eng.terminals < 400:
+    while terminals(eng) < 400:
         step(eng)
         snap = snapshot(eng, "A")
         assert snap.in_system <= 5
@@ -557,7 +557,7 @@ def _arrivals(eng: Engine):
     def backlogs(snap):
         return [busy + queued for busy, queued in zip(snap.busy, snap.queue_lengths)]
 
-    while eng.terminals < 400:
+    while terminals(eng) < 400:
         before = snapshot(eng, "A")
         if step(eng).kind == "arrival":
             after = snapshot(eng, "A")
@@ -726,9 +726,7 @@ def test_only_streams_that_draw_key_a_generator(monkeypatch):
     # only visited resources get runtime state and streams; the idle ones get neither
     visited = {v.resource for cls in model.classes for v in cls.path}
     assert len(visited) == len(model.resources()) - len(idle)
-    assert set(eng._resources) == visited
-    # one record a visited resource: the loop's runtime is what finalize reads
-    assert eng.accumulator.resources is eng._resources
+    assert set(eng.accumulator.resources) == visited
     multi = [r for r in model.resources() if r.name in visited and r.replicas > 1]
     balanced = {r.name for r in multi if r.balancer is BalancerPolicy.RANDOM}
     assert len(multi) == 3 and len(balanced) == 1
@@ -912,7 +910,7 @@ def test_maintained_backlogs_match_busy_plus_queue_after_every_step():
         eng = Engine(model)
         for _ in range(whole.events_applied):
             step(eng)
-            for name, res in eng._resources.items():
+            for name, res in eng.accumulator.resources.items():
                 snap = snapshot(eng, name)
                 assert res.backlogs == [busy + queued for busy, queued in zip(snap.busy, snap.queue_lengths)], (
                     model.name,

@@ -919,6 +919,32 @@ def test_a_tier_without_resources_is_written_as_an_empty_array():
     assert '"resources": []' in serialize_scenario(model)
 
 
+def _with_tiers(model: ScenarioModel, tiers) -> ScenarioModel:
+    return dataclasses.replace(model, tiers=tuple(tiers))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda m: _with_first_resource(m, replicas=0),
+        lambda m: _with_tiers(m, (*m.tiers, Tier(name="empty", resources=()))),
+        lambda m: _with_tiers(
+            m, (dataclasses.replace(m.tiers[0], resources=(*m.tiers[0].resources, m.tiers[0].resources[0])), *m.tiers[1:])
+        ),
+    ],
+    ids=["replicas-0", "tier-without-resources", "repeated-resource-name"],
+)
+def test_serialize_scenario_writes_a_value_validate_refuses_and_parse_scenario_refuses_the_text(change):
+    # every type fits the reader, so the text is written unchecked; reading
+    # it back reports the model's own validate lines
+    model = change(parse_scenario(bundled.scenario_text()))
+    assert validate(model)
+    text = serialize_scenario(model)
+    with pytest.raises(ValidationError) as found:
+        parse_scenario(text)
+    assert str(found.value) == "\n".join(validate(model))
+
+
 # -- the inline resource reader against the reference reader -----------
 
 _RESOURCE_VALUES = {

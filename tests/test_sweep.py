@@ -271,17 +271,17 @@ def _station_arriving(arrival: Distribution, max_requests: float, stop: StopRule
     return validated(dataclasses.replace(model, classes=(cls,), run=dataclasses.replace(model.run, stop=stop)))
 
 
-def test_a_capped_class_under_a_long_time_stop_starts_no_pool(monkeypatch):
+def test_a_capped_class_under_a_long_time_stop_generates_only_its_cap(monkeypatch):
     # 100 arrivals per unit time for 1000 time units, but 10 sessions in
-    # all; the name predates the batch forking whatever its length
+    # all, in each of the runs that two forked workers share
     model = _station_arriving(Distribution.exponential(100.0), 10, StopRule.after_time(1000.0))
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4
 
 
-def test_a_capped_class_under_a_long_request_stop_starts_no_pool(monkeypatch):
+def test_a_capped_class_under_a_long_request_stop_generates_only_its_cap(monkeypatch):
     # the stop waits for 100000 terminal sessions, but the class sends 10
-    # in all; the name predates the batch forking whatever its length
+    # in all, in each of the runs that two forked workers share
     model = _station_arriving(Distribution.exponential(100.0), 10, StopRule.after_requests(100_000))
     monkeypatch.setattr(runs, "usable_cpus", lambda: 2)
     assert [r.generated for r in runs.run_models((model,) * 4)] == [10] * 4

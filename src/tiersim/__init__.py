@@ -3,8 +3,9 @@ queueing architectures, with an analytic single-station cross-check.
 
 Typical use:
 
+    from pathlib import Path
     from tiersim import parse_scenario, simulate
-    report = simulate(parse_scenario(open("scenario.json").read()))
+    report = simulate(parse_scenario(Path("scenario.json").read_text()))
 """
 
 from .bottleneck import BottleneckEntry, BottleneckReport, rank

@@ -85,6 +85,7 @@ from .model import (
     _load_json,
     _read_values,
     json_text,
+    valid_seed,
 )
 
 
@@ -456,13 +457,19 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def _read_report_values(d: dict, types: dict[str, str], path: str) -> dict:
-    """The values of ``d`` at the keys of ``types``, read by _read_values;
-    no run writes NaN, so none is read. An infinity is, since a clock near
+    """The values of ``d`` at the keys of ``types``, read by _read_values,
+    of which only those a run writes: no NaN, no negative count and no
+    seed that valid_seed refuses. An infinity is read, since a clock near
     the float maximum can write one."""
     values = _read_values(d, types, path)
     for key, value in values.items():
         if value != value:
             raise ValidationError(f"{path}.{key}: expected a finite number, got nan")
+        if key == "seed":
+            if not valid_seed(value):
+                raise ValidationError(f"{path}.seed: seed must be an unsigned 64-bit integer, got {value!r}")
+        elif types[key] == "int" and value < 0:
+            raise ValidationError(f"{path}.{key}: expected a count >= 0, got {value!r}")
     return values
 
 

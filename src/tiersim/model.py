@@ -14,12 +14,12 @@ uses a default. A deployment may declare hundreds of resources, so their
 reader tests each value inline and calls a named reader only to word an
 error, and the writer fills a template per tier and per resource: the
 same error lines and bytes as the named readers and ``json_text`` give.
-That template is the one writer of tiers. A model built in code may hold
-a value of a type the reader never builds (a float count, a name that is
-not a str, a float seed), in a tier, a resource, a class or the run; the
-writer refuses such a model with validate's lines, or writes it as
-json.dumps does where validate accepts the value, which it does only for
-an int, float or str subclass.
+That template is the one writer of tiers. The writer writes only a model
+``validated`` accepts and refuses any other with validate's lines. Where
+the reader builds an exact int, float or str, validate also accepts a
+subclass of it, and the writer writes that as json.dumps does.
+``validated`` remembers each model it has accepted, so writing a model
+just parsed or synthesized checks it no second time.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import json
 import math
 import re
 import sys
+import weakref
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -379,11 +380,23 @@ def validate(model: ScenarioModel) -> tuple[str, ...]:
     return tuple(issues)
 
 
+# Each model validated has accepted, keyed by id(). An entry leaves with
+# its model, and a hit is tested by identity. The records are frozen and
+# hold tuples, so a model accepted once stays valid.
+_ACCEPTED: weakref.WeakValueDictionary[int, ScenarioModel] = weakref.WeakValueDictionary()
+
+
 def validated(model: ScenarioModel) -> ScenarioModel:
-    """Return ``model`` unchanged, or raise ValidationError listing every issue."""
-    issues = validate(model)
-    if issues:
-        raise ValidationError("\n".join(issues))
+    """Return ``model`` unchanged, or raise ValidationError listing every issue.
+
+    A model accepted once is returned at once while it lives: only a
+    model this call has not accepted (a new one, such as a
+    dataclasses.replace copy) is checked. ``validate`` keeps nothing."""
+    if _ACCEPTED.get(id(model)) is not model:
+        issues = validate(model)
+        if issues:
+            raise ValidationError("\n".join(issues))
+        _ACCEPTED[id(model)] = model
     return model
 
 
@@ -732,68 +745,33 @@ _RESOURCE_TEXT = (
 
 
 def _tiers_value(model: ScenarioModel) -> JSONText:
-    """The scenario document's "tiers" value, one text from the templates.
-
-    A model the reader built holds an exact str for every name and an
-    exact int (or inf) for every count. A model built in code may hold a
-    value of another type: then ``validated`` refuses the model with
-    validate's lines, or accepts it, which it does only for a str or int
-    subclass, and the templates write that as json.dumps does. A balancer
-    that is not a BalancerPolicy member, even a str equal to one, is
-    refused."""
-    valid = None  # the model, once validated has accepted it
+    """The scenario document's "tiers" value of a model ``validate``
+    accepts, one text from the templates: that model has at least one
+    tier, each holding at least one resource, and every balancer is a
+    BalancerPolicy member. A name may be a str subclass and a count an
+    int subclass, which the templates write as json.dumps does: they
+    quote a name's characters and format a count's value, a capacity
+    through int.__repr__, since %s would call the subclass's own __str__."""
     tier_texts = []
     for tier in model.tiers:
         texts = []
         for r in tier.resources:
-            name, replicas, cap, balancer = r.name, r.replicas, r.queue_capacity, r.balancer
+            cap = r.queue_capacity
             if cap == INFINITE:
                 cap = '"inf"'
             elif type(cap) is not int:
-                valid = valid or validated(model)
                 cap = int.__repr__(cap)
-            if type(name) is not str or type(replicas) is not int or type(balancer) is not BalancerPolicy:
-                valid = valid or validated(model)
             # a policy's name is a plain lowercase token: quoting is all it needs
-            texts.append(_RESOURCE_TEXT % (encode_basestring_ascii(name), replicas, cap, _BALANCER_NAMES[balancer]))
-        if type(tier.name) is not str:
-            valid = valid or validated(model)
-        resources = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
+            texts.append(_RESOURCE_TEXT % (encode_basestring_ascii(r.name), r.replicas, cap, _BALANCER_NAMES[r.balancer]))
+        resources = "[\n        " + ",\n        ".join(texts) + "\n      ]"
         tier_texts.append(_TIER_TEXT % (encode_basestring_ascii(tier.name), resources))
-    return JSONText("[\n    " + ",\n    ".join(tier_texts) + "\n  ]" if tier_texts else "[]")
-
-
-# the exact types the reader builds for a field of each annotated type
-# name; where it builds a float it reads an int too
-_READ_CLASSES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (bool,)}
-
-
-def _reads_back(model: ScenarioModel) -> bool:
-    """Whether each value in ``model``'s classes and run has an exact
-    type the reader builds for it: each distribution and stop kind is a
-    DistKind or StopKind member (a str equals its member, so the type is
-    tested), and each parameter of that kind has its field's type."""
-    run = model.run
-    pairs = [(model.name, "str"), (run.seed, "int"), (run.warmup, "float"), (run.series_enabled, "bool")]
-    tagged = [(run.stop, StopKind, _STOP_PARAMS)]
-    for cls in model.classes:
-        pairs += [(cls.name, "str"), *((v.resource, "str") for v in cls.path)]
-        tagged += [(cls.arrival, DistKind, _DIST_PARAMS), *((v.demand, DistKind, _DIST_PARAMS) for v in cls.path)]
-        if cls.max_requests != UNBOUNDED:
-            pairs.append((cls.max_requests, "int"))
-    if any(type(r.kind) is not kind for r, kind, _ in tagged):
-        return False
-    pairs += [(getattr(r, p), t) for r, _, params in tagged for p, t in params[r.kind].items()]
-    return all(type(v) in _READ_CLASSES[t] for v, t in pairs)
+    return JSONText("[\n    " + ",\n    ".join(tier_texts) + "\n  ]")
 
 
 def _scenario_doc(model: ScenarioModel) -> dict:
-    """The scenario document of ``model``, as serialize_scenario writes it:
-    plain data, but for its tiers, written as one text (see _tiers_value).
-    A class or run value of any other type makes it call ``validated``,
-    as _tiers_value does for a tier or resource value."""
-    if not _reads_back(model):
-        validated(model)
+    """The scenario document of a model ``validate`` accepts, as
+    serialize_scenario writes it: plain data, but for its tiers, written
+    as one text (see _tiers_value)."""
     return {
         "format_version": FORMAT_VERSION,
         "name": model.name,
@@ -819,11 +797,9 @@ def _scenario_doc(model: ScenarioModel) -> dict:
 def serialize_scenario(model: ScenarioModel) -> str:
     """Render a model back to scenario JSON.
 
-    For a model that ``validate`` accepts it round-trips exactly:
-    ``parse_scenario(serialize_scenario(m)) == m``. A value of a type the
-    reader never builds raises ValidationError with validate's lines. A
-    model whose types all fit but whose values validate refuses (replicas
-    0, a tier with no resources, a repeated resource name) is written
-    unchecked, and parse_scenario refuses that text with the same lines.
+    The model is checked by ``validated`` first, so only a model that
+    ``validate`` accepts is written, and any other raises ValidationError
+    with validate's lines. What is written round-trips exactly:
+    ``parse_scenario(serialize_scenario(m)) == m``.
     """
-    return json_text(_scenario_doc(model)) + "\n"
+    return json_text(_scenario_doc(validated(model))) + "\n"

@@ -11,10 +11,12 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import tiersim
 from tiersim import (
     Distribution,
     DomainError,
@@ -350,6 +352,26 @@ def test_a_write_that_fails_after_its_temp_file_exists_leaves_none(tmp_path, mon
         cli._write_atomic(str(tmp_path / "report.json"), "text")
     assert exc.value is error
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_whose_temp_file_cannot_be_removed_raises_its_own_error(tmp_path, monkeypatch):
+    error = ValueError("no more chunks")
+
+    def chunks():
+        yield "text"
+        raise error
+
+    def refuse(path):
+        raise OSError("unlink refused")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    target = tmp_path / "report.json"
+    with pytest.raises(ValueError) as exc:
+        cli._write_atomic(str(target), chunks())
+    assert exc.value is error
+    assert not target.exists()
+    # the temp file that could not be removed is all that is left
+    assert [p.name.startswith(".tiersim.") for p in tmp_path.iterdir()] == [True]
 
 
 def test_run_seed_override_changes_the_report(station_path, tmp_path, capsys):
@@ -1235,4 +1257,7 @@ def test_the_readme_command_lines_and_library_example_run(monkeypatch, capsys, t
     (tmp_path / "scenario.json").write_text(scenario, encoding="utf-8")
     (example,) = re.findall(r"```python\n(.*?)```", _readme_section("Library use"), re.S)
     exec(compile(example, "README.md", "exec"), {})
+    # the package docstring's example, against the same file
+    (example,) = re.findall(r"Typical use:\n\n((?:    .*\n)+)", tiersim.__doc__)
+    exec(compile(textwrap.dedent(example), tiersim.__file__, "exec"), {})
     assert capsys.readouterr().err == ""

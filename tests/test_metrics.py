@@ -27,6 +27,7 @@ from tiersim import (
     SeriesDisabledError,
     StopRule,
     Tier,
+    ValidationError,
     Visit,
     WorkloadClass,
     bundled,
@@ -446,6 +447,26 @@ def test_a_loaded_report_keeps_an_infinity():
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert "Infinity" in text
     assert report_to_json(report_from_json(text)) == text
+
+
+@pytest.mark.parametrize(
+    "keys, value, line",
+    [
+        (("seed",), 2**70, f"$.seed: seed must be an unsigned 64-bit integer, got {2**70}"),
+        (("totals", "generated"), -3, "$.totals.generated: expected a count >= 0, got -3"),
+        (("resources", "A", "served"), -1, "$.resources['A'].served: expected a count >= 0, got -1"),
+    ],
+    ids=["seed-2**70", "negative-total", "negative-resource-count"],
+)
+def test_a_loaded_report_refuses_a_value_no_run_writes(keys, value, line):
+    doc = json.loads(report_to_json(simulate(one_station_model())))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ValidationError) as found:
+        report_from_json(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert str(found.value) == line
 
 
 def test_report_json_carries_series_counts():

@@ -816,11 +816,13 @@ def test_serialize_scenario_refuses_a_class_or_run_value_of_a_type_the_reader_ne
 
 
 def _with_resource(**changes) -> ScenarioModel:
-    """small_model whose tier holds a plain resource, then one built in
-    code with ``changes`` (which validate may refuse)."""
+    """small_model whose tier holds a plain resource, which its class
+    visits, then one built in code with ``changes`` (which validate may
+    refuse); no visit names the changed one, so a new name is no issue."""
     base = small_model()
     odd = dataclasses.replace(base.tiers[0].resources[0], **changes)
-    return dataclasses.replace(base, tiers=(Tier(name="only", resources=(ResourceSpec("plain"), odd)),))
+    model = _with_first_class(base, path=(Visit(resource="plain", demand=Distribution.exponential(2.0)),))
+    return dataclasses.replace(model, tiers=(Tier(name="only", resources=(ResourceSpec("plain"), odd)),))
 
 
 def _refused_with_validates_lines(model: ScenarioModel) -> None:
@@ -854,8 +856,11 @@ def test_serialize_scenario_refuses_an_enum_field_that_is_not_a_member(change):
     _refused_with_validates_lines(change(parse_scenario(bundled.scenario_text())))
 
 
-# values of a type the reader never builds, which validate refuses
+# values validate refuses: of a type the reader never builds, or of one
+# it builds but out of range
 _REFUSED_VALUES = [
+    {"replicas": -(10**30)},
+    {"name": "spé \"x\"\n"},
     {"replicas": 2.0},
     {"replicas": True},
     {"replicas": [1]},
@@ -866,12 +871,11 @@ _REFUSED_VALUES = [
     {"name": object()},
     {"balancer": "round_robin"},
 ]
-# values of a type the reader builds, written whether validate accepts
-# them or not, and int and str subclasses, which validate accepts
+# values validate accepts, int and str subclasses among them; the name
+# holds each kind of character json.dumps escapes
 _WRITTEN_VALUES = [
-    {"replicas": -(10**30)},
     {"queue_capacity": 2**70},
-    {"name": "spé \"x\"\n"},
+    {"name": 'spé"x\\\x01'},
     {"replicas": _Count(3), "queue_capacity": _Count(2**70), "name": _Name("cpu")},
 ]
 
@@ -887,8 +891,8 @@ _WRITTEN_VALUES = [
 def test_serialize_scenario_writes_a_resource_value_as_json_dumps_does_or_refuses_its_type_with_validates_lines(
     changes, refused
 ):
-    # a model built in code may hold any value; the one tier writer refuses
-    # a type the reader never builds as validated does
+    # a model built in code may hold any value; the writer refuses one
+    # that validate refuses, with validate's lines
     model = _with_resource(**changes)
     if refused:
         _refused_with_validates_lines(model)
@@ -898,7 +902,7 @@ def test_serialize_scenario_writes_a_resource_value_as_json_dumps_does_or_refuse
 
 @pytest.mark.parametrize(
     "name, refused",
-    [(None, True), (7, True), ("spé", False), ("a\tb", False), (object(), True), (_Name("t2"), False)],
+    [(None, True), (7, True), ("spé", False), ("a\tb", True), (object(), True), (_Name("t2"), False)],
     ids=["none", "int", "accent", "tab", "object", "str-subclass"],
 )
 def test_serialize_scenario_writes_a_tier_name_as_json_dumps_does_or_refuses_its_type_with_validates_lines(
@@ -910,13 +914,6 @@ def test_serialize_scenario_writes_a_tier_name_as_json_dumps_does_or_refuses_its
         _refused_with_validates_lines(model)
     else:
         assert serialize_scenario(model) == json.dumps(reference_doc(model), indent=2) + "\n"
-
-
-def test_a_tier_without_resources_is_written_as_an_empty_array():
-    model = _with_resource()
-    model = dataclasses.replace(model, tiers=(*model.tiers, Tier(name="empty", resources=())))
-    assert serialize_scenario(model) == json.dumps(reference_doc(model), indent=2) + "\n"
-    assert '"resources": []' in serialize_scenario(model)
 
 
 def _with_tiers(model: ScenarioModel, tiers) -> ScenarioModel:
@@ -934,15 +931,34 @@ def _with_tiers(model: ScenarioModel, tiers) -> ScenarioModel:
     ],
     ids=["replicas-0", "tier-without-resources", "repeated-resource-name"],
 )
-def test_serialize_scenario_writes_a_value_validate_refuses_and_parse_scenario_refuses_the_text(change):
-    # every type fits the reader, so the text is written unchecked; reading
-    # it back reports the model's own validate lines
-    model = change(parse_scenario(bundled.scenario_text()))
-    assert validate(model)
-    text = serialize_scenario(model)
-    with pytest.raises(ValidationError) as found:
-        parse_scenario(text)
-    assert str(found.value) == "\n".join(validate(model))
+def test_serialize_scenario_refuses_a_value_validate_refuses_with_its_lines(change):
+    # every type fits the reader, yet the writer writes no text that
+    # parse_scenario would refuse: it refuses the model with validate's lines
+    _refused_with_validates_lines(change(parse_scenario(bundled.scenario_text())))
+
+
+def test_validated_checks_a_model_once_and_a_copy_again(monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(model_module, "validate", counted)
+    model = small_model()
+    assert model_module.validated(model) is model
+    assert model_module.validated(model) is model
+    serialize_scenario(model)
+    assert len(calls) == 1 and calls[0] is model
+    copy = dataclasses.replace(model)
+    assert model_module.validated(copy) is copy
+    assert len(calls) == 2 and calls[1] is copy
+    # a refused model is not remembered: each call checks it again
+    bad = dataclasses.replace(model, name="")
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            model_module.validated(bad)
+    assert len(calls) == 4
 
 
 # -- the inline resource reader against the reference reader -----------

@@ -33,6 +33,20 @@ there would take no time. A lone draw far below its mean, which a long
 run makes now and then, ends where it starts, as any sum of a float
 clock rounds; so does a demand of 0.
 
+The loop peeks at the next event, the top of the heap, rather than
+popping it. An event that schedules its own successor (an arrival its
+class's next arrival, a completion the service of the request next in
+its replica's queue) replaces itself with it in one heapreplace, the
+"hold" of a future event list, where a pop and a push would sift twice;
+one that schedules none pops itself. So every event has left the heap
+before the offer block, which only pushes the service it starts. No
+raise out of the loop leaves its event on the heap: a successor's bad
+time and a demand lost at a queued start pop the event before they
+raise, and the offer block's raises (a demand lost at an idle start,
+MAX_WAITING) come after it left. So a raise leaves the heap as a loop
+that popped first would: the raising event applied, every other one
+pending.
+
 Each visited resource and each class is one object: a subclass of the
 metrics module's accumulator record that adds the loop's own state. So
 what the loop drives is what finalize reads, with no second record to
@@ -92,7 +106,7 @@ them.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 from .balancer import make_selector
 from .errors import DomainError, InternalError
@@ -195,16 +209,17 @@ class Engine:
 
     # -- driving -------------------------------------------------------
     #
-    # Every push checks its time with `not now <= time < _INF` (now is
-    # 0.0 for the first arrivals), which also rejects NaN: a validated
-    # model can still overflow the clock (a tiny exponential rate draws
-    # gaps near the float maximum), and an unvalidated one can schedule
-    # an event before the clock (a negative gap or demand). The heap pops
-    # in (time, seq) order, so once every push is checked no event pops
-    # before the clock, and the loop does not check it again. A service
-    # start first checks `not now < time < _INF`: a demand > 0 whose end
-    # is not past now was lost to the clock, and _check_start applies
-    # the push check and then decides whether the loss is an error.
+    # Every push or replace checks its time with `not now <= time <
+    # _INF` (now is 0.0 for the first arrivals), which also rejects NaN:
+    # a validated model can still overflow the clock (a tiny exponential
+    # rate draws gaps near the float maximum), and an unvalidated one
+    # can schedule an event before the clock (a negative gap or
+    # demand). The heap's top is the least (time, seq), so once every
+    # push is checked no event comes off it before the clock, and the
+    # loop does not check it again. A service start first checks `not
+    # now < time < _INF`: a demand > 0 whose end is not past now was
+    # lost to the clock, and _check_start applies the push check and
+    # then decides whether the loss is an error.
 
     def _drive(self, target: float, bound: tuple) -> None:
         """Apply events in (time, seq) order until `target` sessions are
@@ -215,9 +230,14 @@ class Engine:
         and builds its request; a completion records the visit, starts
         the replica's next queued request, and finishes the session or
         moves it on. Both then reach the one offer block, which admits
-        or drops. The clock and the schedule counter live in locals and
-        are written back however the loop ends; the terminal count is
-        rebuilt from the class records on entry and written nowhere."""
+        or drops. The loop reads the event at heap[0] and leaves it
+        there until the event replaces itself by the successor it
+        schedules (heapreplace) or, scheduling none, pops itself; the
+        offer block only pushes. A raise comes only once its event has
+        left the heap, so the raising event counts as applied. The
+        clock and the schedule counter live in locals and are written
+        back however the loop ends; the terminal count is rebuilt from
+        the class records on entry and written nowhere."""
         heap = self._heap
         run = self.model.run
         warmup = run.warmup
@@ -227,7 +247,7 @@ class Engine:
         terminals = sum(cr.completed + cr.dropped for cr in self.accumulator.classes.values())
         try:
             while heap and terminals < target and heap[0] < bound:
-                now, _, a, replica, req = heappop(heap)
+                now, _, a, replica, req = heap[0]
 
                 if req is None:
                     cr = a
@@ -235,9 +255,12 @@ class Engine:
                     if generated < cr.max_requests:
                         time = now + cr.sample_arrival()
                         if not now <= time < _INF:
+                            heappop(heap)
                             raise _bad_time(time, now)
                         seq += 1
-                        heappush(heap, (time, seq, cr, None, None))
+                        heapreplace(heap, (time, seq, cr, None, None))
+                    else:
+                        heappop(heap)
                     req = _new(Request)
                     req.cls = cr
                     req.visit_index = visit = 0
@@ -272,9 +295,16 @@ class Engine:
                         demand = nxt.cls.path[nxt.visit_index][1]()
                         time = now + demand
                         if not now < time < _INF and demand:
+                            # off the heap before _check_start may raise
+                            heappop(heap)
                             self._check_start(nxt.cls, nxt.visit_index, demand, now, time)
-                        seq += 1
-                        heappush(heap, (time, seq, res, replica, nxt))
+                            seq += 1
+                            heappush(heap, (time, seq, res, replica, nxt))
+                        else:
+                            seq += 1
+                            heapreplace(heap, (time, seq, res, replica, nxt))
+                    else:
+                        heappop(heap)
 
                     cr = req.cls
                     req.visit_index = visit = req.visit_index + 1

@@ -456,11 +456,18 @@ def report_to_json(report: MetricsReport) -> str:
     return json_text(doc, sort_keys=True) + "\n"
 
 
+# A resource's means and integrals, which no run makes negative. p_idle
+# and utilization have no upper bound here: a saturated station's float
+# sums can put utilization one ulp past 1, and so p_idle one below 0.
+_NON_NEGATIVE = frozenset(("avg_response", "avg_service", "avg_waiting", "utilization", "mean_in_system"))
+
+
 def _read_report_values(d: dict, types: dict[str, str], path: str) -> dict:
     """The values of ``d`` at the keys of ``types``, read by _read_values,
-    of which only those a run writes: no NaN, no negative count and no
-    seed that valid_seed refuses. An infinity is read, since a clock near
-    the float maximum can write one."""
+    of which only those a run writes: no NaN, no negative count, mean or
+    integral, no p_drop outside [0, 1] and no seed that valid_seed
+    refuses. An infinity is read, since a clock near the float maximum
+    can write one."""
     values = _read_values(d, types, path)
     for key, value in values.items():
         if value != value:
@@ -470,6 +477,10 @@ def _read_report_values(d: dict, types: dict[str, str], path: str) -> dict:
                 raise ValidationError(f"{path}.seed: seed must be an unsigned 64-bit integer, got {value!r}")
         elif types[key] == "int" and value < 0:
             raise ValidationError(f"{path}.{key}: expected a count >= 0, got {value!r}")
+        elif key in _NON_NEGATIVE and value < 0:
+            raise ValidationError(f"{path}.{key}: expected a value >= 0, got {value!r}")
+        elif key == "p_drop" and not 0 <= value <= 1:
+            raise ValidationError(f"{path}.p_drop: expected a probability in [0, 1], got {value!r}")
     return values
 
 
@@ -478,10 +489,24 @@ def _read_record(obj: object, types: dict[str, str], path: str) -> dict:
     return _read_report_values(_as_record(obj, tuple(types), path), types, path)
 
 
+def _read_resource(obj: object, path: str) -> ResourceMetrics:
+    """A resource row read by _read_record, whose offered requests are
+    each served, dropped, queued or in service at the stop."""
+    m = ResourceMetrics(**_read_record(obj, _RESOURCE_TYPES, path))
+    kept = m.served + m.dropped + m.queued_at_stop + m.in_service_at_stop
+    if m.offered != kept:
+        raise ValidationError(
+            f"{path}.offered: expected served + dropped + queued_at_stop + in_service_at_stop = {kept}, got {m.offered!r}"
+        )
+    return m
+
+
 def report_from_json(text: str) -> MetricsReport:
     """Load a report written by report_to_json; every key it writes is
-    required, no other is allowed, each value must have its field's type,
-    and UTF-8 must be able to encode the scenario, resource and class names.
+    required, no other is allowed, each value must have its field's type
+    and be one a run writes (see _read_report_values, _read_resource and
+    the totals' in_flight), and UTF-8 must be able to encode the
+    scenario, resource and class names.
 
     Series rows are not stored in the JSON, only their counts. A loaded
     report keeps the series record as saved, so report_to_json writes
@@ -490,7 +515,7 @@ def report_from_json(text: str) -> MetricsReport:
     doc = _as_record(_load_json(text), _REPORT_KEYS, "$")
     series = _read_record(doc["series"], _SERIES_TYPES, "$.series")
     resources = {
-        name: ResourceMetrics(**_read_record(m, _RESOURCE_TYPES, f"$.resources[{name!r}]"))
+        name: _read_resource(m, f"$.resources[{name!r}]")
         for name, m in _as_dict(doc["resources"], "$.resources").items()
     }
     classes = {
@@ -498,6 +523,12 @@ def report_from_json(text: str) -> MetricsReport:
         for name, c in _as_dict(doc["classes"], "$.classes").items()
     }
     header = _read_report_values(doc, _HEADER_TYPES, "$")
+    totals = _read_record(doc["totals"], _TOTALS_TYPES, "$.totals")
+    in_flight = totals["generated"] - totals["completed"] - totals["dropped"]
+    if totals["in_flight"] != in_flight:
+        raise ValidationError(
+            f"$.totals.in_flight: expected generated - completed - dropped = {in_flight}, got {totals['in_flight']!r}"
+        )
     # a name UTF-8 cannot encode could be neither printed nor written; a
     # scenario refuses it too (model._valid_name)
     for key, names in (("scenario", [header["scenario"]]), ("resources", resources), ("classes", classes)):
@@ -505,7 +536,7 @@ def report_from_json(text: str) -> MetricsReport:
             raise ValidationError(f"$.{key}: name {name!r} has no UTF-8 encoding")
     return MetricsReport(
         **header,
-        **_read_record(doc["totals"], _TOTALS_TYPES, "$.totals"),
+        **totals,
         resources=resources,
         classes=classes,
         series_enabled=series["enabled"],

@@ -16,6 +16,8 @@ seed-sequence interface, which Philox asks for those 2 words and takes
 as its key. So keying builds no ``SeedSequence`` and reads no OS
 entropy, where ``Philox(key=k)`` builds one from fresh entropy and then
 overwrites its output; the generator, and every uniform, is the same.
+Its counter starts at 0, handed over as one prebuilt array (see
+``_numpy``).
 
 A stream's generator is keyed on its first draw, not when the stream is
 built. Since the key depends only on (seed, consumer), when that happens
@@ -94,7 +96,7 @@ class _PhiloxKey:
     __slots__ = ("words",)
 
     def __init__(self, key: int):
-        np = _numpy()
+        np, _ = _numpy()
         self.words = np.array((key & 0xFFFFFFFFFFFFFFFF, key >> 64), np.uint64)
 
     def generate_state(self, n_words, dtype="uint32"):
@@ -109,12 +111,17 @@ class _PhiloxKey:
 def _numpy():
     """numpy, imported at the first refill rather than with the package,
     with ``_PhiloxKey`` registered as a seed sequence: validate,
-    synthesize and report import ``tiersim.cli`` and never draw."""
+    synthesize and report import ``tiersim.cli`` and never draw. With
+    it, the zero counter each stream's Philox starts from, as one
+    read-only ``uint64[4]`` array: Philox copies it, where from the int
+    0 it would build those 4 words again for every stream."""
     import numpy
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_PhiloxKey)
-    return numpy
+    counter = numpy.zeros(4, numpy.uint64)
+    counter.flags.writeable = False
+    return numpy, counter
 
 
 class _Refills:
@@ -132,8 +139,9 @@ class _Refills:
 
 def _refill(master_seed: int, consumer: str, state: _Refills) -> Iterator[Iterator[float]]:
     """Endless batches of uniforms from the consumer's generator."""
-    np = _numpy()
-    random = np.random.Generator(np.random.Philox(_PhiloxKey(stream_key(master_seed, consumer)))).random
+    np, counter = _numpy()
+    key = _PhiloxKey(stream_key(master_seed, consumer))
+    random = np.random.Generator(np.random.Philox(key, counter=counter)).random
     size = _FIRST_BATCH
     while True:
         state.batch = batch = iter(random(size).tolist())

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import sys
+from heapq import heappop, heappush, heapreplace
 
 import numpy
 import pytest
@@ -36,7 +37,7 @@ from tiersim import (
 )
 from tiersim import bundled, runs
 from tiersim.metrics import UNVISITED, ResourceAccumulator, finalize
-from pycalls import python_calls
+from pycalls import builtin_calls, python_calls
 from randscen import random_scenario
 from refengine import ReferenceEngine, snapshot, step, terminals
 
@@ -900,6 +901,125 @@ def test_a_lone_draw_the_clock_absorbs_ends_where_it_starts():
     assert report_to_json(ReferenceEngine(model).run()) == report_to_json(report)
 
 
+def test_a_lone_draw_the_clock_absorbs_at_a_queued_start_ends_where_it_starts():
+    # x and y arrive together every 1e11 and x arrives first, so each of
+    # y's services starts from the queue when x's ends; near 2e14 a draw
+    # below about 0.016 ends where it starts, as at an idle start above
+    starts = []
+
+    class Spy(Engine):
+        def _check_start(self, cr, visit, demand, now, time):
+            starts.append(cr.spec.name)
+            super()._check_start(cr, visit, demand, now, time)
+
+    model = _unvalidated(
+        _visits_a("x", Distribution.deterministic(1e11), Distribution.exponential(1.0), max_requests=2000),
+        _visits_a("y", Distribution.deterministic(1e11), Distribution.exponential(1.0), max_requests=2000),
+    )
+    model = dataclasses.replace(model, run=dataclasses.replace(model.run, stop=StopRule.after_requests(4000)))
+    assert validate(model) == ()
+    report = Spy(model).run()
+    assert starts.count("y") == 11
+    assert report_to_json(ReferenceEngine(model).run()) == report_to_json(report)
+
+
+def _raise_leaves(model, error, line, *, applied, clock, pending):
+    """Run ``model`` to its ``error`` and check what the engine is left
+    with: the raising event has left the heap and counts as applied, as
+    in a loop that pops each event before applying it."""
+    eng = Engine(model)
+    with pytest.raises(error) as found:
+        eng.run()
+    assert re.fullmatch(line, str(found.value))
+    assert (eng.events_applied, eng.clock, len(eng._heap)) == (applied, clock, pending)
+
+
+def test_a_non_finite_next_arrival_leaves_its_arrival_applied():
+    # arrivals at 6e307 and 1.2e308; the third would come at 1.8e308, past
+    # the float maximum, while the first session's service, to 1.6e308, is pending
+    model = station(arrival=Distribution.deterministic(6e307), service=Distribution.deterministic(1e308))
+    line = "scheduled event time is not finite: inf"
+    _raise_leaves(model, InternalError, line, applied=2, clock=2 * 6e307, pending=1)
+
+
+_LOST = r"resource 'A': a service demand of 1.0 was lost to the clock at \S+, as is the visit's mean demand 1.0"
+
+
+def test_a_demand_lost_at_a_queued_start_leaves_its_completion_applied():
+    # x's service, from 1 to 1 + 1e300, holds y, queued at 2, whose demand
+    # of 1 the clock then absorbs; z's arrival at 1e301 is pending
+    model = _unvalidated(
+        _visits_a("x", Distribution.deterministic(1.0), Distribution.deterministic(1e300), max_requests=1),
+        _visits_a("y", Distribution.deterministic(2.0), Distribution.deterministic(1.0), max_requests=1),
+        _visits_a("z", Distribution.deterministic(1e301), Distribution.deterministic(1.0), max_requests=1),
+    )
+    _raise_leaves(model, DomainError, _LOST, applied=3, clock=1 + 1e300, pending=1)
+
+
+def test_a_demand_lost_at_an_idle_start_leaves_its_arrival_applied():
+    # the first arrival, at 1e300, absorbs its demand of 1; its successor is pending
+    model = station(arrival=Distribution.deterministic(1e300), service=Distribution.deterministic(1.0))
+    _raise_leaves(model, DomainError, _LOST, applied=1, clock=1e300, pending=1)
+
+
+_FULL = r"resource '(A|B)' has 2 requests waiting, the most a resource may hold .*"
+
+
+@pytest.mark.parametrize("forwarded", [False, True], ids=["arrival", "forwarded"])
+def test_a_resource_past_max_waiting_leaves_the_offering_event_applied(monkeypatch, forwarded):
+    monkeypatch.setattr("tiersim.engine.MAX_WAITING", 2)
+    if forwarded:
+        # A serves each arrival for 0.5 and hands it to B, busy from 1.5
+        # to 11.5: B's waiting room is full when the fourth comes, at 4.5,
+        # and the fifth arrival and B's service are pending
+        model = two_stage(
+            service_a=Distribution.deterministic(0.5),
+            service_b=Distribution.deterministic(10.0),
+            capacity_b=INFINITE,
+            arrival=Distribution.deterministic(1.0),
+            stop=StopRule.after_requests(5),
+        )
+        _raise_leaves(model, DomainError, _FULL, applied=8, clock=4.5, pending=2)
+    else:
+        # A is busy from 1 to 11, and 2 and 3 wait: the fourth arrival is
+        # refused, and the fifth and A's service are pending
+        model = station(arrival=Distribution.deterministic(1.0), service=Distribution.deterministic(10.0))
+        _raise_leaves(model, DomainError, _FULL, applied=4, clock=4.0, pending=2)
+
+
+def _heap_operations_per_event(model: ScenarioModel) -> float:
+    """heappop, heappush and heapreplace calls Engine.run() makes, per event applied."""
+    eng = Engine(model)
+    return builtin_calls(eng.run, heappop, heappush, heapreplace) / eng.events_applied
+
+
+def test_an_event_that_schedules_its_successor_replaces_itself_on_the_heap():
+    # Exact counts for a fixed seed: mm1 1.25, jsq8 1.24 and the bundled
+    # webservices scenario with series on 1.52, where popping each event
+    # and pushing what it schedules takes 2.00. Each event leaves the
+    # heap in one operation: a heapreplace by the successor it schedules
+    # (the next arrival, or the next queued request's service) or a
+    # heappop. Only a service that starts on an idle replica, which the
+    # offer block pushes, adds a second.
+    mm1 = station(
+        arrival=Distribution.exponential(1.0),
+        service=Distribution.exponential(2.0),
+        capacity=40,
+        stop=StopRule.after_requests(5000),
+    )
+    jsq8 = station(
+        arrival=Distribution.exponential(7.6),
+        service=Distribution.exponential(1.0),
+        replicas=8,
+        capacity=8,
+        policy=BalancerPolicy.JSQ,
+        stop=StopRule.after_requests(5000),
+    )
+    assert _heap_operations_per_event(mm1) <= 1.30
+    assert _heap_operations_per_event(jsq8) <= 1.30
+    assert _heap_operations_per_event(webservices(5000, series=True)) <= 1.55
+
+
 def test_maintained_backlogs_match_busy_plus_queue_after_every_step():
     cases = [random_scenario(case) for case in range(100)]
     multi = [r for model in cases for r in model.resources() if r.replicas > 1]
@@ -1006,8 +1126,8 @@ def _bytecodes_per_event(model: ScenarioModel) -> float:
 # the compiler's output, and so the count, differs from one CPython version to the next
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bytecode counts are pinned for CPython 3.11")
 def test_bytecodes_per_event_stay_bounded():
-    # Exact counts for a fixed seed: mm1 219.6 and the bundled webservices
-    # scenario with series on 244.8. The loop's work per event that adds
+    # Exact counts for a fixed seed: mm1 220.5 and the bundled webservices
+    # scenario with series on 246.9. The loop's work per event that adds
     # no call (a counter, a field set on each request) shows here and not
     # in test_calls_per_event_stay_bounded.
     mm1 = station(

@@ -455,8 +455,34 @@ def test_a_loaded_report_keeps_an_infinity():
         (("seed",), 2**70, f"$.seed: seed must be an unsigned 64-bit integer, got {2**70}"),
         (("totals", "generated"), -3, "$.totals.generated: expected a count >= 0, got -3"),
         (("resources", "A", "served"), -1, "$.resources['A'].served: expected a count >= 0, got -1"),
+        (("resources", "A", "utilization"), -0.5, "$.resources['A'].utilization: expected a value >= 0, got -0.5"),
+        (("resources", "A", "avg_waiting"), -1e-300, "$.resources['A'].avg_waiting: expected a value >= 0, got -1e-300"),
+        (
+            ("resources", "A", "mean_in_system"),
+            -math.inf,
+            "$.resources['A'].mean_in_system: expected a value >= 0, got -inf",
+        ),
+        (("resources", "A", "p_drop"), 3.0, "$.resources['A'].p_drop: expected a probability in [0, 1], got 3.0"),
+        (("resources", "A", "p_drop"), -0.25, "$.resources['A'].p_drop: expected a probability in [0, 1], got -0.25"),
+        (
+            ("resources", "A", "offered"),
+            11,
+            "$.resources['A'].offered: expected served + dropped + queued_at_stop + in_service_at_stop = 10, got 11",
+        ),
+        (("totals", "in_flight"), 7, "$.totals.in_flight: expected generated - completed - dropped = 0, got 7"),
     ],
-    ids=["seed-2**70", "negative-total", "negative-resource-count"],
+    ids=[
+        "seed-2**70",
+        "negative-total",
+        "negative-resource-count",
+        "negative-utilization",
+        "negative-mean",
+        "negative-integral",
+        "p_drop-above-1",
+        "p_drop-below-0",
+        "offered-not-accounted-for",
+        "in_flight-not-accounted-for",
+    ],
 )
 def test_a_loaded_report_refuses_a_value_no_run_writes(keys, value, line):
     doc = json.loads(report_to_json(simulate(one_station_model())))
@@ -467,6 +493,24 @@ def test_a_loaded_report_refuses_a_value_no_run_writes(keys, value, line):
     with pytest.raises(ValidationError) as found:
         report_from_json(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     assert str(found.value) == line
+
+
+def test_every_report_a_run_writes_loads_and_writes_back():
+    # the checks on a loaded report's ranges and identities refuse none
+    # that a run writes: the 100 random scenarios and the bundled one
+    models = [random_scenario(case) for case in range(100)]
+    models.append(parse_scenario(bundled.read("webservices.json")))
+    for model in models:
+        text = report_to_json(simulate(model))
+        assert report_to_json(report_from_json(text)) == text, model.name
+
+
+def test_a_loaded_report_keeps_a_utilization_one_ulp_past_one():
+    # a saturated station's float sums can land there, and p_idle below 0
+    doc = json.loads(report_to_json(simulate(one_station_model())))
+    doc["resources"]["A"].update(utilization=math.nextafter(1.0, 2.0), p_idle=-math.ulp(1.0))
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert report_to_json(report_from_json(text)) == text
 
 
 def test_report_json_carries_series_counts():

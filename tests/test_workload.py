@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pycalls import python_calls
 from tiersim import Distribution, DistKind, DomainError, InternalError, Stream, stream_key
-from tiersim.workload import _BUFFER, _FIRST_BATCH, _PhiloxKey, make_sampler
+from tiersim.workload import _BUFFER, _FIRST_BATCH, _PhiloxKey, _numpy, make_sampler
 
 
 def test_same_consumer_same_seed_reproduces_exactly():
@@ -120,6 +120,17 @@ def test_the_key_object_keys_the_generator_philox_key_does():
         assert by_object.random_raw(3).tolist() == by_key.random_raw(3).tolist(), key
         got = numpy.random.Generator(by_object).random(40).tolist()
         assert got == numpy.random.Generator(by_key).random(40).tolist(), key
+
+
+@pytest.mark.parametrize("seed, consumer", [(0, "class:web:arrival"), (42, "resource:SP_Disk:service"), (7, "")])
+def test_the_prebuilt_zero_counter_starts_the_generator_philox_key_starts(seed, consumer):
+    np, counter = _numpy()
+    key = stream_key(seed, consumer)
+    got = np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=counter)).random(5000).tolist()
+    assert got == np.random.Generator(np.random.Philox(key=key)).random(5000).tolist()
+    # Philox copies the counter it starts from, and the streams share this one
+    assert counter.dtype == np.uint64 and counter.tolist() == [0, 0, 0, 0]
+    assert not counter.flags.writeable
 
 
 def test_the_key_object_is_the_low_then_the_high_word():
